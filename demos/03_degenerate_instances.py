@@ -39,6 +39,8 @@ print(f"driver case = {solution.case}, multiplier = {solution.mu:.8f} "
       f"(spectrum bottom = {h[0]:g})")
 print(f"objective: driver = {solution.objective:.10f}, "
       f"reference = {reference.objective:.10f}")
+print(f"detection certificate: {solution.extras['detect_certificate']} "
+      f"after {solution.extras['detect_steps']} steps")
 
 # same spectrum, but a whisper of gradient weight on the bottom
 # eigenvector: no longer degenerate, yet numerically close to it
@@ -54,3 +56,5 @@ print(f"\nnear-degenerate run: case = {solution2.case}, "
       f"multiplier = {solution2.mu:.8f}")
 print(f"diagnostic gap to the spectrum bottom: {solution2.hard_gap:.6f} "
       f"(exact: {1.0 - truth2.lambda_star:.6f})")
+print(f"detection certificate: {solution2.extras['detect_certificate']} "
+      f"after {solution2.extras['detect_steps']} steps")

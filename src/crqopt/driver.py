@@ -9,17 +9,32 @@ iteration cap.  The minimizer is recovered as v = n0 + Q_k x.
 
 Degenerate instances - where the optimal multiplier coincides with the
 bottom of the projected spectrum and the Krylov space is blind to the
-relevant eigenvector - are detected after the loop by an independent
-projected eigensolve with a random start, and repaired by padding the
-minimum-norm solution with that eigenvector.
+relevant eigenvector - are detected after the loop and repaired by
+padding the minimum-norm solution with the bottom eigenvector.  The test
+is one comparison, lambda_min(P A P) against mu + eps, made by a second
+Lanczos run on P A P from a random projected start.  That run stops at
+the first of four exits:
+
+1. "interlacing": the smallest Ritz value theta_j decreases toward
+   lambda_min, so theta_j <= mu + eps proves "hard".  The run goes on to
+   ``eig_tol`` because the padding needs the eigenvector.
+2. "random_start_bound": the bound of Kuczynski & Wozniakowski (SIAM J.
+   Matrix Anal. Appl. 13(4), 1992) for Lanczos on sigma I - P A P, with
+   sigma a margin above the norm estimate and a start uniform on the
+   sphere of null(C'), says that lambda_min < mu + eps has probability
+   below ``KW_DELTA``; the run declares "easy" without an eigenvector.
+   ``hard_gap`` is then theta_j - mu, an upper bound on the true gap.
+3. "converged": the Ritz residual met ``eig_tol``; decide by comparison.
+4. ``eig_maxit`` reached: decide by comparison, uncertified, and warn.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, NotConvergedError
-from .lanczos import BROKE_DOWN, lanczos_init, lanczos_step, smallest_eigenpair
+from .errors import EigFailureError, InfeasibleError, NotConvergedError
+from .lanczos import BROKE_DOWN, bottom_ritz_pairs, lanczos_init, lanczos_step
 from .problem import INFEASIBLE, UNIQUE_POINT, classify, resolve_b0_zero
 from .qepmin import qep_residual_bound, reduced_qep_to_rlgopt, solve_reduced_qep
 from .secular import solve_rlgopt
@@ -31,6 +46,17 @@ UNIQUE = "unique_point"
 
 LGOPT = "lgopt"
 QEPMIN = "qepmin"
+
+INTERLACING = "interlacing"
+RANDOM_START_BOUND = "random_start_bound"
+CONVERGED = "converged"
+
+# Allowed probability of a false "easy" at each detection step; a union
+# bound over eig_maxit = 500 steps keeps the total below 5e-8.
+KW_DELTA = 1e-10
+# sigma = NORM_MARGIN * norm_a must bound lambda_max(P A P) from above;
+# norm_a is a 20-step Lanczos estimate, a lower bound on ||A||.
+NORM_MARGIN = 1.05
 
 
 @dataclass
@@ -85,11 +111,28 @@ class CrqSolution:
 
 @dataclass
 class HardCaseReport:
+    """Outcome of ``detect_hard_case``.
+
+    ``lambda_min`` is the last smallest Ritz value, an upper bound on
+    the bottom of the projected spectrum, and ``gap`` is it minus the
+    reduced multiplier.  ``eig_converged`` says whether that Ritz pair
+    met ``eig_tol``; ``certificate`` names the exit that backs the
+    decision (None when ``eig_maxit`` ran out first) and ``steps`` counts
+    the detection run's Lanczos steps.  ``v`` holds the padding pair
+    ``(x_tilde, z)`` on a hard decision.
+    """
+
     is_hard: bool
     lambda_min: float
     gap: float
     eig_converged: bool
-    v: np.ndarray = None
+    v: tuple = None
+    certificate: str = None
+    steps: int = 0
+
+    @property
+    def certified(self):
+        return self.certificate is not None
 
 
 def _reduced_solve(state, method, beta1, gamma, norm_a):
@@ -112,33 +155,72 @@ def _reduced_solve(state, method, beta1, gamma, norm_a):
     return mu, x, delta, nres
 
 
+def _kw_bound(theta, threshold, sigma, dim, j):
+    """Kuczynski-Wozniakowski bound on P(lambda_min < threshold) after j
+    steps from a uniformly random start, given Ritz value theta > threshold.
+
+    For B = sigma I - P A P (positive semidefinite on null(C') of
+    dimension dim) the relative error of B's top Ritz value exceeds
+    e = (theta - threshold)/(sigma - threshold) whenever
+    lambda_min < threshold, and P(error >= e) <= 1.648 sqrt(dim)
+    exp(-sqrt(e) (2j - 1)).
+    """
+    e = (theta - threshold) / (sigma - threshold)
+    return 1.648 * np.sqrt(dim) * np.exp(-np.sqrt(e) * (2 * j - 1))
+
+
 def detect_hard_case(problem, state, reduced_mu, rng=None, eig_tol=1e-8,
                      eig_maxit=500, eps_hard=None):
-    """Degenerate-case test: compare the reduced multiplier with the
-    bottom of the projected spectrum.
+    """Degenerate-case test: is lambda_min(P A P) <= reduced_mu + eps_hard?
 
-    A second Lanczos eigensolve of P A P with a random projected start
-    computes the smallest projected eigenvalue and its eigenvector.  The
-    instance is degenerate when the converged reduced multiplier is not
-    strictly below that eigenvalue; the repaired minimizer pads the
-    least-squares Krylov solution back to the radius gamma with the
-    computed eigenvector.
+    A Lanczos run on P A P from a random projected start stops at the
+    first of four exits (see the module docstring): "interlacing" proves
+    "hard" once the smallest Ritz value drops to the threshold, and then
+    runs on to ``eig_tol`` for the eigenvector; "random_start_bound"
+    declares "easy" once the Kuczynski-Wozniakowski bound puts the
+    chance of a hard instance below ``KW_DELTA``; "converged" and
+    ``eig_maxit`` decide by comparing the last Ritz value with the
+    threshold, and the latter warns.  On a "random_start_bound" exit the
+    reported ``gap`` is an upper bound on the true gap and no
+    eigenvector is formed.  A hard decision pads the least-squares
+    Krylov solution back to the radius gamma with the Ritz vector.
+    ``eps_hard`` defaults to ``1e-8 * (1 + |reduced_mu|)``.
     """
     rng = np.random.default_rng(rng)
     op = problem.projected_operator()
     start = op.apply_P(rng.standard_normal(problem.n))
-    lam_min, z, info = smallest_eigenpair(
-        op, start, tol=eig_tol, maxit=eig_maxit,
-        norm_scale=problem.norm_a, require_converged=False,
-    )
     if eps_hard is None:
-        eps_hard = 1e-8 * (1.0 + abs(lam_min))
-    gap = lam_min - reduced_mu
-    if reduced_mu < lam_min - eps_hard:
-        return HardCaseReport(False, lam_min, gap, info["converged"])
+        eps_hard = 1e-8 * (1.0 + abs(reduced_mu))
+    threshold = reduced_mu + eps_hard
+    sigma = NORM_MARGIN * problem.norm_a
+    dim = problem.n - problem.m
+    certificate = None
+    ritz = None
+    for ritz in bottom_ritz_pairs(op, start, eig_maxit, eig_tol, problem.norm_a):
+        if certificate is None and ritz.theta <= threshold:
+            certificate = INTERLACING
+        if ritz.converged:
+            certificate = certificate or CONVERGED
+            break
+        if (certificate is None and ritz.theta < sigma
+                and _kw_bound(ritz.theta, threshold, sigma, dim, ritz.k) < KW_DELTA):
+            certificate = RANDOM_START_BOUND
+            break
+    if ritz is None or not np.isfinite(ritz.theta):
+        raise EigFailureError("hard-case detection produced no finite Ritz value")
+    if certificate is None:
+        warnings.warn(
+            f"hard-case detection reached eig_maxit={eig_maxit} without a "
+            f"certificate (Ritz residual {ritz.resid:.3e}); decided by comparison",
+            RuntimeWarning, stacklevel=2,
+        )
+    lam_min = ritz.theta
+    report = HardCaseReport(lam_min <= threshold, lam_min, lam_min - reduced_mu,
+                            ritz.converged, certificate=certificate, steps=ritz.k)
+    if not report.is_hard:
+        return report
 
     k = state.k
-    a, b = state.tridiagonal()
     beta1 = state.beta[0]
     aug = np.zeros((k + 1, k))
     aug[:k, :] = state.tridiagonal_matrix() - lam_min * np.eye(k)
@@ -147,7 +229,8 @@ def detect_hard_case(problem, state, reduced_mu, rng=None, eig_tol=1e-8,
     rhs[0] = -beta1
     y_tilde, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
     x_tilde = state.basis(k) @ y_tilde
-    return HardCaseReport(True, lam_min, gap, info["converged"], v=(x_tilde, z))
+    report.v = (x_tilde, ritz.vector())
+    return report
 
 
 def solve(problem, opts=None):
@@ -227,6 +310,8 @@ def solve(problem, opts=None):
         )
         solution.hard_gap = report.gap
         solution.extras["lambda_min_projected"] = report.lambda_min
+        solution.extras["detect_steps"] = report.steps
+        solution.extras["detect_certificate"] = report.certificate
         if report.is_hard:
             x_tilde, z = report.v
             radicand = max(gamma**2 - float(x_tilde @ x_tilde), 0.0)
@@ -235,7 +320,10 @@ def solve(problem, opts=None):
             solution.mu = report.lambda_min
             solution.case = HARD
             solution.objective = float(v @ problem.A.matvec(v))
-            solution.converged = True
+            # the repaired v no longer depends on the main loop's residual,
+            # but on the padding eigenvector meeting eig_tol
+            solution.converged = report.eig_converged
+            solution.extras["padding_eig_converged"] = report.eig_converged
             return solution
 
     if not converged:

@@ -11,6 +11,8 @@ holds with T_k tridiagonal; beta_{k+1} = 0 means the Krylov subspace is
 invariant (breakdown) and the reduced solves become exact.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -146,6 +148,49 @@ def run(op, b0, steps, norm_scale=1.0):
     return state
 
 
+@dataclass
+class RitzStep:
+    """Bottom Ritz pair after one step of a ``bottom_ritz_pairs`` run."""
+
+    state: LanczosState
+    theta: float
+    s: np.ndarray
+    resid: float
+    converged: bool
+
+    @property
+    def k(self):
+        return self.state.k
+
+    def vector(self):
+        """Ritz vector Q_k s (unit norm up to roundoff)."""
+        return self.state.basis() @ self.s
+
+
+def bottom_ritz_pairs(op, start, maxit, tol, norm_scale=1.0):
+    """Lanczos run from ``start`` that yields the bottom Ritz pair after each step.
+
+    Each ``RitzStep`` carries the smallest eigenvalue ``theta`` of T_k,
+    its eigenvector ``s``, the Ritz residual ``beta_{k+1} |s_k|`` and
+    whether that residual is below ``tol * max(norm_scale, |theta|)``.
+    Breakdown makes the pair exact (residual 0) and ends the run; so does
+    step ``maxit``.  The consumer decides when to stop earlier, and forms
+    the Ritz vector only if it needs it.
+    """
+    state = lanczos_init(op, start, norm_scale=norm_scale)
+    while state.k < maxit:
+        broke = lanczos_step(state) == BROKE_DOWN
+        a, b = state.tridiagonal()
+        vals, vecs = sla.eigh_tridiagonal(a, b, select="i", select_range=(0, 0))
+        theta = float(vals[0])
+        s = vecs[:, 0]
+        resid = 0.0 if broke else float(state.beta[state.k] * abs(s[-1]))
+        converged = resid <= tol * max(norm_scale, abs(theta), 1e-300)
+        yield RitzStep(state, theta, s, resid, converged)
+        if broke:
+            return
+
+
 def smallest_eigenpair(op, start, tol=1e-10, maxit=None, norm_scale=1.0,
                        require_converged=False):
     """Smallest Ritz pair of M = P A P restricted to null(C').
@@ -157,35 +202,17 @@ def smallest_eigenpair(op, start, tol=1e-10, maxit=None, norm_scale=1.0,
     ``info`` carries steps, residual and the convergence flag; with
     ``require_converged`` an unconverged run raises ``EigFailureError``.
     """
-    n = op.n
     if maxit is None:
-        maxit = min(n, 500)
-    state = lanczos_init(op, start, norm_scale=norm_scale)
-    theta = None
-    s = None
-    resid = np.inf
-    converged = False
-    while state.k < maxit:
-        outcome = lanczos_step(state)
-        a, b = state.tridiagonal()
-        vals, vecs = sla.eigh_tridiagonal(a, b, select="i", select_range=(0, 0))
-        theta = float(vals[0])
-        s = vecs[:, 0]
-        if outcome == BROKE_DOWN:
-            resid = 0.0
-            converged = True
+        maxit = min(op.n, 500)
+    step = None
+    for step in bottom_ritz_pairs(op, start, maxit, tol, norm_scale):
+        if step.converged:
             break
-        resid = state.beta[state.k] * abs(s[-1])
-        scale = max(norm_scale, abs(theta), 1e-300)
-        if resid <= tol * scale:
-            converged = True
-            break
-    if theta is None or not np.isfinite(theta):
+    if step is None or not np.isfinite(step.theta):
         raise EigFailureError("projected eigensolve produced no finite Ritz value")
-    if require_converged and not converged:
+    if require_converged and not step.converged:
         raise EigFailureError(
-            f"projected eigensolve stalled at residual {resid:.3e} after {state.k} steps"
+            f"projected eigensolve stalled at residual {step.resid:.3e} after {step.k} steps"
         )
-    z = state.basis() @ s
-    info = {"steps": state.k, "residual": float(resid), "converged": converged}
-    return theta, z, info
+    info = {"steps": step.k, "residual": step.resid, "converged": step.converged}
+    return step.theta, step.vector(), info

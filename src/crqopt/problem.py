@@ -21,6 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import RankDeficientError
+from .lanczos import smallest_eigenpair
 from .operators import SymmetricOperator, as_operator, norm_estimate
 
 INFEASIBLE = "infeasible"
@@ -127,8 +128,6 @@ class ProjectedOperator(SymmetricOperator):
 
     def apply_P(self, c):
         c = np.asarray(c, dtype=float)
-        if c.ndim == 1:
-            return c - self._Q @ (self._Q.T @ c)
         return c - self._Q @ (self._Q.T @ c)
 
     def matvec(self, x, in_nullspace=False):
@@ -201,7 +200,6 @@ def resolve_b0_zero(problem, feas, rng=None, eig_tol=1e-10, eig_maxit=None):
     if np.linalg.norm(feas.b0) > b0_zero_threshold(problem, feas):
         return None
     from .driver import CrqSolution, B0_ZERO
-    from .lanczos import smallest_eigenpair
 
     rng = np.random.default_rng(rng)
     op = problem.projected_operator()

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_interior_problem
 from oracles import dense_projector, krylov_slice_minimum
 
 import crqopt
-from crqopt import (CrqProblem, SolveOptions, classify, direct_solve,
-                    finite_step_check, solve)
+from crqopt import (CrqProblem, SolveOptions, build_reduction, classify,
+                    direct_solve, finite_step_check, hard_case_predicate, solve)
 from crqopt.errors import InfeasibleError, NotConvergedError
 
 
@@ -193,3 +195,105 @@ def test_detect_hard_easy_instance_reports_large_gap():
     # multiplier far below the projected spectrum bottom (easy case)
     assert sol.hard_gap > 1.0
     assert sol.mu == pytest.approx(truth.lambda_star, abs=1e-9 * (1 + abs(truth.lambda_star)))
+
+
+# ---------------------------------------------------------------------------
+# hard-case detection exits
+
+
+class _CountingOperator(crqopt.SymmetricOperator):
+    """Counts A-applies; the detection run's count is the difference
+    between solves with and without detection."""
+
+    def __init__(self, op):
+        super().__init__(op.n)
+        self.op = op
+        self.applies = 0
+
+    def matvec(self, x):
+        self.applies += 1
+        return self.op.matvec(x)
+
+
+def _count_a_applies(prob, opts):
+    counter = _CountingOperator(prob.A)
+    sol = solve(CrqProblem(counter, prob.C, prob.b), opts)
+    return sol, counter.applies
+
+
+def test_detection_on_worst_case_certifies_easy_early():
+    spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
+    prob, truth = crqopt.generate(spec)
+    sol, with_detect = _count_a_applies(prob, SolveOptions())
+    _, without = _count_a_applies(prob, SolveOptions(detect_hard=False))
+    detect_applies = with_detect - without
+    assert sol.case == crqopt.EASY
+    assert sol.extras["detect_certificate"] == "random_start_bound"
+    assert detect_applies == sol.extras["detect_steps"]
+    # at least 4.5x fewer than the full eig_maxit = 500 steps
+    assert detect_applies <= 110
+    # the last Ritz value only bounds the spectrum bottom from above
+    assert sol.hard_gap >= truth.theta[0] - truth.lambda_star - 1e-12
+
+
+@pytest.mark.parametrize("seed", [41, 900, 905, 909])
+@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
+def test_hard_instances_certified_by_interlacing(seed):
+    prob, _ = _hard_instance(seed)
+    sol = solve(prob, SolveOptions(tol=1e-14, maxit=prob.n, rng_seed=5))
+    assert sol.case == crqopt.HARD
+    assert sol.extras["detect_certificate"] == "interlacing"
+    assert sol.extras["padding_eig_converged"] and sol.converged
+
+
+@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
+def test_unconverged_padding_is_reported():
+    # interlacing proves "hard" before step 12, but the eigenvector is
+    # still short of eig_tol there
+    prob, _ = _hard_instance(41)
+    sol = solve(prob, SolveOptions(tol=1e-14, maxit=prob.n, rng_seed=5, eig_maxit=12))
+    assert sol.case == crqopt.HARD
+    assert sol.extras["detect_certificate"] == "interlacing"
+    assert sol.extras["detect_steps"] == 12
+    assert not sol.extras["padding_eig_converged"]
+    assert not sol.converged
+
+
+def test_uncertified_detection_warns():
+    spec = crqopt.InstanceSpec(n=120, m=10, alpha=1.0, beta=100.0, zeta=0.9, rng_seed=44)
+    prob, _ = crqopt.generate(spec)
+    with pytest.warns(RuntimeWarning, match="without a certificate"):
+        sol = solve(prob, SolveOptions(tol=1e-14, maxit=110, eig_maxit=5))
+    assert sol.extras["detect_certificate"] is None
+    assert sol.extras["detect_steps"] == 5
+
+
+def _detection_instance(kind, seed, nm, m):
+    """Small easy, near-degenerate or true hard instance."""
+    rng = np.random.default_rng(seed)
+    if kind == "easy":
+        beta = float(rng.uniform(10.0, 1000.0))
+        return crqopt.generate(crqopt.InstanceSpec(
+            n=nm + m, m=m, alpha=1.0, beta=beta, zeta=0.9, rng_seed=seed))
+    fill = float(rng.uniform(0.2, 0.8))
+    prob, truth = _hard_instance(seed, fill=fill, nm=nm, m=m)
+    if kind == "hard":
+        return prob, truth
+    g0 = truth.g0.copy()
+    g0[0] = 10.0 ** rng.uniform(-5.5, -4.5)
+    return crqopt.embed(truth.h_diag, g0, truth.zeta, m, rng)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["easy", "near", "hard"]),
+       seed=st.integers(0, 2**16), nm=st.integers(12, 120), m=st.integers(1, 5))
+@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
+def test_detection_decision_matches_predicate(kind, seed, nm, m):
+    prob, truth = _detection_instance(kind, seed, nm, m)
+    red = build_reduction(prob)
+    sol = solve(prob, SolveOptions(tol=1e-13, maxit=prob.n, rng_seed=seed))
+    assert (sol.case == crqopt.HARD) == hard_case_predicate(red, truth.gamma)
+    assert sol.extras["detect_certificate"] is not None
+    if sol.extras["detect_certificate"] == "random_start_bound":
+        true_gap = red.theta[0] - sol.mu
+        assert sol.hard_gap >= true_gap - 1e-10 * (1.0 + abs(sol.mu))
