@@ -71,7 +71,8 @@ def build_graph(image, delta, r):
     Pixels i, j are connected when ||X(i) - X(j)||_inf < r, with weight
     exp(-(F(i) - F(j))^2 / delta_F) where delta_F is ``delta`` times the
     squared global intensity range.  A constant image gets unit weights
-    on all in-radius pairs.
+    on all in-radius pairs.  ``W`` is built directly in CSR form with
+    sorted column indices.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
@@ -84,40 +85,38 @@ def build_graph(image, delta, r):
     n = height * width
     frange = float(image.max() - image.min())
     delta_f = delta * frange**2
-    flat = image.reshape(-1)
     reach = int(np.ceil(r)) - 1 if float(r).is_integer() else int(np.floor(r))
 
-    rows, cols, vals = [], [], []
-    idx = np.arange(n).reshape(height, width)
-    for dy in range(0, reach + 1):
-        for dx in range(-reach, reach + 1):
-            if dy == 0 and dx <= 0:
-                continue
-            ysl = slice(0, height - dy)
-            ysl2 = slice(dy, height)
-            if dx >= 0:
-                xsl, xsl2 = slice(0, width - dx), slice(dx, width)
-            else:
-                xsl, xsl2 = slice(-dx, width), slice(0, width + dx)
-            i_idx = idx[ysl, xsl].reshape(-1)
-            j_idx = idx[ysl2, xsl2].reshape(-1)
-            if delta_f == 0.0:
-                w = np.ones(i_idx.size)
-            else:
-                diff = flat[i_idx] - flat[j_idx]
-                w = np.exp(-(diff * diff) / delta_f)
-            rows.append(i_idx)
-            cols.append(j_idx)
-            vals.append(w)
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    else:
-        rows = cols = np.empty(0, dtype=int)
-        vals = np.empty(0)
-    W = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    W = (W + W.T).tocsr()
+    # Row p of W lists its neighbours p + dy*width + dx in lexicographic
+    # (dy, dx) order, which is ascending column order, so the rows come out
+    # sorted.  Offsets t and T-1-t are opposite, and the weight of a pair
+    # is the same from either end, so each exp is computed once.
+    offsets = [(dy, dx) for dy in range(-reach, reach + 1)
+               for dx in range(-reach, reach + 1) if dy or dx]
+    T = len(offsets)
+    vals = np.zeros((T, height, width))
+    for t, (dy, dx) in enumerate(offsets[: T // 2]):
+        y0, y1 = max(0, -dy), min(height, height - dy)
+        x0, x1 = max(0, -dx), min(width, width - dx)
+        if y0 >= y1 or x0 >= x1:
+            continue
+        if delta_f == 0.0:
+            w = 1.0
+        else:
+            diff = image[y0:y1, x0:x1] - image[y0 + dy:y1 + dy, x0 + dx:x1 + dx]
+            w = np.exp(-(diff * diff) / delta_f)
+        vals[t, y0:y1, x0:x1] = w
+        vals[T - 1 - t, y0 + dy:y1 + dy, x0 + dx:x1 + dx] = w
+    vals = vals.transpose(1, 2, 0)
+    index = np.int32 if n * (T + 1) < 2**31 else np.int64
+    step = np.array([dy * width + dx for dy, dx in offsets], dtype=index)
+    cols = np.arange(n, dtype=index).reshape(height, width, 1) + step
+    # out-of-raster neighbours hold 0 and are dropped, as are weights that
+    # underflow to 0
+    keep = vals != 0.0
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(keep.sum(axis=2).reshape(-1), out=indptr[1:])
+    W = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
     degrees = np.asarray(W.sum(axis=1)).reshape(-1)
     if np.any(degrees <= 0.0):
         raise IsolatedPixelError("graph has an isolated pixel (zero degree)")

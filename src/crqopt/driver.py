@@ -264,19 +264,19 @@ def solve(problem, opts=None):
     gamma = feas.gamma
     norm_a = problem.norm_a
     op = problem.projected_operator()
-    state = lanczos_init(op, feas.b0, norm_scale=norm_a)
+    state = lanczos_init(op, feas.b0, norm_scale=norm_a, maxit=opts.maxit)
     beta1 = state.beta[0]
     n0An0 = problem.n0_quadratic()
 
     history = []
     delta = np.inf
     broke = False
-    while state.k < opts.maxit:
+    while state.k < state.maxit:
         outcome = lanczos_step(state)
         k = state.k
         broke = outcome == BROKE_DOWN
         due = k >= opts.minit and (k - opts.minit) % opts.checkstep == 0
-        if not (due or broke or k == opts.maxit):
+        if not (due or broke or k == state.maxit):
             continue
         mu, x, delta, nres = _reduced_solve(state, opts.method, beta1, gamma, norm_a)
         # cheap exact identity: h(v) = gamma^2 mu + ||b0|| x_1 + n0'An0

@@ -24,6 +24,15 @@ BROKE_DOWN = "broke_down"
 _REORTH_LOSS_TOL = 1e-10
 
 
+def tridiagonal_dense(alpha, beta):
+    """Dense symmetric tridiagonal matrix with diagonal ``alpha`` and
+    off-diagonal ``beta``."""
+    T = np.diag(alpha)
+    if len(beta):
+        T += np.diag(beta, 1) + np.diag(beta, -1)
+    return T
+
+
 class LanczosState:
     """Basis Q, tridiagonal coefficients and breakdown bookkeeping.
 
@@ -31,9 +40,15 @@ class LanczosState:
     norm of the start vector and ``beta[j]`` (j >= 1) the off-diagonal
     coupling produced by step j.  After k steps the basis holds k+1
     vectors (k on breakdown).
+
+    The basis is stored one vector per contiguous row of a store
+    preallocated for ``min(maxit, n)`` steps, so reading q_j, writing
+    q_{k+1} and the reorthogonalization products all stream through
+    contiguous memory.  Rows never written are never touched, so the
+    resident memory grows with the steps actually taken.
     """
 
-    def __init__(self, op, r0, breakdown_tol):
+    def __init__(self, op, r0, breakdown_tol, maxit=None):
         r0 = np.asarray(r0, dtype=float)
         beta1 = float(np.linalg.norm(r0))
         if beta1 <= 0.0:
@@ -44,19 +59,9 @@ class LanczosState:
         self.beta = [beta1]
         self.broke_down = False
         self.breakdown_tol = breakdown_tol
-        self._cap = 16
-        self._Q = np.empty((self.n, self._cap))
-        self._nq = 0
-        self._push(r0 / beta1)
-
-    def _push(self, q):
-        if self._nq == self._cap:
-            self._cap = min(max(2 * self._cap, self._nq + 1), max(self.n + 1, self._nq + 1))
-            newQ = np.empty((self.n, self._cap))
-            newQ[:, : self._nq] = self._Q[:, : self._nq]
-            self._Q = newQ
-        self._Q[:, self._nq] = q
-        self._nq += 1
+        self.maxit = self.n if maxit is None else min(maxit, self.n)
+        self._Q = np.empty((self.maxit + 1, self.n))
+        self._Q[0] = r0 / beta1
 
     @property
     def k(self):
@@ -66,16 +71,11 @@ class LanczosState:
         """First k basis vectors as an (n, k) view."""
         if k is None:
             k = self.k
-        return self._Q[:, :k]
+        return self._Q[:k].T
 
     def q(self, j):
         """Basis vector q_j (1-based)."""
-        return self._Q[:, j - 1]
-
-    @property
-    def has_next(self):
-        """Whether q_{k+1} is available (False after breakdown)."""
-        return self._nq > self.k
+        return self._Q[j - 1]
 
     def tridiagonal(self, k=None):
         """(diagonal, off-diagonal) arrays of T_k."""
@@ -84,15 +84,14 @@ class LanczosState:
         return np.array(self.alpha[:k]), np.array(self.beta[1:k])
 
     def tridiagonal_matrix(self, k=None):
-        a, b = self.tridiagonal(k)
-        T = np.diag(a)
-        if len(b):
-            T += np.diag(b, 1) + np.diag(b, -1)
-        return T
+        return tridiagonal_dense(*self.tridiagonal(k))
 
 
-def lanczos_init(op, b0, norm_scale=1.0):
+def lanczos_init(op, b0, norm_scale=1.0, maxit=None):
     """Start the process at b0; ``norm_scale`` calibrates the breakdown test.
+
+    ``maxit`` caps the number of steps (at most n, the default) and sizes
+    the basis store; stepping past it raises ``RuntimeError``.
 
     The breakdown threshold must sit above the rounding-noise floor of
     one recurrence step (cancellation leaves residue well above
@@ -102,13 +101,17 @@ def lanczos_init(op, b0, norm_scale=1.0):
     magnitude on every instance family exercised by the tests.
     """
     tol = np.finfo(float).eps ** (2.0 / 3.0) * max(norm_scale, 1.0)
-    return LanczosState(op, b0, breakdown_tol=tol)
+    return LanczosState(op, b0, breakdown_tol=tol, maxit=maxit)
 
 
 def lanczos_step(state):
     """One three-term recurrence step; returns CONTINUED or BROKE_DOWN."""
     if state.broke_down:
         raise RuntimeError("cannot step a broken-down Lanczos process")
+    if state.k == state.maxit:
+        raise RuntimeError(
+            f"Lanczos basis is full: the store was sized for maxit={state.maxit} steps"
+        )
     k = state.k + 1
     q_k = state.q(k)
     w = state.op.matvec(q_k, in_nullspace=True)
@@ -118,12 +121,12 @@ def lanczos_step(state):
     w -= a_k * q_k
     # full reorthogonalization: one classical Gram-Schmidt pass, refined
     # once more if the first pass removed a non-negligible component
-    Q = state.basis(k)
+    Q_r = state._Q[:k]
     base = np.linalg.norm(w)
-    h = Q.T @ w
-    w -= Q @ h
+    h = Q_r @ w
+    w -= h @ Q_r
     if np.linalg.norm(h) > _REORTH_LOSS_TOL * max(base, 1e-300):
-        w -= Q @ (Q.T @ w)
+        w -= (Q_r @ w) @ Q_r
     # pin the basis to null(C'): without this, roundoff leaks components
     # into range(C) where M has spurious zero eigenvalues, and long runs
     # (inner eigensolves in particular) pick them up as ghost Ritz values
@@ -135,14 +138,14 @@ def lanczos_step(state):
     if b_next <= state.breakdown_tol:
         state.broke_down = True
         return BROKE_DOWN
-    state._push(w / b_next)
+    np.divide(w, b_next, out=state._Q[k])
     return CONTINUED
 
 
 def run(op, b0, steps, norm_scale=1.0):
     """Run up to ``steps`` Lanczos steps; stops early on breakdown."""
-    state = lanczos_init(op, b0, norm_scale=norm_scale)
-    for _ in range(steps):
+    state = lanczos_init(op, b0, norm_scale=norm_scale, maxit=steps)
+    for _ in range(state.maxit):
         if lanczos_step(state) == BROKE_DOWN:
             break
     return state
@@ -177,8 +180,8 @@ def bottom_ritz_pairs(op, start, maxit, tol, norm_scale=1.0):
     step ``maxit``.  The consumer decides when to stop earlier, and forms
     the Ritz vector only if it needs it.
     """
-    state = lanczos_init(op, start, norm_scale=norm_scale)
-    while state.k < maxit:
+    state = lanczos_init(op, start, norm_scale=norm_scale, maxit=maxit)
+    while state.k < state.maxit:
         broke = lanczos_step(state) == BROKE_DOWN
         a, b = state.tridiagonal()
         vals, vecs = sla.eigh_tridiagonal(a, b, select="i", select_range=(0, 0))

@@ -218,4 +218,5 @@ def resolve_b0_zero(problem, feas, rng=None, eig_tol=1e-10, eig_maxit=None):
         objective=objective,
         n0=feas.n0,
         gamma=feas.gamma,
+        converged=info["converged"],
     )

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DegenerateEigenvectorError, NoRealEigenvalueError
+from .lanczos import tridiagonal_dense
 
 REAL_CLASSIFY_TOL = 1e-8
 TINY_E1W = 1e-12
@@ -34,13 +35,6 @@ class ReducedQepSolution(NamedTuple):
     y: np.ndarray
     spectrum: np.ndarray
     tiny_e1w: bool
-
-
-def _tridiagonal_dense(alpha, beta):
-    T = np.diag(alpha)
-    if len(beta):
-        T += np.diag(beta, 1) + np.diag(beta, -1)
-    return T
 
 
 def solve_qep_linearization(T, coupling, real_tol=REAL_CLASSIFY_TOL):
@@ -85,7 +79,7 @@ def solve_reduced_qep(alpha, beta, beta1, gamma, edge_weight=0.0,
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     k = alpha.size
-    T = _tridiagonal_dense(alpha, beta)
+    T = tridiagonal_dense(alpha, beta)
     coupling = np.zeros((k, k))
     coupling[0, 0] = -(beta1**2) / gamma**2
     if edge_weight != 0.0:
@@ -117,14 +111,14 @@ def qep_residual_bound(state, sol, norm_a, gamma, beta1):
     one application of M = P A P to q_{k+1} and always satisfies
     ``nres <= delta``.  After breakdown both are zero.
     """
+    if state.broke_down:
+        return 0.0, 0.0
     k = sol.w.size
     mu = sol.mu
     wnorm = np.linalg.norm(sol.w)
     denom = ((norm_a + abs(mu)) ** 2 + (beta1 / gamma) ** 2) * wnorm
     beta_next = state.beta[k]
     delta = abs(beta_next) * (abs(sol.y[-1]) + (norm_a + abs(mu)) * abs(sol.w[-1])) / denom
-    if state.broke_down or not state.has_next:
-        return (0.0 if state.broke_down else delta), (0.0 if state.broke_down else delta)
     q_next = state.q(k + 1)
     Mq = state.op.matvec(q_next, in_nullspace=True)
     r = beta_next * (sol.y[-1] * q_next + sol.w[-1] * (Mq - mu * q_next))

@@ -19,8 +19,8 @@ from crqopt import (BoundInputs, InstanceSpec, SolveOptions,
                     hard_case_predicate, reference_solution, solve)
 from crqopt.clustering import LabelSet, default_segment_options, segment
 from crqopt.errors import NoRealEigenvalueError, NotConvergedError
-from crqopt.lanczos import run as lanczos_run
-from crqopt.qepmin import _tridiagonal_dense, solve_qep_linearization
+from crqopt.lanczos import run as lanczos_run, tridiagonal_dense
+from crqopt.qepmin import solve_qep_linearization
 from crqopt.reference import build_reduction, solve_pqepmin_dense
 
 
@@ -52,7 +52,7 @@ def test_criterion_1_small_example_spectra(small_example):
     dropped = crqopt.solve_reduced_qep(a, b, state.beta[0], feas.gamma)
     dropped_vals = np.sort(dropped.spectrum.real)
 
-    T = _tridiagonal_dense(a, b)
+    T = tridiagonal_dense(a, b)
     coupling = np.zeros((2, 2))
     coupling[0, 0] = -state.beta[0] ** 2 / feas.gamma**2
     coupling[1, 1] = abs(state.beta[2])

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 import crqopt
 from crqopt.clustering import (LabelSet, build_graph, encode_constraints,
                                ncut_value, segment, to_crqopt)
-from crqopt.errors import EmptySideError
+from crqopt.errors import EmptySideError, IsolatedPixelError
 
 
 def two_block_image(size=8, low=0.0, high=1.0):
@@ -30,6 +30,43 @@ def test_beyond_radius_zero_weight():
     # distance exactly r is outside the strict inequality
     assert W[0, 2] == 0.0
     assert W[0, 1] != 0.0
+
+
+def _all_pairs_graph(image, delta, r):
+    """Dense W from every pixel pair: ||X(i) - X(j)||_inf < r, Gaussian weight."""
+    height, width = image.shape
+    yy, xx = np.divmod(np.arange(height * width), width)
+    cheb = np.maximum(np.abs(yy[:, None] - yy[None, :]), np.abs(xx[:, None] - xx[None, :]))
+    f = image.reshape(-1)
+    delta_f = delta * float(f.max() - f.min()) ** 2
+    if delta_f == 0.0:
+        weight = np.ones_like(cheb, dtype=float)
+    else:
+        weight = np.exp(-((f[:, None] - f[None, :]) ** 2) / delta_f)
+    return np.where((cheb < r) & (cheb > 0), weight, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 20), (20, 3), (13, 17), (1, 9)])
+@pytest.mark.parametrize("r", [1.5, 2, 3.7, 6])
+@pytest.mark.parametrize("constant", [False, True])
+def test_build_graph_matches_all_pairs_oracle(shape, r, constant):
+    rng = np.random.default_rng(17)
+    image = np.full(shape, 3.0) if constant else rng.uniform(0.0, 255.0, shape)
+    graph = build_graph(image, delta=0.2, r=r)
+    W = graph.W
+    assert W.shape == (image.size, image.size)
+    assert W.has_sorted_indices
+    assert (W != W.T).nnz == 0
+    oracle = _all_pairs_graph(image, 0.2, r)
+    assert np.allclose(W.toarray(), oracle, rtol=1e-14, atol=0.0)
+    assert W.nnz == np.count_nonzero(oracle)
+    assert np.allclose(graph.degrees, oracle.sum(axis=1), rtol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(3, 20), (13, 17)])
+def test_unit_radius_isolates_every_pixel(shape):
+    with pytest.raises(IsolatedPixelError):
+        build_graph(np.arange(np.prod(shape), dtype=float).reshape(shape), delta=0.1, r=1)
 
 
 def test_two_block_weights_hand_computed():

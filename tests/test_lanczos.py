@@ -139,3 +139,33 @@ def test_long_run_compact_relation_large_instance():
     R[:, -1] -= state.beta[k] * state.q(k + 1)
     assert np.max(np.linalg.norm(R, axis=0)) <= 1e-8
     assert np.max(np.abs(Q.T @ Q - np.eye(k))) <= 1e-10
+
+
+def test_basis_store_is_row_per_vector_and_preallocated():
+    rng = np.random.default_rng(6)
+    p = random_interior_problem(rng, 40, 3)
+    feas = classify(p)
+    maxit = 9
+    state = lanczos_init(_projected(p), feas.b0, norm_scale=p.norm_a, maxit=maxit)
+    store = state._Q
+    assert store.shape == (maxit + 1, 40)
+    for _ in range(maxit):
+        assert lanczos_step(state) != BROKE_DOWN
+        assert state._Q is store
+    assert state.k == maxit
+    for j in range(1, maxit + 2):
+        assert state.q(j).flags.c_contiguous
+        assert np.shares_memory(state.q(j), store)
+    Q = state.basis(maxit)
+    assert Q.shape == (40, maxit) and np.shares_memory(Q, store)
+    with pytest.raises(RuntimeError, match="maxit=9"):
+        lanczos_step(state)
+
+
+def test_basis_store_capped_at_dimension():
+    rng = np.random.default_rng(7)
+    p = random_interior_problem(rng, 10, 2)
+    feas = classify(p)
+    state = run(_projected(p), feas.b0, 50, norm_scale=p.norm_a)
+    assert state._Q.shape == (11, 10)
+    assert state.broke_down and state.k <= 8

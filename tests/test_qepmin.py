@@ -42,9 +42,10 @@ def test_small_example_k2_kept_edge_term_goes_complex(small_example):
     with pytest.raises(crqopt.NoRealEigenvalueError):
         solve_reduced_qep(a, b, state.beta[0], feas.gamma, edge_weight=abs(beta_next))
     # spectrum check through the linearization helper
-    from crqopt.qepmin import _tridiagonal_dense, solve_qep_linearization
+    from crqopt.lanczos import tridiagonal_dense
+    from crqopt.qepmin import solve_qep_linearization
 
-    T = _tridiagonal_dense(a, b)
+    T = tridiagonal_dense(a, b)
     coupling = np.zeros((2, 2))
     coupling[0, 0] = -state.beta[0] ** 2 / feas.gamma**2
     coupling[1, 1] = abs(beta_next)
