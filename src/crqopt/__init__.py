@@ -6,7 +6,7 @@ constrained normalized-cut pipeline built on top.
 
 from .analysis import BoundInputs, convergence_bounds, error_history, history_table, refined_convergence_bounds
 from .driver import (B0_ZERO, EASY, HARD, LGOPT, QEPMIN, UNIQUE, CrqSolution,
-                     SolveOptions, detect_hard_case, finite_step_check, solve)
+                     SolveOptions, detect_hard_case, resolve_b0_zero, solve)
 from .errors import (BracketFailureError, CrqError, DegenerateEigenvectorError,
                      EigFailureError, EmptySideError, InfeasibleError,
                      IsolatedPixelError, MaxIterError, NoRealEigenvalueError,
@@ -16,14 +16,14 @@ from .errors import (BracketFailureError, CrqError, DegenerateEigenvectorError,
 from .instances import (GroundTruth, InstanceSpec, chebyshev_extreme_nodes,
                         embed, generate, reference_solution, verify_roundtrip)
 from .operators import SymmetricOperator, as_operator, norm_estimate
-from .problem import (CrqProblem, Feasibility, ProjectedOperator, classify,
-                      compute_n0, resolve_b0_zero)
+from .problem import CrqProblem, Feasibility, ProjectedOperator, classify, compute_n0
 from .qepmin import (ReducedQepSolution, qep_residual_bound,
                      reduced_qep_to_rlgopt, solve_reduced_qep)
 from .reference import (DenseReduction, build_reduction, direct_solve,
-                        dual_check, equivalence_maps, hard_case_predicate,
-                        solve_plgopt_dense, solve_plgopt_spectral)
-from .secular import SecularSpec, make_spec, secular_value, smallest_root, solve_rlgopt
+                        dual_check, equivalence_maps, finite_step_check,
+                        hard_case_predicate, solve_plgopt_dense)
+from .secular import (SecularSpec, make_spec, secular_value, smallest_root,
+                      solve_plgopt_spectral, solve_rlgopt)
 
 __version__ = "0.1.0"
 

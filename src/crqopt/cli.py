@@ -22,6 +22,7 @@ import numpy as np
 
 from . import io as cio
 from .analysis import BoundInputs, history_table
+from .clustering import LabelSet, default_segment_options, segment
 from .driver import LGOPT, QEPMIN, SolveOptions, solve
 from .errors import CrqError, InfeasibleError, NotConvergedError
 from .instances import InstanceSpec, generate, reference_solution, verify_roundtrip
@@ -159,8 +160,6 @@ def cmd_bench(args):
 
 
 def cmd_segment(args):
-    from .clustering import LabelSet, default_segment_options, segment
-
     image, _maxval = cio.read_pgm(args.image)
     fg, bg = cio.read_labels(args.labels)
     labels = LabelSet.from_pixels(image.shape, fg, bg)

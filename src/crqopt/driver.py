@@ -1,11 +1,16 @@
 """Main Lanczos driver: iterate, check, recover, diagnose.
 
-One solve classifies the instance, handles the boundary cases, then runs
-the projected Lanczos process started at b0.  At selected steps the
-reduced problem is solved by either route (secular equation or reduced
-QEP); the loop stops when the normalized residual bound drops below the
-tolerance, on breakdown (which makes the reduced solve exact), or at the
-iteration cap.  The minimizer is recovered as v = n0 + Q_k x.
+One solve classifies the instance, handles the boundary cases (the
+single feasible point, and b0 = 0, settled by one projected
+eigensolve), then runs the projected Lanczos process started at b0.  At
+selected steps the reduced multiplier problem is solved by
+``secular.solve_rlgopt`` on both routes; ``method`` picks only the
+certificate: the Lagrange residual bound (``lgopt``), or the reduced QEP
+eigenpair derived from the same solve with its residual bound ``delta``
+and exact residual ``nres`` (``qepmin``).  The loop stops when
+``delta`` drops below the tolerance, on breakdown (which makes the
+reduced solve exact), or at the iteration cap.  The minimizer is
+recovered as v = n0 + Q_k x.
 
 Degenerate instances - where the optimal multiplier coincides with the
 bottom of the projected spectrum and the Krylov space is blind to the
@@ -34,9 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigFailureError, InfeasibleError, NotConvergedError
-from .lanczos import BROKE_DOWN, bottom_ritz_pairs, lanczos_init, lanczos_step
-from .problem import INFEASIBLE, UNIQUE_POINT, classify, resolve_b0_zero
-from .qepmin import qep_residual_bound, reduced_qep_to_rlgopt, solve_reduced_qep
+from .lanczos import BROKE_DOWN, bottom_ritz_pairs, lanczos_init, lanczos_step, smallest_eigenpair
+from .problem import INFEASIBLE, INTERIOR, UNIQUE_POINT, b0_zero_threshold, classify
+from .qepmin import qep_residual_bound, solve_reduced_qep
 from .secular import solve_rlgopt
 
 EASY = "easy"
@@ -135,6 +140,45 @@ class HardCaseReport:
         return self.certificate is not None
 
 
+def crq_solution(problem, v, mu, case, n0, gamma, k=0, history=None, **fields):
+    """A ``CrqSolution`` at v; the objective v'Av costs one A-apply."""
+    return CrqSolution(
+        v=v, mu=float(mu), k=k, history=[] if history is None else history,
+        case=case, objective=float(v @ problem.A.matvec(v)), n0=n0, gamma=gamma,
+        **fields,
+    )
+
+
+def unique_point_solution(problem, feas):
+    """The single feasible point v = n0 of an instance with ||n0|| = 1."""
+    return crq_solution(problem, feas.n0, float("nan"), UNIQUE, feas.n0, 0.0)
+
+
+def resolve_b0_zero(problem, feas, rng=None, eig_tol=1e-10, eig_maxit=None):
+    """Shortcut for b0 = 0: one projected eigensolve settles the instance.
+
+    When the shifted gradient vanishes, the minimizer is
+    ``n0 + gamma * z/||z||`` with ``(theta, z)`` the smallest eigenpair of
+    P A P restricted to the null space of C' (a random projected start
+    keeps the iteration inside that subspace).  Returns ``None`` when
+    ``||b0||`` is above the zero threshold, so the caller proceeds to the
+    main Lanczos loop.
+    """
+    if feas.tag != INTERIOR:
+        raise ValueError("resolve_b0_zero expects an interior instance")
+    if np.linalg.norm(feas.b0) > b0_zero_threshold(problem, feas):
+        return None
+    rng = np.random.default_rng(rng)
+    op = problem.projected_operator()
+    start = op.apply_P(rng.standard_normal(problem.n))
+    theta, z, info = smallest_eigenpair(
+        op, start, tol=eig_tol, maxit=eig_maxit, norm_scale=problem.norm_a
+    )
+    v = feas.n0 + feas.gamma * z / np.linalg.norm(z)
+    return crq_solution(problem, v, theta, B0_ZERO, feas.n0, feas.gamma,
+                        k=info["steps"], converged=info["converged"])
+
+
 def _reduced_solve(state, method, beta1, gamma, norm_a):
     """Solve the reduced problem at the current step; returns (mu, x, delta, nres)."""
     a, b = state.tridiagonal()
@@ -149,8 +193,7 @@ def _reduced_solve(state, method, beta1, gamma, norm_a):
         nres = delta
     else:
         qsol = solve_reduced_qep(a, b, beta1, gamma)
-        mu = qsol.mu
-        x = reduced_qep_to_rlgopt(qsol, beta1, gamma)
+        mu, x = qsol.mu, qsol.x
         nres, delta = qep_residual_bound(state, qsol, norm_a, gamma, beta1)
     return mu, x, delta, nres
 
@@ -248,11 +291,7 @@ def solve(problem, opts=None):
             f"||n0|| = {np.linalg.norm(feas.n0):.6g} > 1: no feasible point"
         )
     if feas.tag == UNIQUE_POINT:
-        v = feas.n0
-        return CrqSolution(
-            v=v, mu=float("nan"), k=0, history=[], case=UNIQUE,
-            objective=float(v @ problem.A.matvec(v)), n0=feas.n0, gamma=0.0,
-        )
+        return unique_point_solution(problem, feas)
 
     rng = np.random.default_rng(opts.rng_seed)
     shortcut = resolve_b0_zero(
@@ -288,94 +327,36 @@ def solve(problem, opts=None):
 
     last = history[-1]
     converged = broke or last.delta <= opts.tol
-    u = state.basis(last.k) @ last.x
-    v = feas.n0 + u
-    solution = CrqSolution(
-        v=v,
-        mu=last.mu,
-        k=last.k,
-        history=history,
-        case=EASY,
-        objective=float(v @ problem.A.matvec(v)),
-        n0=feas.n0,
-        gamma=gamma,
-        basis=state.basis(last.k).copy() if opts.return_basis else None,
-        converged=converged,
-    )
-
+    v = feas.n0 + state.basis(last.k) @ last.x
+    mu, case, hard_gap, extras = last.mu, EASY, None, {}
     if opts.detect_hard:
         report = detect_hard_case(
             problem, state, last.mu, rng=rng,
             eig_tol=opts.eig_tol, eig_maxit=opts.eig_maxit,
         )
-        solution.hard_gap = report.gap
-        solution.extras["lambda_min_projected"] = report.lambda_min
-        solution.extras["detect_steps"] = report.steps
-        solution.extras["detect_certificate"] = report.certificate
+        hard_gap = report.gap
+        extras = {"lambda_min_projected": report.lambda_min,
+                  "detect_steps": report.steps,
+                  "detect_certificate": report.certificate}
         if report.is_hard:
             x_tilde, z = report.v
             radicand = max(gamma**2 - float(x_tilde @ x_tilde), 0.0)
             v = feas.n0 + x_tilde + np.sqrt(radicand) * z / np.linalg.norm(z)
-            solution.v = v
-            solution.mu = report.lambda_min
-            solution.case = HARD
-            solution.objective = float(v @ problem.A.matvec(v))
+            mu, case = report.lambda_min, HARD
             # the repaired v no longer depends on the main loop's residual,
             # but on the padding eigenvector meeting eig_tol
-            solution.converged = report.eig_converged
-            solution.extras["padding_eig_converged"] = report.eig_converged
-            return solution
+            converged = report.eig_converged
+            extras["padding_eig_converged"] = report.eig_converged
 
-    if not converged:
+    solution = crq_solution(
+        problem, v, mu, case, feas.n0, gamma, k=last.k, history=history,
+        hard_gap=hard_gap, converged=converged, extras=extras,
+        basis=state.basis(last.k).copy() if opts.return_basis else None,
+    )
+    if case == EASY and not converged:
         raise NotConvergedError(
             f"residual bound {last.delta:.3e} above tol {opts.tol:.3e} "
             f"after {last.k} Lanczos steps",
             solution=solution,
         )
     return solution
-
-
-def finite_step_check(problem, opts=None, match_tol=1e-10):
-    """Run a solve to breakdown and verify the exact-termination property.
-
-    On instances whose Krylov subspace closes at dimension d < n - m the
-    process must break down at step d with the recovered pair satisfying
-    the full-space multiplier equations to roundoff, and agreeing with
-    the dense direct solver.  Returns a report dict (no exception on a
-    failed property; callers assert on ``report["passed"]``).
-    """
-    from .reference import direct_solve
-
-    if opts is None:
-        opts = SolveOptions(tol=0.0, maxit=min(problem.n, 400), detect_hard=False)
-    sol = None
-    try:
-        sol = solve(problem, opts)
-    except NotConvergedError as err:
-        sol = err.solution
-    feas = classify(problem)
-    op = problem.projected_operator()
-    u = sol.v - feas.n0
-    residual = np.linalg.norm(
-        op.apply_P(problem.A.matvec(u)) - sol.mu * u + feas.b0
-    )
-    scale = (problem.norm_a + abs(sol.mu)) * feas.gamma + np.linalg.norm(feas.b0)
-    ref = direct_solve(problem)
-    # sign-fix not needed: the easy case has a unique minimizer
-    report = {
-        "k_breakdown": sol.k,
-        "residual": float(residual / scale),
-        "norm_gap": float(abs(np.linalg.norm(u) - feas.gamma)),
-        "constraint_gap": float(
-            np.linalg.norm(problem.C.T @ sol.v - problem.b)
-        ),
-        "match_v": float(np.linalg.norm(sol.v - ref.v)),
-        "match_mu": float(abs(sol.mu - ref.mu)),
-    }
-    report["passed"] = (
-        report["residual"] <= match_tol
-        and report["norm_gap"] <= match_tol
-        and report["constraint_gap"] <= match_tol * (1.0 + np.linalg.norm(problem.b))
-        and report["match_v"] <= 1e-6
-    )
-    return report

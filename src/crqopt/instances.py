@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .driver import EASY, HARD, crq_solution
 from .errors import SingularHError, VerificationError
 from .operators import SymmetricOperator
 from .problem import CrqProblem, classify
-from .reference import solve_plgopt_spectral
+from .secular import EASY_TAG, solve_plgopt_spectral
 
 ONES = "ones"
 GEOMETRIC = "geometric"
@@ -183,22 +184,14 @@ def reference_solution(problem, truth):
     reference point is assembled directly from the spectral case
     analysis, without any dense factorization of the full problem.
     """
-    from .driver import EASY, HARD, CrqSolution
-    from .reference import EASY_TAG
-
     feas = classify(problem)
     order = np.argsort(truth.h_diag, kind="stable")
     lam, y_sorted, tag = solve_plgopt_spectral(truth.theta, truth.xi, truth.gamma)
     y = np.empty_like(y_sorted)
     y[order] = y_sorted
-    v = feas.n0 + truth.S1 @ y
-    return CrqSolution(
-        v=v, mu=float(lam), k=0, history=[],
-        case=EASY if tag == EASY_TAG else HARD,
-        objective=float(v @ problem.A.matvec(v)),
-        n0=feas.n0, gamma=feas.gamma,
-        extras={"case_tag": tag},
-    )
+    return crq_solution(problem, feas.n0 + truth.S1 @ y, lam,
+                        EASY if tag == EASY_TAG else HARD, feas.n0, feas.gamma,
+                        extras={"case_tag": tag})
 
 
 def verify_roundtrip(problem, truth, rtol=1e-10):

@@ -21,7 +21,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import RankDeficientError
-from .lanczos import smallest_eigenpair
 from .operators import SymmetricOperator, as_operator, norm_estimate
 
 INFEASIBLE = "infeasible"
@@ -184,39 +183,3 @@ def b0_zero_threshold(problem, feas):
     """Threshold under which b0 = P A n0 is treated as exactly zero."""
     return 1e-12 * problem.norm_a * np.linalg.norm(feas.n0)
 
-
-def resolve_b0_zero(problem, feas, rng=None, eig_tol=1e-10, eig_maxit=None):
-    """Shortcut for b0 = 0: one projected eigensolve settles the instance.
-
-    When the shifted gradient vanishes, the minimizer is
-    ``n0 + gamma * z/||z||`` with ``(theta, z)`` the smallest eigenpair of
-    P A P restricted to the null space of C' (a random projected start
-    keeps the iteration inside that subspace).  Returns ``None`` when
-    ``||b0||`` is above the zero threshold, so the caller proceeds to the
-    main Lanczos loop.
-    """
-    if feas.tag != INTERIOR:
-        raise ValueError("resolve_b0_zero expects an interior instance")
-    if np.linalg.norm(feas.b0) > b0_zero_threshold(problem, feas):
-        return None
-    from .driver import CrqSolution, B0_ZERO
-
-    rng = np.random.default_rng(rng)
-    op = problem.projected_operator()
-    start = op.apply_P(rng.standard_normal(problem.n))
-    theta, z, info = smallest_eigenpair(
-        op, start, tol=eig_tol, maxit=eig_maxit, norm_scale=problem.norm_a
-    )
-    v = feas.n0 + feas.gamma * z / np.linalg.norm(z)
-    objective = float(v @ problem.A.matvec(v))
-    return CrqSolution(
-        v=v,
-        mu=float(theta),
-        k=info["steps"],
-        history=[],
-        case=B0_ZERO,
-        objective=objective,
-        n0=feas.n0,
-        gamma=feas.gamma,
-        converged=info["converged"],
-    )

@@ -1,20 +1,20 @@
-"""Reduced quadratic-eigenvalue route to the optimal multiplier.
+"""Reduced quadratic-eigenvalue route: the QEP eigenpair and its certificate.
 
 Projecting the quadratic eigenproblem onto the Krylov basis and dropping
 the rank-one edge coupling leaves
 
     (T_k - lam I)^2 w = gamma^{-2} ||b0||^2 e_1 e_1' w,
 
-whose leftmost eigenvalue is guaranteed real (the dropped-term problem
-has exactly the structure of the full-space one).  It is solved through
-the 2k x 2k linearization
-
-    [ T_k   -gamma^{-2}||b0||^2 e_1 e_1' ] [y]       [y]
-    [ -I     T_k                         ] [w] = lam [w],
-
-where y = (T_k - lam I) w.  Keeping the edge coupling is available as a
-diagnostic (``edge_weight``); it generally destroys realness of the
-spectrum, which is precisely why the term is dropped.
+whose leftmost real eigenvalue is the multiplier of the reduced Lagrange
+problem (Gander, Golub & von Matt, LAA 114/115, 1989).  So the route
+takes mu and the minimizer x from ``secular.solve_rlgopt`` and derives
+the eigenvector from them: y = (T_k - mu I) w is proportional to x, and
+w = (T_k - mu I)^{-1} x costs one banded solve.  When mu sits on the
+bottom of the spectrum of T_k (the boundary fallback of the secular
+solve), T_k - mu I is singular and w is the bottom eigenvector of T_k.
+What is left to this route is its residual certificate,
+``qep_residual_bound``.  The dense 2k x 2k linearization lives in
+``reference`` as the oracle.
 """
 
 from typing import NamedTuple
@@ -22,71 +22,29 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DegenerateEigenvectorError, NoRealEigenvalueError
-from .lanczos import tridiagonal_dense
-
-REAL_CLASSIFY_TOL = 1e-8
-TINY_E1W = 1e-12
+from .errors import DegenerateEigenvectorError
+from .secular import EASY_TAG, shifted_solve, solve_rlgopt
 
 
 class ReducedQepSolution(NamedTuple):
     mu: float
     w: np.ndarray
     y: np.ndarray
-    spectrum: np.ndarray
-    tiny_e1w: bool
+    x: np.ndarray
 
 
-def solve_qep_linearization(T, coupling, real_tol=REAL_CLASSIFY_TOL):
-    """Leftmost real eigenpair of (T - lam)^2 w = -coupling w via the
-    block linearization; works for any symmetric dense T.
-
-    Returns ``(mu, y, w, spectrum)`` with the eigenvector rotated real
-    and unit-normalized.  An eigenvalue counts as real when
-    ``|Im| <= real_tol * (1 + |Re| + ||T||)``; if none qualifies the
-    classification tolerance is too tight or the solve failed, and
-    ``NoRealEigenvalueError`` is raised.
-    """
-    k = T.shape[0]
-    L = np.block([[T, coupling], [-np.eye(k), T]])
-    vals, vecs = sla.eig(L)
-    scale_t = float(np.linalg.norm(T, 1))
-    real_mask = np.abs(vals.imag) <= real_tol * (1.0 + np.abs(vals.real) + scale_t)
-    if not np.any(real_mask):
-        raise NoRealEigenvalueError(
-            "no eigenvalue of the reduced QEP classified as real"
-        )
-    idx = np.flatnonzero(real_mask)
-    best = idx[np.argmin(vals.real[idx])]
-    mu = float(vals.real[best])
-
-    s = vecs[:, best]
-    pivot = np.argmax(np.abs(s))
-    phase = s[pivot] / abs(s[pivot])
-    s = (s / phase).real
-    s /= np.linalg.norm(s)
-    return mu, s[:k].copy(), s[k:].copy(), vals
-
-
-def solve_reduced_qep(alpha, beta, beta1, gamma, edge_weight=0.0,
-                      real_tol=REAL_CLASSIFY_TOL):
-    """Leftmost real eigenpair of the reduced QEP on the Krylov basis.
-
-    ``edge_weight`` adds ``edge_weight * e_k e_k'`` to the quadratic term
-    (diagnostic only; the production path uses 0 because the kept term
-    can push the whole spectrum complex).
-    """
+def solve_reduced_qep(alpha, beta, beta1, gamma):
+    """Leftmost real eigenpair (mu, y, w) of the reduced QEP, with the
+    reduced minimizer x it comes from."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    k = alpha.size
-    T = tridiagonal_dense(alpha, beta)
-    coupling = np.zeros((k, k))
-    coupling[0, 0] = -(beta1**2) / gamma**2
-    if edge_weight != 0.0:
-        coupling[k - 1, k - 1] += edge_weight
-    mu, y, w, vals = solve_qep_linearization(T, coupling, real_tol=real_tol)
-    tiny = abs(w[0]) < TINY_E1W * np.linalg.norm(w)
-    return ReducedQepSolution(mu, w, y, vals, tiny)
+    red = solve_rlgopt(alpha, beta, beta1, gamma)
+    w = shifted_solve(alpha, beta, red.mu, red.x) if red.tag == EASY_TAG else None
+    if w is not None:
+        return ReducedQepSolution(red.mu, w, red.x, red.x)
+    theta, Z = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+    w = Z[:, 0]
+    return ReducedQepSolution(red.mu, w, (theta[0] - red.mu) * w, red.x)
 
 
 def reduced_qep_to_rlgopt(sol, beta1, gamma):

@@ -6,7 +6,11 @@ orthogonal factorization, reduce A to H = S1' A S1 and b0 to
 g0 = S1' b0, and solve the reduced multiplier problem through its full
 eigen-decomposition and case analysis (secular root strictly below the
 spectrum in the generic case, boundary multiplier with optional
-eigenvector padding in the degenerate ones).
+eigenvector padding in the degenerate ones).  The case analysis itself
+lives in ``secular`` (the driver falls back to it) and is re-exported
+here with its tags.  The dense 2k x 2k linearization of the quadratic
+eigenproblem, ``solve_qep_linearization``, is kept only here, as the
+oracle for the QEP pair that ``qepmin`` derives from the secular solve.
 
 Everything here is O(n^3) and capped; the point is exactness, not
 scale.  The rest of the package is tested against these routines.
@@ -17,17 +21,17 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import BracketFailureError, InfeasibleError, TooLargeError
+from .driver import EASY, HARD, SolveOptions, crq_solution, solve, unique_point_solution
+from .errors import (BracketFailureError, InfeasibleError, NoRealEigenvalueError,
+                     NotConvergedError, TooLargeError)
 from .problem import INFEASIBLE, INTERIOR, classify, compute_n0
-from .qepmin import solve_qep_linearization
+# the case tags and solve_plgopt_spectral are re-exported with the reference
+from .secular import (EASY_TAG, HARD_EXACT_TAG, HARD_PADDED_TAG, ORTHO_TOL,
+                      _bottom_cluster, solve_plgopt_spectral)
 
 DENSE_CAP = 5000
-ORTHO_TOL = 1e-10
 PINV_TRUNC = 1e-12
-
-EASY_TAG = "easy"
-HARD_EXACT_TAG = "hard_boundary_exact"
-HARD_PADDED_TAG = "hard_boundary_padded"
+REAL_CLASSIFY_TOL = 1e-8
 
 
 class DenseReduction(NamedTuple):
@@ -63,60 +67,6 @@ def build_reduction(problem, cap=DENSE_CAP):
     return DenseReduction(S1, S2, H, g0, theta, Y)
 
 
-def _bottom_cluster(theta):
-    """Indices of eigenvalues tied with the smallest one."""
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(theta))))
-    return np.flatnonzero(theta <= theta[0] + tol)
-
-
-def solve_plgopt_spectral(theta, xi, gamma, ortho_tol=ORTHO_TOL):
-    """Reduced multiplier problem in eigen-coordinates.
-
-    ``theta`` ascending eigenvalues, ``xi`` the coordinates of the
-    reduced gradient in the same eigenbasis.  Returns
-    ``(lambda_star, y_hat, tag)`` with ``y_hat`` in eigen-coordinates.
-
-    Case tree: weight on the bottom eigenspace forces a secular root
-    strictly below theta_1; otherwise the minimum-norm stationary point
-    w = -(H - theta_1)^+ g0 decides between a secular root (||w|| >
-    gamma), the exact boundary solution (||w|| = gamma) and boundary
-    plus eigenvector padding (||w|| < gamma).
-    """
-    from .secular import make_spec, smallest_root
-
-    theta = np.asarray(theta, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    cluster = _bottom_cluster(theta)
-    norm_g = np.linalg.norm(xi)
-    weight_bottom = np.linalg.norm(xi[cluster])
-
-    if weight_bottom > ortho_tol * norm_g and norm_g > 0.0:
-        lam, _ = smallest_root(make_spec(theta, xi, gamma))
-        y_hat = -xi / (theta - lam)
-        return float(lam), y_hat, EASY_TAG
-
-    # bottom weight (numerically) zero: drop it and examine the boundary
-    xi_masked = xi.copy()
-    xi_masked[cluster] = 0.0
-    w_hat = np.zeros_like(xi)
-    outside = np.ones(theta.size, dtype=bool)
-    outside[cluster] = False
-    w_hat[outside] = -xi_masked[outside] / (theta[outside] - theta[0])
-    nw = np.linalg.norm(w_hat)
-
-    if nw > gamma * (1.0 + 1e-12):
-        lam, _ = smallest_root(make_spec(theta, xi_masked, gamma))
-        y_hat = np.zeros_like(xi)
-        y_hat[outside] = -xi_masked[outside] / (theta[outside] - lam)
-        return float(lam), y_hat, EASY_TAG
-    if abs(nw - gamma) <= 1e-12 * gamma:
-        return float(theta[0]), w_hat, HARD_EXACT_TAG
-    pad = np.sqrt(max(gamma**2 - nw**2, 0.0))
-    y_hat = w_hat.copy()
-    y_hat[cluster[0]] += pad
-    return float(theta[0]), y_hat, HARD_PADDED_TAG
-
-
 def solve_plgopt_dense(red, gamma, ortho_tol=ORTHO_TOL):
     """Reduced multiplier problem for a DenseReduction.
 
@@ -130,27 +80,16 @@ def solve_plgopt_dense(red, gamma, ortho_tol=ORTHO_TOL):
 
 def direct_solve(problem, cap=DENSE_CAP):
     """Reference solution by full reduction; exact up to dense eigensolves."""
-    from .driver import CrqSolution, EASY, HARD, UNIQUE
-
     feas = classify(problem)
     if feas.tag == INFEASIBLE:
         raise InfeasibleError("no feasible point")
     if feas.tag != INTERIOR:
-        v = feas.n0
-        return CrqSolution(
-            v=v, mu=float("nan"), k=0, history=[], case=UNIQUE,
-            objective=float(v @ problem.A.matvec(v)), n0=feas.n0, gamma=0.0,
-        )
+        return unique_point_solution(problem, feas)
     red = build_reduction(problem, cap=cap)
     lam, y, tag = solve_plgopt_dense(red, feas.gamma)
-    v = feas.n0 + red.S1 @ y
-    return CrqSolution(
-        v=v, mu=float(lam), k=0, history=[],
-        case=EASY if tag == EASY_TAG else HARD,
-        objective=float(v @ problem.A.matvec(v)),
-        n0=feas.n0, gamma=feas.gamma,
-        extras={"case_tag": tag},
-    )
+    return crq_solution(problem, feas.n0 + red.S1 @ y, lam,
+                        EASY if tag == EASY_TAG else HARD, feas.n0, feas.gamma,
+                        extras={"case_tag": tag})
 
 
 def pinv_shift_apply(red, lam, vec, trunc=PINV_TRUNC):
@@ -177,7 +116,38 @@ def hard_case_predicate(red, gamma, ortho_tol=ORTHO_TOL):
     return np.linalg.norm(w) <= gamma * (1.0 + 1e-10)
 
 
-def solve_pqepmin_dense(red, gamma, real_tol=1e-8):
+def solve_qep_linearization(T, coupling, real_tol=REAL_CLASSIFY_TOL):
+    """Leftmost real eigenpair of (T - lam)^2 w = -coupling w via the
+    block linearization; works for any symmetric dense T.
+
+    Returns ``(mu, y, w, spectrum)`` with the eigenvector rotated real
+    and unit-normalized.  An eigenvalue counts as real when
+    ``|Im| <= real_tol * (1 + |Re| + ||T||)``; if none qualifies the
+    classification tolerance is too tight or the solve failed, and
+    ``NoRealEigenvalueError`` is raised.
+    """
+    k = T.shape[0]
+    L = np.block([[T, coupling], [-np.eye(k), T]])
+    vals, vecs = sla.eig(L)
+    scale_t = float(np.linalg.norm(T, 1))
+    real_mask = np.abs(vals.imag) <= real_tol * (1.0 + np.abs(vals.real) + scale_t)
+    if not np.any(real_mask):
+        raise NoRealEigenvalueError(
+            "no eigenvalue of the reduced QEP classified as real"
+        )
+    idx = np.flatnonzero(real_mask)
+    best = idx[np.argmin(vals.real[idx])]
+    mu = float(vals.real[best])
+
+    s = vecs[:, best]
+    pivot = np.argmax(np.abs(s))
+    phase = s[pivot] / abs(s[pivot])
+    s = (s / phase).real
+    s /= np.linalg.norm(s)
+    return mu, s[:k].copy(), s[k:].copy(), vals
+
+
+def solve_pqepmin_dense(red, gamma, real_tol=REAL_CLASSIFY_TOL):
     """Dense quadratic-eigenvalue route: leftmost real eigenpair of
     (H - lam)^2 w = gamma^{-2} g0 g0' w.  Returns (mu, y, w, spectrum)."""
     coupling = -np.outer(red.g0, red.g0) / gamma**2
@@ -233,6 +203,50 @@ def equivalence_maps(red, gamma):
         "backward_branch": branch,
         "qep_spectrum": spectrum,
     }
+
+
+def finite_step_check(problem, opts=None, match_tol=1e-10):
+    """Run a solve to breakdown and verify the exact-termination property.
+
+    On instances whose Krylov subspace closes at dimension d < n - m the
+    process must break down at step d with the recovered pair satisfying
+    the full-space multiplier equations to roundoff, and agreeing with
+    the dense direct solver.  Returns a report dict (no exception on a
+    failed property; callers assert on ``report["passed"]``).
+    """
+    if opts is None:
+        opts = SolveOptions(tol=0.0, maxit=min(problem.n, 400), detect_hard=False)
+    sol = None
+    try:
+        sol = solve(problem, opts)
+    except NotConvergedError as err:
+        sol = err.solution
+    feas = classify(problem)
+    op = problem.projected_operator()
+    u = sol.v - feas.n0
+    residual = np.linalg.norm(
+        op.apply_P(problem.A.matvec(u)) - sol.mu * u + feas.b0
+    )
+    scale = (problem.norm_a + abs(sol.mu)) * feas.gamma + np.linalg.norm(feas.b0)
+    ref = direct_solve(problem)
+    # sign-fix not needed: the easy case has a unique minimizer
+    report = {
+        "k_breakdown": sol.k,
+        "residual": float(residual / scale),
+        "norm_gap": float(abs(np.linalg.norm(u) - feas.gamma)),
+        "constraint_gap": float(
+            np.linalg.norm(problem.C.T @ sol.v - problem.b)
+        ),
+        "match_v": float(np.linalg.norm(sol.v - ref.v)),
+        "match_mu": float(abs(sol.mu - ref.mu)),
+    }
+    report["passed"] = (
+        report["residual"] <= match_tol
+        and report["norm_gap"] <= match_tol
+        and report["constraint_gap"] <= match_tol * (1.0 + np.linalg.norm(problem.b))
+        and report["match_v"] <= 1e-6
+    )
+    return report
 
 
 def _dual_matrices(problem):

@@ -27,6 +27,11 @@ import scipy.linalg as sla
 from .errors import MaxIterError, NoRootError
 
 TINY_LEADING_WEIGHT = 1e-10
+ORTHO_TOL = 1e-10
+
+EASY_TAG = "easy"
+HARD_EXACT_TAG = "hard_boundary_exact"
+HARD_PADDED_TAG = "hard_boundary_padded"
 
 
 class SecularSpec(NamedTuple):
@@ -120,10 +125,90 @@ def smallest_root(spec, eps=None, maxit=200):
     raise MaxIterError(f"secular iteration did not settle within {maxit} steps")
 
 
+def _bottom_cluster(theta):
+    """Indices of eigenvalues tied with the smallest one."""
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(theta))))
+    return np.flatnonzero(theta <= theta[0] + tol)
+
+
+def solve_plgopt_spectral(theta, xi, gamma, ortho_tol=ORTHO_TOL):
+    """Reduced multiplier problem in eigen-coordinates.
+
+    ``theta`` ascending eigenvalues, ``xi`` the coordinates of the
+    reduced gradient in the same eigenbasis.  Returns
+    ``(lambda_star, y_hat, tag)`` with ``y_hat`` in eigen-coordinates.
+
+    Case tree: weight on the bottom eigenspace forces a secular root
+    strictly below theta_1; otherwise the minimum-norm stationary point
+    w = -(H - theta_1)^+ g0 decides between a secular root (||w|| >
+    gamma), the exact boundary solution (||w|| = gamma) and boundary
+    plus eigenvector padding (||w|| < gamma).
+    """
+    theta = np.asarray(theta, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    cluster = _bottom_cluster(theta)
+    norm_g = np.linalg.norm(xi)
+    weight_bottom = np.linalg.norm(xi[cluster])
+
+    # a bottom weight with weight_bottom / gamma below the float spacing at
+    # theta_1 counts as zero: a root that needs it (||w|| < gamma below)
+    # lies within rounding of theta_1, where -xi / (theta - lam) divides by 0
+    resolved = theta[0] - weight_bottom / gamma < theta[0]
+    if weight_bottom > ortho_tol * norm_g and norm_g > 0.0 and resolved:
+        lam, _ = smallest_root(make_spec(theta, xi, gamma))
+        y_hat = -xi / (theta - lam)
+        return float(lam), y_hat, EASY_TAG
+
+    # bottom weight (numerically) zero: drop it and examine the boundary
+    xi_masked = xi.copy()
+    xi_masked[cluster] = 0.0
+    w_hat = np.zeros_like(xi)
+    outside = np.ones(theta.size, dtype=bool)
+    outside[cluster] = False
+    w_hat[outside] = -xi_masked[outside] / (theta[outside] - theta[0])
+    nw = np.linalg.norm(w_hat)
+
+    if nw > gamma * (1.0 + 1e-12):
+        lam, _ = smallest_root(make_spec(theta, xi_masked, gamma))
+        y_hat = np.zeros_like(xi)
+        y_hat[outside] = -xi_masked[outside] / (theta[outside] - lam)
+        return float(lam), y_hat, EASY_TAG
+    if abs(nw - gamma) <= 1e-12 * gamma:
+        return float(theta[0]), w_hat, HARD_EXACT_TAG
+    pad = np.sqrt(max(gamma**2 - nw**2, 0.0))
+    y_hat = w_hat.copy()
+    y_hat[cluster[0]] += pad
+    return float(theta[0]), y_hat, HARD_PADDED_TAG
+
+
 class ReducedLgSolution(NamedTuple):
+    """Multiplier, minimizer and secular iterations of a reduced solve.
+
+    ``tag`` is ``EASY_TAG`` when mu lies strictly left of the spectrum
+    of T_k, and the boundary tag of the spectral fallback otherwise.
+    """
+
     mu: float
     x: np.ndarray
     iterations: int
+    tag: str = EASY_TAG
+
+
+def shifted_solve(alpha, beta, mu, rhs):
+    """(T_k - mu I)^{-1} rhs by a banded Cholesky solve.
+
+    Returns None when T_k - mu I is not numerically positive definite.
+    """
+    if alpha.size == 1:
+        pivot = alpha[0] - mu
+        return rhs / pivot if pivot > 0.0 else None
+    ab = np.zeros((2, alpha.size))
+    ab[0, 1:] = beta
+    ab[1, :] = alpha - mu
+    try:
+        return sla.solveh_banded(ab, rhs, lower=False)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def solve_rlgopt(alpha, beta, beta1, gamma, eps=None):
@@ -165,16 +250,7 @@ def solve_rlgopt(alpha, beta, beta1, gamma, eps=None):
     if mu is not None and mu < theta[0]:
         rhs = np.zeros(k)
         rhs[0] = -beta1
-        if k == 1:
-            x = rhs / (alpha[0] - mu)
-        else:
-            ab = np.zeros((2, k))
-            ab[0, 1:] = beta
-            ab[1, :] = alpha - mu
-            try:
-                x = sla.solveh_banded(ab, rhs, lower=False)
-            except np.linalg.LinAlgError:
-                x = None
+        x = shifted_solve(alpha, beta, mu, rhs)
         if x is not None:
             return ReducedLgSolution(float(mu), x, iters)
 
@@ -182,7 +258,5 @@ def solve_rlgopt(alpha, beta, beta1, gamma, eps=None):
     # roundoff seeds the basis with a ghost direction of near-zero weight
     # (degenerate full-space instances); fall back to the boundary-aware
     # case analysis in the eigenbasis, which stays finite
-    from .reference import solve_plgopt_spectral
-
-    lam, y_hat, _ = solve_plgopt_spectral(theta, zeta, gamma)
-    return ReducedLgSolution(float(lam), Y @ y_hat, iters)
+    lam, y_hat, tag = solve_plgopt_spectral(theta, zeta, gamma)
+    return ReducedLgSolution(float(lam), Y @ y_hat, iters, tag)

@@ -20,8 +20,7 @@ from crqopt import (BoundInputs, InstanceSpec, SolveOptions,
 from crqopt.clustering import LabelSet, default_segment_options, segment
 from crqopt.errors import NoRealEigenvalueError, NotConvergedError
 from crqopt.lanczos import run as lanczos_run, tridiagonal_dense
-from crqopt.qepmin import solve_qep_linearization
-from crqopt.reference import build_reduction, solve_pqepmin_dense
+from crqopt.reference import build_reduction, solve_pqepmin_dense, solve_qep_linearization
 
 
 def _line(num, ok, detail):
@@ -49,12 +48,13 @@ def test_criterion_1_small_example_spectra(small_example):
     state = lanczos_run(small_example.projected_operator(), feas.b0, 2,
                         norm_scale=small_example.norm_a)
     a, b = state.tridiagonal()
-    dropped = crqopt.solve_reduced_qep(a, b, state.beta[0], feas.gamma)
-    dropped_vals = np.sort(dropped.spectrum.real)
-
     T = tridiagonal_dense(a, b)
     coupling = np.zeros((2, 2))
     coupling[0, 0] = -state.beta[0] ** 2 / feas.gamma**2
+    mu_dropped, _, _, dropped_spectrum = solve_qep_linearization(T, coupling)
+    dropped_vals = np.sort(dropped_spectrum.real)
+    mu_reduced = crqopt.solve_reduced_qep(a, b, state.beta[0], feas.gamma).mu
+
     coupling[1, 1] = abs(state.beta[2])
     kept_vals = np.sort_complex(sla.eig(
         np.block([[T, coupling], [-np.eye(2), T]]), right=False))
@@ -63,8 +63,9 @@ def test_criterion_1_small_example_spectra(small_example):
     elapsed = time.perf_counter() - t0
 
     ok_dense = abs(mu_dense - 0.8333) <= 5e-4
-    ok_dropped = (np.max(np.abs(dropped.spectrum.imag)) <= 1e-8
-                  and np.allclose(dropped_vals, [1.1429, 2.2661, 2.8915, 4.0672], atol=5e-4))
+    ok_dropped = (np.max(np.abs(dropped_spectrum.imag)) <= 1e-8
+                  and np.allclose(dropped_vals, [1.1429, 2.2661, 2.8915, 4.0672], atol=5e-4)
+                  and abs(mu_reduced - mu_dropped) <= 1e-10 * (1.0 + abs(mu_dropped)))
     expected_kept = np.sort_complex(np.array(
         [1.8124 - 0.4172j, 1.8124 + 0.4172j, 3.3714 - 0.2547j, 3.3714 + 0.2547j]))
     ok_kept = (np.allclose(kept_vals, expected_kept, atol=5e-4)
@@ -251,11 +252,21 @@ def test_criterion_4_bound_dominance():
 
 
 # ---------------------------------------------------------------------------
-# 5. both reduced routes agree with each other and with the dense solver
+# 5. both reduced routes agree with each other and with the dense solver;
+#    each qepmin check agrees with the dense linearization of its T_k
 
-def test_criterion_5_route_and_oracle_agreement():
+def test_criterion_5_route_and_oracle_agreement(monkeypatch):
+    checks = []
+
+    def recording_qep(alpha, beta, beta1, gamma):
+        sol = crqopt.qepmin.solve_reduced_qep(alpha, beta, beta1, gamma)
+        checks.append((np.array(alpha), np.array(beta), beta1, gamma, sol.mu))
+        return sol
+
+    monkeypatch.setattr(crqopt.driver, "solve_reduced_qep", recording_qep)
     rng = np.random.default_rng(55)
-    worst_v, worst_mu, worst_route = 0.0, 0.0, 0.0
+    worst_v, worst_mu, worst_lin = 0.0, 0.0, 0.0
+    shared, identical = 0, True
     for _ in range(50):
         n = int(rng.integers(20, 61))
         m = int(rng.integers(1, 9))
@@ -273,11 +284,18 @@ def test_criterion_5_route_and_oracle_agreement():
         hist_l = {r.k: r.mu for r in sols[crqopt.LGOPT].history}
         hist_q = {r.k: r.mu for r in sols[crqopt.QEPMIN].history}
         for k in set(hist_l) & set(hist_q):
-            worst_route = max(worst_route,
-                              abs(hist_l[k] - hist_q[k]) / (1.0 + abs(hist_l[k])))
-    ok = worst_v <= 1e-8 and worst_mu <= 1e-10 and worst_route <= 1e-10
+            shared += 1
+            identical = identical and hist_l[k] == hist_q[k]
+    for alpha, beta, beta1, gamma, mu in checks:
+        coupling = np.zeros((alpha.size, alpha.size))
+        coupling[0, 0] = -beta1**2 / gamma**2
+        mu_lin, _, _, _ = solve_qep_linearization(tridiagonal_dense(alpha, beta), coupling)
+        worst_lin = max(worst_lin, abs(mu - mu_lin) / (1.0 + abs(mu)))
+    ok = worst_v <= 1e-8 and worst_mu <= 1e-10 and identical and worst_lin <= 1e-10
     _line(5, ok, f"max |v-v*|={worst_v:.2e}, max |mu-lambda*|={worst_mu:.2e}, "
-                 f"max route gap={worst_route:.2e}")
+                 f"lgopt/qepmin mu identical at {shared} shared k: {identical}, "
+                 f"max gap to the dense linearization over {len(checks)} "
+                 f"qepmin checks={worst_lin:.2e}")
     assert ok
 
 

@@ -1,0 +1,72 @@
+"""Package layering: imports sit at module top and never form a cycle.
+
+An import hidden in a function body is how a cycle between two modules
+gets past the interpreter; both checks read the source with ``ast``, so
+they see every import, wherever it is.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crqopt"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _package_imports(path):
+    """Names of the crqopt modules that ``path`` imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                found.update(alias.name for alias in node.names)  # from . import io
+            elif node.level == 1:
+                found.add(node.module.split(".")[0])
+            elif node.module and node.module.split(".")[0] == "crqopt":
+                found.add(node.module.split(".")[1] if "." in node.module else "__init__")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "crqopt":
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found - {path.stem}
+
+
+def test_package_has_modules():
+    assert len(MODULES) > 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_in_function_body(path):
+    lazy = []
+    for func in ast.walk(_tree(path)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            lazy += [f"{path.name}:{node.lineno} in {getattr(func, 'name', 'lambda')}"
+                     for node in ast.walk(func)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not lazy, f"imports inside function bodies: {lazy}"
+
+
+def test_import_graph_is_acyclic():
+    graph = {path.stem: _package_imports(path) for path in MODULES}
+    done, on_path = set(), []
+
+    def visit(name):
+        if name in on_path:
+            cycle = on_path[on_path.index(name):] + [name]
+            pytest.fail("import cycle: " + " -> ".join(cycle))
+        if name in done:
+            return
+        on_path.append(name)
+        for dep in sorted(graph.get(name, ())):
+            visit(dep)
+        on_path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_interior_problem
 from oracles import dense_projector
 
 import crqopt
 from crqopt import classify, qep_residual_bound, reduced_qep_to_rlgopt, solve_reduced_qep, solve_rlgopt
-from crqopt.lanczos import run
+from crqopt.lanczos import run, tridiagonal_dense
+from crqopt.reference import solve_qep_linearization
 
 
 def test_scalar_case():
@@ -23,34 +27,38 @@ def _small_example_state(problem, k):
     return feas, state
 
 
+def _coupling(k, beta1, gamma):
+    """Quadratic term of the reduced QEP, with the edge coupling dropped."""
+    coupling = np.zeros((k, k))
+    coupling[0, 0] = -beta1**2 / gamma**2
+    return coupling
+
+
+def _linearization(a, b, beta1, gamma):
+    return solve_qep_linearization(tridiagonal_dense(a, b), _coupling(len(a), beta1, gamma))
+
+
 def test_small_example_k2_dropped_spectrum(small_example):
     feas, state = _small_example_state(small_example, 2)
     a, b = state.tridiagonal()
     sol = solve_reduced_qep(a, b, state.beta[0], feas.gamma)
-    got = np.sort(sol.spectrum.real)
-    assert np.max(np.abs(sol.spectrum.imag)) <= 1e-8
+    mu_lin, _, _, spectrum = _linearization(a, b, state.beta[0], feas.gamma)
+    got = np.sort(spectrum.real)
+    assert np.max(np.abs(spectrum.imag)) <= 1e-8
     expected = [1.1429, 2.2661, 2.8915, 4.0672]
     assert np.allclose(got, expected, atol=5e-4)
     assert sol.mu == pytest.approx(1.1429, abs=5e-4)
+    assert sol.mu == pytest.approx(mu_lin, abs=1e-10 * (1.0 + abs(mu_lin)))
 
 
 def test_small_example_k2_kept_edge_term_goes_complex(small_example):
     feas, state = _small_example_state(small_example, 2)
     a, b = state.tridiagonal()
-    beta_next = state.beta[2]
-    sol_spectrum = None
-    with pytest.raises(crqopt.NoRealEigenvalueError):
-        solve_reduced_qep(a, b, state.beta[0], feas.gamma, edge_weight=abs(beta_next))
-    # spectrum check through the linearization helper
-    from crqopt.lanczos import tridiagonal_dense
-    from crqopt.qepmin import solve_qep_linearization
-
     T = tridiagonal_dense(a, b)
-    coupling = np.zeros((2, 2))
-    coupling[0, 0] = -state.beta[0] ** 2 / feas.gamma**2
-    coupling[1, 1] = abs(beta_next)
-    import scipy.linalg as sla
-
+    coupling = _coupling(2, state.beta[0], feas.gamma)
+    coupling[1, 1] = abs(state.beta[2])
+    with pytest.raises(crqopt.NoRealEigenvalueError):
+        solve_qep_linearization(T, coupling)
     vals = sla.eig(np.block([[T, coupling], [-np.eye(2), T]]), right=False)
     vals = np.sort_complex(vals)
     expected = np.sort_complex(
@@ -98,10 +106,15 @@ def test_leftmost_real_exists_random():
         k = int(rng.integers(1, 12))
         a = rng.standard_normal(k) * 3
         b = rng.uniform(0.05, 2.0, k - 1)
-        sol = solve_reduced_qep(a, b, float(rng.uniform(0.1, 2)), float(rng.uniform(0.2, 2)))
+        beta1, gamma = float(rng.uniform(0.1, 2)), float(rng.uniform(0.2, 2))
+        sol = solve_reduced_qep(a, b, beta1, gamma)
         assert np.isfinite(sol.mu)
-        reals = sol.spectrum.real[np.abs(sol.spectrum.imag) <= 1e-8 * (1 + np.abs(sol.spectrum.real) + np.abs(a).max())]
-        assert sol.mu <= reals.min() + 1e-12
+        *_, spectrum = _linearization(a, b, beta1, gamma)
+        reals = spectrum.real[np.abs(spectrum.imag) <= 1e-8 * (1 + np.abs(spectrum.real) + np.abs(a).max())]
+        # the dense eig is the less accurate side: on the draws with a tiny
+        # leading weight it is off by up to 7e-11 (60-digit bisection on the
+        # secular equation agrees with sol.mu to 4e-14)
+        assert abs(sol.mu - reals.min()) <= 1e-10 * (1.0 + abs(sol.mu))
 
 
 def test_residual_bound_breakdown_is_zero():
@@ -152,8 +165,68 @@ def test_bound_tracks_residual_decay():
 
 def test_degenerate_eigenvector_rejected():
     sol = crqopt.ReducedQepSolution(
-        mu=0.0, w=np.array([0.0, 1.0]), y=np.array([1.0, 0.0]),
-        spectrum=np.zeros(4, dtype=complex), tiny_e1w=True,
+        mu=0.0, w=np.array([0.0, 1.0]), y=np.array([1.0, 0.0]), x=np.array([1.0, 0.0]),
     )
     with pytest.raises(crqopt.DegenerateEigenvectorError):
         reduced_qep_to_rlgopt(sol, 1.0, 1.0)
+
+
+def _tridiagonal_with(theta, u):
+    """Tridiagonal whose eigenvalues are ``theta`` and whose eigenvectors
+    have first components ``u`` (unit norm): the Householder reflector H
+    with H e_1 = u carries diag(theta) to H diag(theta) H, and a Hessenberg
+    reduction that fixes e_1 makes that tridiagonal."""
+    v = -u.copy()
+    v[0] += 1.0
+    H = np.eye(u.size) if not v.any() else np.eye(u.size) - 2.0 * np.outer(v, v) / (v @ v)
+    T = sla.hessenberg(H @ np.diag(theta) @ H)
+    return np.diag(T).copy(), np.abs(np.diag(T, -1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_derived_pair_matches_dense_linearization(k, seed):
+    # Irreducible T_k with every eigenvector's first component in
+    # [0.1, 1] before normalization.  A tiny leading weight is the
+    # near-degenerate case the secular solve warns about; there the dense
+    # eig, not the secular root, is the side that loses digits (1e-8 at
+    # k = 25..38 against 80-digit bisection, the secular root within 3e-14).
+    rng = np.random.default_rng(seed)
+    theta = np.sort(rng.uniform(-5.0, 5.0, k))
+    u = rng.uniform(0.1, 1.0, k) * rng.choice([-1.0, 1.0], k)
+    a, b = _tridiagonal_with(theta, u / np.linalg.norm(u))
+    beta1, gamma = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.2, 2.0))
+
+    sol = solve_reduced_qep(a, b, beta1, gamma)
+    mu_lin, *_ = _linearization(a, b, beta1, gamma)
+    assert abs(sol.mu - mu_lin) <= 1e-10 * (1.0 + abs(sol.mu))
+
+    T = tridiagonal_dense(a, b)
+    L = np.block([[T, _coupling(k, beta1, gamma)], [-np.eye(k), T]])
+    s = np.concatenate([sol.y, sol.w])
+    assert np.linalg.norm(L @ s - sol.mu * s) <= 1e-12 * np.linalg.norm(L, 1) * np.linalg.norm(s)
+    # the map rescales y by gamma^2 / ||x||^2, and ||x|| meets gamma only
+    # to the secular root's accuracy (7e-12 relative at worst over 3000 draws)
+    mapped = reduced_qep_to_rlgopt(sol, beta1, gamma)
+    assert np.linalg.norm(mapped - sol.x) <= 1e-10 * gamma
+
+
+def test_boundary_fallback_takes_the_bottom_eigenvector():
+    # the bottom eigenvector (e_3) of T is coupled to e_1 only at roundoff
+    # level: no secular root exists left of theta_1 = 0, and the
+    # multiplier sits on the spectrum with the minimizer padded along e_3
+    a, b = np.array([1.0, 2.0, 0.0]), np.array([0.5, 1e-18])
+    beta1, gamma = 0.1, 1.0
+    with pytest.warns(RuntimeWarning, match="nearly degenerate"):
+        sol = solve_reduced_qep(a, b, beta1, gamma)
+    assert sol.mu == pytest.approx(0.0, abs=1e-15)
+    assert abs(sol.w[2]) == pytest.approx(np.linalg.norm(sol.w), rel=1e-14)
+    assert np.linalg.norm(sol.y) <= 1e-15 * np.linalg.norm(sol.w)
+    T = tridiagonal_dense(a, b)
+    shifted = T - sol.mu * np.eye(3)
+    r = shifted @ (shifted @ sol.w) + _coupling(3, beta1, gamma) @ sol.w
+    assert np.linalg.norm(r) <= 1e-14
+    assert np.linalg.norm(sol.x) == pytest.approx(gamma, rel=1e-12)
+    assert np.linalg.norm(shifted @ sol.x + beta1 * np.eye(3)[0]) <= 1e-14
+    with pytest.raises(crqopt.DegenerateEigenvectorError):
+        reduced_qep_to_rlgopt(sol, beta1, gamma)
