@@ -90,12 +90,18 @@ class SolveOptions:
 
 @dataclass
 class CheckRecord:
+    """One check of the main loop.  ``solver`` names the reduced solver
+    that ran (``"newton"`` or ``"eig"``, see ``secular.solve_rlgopt``) and
+    ``solver_iterations`` its iteration count."""
+
     k: int
     mu: float
     delta: float
     nres: float
     objective: float
     x: np.ndarray
+    solver: str = None
+    solver_iterations: int = 0
 
 
 @dataclass
@@ -180,22 +186,24 @@ def resolve_b0_zero(problem, feas, rng=None, eig_tol=1e-10, eig_maxit=None):
 
 
 def _reduced_solve(state, method, beta1, gamma, norm_a):
-    """Solve the reduced problem at the current step; returns (mu, x, delta, nres)."""
+    """Solve the reduced problem at the current step.
+
+    Returns ``(red, delta, nres)``; ``red`` carries mu, x, the solver that
+    ran and its iterations.
+    """
     a, b = state.tridiagonal()
     k = state.k
     if method == LGOPT:
         red = solve_rlgopt(a, b, beta1, gamma)
-        mu, x = red.mu, red.x
         beta_next = state.beta[k]
-        delta = abs(beta_next) * abs(x[-1]) / (
-            (norm_a + abs(mu)) * np.linalg.norm(x) + beta1
+        delta = abs(beta_next) * abs(red.x[-1]) / (
+            (norm_a + abs(red.mu)) * np.linalg.norm(red.x) + beta1
         )
         nres = delta
     else:
-        qsol = solve_reduced_qep(a, b, beta1, gamma)
-        mu, x = qsol.mu, qsol.x
-        nres, delta = qep_residual_bound(state, qsol, norm_a, gamma, beta1)
-    return mu, x, delta, nres
+        red = solve_reduced_qep(a, b, beta1, gamma)
+        nres, delta = qep_residual_bound(state, red, norm_a, gamma, beta1)
+    return red, delta, nres
 
 
 def _kw_bound(theta, threshold, sigma, dim, j):
@@ -317,11 +325,11 @@ def solve(problem, opts=None):
         due = k >= opts.minit and (k - opts.minit) % opts.checkstep == 0
         if not (due or broke or k == state.maxit):
             continue
-        mu, x, delta, nres = _reduced_solve(state, opts.method, beta1, gamma, norm_a)
+        red, delta, nres = _reduced_solve(state, opts.method, beta1, gamma, norm_a)
         # cheap exact identity: h(v) = gamma^2 mu + ||b0|| x_1 + n0'An0
-        objective = float(gamma**2 * mu + beta1 * x[0] + n0An0)
-        history.append(CheckRecord(k, float(mu), float(delta), float(nres),
-                                   objective, x.copy()))
+        objective = float(gamma**2 * red.mu + beta1 * red.x[0] + n0An0)
+        history.append(CheckRecord(k, float(red.mu), float(delta), float(nres), objective,
+                                   red.x.copy(), red.solver, red.iterations))
         if delta <= opts.tol or broke:
             break
 

@@ -1,5 +1,8 @@
 """Symmetric Lanczos process on M = P A P with full reorthogonalization.
 
+The operator is a ``ProjectedOperator`` (anything with ``apply_P``) or a
+plain symmetric operator; the norm estimate runs the same loop on A.
+
 The recurrence is started at the shifted gradient b0 (which lies in the
 null space of C'), so every basis vector stays in that null space and
 only one projection per step is needed: for q in null(C'),
@@ -54,6 +57,7 @@ class LanczosState:
         if beta1 <= 0.0:
             raise ZeroStartError("Lanczos start vector is zero")
         self.op = op
+        self.projected = hasattr(op, "apply_P")
         self.n = r0.shape[0]
         self.alpha = []
         self.beta = [beta1]
@@ -114,7 +118,10 @@ def lanczos_step(state):
         )
     k = state.k + 1
     q_k = state.q(k)
-    w = state.op.matvec(q_k, in_nullspace=True)
+    if state.projected:
+        w = state.op.matvec(q_k, in_nullspace=True)
+    else:
+        w = state.op.matvec(q_k)
     if k >= 2:
         w -= state.beta[k - 1] * state.q(k - 1)
     a_k = float(q_k @ w)
@@ -130,7 +137,7 @@ def lanczos_step(state):
     # pin the basis to null(C'): without this, roundoff leaks components
     # into range(C) where M has spurious zero eigenvalues, and long runs
     # (inner eigensolves in particular) pick them up as ghost Ritz values
-    if hasattr(state.op, "apply_P"):
+    if state.projected:
         w = state.op.apply_P(w)
     b_next = float(np.linalg.norm(w))
     state.alpha.append(a_k)

@@ -9,6 +9,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .lanczos import run
+
 _NORM_SEED = 0x5EED
 
 
@@ -79,35 +81,12 @@ def as_operator(A, n=None):
 def norm_estimate(op, iters=20, seed=_NORM_SEED):
     """Estimate ||A||_2 by a short Lanczos run with a fixed seeded start.
 
-    The estimate is a lower bound on the true norm that is typically
-    accurate to several digits after ``iters`` steps; it only feeds
-    residual normalizations and tolerances, never the math itself.
+    The run is ``lanczos.run`` on A itself, and the estimate the largest
+    |Ritz value| of its tridiagonal.  It is a lower bound on the true norm
+    that is typically accurate to several digits after ``iters`` steps; it
+    only feeds residual normalizations and tolerances, never the math
+    itself.
     """
-    n = op.n
-    if n == 1:
-        return abs(float(op.matvec(np.ones(1))[0]))
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    Q = [q]
-    alphas, betas = [], []
-    iters = min(iters, n)
-    for k in range(iters):
-        w = op.matvec(Q[-1])
-        if k > 0:
-            w = w - betas[-1] * Q[-2]
-        a = float(Q[-1] @ w)
-        alphas.append(a)
-        w = w - a * Q[-1]
-        # one reorthogonalization pass keeps the estimate honest
-        for qj in Q:
-            w -= (qj @ w) * qj
-        b = float(np.linalg.norm(w))
-        if b == 0.0:
-            break
-        betas.append(b)
-        Q.append(w / b)
-    if len(alphas) == 1:
-        return abs(alphas[0])
-    theta = sla.eigvalsh_tridiagonal(np.array(alphas), np.array(betas[: len(alphas) - 1]))
-    return float(np.max(np.abs(theta)))
+    start = np.random.default_rng(seed).standard_normal(op.n)
+    state = run(op, start, min(iters, op.n))
+    return float(np.max(np.abs(sla.eigvalsh_tridiagonal(*state.tridiagonal()))))

@@ -23,14 +23,19 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DegenerateEigenvectorError
-from .secular import EASY_TAG, shifted_solve, solve_rlgopt
+from .secular import EASY_TAG, EIG, shifted_solve, solve_rlgopt
 
 
 class ReducedQepSolution(NamedTuple):
+    """QEP eigenpair (mu, w, y), the reduced minimizer x, and the reduced
+    solver and iteration count of the ``solve_rlgopt`` call behind them."""
+
     mu: float
     w: np.ndarray
     y: np.ndarray
     x: np.ndarray
+    solver: str = EIG
+    iterations: int = 0
 
 
 def solve_reduced_qep(alpha, beta, beta1, gamma):
@@ -41,10 +46,11 @@ def solve_reduced_qep(alpha, beta, beta1, gamma):
     red = solve_rlgopt(alpha, beta, beta1, gamma)
     w = shifted_solve(alpha, beta, red.mu, red.x) if red.tag == EASY_TAG else None
     if w is not None:
-        return ReducedQepSolution(red.mu, w, red.x, red.x)
+        return ReducedQepSolution(red.mu, w, red.x, red.x, red.solver, red.iterations)
     theta, Z = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
     w = Z[:, 0]
-    return ReducedQepSolution(red.mu, w, (theta[0] - red.mu) * w, red.x)
+    return ReducedQepSolution(red.mu, w, (theta[0] - red.mu) * w, red.x,
+                              red.solver, red.iterations)
 
 
 def reduced_qep_to_rlgopt(sol, beta1, gamma):

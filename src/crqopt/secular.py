@@ -11,11 +11,24 @@ the optimal multiplier of the reduced problem
 
     min lam  s.t.  (T_k - lam I) x = -||b0|| e_1,  ||x|| = gamma.
 
-The iteration fits the rational model  g(lam) = -b + a/(lam - pole)^2
-to chi and chi' at the current point (a two-point Pade-type step that
-converges much faster than Newton on functions with double poles), and
-falls back to bisection whenever the model is unusable or steps out of
-the current root bracket.
+``solve_rlgopt`` finds it in O(k) per iteration, without the
+eigen-decomposition of T_k: one selected eigenpair gives theta_1 and the
+leading weight zeta_1, and a safeguarded Newton iteration in the style of
+More & Sorensen (SIAM J. Sci. Stat. Comput. 4, 1983) solves
+1/||x(lam)|| = 1/gamma on the LDL' factorization of T_k - lam I (LAPACK
+``dpttrf``/``dpttrs``).  Started at the one-pole bound
+theta_1 - |zeta_1|/gamma, right of the root, the iterates fall
+monotonically; bisection in the root bracket is the safeguard.
+
+The eigen-decomposition path stays as the fallback for k = 1, a nearly
+degenerate leading weight (which warns), an explicit ``eps`` and a Newton
+run that does not settle.  There ``smallest_root`` fits the rational
+model  g(lam) = -b + a/(lam - pole)^2  to chi and chi' at the current
+point (a two-point Pade-type step that converges much faster than Newton
+on functions with double poles), and falls back to bisection whenever
+the model is unusable or steps out of the current root bracket; a
+multiplier on the spectrum goes to the boundary case analysis of
+``solve_plgopt_spectral``.
 """
 
 import warnings
@@ -23,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import MaxIterError, NoRootError
 
@@ -32,6 +46,13 @@ ORTHO_TOL = 1e-10
 EASY_TAG = "easy"
 HARD_EXACT_TAG = "hard_boundary_exact"
 HARD_PADDED_TAG = "hard_boundary_padded"
+
+# which reduced solver produced a ReducedLgSolution
+NEWTON = "newton"
+EIG = "eig"
+# factorizations before newton_root gives up; it takes 6 on the n = 1100
+# worst-case instances and at most 14 over 4000 random tridiagonals
+NEWTON_MAXIT = 50
 
 
 class SecularSpec(NamedTuple):
@@ -104,6 +125,10 @@ def smallest_root(spec, eps=None, maxit=200):
         lam = 0.5 * (lo + hi)
 
     for it in range(1, maxit + 1):
+        if lam >= hi:
+            # the bracket midpoint rounded onto hi: lo and hi are equal or
+            # adjacent floats, and hi may be the pole theta_1 itself
+            return float(lo), it
         chi = secular_value(spec, lam)
         if chi > 0.0:
             hi = lam
@@ -182,16 +207,74 @@ def solve_plgopt_spectral(theta, xi, gamma, ortho_tol=ORTHO_TOL):
 
 
 class ReducedLgSolution(NamedTuple):
-    """Multiplier, minimizer and secular iterations of a reduced solve.
+    """Multiplier, minimizer and iterations of a reduced solve.
 
     ``tag`` is ``EASY_TAG`` when mu lies strictly left of the spectrum
     of T_k, and the boundary tag of the spectral fallback otherwise.
+    ``solver`` names the path that produced it: ``NEWTON`` (then
+    ``iterations`` counts LDL' factorizations) or ``EIG`` (secular
+    iterations on the eigen-decomposition).
     """
 
     mu: float
     x: np.ndarray
     iterations: int
     tag: str = EASY_TAG
+    solver: str = EIG
+
+
+def newton_root(alpha, beta, beta1, gamma, theta1, zeta1, maxit=NEWTON_MAXIT):
+    """Secular root by safeguarded Newton on phi(lam) = 1/||x(lam)|| - 1/gamma.
+
+    x(lam) = -beta1 (T_k - lam I)^{-1} e_1.  Each iteration factors
+    T_k - lam I = L D L' (``dpttrf``; a nonzero ``info`` means lam is at or
+    right of theta_1) and makes two O(k) solves, for x and for
+    w = (T_k - lam I)^{-1} x; the Newton step on phi is
+
+        lam <- lam + (||x||^2 / x'w) (gamma - ||x||) / gamma.
+
+    phi is concave and decreasing, so from the start theta_1 -
+    |zeta_1|/gamma, which lies right of the root, the iterates fall
+    monotonically.  The root stays bracketed in [theta_1 - beta1/gamma,
+    theta_1), and a step that leaves the bracket becomes a bisection.
+    Once a step is below the tolerance of ``smallest_root``, one more
+    factorization gives mu and x together.  Returns
+    ``(mu, x, factorizations)``, or None when the start does not lie
+    below theta_1 in floating point, the last factorization fails, or
+    ``maxit`` runs out.
+    """
+    lo, hi = theta1 - beta1 / gamma, theta1
+    lam = theta1 - abs(zeta1) / gamma
+    if not lo <= lam < hi:
+        return None
+    eps = 1e-14 * (1.0 + abs(theta1) + beta1 / gamma)
+    rhs = np.zeros(alpha.size)
+    rhs[0] = -beta1
+    settled = False
+    for it in range(1, maxit + 1):
+        d, e, info = lapack.dpttrf(alpha - lam, beta)
+        if info != 0:
+            if settled:
+                return None
+            hi = lam
+            cand = 0.5 * (lo + hi)
+        else:
+            x, _ = lapack.dpttrs(d, e, rhs)
+            if settled:
+                return float(lam), x, it
+            nx = float(np.linalg.norm(x))
+            if nx > gamma:
+                hi = lam
+            else:
+                lo = lam
+            w, _ = lapack.dpttrs(d, e, x)
+            cand = lam + (nx * nx / float(x @ w)) * (gamma - nx) / gamma
+            # closed at hi: a step that rounds to zero leaves lam = hi
+            if not lo <= cand <= hi:
+                cand = 0.5 * (lo + hi)
+        settled = abs(cand - lam) <= eps
+        lam = cand
+    return None
 
 
 def shifted_solve(alpha, beta, mu, rhs):
@@ -216,14 +299,20 @@ def solve_rlgopt(alpha, beta, beta1, gamma, eps=None):
 
     ``alpha``/``beta`` are the diagonal and off-diagonal of the (assumed
     irreducible) tridiagonal T_k, ``beta1 = ||b0||`` the start norm.  The
-    optimal multiplier is the smallest secular root built from the
-    eigen-decomposition of T_k with weights ``beta1 * (first eigenvector
+    optimal multiplier is the smallest secular root with poles the
+    eigenvalues of T_k and weights ``beta1 * (first eigenvector
     components)``; the minimizer solves the shifted tridiagonal system
 
         (T_k - mu I) x = -beta1 e_1,
 
     which is positive definite because mu lies strictly left of the
     spectrum of an irreducible T_k.
+
+    For k > 1 without ``eps`` the bottom eigenpair alone gives theta_1
+    and zeta_1, and ``newton_root`` finds mu and x in O(k) per iteration.
+    A leading weight below ``TINY_LEADING_WEIGHT * beta1``, ``eps`` (the
+    tolerance of ``smallest_root``) or a Newton run that does not settle
+    send the solve to the full eigen-decomposition.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -232,6 +321,14 @@ def solve_rlgopt(alpha, beta, beta1, gamma, eps=None):
         raise ValueError("empty tridiagonal")
     if beta.size != k - 1:
         raise ValueError("off-diagonal must have length k-1")
+    if k > 1 and eps is None:
+        theta1, s1 = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+        zeta1 = beta1 * s1[0, 0]
+        if abs(zeta1) >= TINY_LEADING_WEIGHT * abs(beta1):
+            root = newton_root(alpha, beta, beta1, gamma, float(theta1[0]), zeta1)
+            if root is not None:
+                return ReducedLgSolution(*root, EASY_TAG, NEWTON)
+
     theta, Y = sla.eigh_tridiagonal(alpha, beta)
     zeta = beta1 * Y[0, :]
     degenerate = abs(zeta[0]) < TINY_LEADING_WEIGHT * abs(beta1)

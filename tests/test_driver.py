@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,40 @@ def test_near_degenerate_reports_gap_but_stays_easy():
     assert sol.case == crqopt.EASY
     assert sol.hard_gap is not None
     assert sol.hard_gap == pytest.approx(1.0 - truth.lambda_star, abs=1e-5)
+
+
+def test_checks_report_the_newton_solver():
+    spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=2)
+    prob, _ = crqopt.generate(spec)
+    for method in (crqopt.LGOPT, crqopt.QEPMIN):
+        sol = solve(prob, SolveOptions(method=method, detect_hard=False))
+        # k = 1 is the scalar case, which the eigen-decomposition path solves
+        first, *rest = sol.history
+        assert (first.k, first.solver) == (1, "eig")
+        assert rest and all(rec.solver == "newton" for rec in rest)
+        assert all(1 <= rec.solver_iterations <= 20 for rec in rest)
+
+
+def test_degenerate_check_reports_the_eigen_solver(monkeypatch):
+    # the criterion-9 pattern: the bottom eigenvector carries no gradient
+    # weight, so late checks see a nearly degenerate leading weight
+    warned = []
+
+    def recording(*args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            red = crqopt.secular.solve_rlgopt(*args)
+        warned.append(any("nearly degenerate" in str(w.message) for w in caught))
+        return red
+
+    monkeypatch.setattr(crqopt.driver, "solve_rlgopt", recording)
+    prob, _ = _hard_instance(900)
+    sol = solve(prob, SolveOptions(tol=1e-13, maxit=prob.n, rng_seed=0))
+    assert sol.case == crqopt.HARD
+    assert any(warned)
+    for rec, flag in zip(sol.history, warned):
+        if flag:
+            assert rec.solver == "eig"
 
 
 def test_detect_hard_easy_instance_reports_large_gap():

@@ -169,3 +169,22 @@ def test_basis_store_capped_at_dimension():
     state = run(_projected(p), feas.b0, 50, norm_scale=p.norm_a)
     assert state._Q.shape == (11, 10)
     assert state.broke_down and state.k <= 8
+
+
+def test_norm_estimate_runs_the_lanczos_loop_on_plain_operators():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((40, 40))
+    A = 0.5 * (A + A.T)
+    op = crqopt.as_operator(A)
+    est = crqopt.norm_estimate(op)
+    true = np.max(np.abs(np.linalg.eigvalsh(A)))
+    assert est <= true * (1.0 + 1e-12)
+    assert est >= 0.9 * true
+    # the same seeded start through lanczos.run gives the same tridiagonal
+    start = np.random.default_rng(0x5EED).standard_normal(40)
+    a, b = run(op, start, 20).tridiagonal()
+    assert est == np.max(np.abs(sla.eigvalsh_tridiagonal(a, b)))
+    # the identity breaks down at the first step
+    identity = crqopt.as_operator(lambda x: x, n=9)
+    assert crqopt.norm_estimate(identity) == pytest.approx(1.0, rel=1e-14)
+    assert crqopt.norm_estimate(crqopt.as_operator(np.array([[-2.5]]))) == 2.5

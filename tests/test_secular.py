@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import bisection_secular_root
 
@@ -8,8 +12,8 @@ import crqopt
 from crqopt import classify, make_spec, secular_value, smallest_root, solve_rlgopt
 from crqopt.errors import NoRootError
 from crqopt.instances import chebyshev_extreme_nodes
-from crqopt.lanczos import run
-from crqopt.secular import secular_derivative
+from crqopt.lanczos import run, tridiagonal_dense
+from crqopt.secular import EIG, NEWTON, TINY_LEADING_WEIGHT, secular_derivative
 
 
 def test_single_pole():
@@ -120,3 +124,69 @@ def test_nearly_degenerate_warns():
     # smallest eigenvalue's eigenvector nearly orthogonal to e_1
     with pytest.warns(RuntimeWarning):
         solve_rlgopt([1.0, 0.0], [1e-13], 1.0, 0.5)
+
+
+def test_smallest_root_stays_off_the_pole():
+    # ||xi|| / gamma is below the float spacing at theta_1, so the root
+    # bracket [theta_1 - ||xi||/gamma, theta_1] is a single float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, _ = smallest_root(make_spec([1.0, 2.0], [1e-20, 1e-20], 1.0))
+    assert lam == 1.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(k=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+       family=st.sampled_from(["uniform", "scaled_normal"]))
+@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
+def test_newton_path_matches_eigendecomposition(k, seed, family):
+    rng = np.random.default_rng(seed)
+    if family == "uniform":
+        a, b = rng.uniform(-5.0, 5.0, k), rng.uniform(0.5, 2.0, k - 1)
+    else:
+        a, b = rng.standard_normal(k) * rng.uniform(0.1, 10.0), rng.uniform(0.05, 2.0, k - 1)
+    beta1, gamma = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 2.0))
+    theta, Y = sla.eigh_tridiagonal(a, b)
+    zeta = beta1 * Y[0, :]
+    red = solve_rlgopt(a, b, beta1, gamma)
+    if abs(zeta[0]) < TINY_LEADING_WEIGHT * beta1:
+        # the nearly degenerate weight goes to the eigen-decomposition
+        assert red.solver == EIG
+        return
+    assert red.solver == NEWTON
+    oracle = bisection_secular_root(theta, zeta, gamma)
+    assert abs(red.mu - oracle) <= 1e-13 * (1.0 + abs(red.mu))
+    if abs(Y[0, 0]) >= 0.1:
+        rhs = np.zeros(k)
+        rhs[0] = -beta1
+        x = np.linalg.solve(tridiagonal_dense(a, b) - red.mu * np.eye(k), rhs)
+        assert np.linalg.norm(red.x - x) <= 1e-10 * gamma
+
+
+def test_eps_and_scalar_take_the_eigen_path():
+    a, b = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5])
+    newton = solve_rlgopt(a, b, 1.0, 0.5)
+    eig = solve_rlgopt(a, b, 1.0, 0.5, eps=1e-15)
+    assert (newton.solver, eig.solver) == (NEWTON, EIG)
+    assert newton.mu == pytest.approx(eig.mu, rel=1e-14)
+    assert np.linalg.norm(newton.x - eig.x) <= 1e-12
+    assert solve_rlgopt([2.0], [], 1.0, 0.5).solver == EIG
+
+
+def test_generic_path_needs_no_full_eigendecomposition(monkeypatch):
+    full = []
+    eigh_tridiagonal = sla.eigh_tridiagonal
+
+    def counting(d, e, *args, **kwargs):
+        if kwargs.get("select", "a") == "a":
+            full.append(d.size)
+        return eigh_tridiagonal(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh_tridiagonal", counting)
+    spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
+    prob, truth = crqopt.generate(spec)
+    sol = crqopt.solve(prob)
+    # the one full decomposition is the 1 x 1 of the check at k = 1
+    assert full == [1]
+    assert len(sol.history) > 100
+    assert sol.mu == pytest.approx(truth.lambda_star, abs=1e-9 * (1 + abs(truth.lambda_star)))
