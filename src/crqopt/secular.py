@@ -20,13 +20,13 @@ More & Sorensen (SIAM J. Sci. Stat. Comput. 4, 1983) solves
 theta_1 - |zeta_1|/gamma, right of the root, the iterates fall
 monotonically; bisection in the root bracket is the safeguard.
 
-The eigen-decomposition path stays as the fallback for k = 1, a nearly
-degenerate leading weight (which warns), an explicit ``eps`` and a Newton
-run that does not settle.  There ``smallest_root`` fits the rational
-model  g(lam) = -b + a/(lam - pole)^2  to chi and chi' at the current
-point (a two-point Pade-type step that converges much faster than Newton
-on functions with double poles), and falls back to bisection whenever
-the model is unusable or steps out of the current root bracket; a
+The eigen-decomposition path stays as the fallback for a nearly
+degenerate leading weight (which warns) and a Newton run that does not
+settle.  There ``smallest_root`` fits the rational model
+g(lam) = -b + a/(lam - pole)^2  to chi and chi' at the current point
+(a two-point Pade-type step that converges much faster than Newton on
+functions with double poles), and falls back to bisection whenever the
+model is unusable or steps out of the current root bracket; a
 multiplier on the spectrum goes to the boundary case analysis of
 ``solve_plgopt_spectral``.
 """
@@ -223,7 +223,7 @@ class ReducedLgSolution(NamedTuple):
     solver: str = EIG
 
 
-def newton_root(alpha, beta, beta1, gamma, theta1, zeta1, maxit=NEWTON_MAXIT):
+def newton_root(alpha, beta, beta1, gamma, theta1, zeta1, eps=None):
     """Secular root by safeguarded Newton on phi(lam) = 1/||x(lam)|| - 1/gamma.
 
     x(lam) = -beta1 (T_k - lam I)^{-1} e_1.  Each iteration factors
@@ -237,21 +237,24 @@ def newton_root(alpha, beta, beta1, gamma, theta1, zeta1, maxit=NEWTON_MAXIT):
     |zeta_1|/gamma, which lies right of the root, the iterates fall
     monotonically.  The root stays bracketed in [theta_1 - beta1/gamma,
     theta_1), and a step that leaves the bracket becomes a bisection.
-    Once a step is below the tolerance of ``smallest_root``, one more
-    factorization gives mu and x together.  Returns
-    ``(mu, x, factorizations)``, or None when the start does not lie
-    below theta_1 in floating point, the last factorization fails, or
-    ``maxit`` runs out.
+    Once a step is at most ``eps`` (by default the tolerance of
+    ``smallest_root``), one more factorization gives mu and x together.
+    Returns ``(mu, x, factorizations)``, or None when the start does not
+    lie below theta_1 in floating point, the last factorization fails,
+    or ``NEWTON_MAXIT`` runs out.
     """
     lo, hi = theta1 - beta1 / gamma, theta1
     lam = theta1 - abs(zeta1) / gamma
     if not lo <= lam < hi:
         return None
-    eps = 1e-14 * (1.0 + abs(theta1) + beta1 / gamma)
+    if eps is None:
+        eps = 1e-14 * (1.0 + abs(theta1) + beta1 / gamma)
     rhs = np.zeros(alpha.size)
     rhs[0] = -beta1
+    # the f2py wrappers reject an empty off-diagonal, which k = 1 has
+    beta = beta if beta.size else np.zeros(1)
     settled = False
-    for it in range(1, maxit + 1):
+    for it in range(1, NEWTON_MAXIT + 1):
         d, e, info = lapack.dpttrf(alpha - lam, beta)
         if info != 0:
             if settled:
@@ -308,11 +311,11 @@ def solve_rlgopt(alpha, beta, beta1, gamma, eps=None):
     which is positive definite because mu lies strictly left of the
     spectrum of an irreducible T_k.
 
-    For k > 1 without ``eps`` the bottom eigenpair alone gives theta_1
-    and zeta_1, and ``newton_root`` finds mu and x in O(k) per iteration.
-    A leading weight below ``TINY_LEADING_WEIGHT * beta1``, ``eps`` (the
-    tolerance of ``smallest_root``) or a Newton run that does not settle
-    send the solve to the full eigen-decomposition.
+    The bottom eigenpair alone gives theta_1 and zeta_1, and
+    ``newton_root`` finds mu and x in O(k) per iteration.  A leading
+    weight below ``TINY_LEADING_WEIGHT * beta1`` or a Newton run that
+    does not settle sends the solve to the full eigen-decomposition.
+    ``eps`` is the stop tolerance in lambda of either path.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -321,13 +324,12 @@ def solve_rlgopt(alpha, beta, beta1, gamma, eps=None):
         raise ValueError("empty tridiagonal")
     if beta.size != k - 1:
         raise ValueError("off-diagonal must have length k-1")
-    if k > 1 and eps is None:
-        theta1, s1 = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
-        zeta1 = beta1 * s1[0, 0]
-        if abs(zeta1) >= TINY_LEADING_WEIGHT * abs(beta1):
-            root = newton_root(alpha, beta, beta1, gamma, float(theta1[0]), zeta1)
-            if root is not None:
-                return ReducedLgSolution(*root, EASY_TAG, NEWTON)
+    theta1, s1 = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+    zeta1 = beta1 * s1[0, 0]
+    if abs(zeta1) >= TINY_LEADING_WEIGHT * abs(beta1):
+        root = newton_root(alpha, beta, beta1, gamma, float(theta1[0]), zeta1, eps)
+        if root is not None:
+            return ReducedLgSolution(*root, EASY_TAG, NEWTON)
 
     theta, Y = sla.eigh_tridiagonal(alpha, beta)
     zeta = beta1 * Y[0, :]

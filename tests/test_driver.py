@@ -194,11 +194,9 @@ def test_checks_report_the_newton_solver():
     prob, _ = crqopt.generate(spec)
     for method in (crqopt.LGOPT, crqopt.QEPMIN):
         sol = solve(prob, SolveOptions(method=method, detect_hard=False))
-        # k = 1 is the scalar case, which the eigen-decomposition path solves
-        first, *rest = sol.history
-        assert (first.k, first.solver) == (1, "eig")
-        assert rest and all(rec.solver == "newton" for rec in rest)
-        assert all(1 <= rec.solver_iterations <= 20 for rec in rest)
+        assert sol.history[0].k == 1
+        assert all(rec.solver == "newton" for rec in sol.history)
+        assert all(1 <= rec.solver_iterations <= 20 for rec in sol.history)
 
 
 def test_degenerate_check_reports_the_eigen_solver(monkeypatch):

@@ -163,14 +163,24 @@ def test_newton_path_matches_eigendecomposition(k, seed, family):
         assert np.linalg.norm(red.x - x) <= 1e-10 * gamma
 
 
-def test_eps_and_scalar_take_the_eigen_path():
+def test_eps_is_the_newton_stop_tolerance():
     a, b = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5])
-    newton = solve_rlgopt(a, b, 1.0, 0.5)
-    eig = solve_rlgopt(a, b, 1.0, 0.5, eps=1e-15)
-    assert (newton.solver, eig.solver) == (NEWTON, EIG)
-    assert newton.mu == pytest.approx(eig.mu, rel=1e-14)
-    assert np.linalg.norm(newton.x - eig.x) <= 1e-12
-    assert solve_rlgopt([2.0], [], 1.0, 0.5).solver == EIG
+    tight = solve_rlgopt(a, b, 1.0, 0.5)
+    iterations = tight.iterations
+    for eps in (1e-6, 1e-3, 1e-1):
+        loose = solve_rlgopt(a, b, 1.0, 0.5, eps=eps)
+        assert loose.solver == NEWTON
+        assert abs(loose.mu - tight.mu) <= eps
+        assert loose.iterations <= iterations
+        iterations = loose.iterations
+    assert iterations < tight.iterations
+
+
+def test_scalar_case_takes_the_newton_path():
+    red = solve_rlgopt([2.0], [], 1.0, 0.5)
+    assert red.solver == NEWTON
+    assert red.mu == 0.0
+    assert red.x[0] == pytest.approx(-0.5, rel=1e-15)
 
 
 def test_generic_path_needs_no_full_eigendecomposition(monkeypatch):
@@ -186,7 +196,6 @@ def test_generic_path_needs_no_full_eigendecomposition(monkeypatch):
     spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
     prob, truth = crqopt.generate(spec)
     sol = crqopt.solve(prob)
-    # the one full decomposition is the 1 x 1 of the check at k = 1
-    assert full == [1]
+    assert full == []
     assert len(sol.history) > 100
     assert sol.mu == pytest.approx(truth.lambda_star, abs=1e-9 * (1 + abs(truth.lambda_star)))
