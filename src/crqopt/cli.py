@@ -35,12 +35,11 @@ EXIT_NOT_CONVERGED = 2
 EXIT_INFEASIBLE = 3
 
 
-def _add_solver_flags(parser, tol=1e-15, maxit=200, minit=1, checkstep=1):
+def _add_solver_flags(parser, tol=1e-15, maxit=200, minit=1):
     parser.add_argument("--method", choices=[LGOPT, QEPMIN], default=LGOPT)
     parser.add_argument("--tol", type=float, default=tol)
     parser.add_argument("--maxit", type=int, default=maxit)
     parser.add_argument("--minit", type=int, default=minit)
-    parser.add_argument("--checkstep", type=int, default=checkstep)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--no-detect-hard", action="store_true",
                         help="skip the degenerate-case diagnostic after convergence")
@@ -49,7 +48,7 @@ def _add_solver_flags(parser, tol=1e-15, maxit=200, minit=1, checkstep=1):
 def _options(args, return_basis=False):
     return SolveOptions(
         method=args.method, tol=args.tol, maxit=args.maxit, minit=args.minit,
-        checkstep=args.checkstep, rng_seed=args.seed,
+        rng_seed=args.seed,
         detect_hard=not args.no_detect_hard, return_basis=return_basis,
     )
 
@@ -70,6 +69,7 @@ def _write_solution(outdir, sol):
         {
             "mu": float(sol.mu), "k": sol.k, "objective": float(sol.objective),
             "case": sol.case, "converged": sol.converged,
+            "residual": float(sol.residual),
         },
     )
     cio.history_csv(os.path.join(outdir, "history.csv"), sol)
@@ -167,7 +167,6 @@ def cmd_segment(args):
     opts.tol = args.tol
     opts.maxit = args.maxit
     opts.minit = min(args.minit, args.maxit)
-    opts.checkstep = args.checkstep
     opts.method = args.method
     opts.rng_seed = args.seed
     os.makedirs(args.out, exist_ok=True)
@@ -193,12 +192,9 @@ def cmd_validate(args):
     ref = direct_solve(problem)
     if feas.tag == "interior":
         red = build_reduction(problem)
-        lag = np.linalg.norm(
-            problem.projected_operator().apply_P(problem.A.matvec(ref.v - feas.n0))
-            - ref.mu * (ref.v - feas.n0) + feas.b0
-        )
         scale = (problem.norm_a + abs(ref.mu)) * feas.gamma + np.linalg.norm(feas.b0)
-        checks.append(("multiplier_equations", lag / scale, lag / scale <= 1e-8))
+        lag = ref.residual / scale
+        checks.append(("multiplier_equations", lag, lag <= 1e-8))
         eq = equivalence_maps(red, feas.gamma)
         checks.append(("route_value_gap", eq["lambda_gap"], eq["lambda_gap"] <= 1e-8 * (1 + abs(ref.mu))))
         checks.append(("forward_map_residual", eq["forward_residual"], eq["forward_residual"] <= 1e-8))
@@ -271,7 +267,7 @@ def build_parser():
     p_seg.add_argument("--delta", type=float, default=0.1)
     p_seg.add_argument("--r", type=float, default=5)
     p_seg.add_argument("--out", required=True)
-    _add_solver_flags(p_seg, tol=8e-5, maxit=300, minit=120, checkstep=5)
+    _add_solver_flags(p_seg, tol=8e-5, maxit=300, minit=120)
     p_seg.set_defaults(func=cmd_segment, method=QEPMIN)
 
     p_val = sub.add_parser("validate", help="run the dense reference validators")

@@ -223,10 +223,9 @@ def ncut_value(graph, mask):
 
 def default_segment_options():
     """Solver settings used for image runs: residual bound below 8e-5,
-    stopping conditions checked every 5 steps after a warm-up of 120."""
+    stopping conditions checked at every step after a warm-up of 120."""
     return SolveOptions(
-        method=QEPMIN, tol=8e-5, maxit=300, minit=120, checkstep=5,
-        detect_hard=False,
+        method=QEPMIN, tol=8e-5, maxit=300, minit=120, detect_hard=False,
     )
 
 

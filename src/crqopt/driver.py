@@ -3,14 +3,16 @@
 One solve classifies the instance, handles the boundary cases (the
 single feasible point, and b0 = 0, settled by one projected
 eigensolve), then runs the projected Lanczos process started at b0.  At
-selected steps the reduced multiplier problem is solved by
-``secular.solve_rlgopt`` on both routes; ``method`` picks only the
-certificate: the Lagrange residual bound (``lgopt``), or the reduced QEP
-eigenpair derived from the same solve with its residual bound ``delta``
-and exact residual ``nres`` (``qepmin``).  The loop stops when
-``delta`` drops below the tolerance, on breakdown (which makes the
-reduced solve exact), or at the iteration cap.  The minimizer is
-recovered as v = n0 + Q_k x.
+every step from ``minit`` on, the reduced multiplier problem is solved
+by ``secular.solve_rlgopt`` on both routes; ``method`` picks only the
+certificate: the Lagrange residual bound (``lgopt``), or the residual
+bound of the reduced QEP eigenpair derived from the same solve
+(``qepmin``).  Each check is one O(k) reduced solve plus an O(1) bound
+``delta``, and applies no operator.  The loop stops when ``delta`` drops
+below the tolerance, on breakdown (which makes the reduced solve exact),
+or at the iteration cap.  The minimizer is recovered as v = n0 + Q_k x,
+and the one exact residual ||P(Av) - mu (v - n0)|| is taken at the v
+the solve returns.
 
 Degenerate instances - where the optimal multiplier coincides with the
 bottom of the projected spectrum and the Krylov space is blind to the
@@ -70,7 +72,6 @@ class SolveOptions:
     tol: float = 1e-15
     maxit: int = 200
     minit: int = 1
-    checkstep: int = 1
     detect_hard: bool = True
     return_basis: bool = False
     rng_seed: int = 0
@@ -84,8 +85,6 @@ class SolveOptions:
             raise ValueError("maxit must be >= 1")
         if self.minit > self.maxit:
             raise ValueError("minit must not exceed maxit")
-        if self.checkstep < 1:
-            raise ValueError("checkstep must be >= 1")
 
 
 @dataclass
@@ -97,7 +96,6 @@ class CheckRecord:
     k: int
     mu: float
     delta: float
-    nres: float
     objective: float
     x: np.ndarray
     solver: str = None
@@ -106,6 +104,10 @@ class CheckRecord:
 
 @dataclass
 class CrqSolution:
+    """The returned v with its multiplier and objective.  ``residual`` is
+    the exact multiplier-equation residual ||P(Av) - mu (v - n0)|| at v,
+    unscaled; it is NaN at the unique point, which has no multiplier."""
+
     v: np.ndarray
     mu: float
     k: int
@@ -117,6 +119,7 @@ class CrqSolution:
     hard_gap: float = None
     basis: np.ndarray = None
     converged: bool = True
+    residual: float = None
     extras: dict = field(default_factory=dict)
 
 
@@ -147,11 +150,14 @@ class HardCaseReport:
 
 
 def crq_solution(problem, v, mu, case, n0, gamma, k=0, history=None, **fields):
-    """A ``CrqSolution`` at v; the objective v'Av costs one A-apply."""
+    """A ``CrqSolution`` at v.  The objective v'Av costs one A-apply, and
+    the residual reuses Av at the cost of one P-apply."""
+    Av = problem.A.matvec(v)
+    residual = np.linalg.norm(problem.projected_operator().apply_P(Av) - mu * (v - n0))
     return CrqSolution(
         v=v, mu=float(mu), k=k, history=[] if history is None else history,
-        case=case, objective=float(v @ problem.A.matvec(v)), n0=n0, gamma=gamma,
-        **fields,
+        case=case, objective=float(v @ Av), n0=n0, gamma=gamma,
+        residual=float(residual), **fields,
     )
 
 
@@ -188,8 +194,8 @@ def resolve_b0_zero(problem, feas, rng=None, eig_tol=1e-10, eig_maxit=None):
 def _reduced_solve(state, method, beta1, gamma, norm_a):
     """Solve the reduced problem at the current step.
 
-    Returns ``(red, delta, nres)``; ``red`` carries mu, x, the solver that
-    ran and its iterations.
+    Returns ``(red, delta)``; ``red`` carries mu, x, the solver that ran
+    and its iterations.
     """
     a, b = state.tridiagonal()
     k = state.k
@@ -199,11 +205,10 @@ def _reduced_solve(state, method, beta1, gamma, norm_a):
         delta = abs(beta_next) * abs(red.x[-1]) / (
             (norm_a + abs(red.mu)) * np.linalg.norm(red.x) + beta1
         )
-        nres = delta
     else:
         red = solve_reduced_qep(a, b, beta1, gamma)
-        nres, delta = qep_residual_bound(state, red, norm_a, gamma, beta1)
-    return red, delta, nres
+        delta = qep_residual_bound(state, red, norm_a, gamma, beta1)
+    return red, delta
 
 
 def _kw_bound(theta, threshold, sigma, dim, j):
@@ -313,7 +318,6 @@ def solve(problem, opts=None):
     op = problem.projected_operator()
     state = lanczos_init(op, feas.b0, norm_scale=norm_a, maxit=opts.maxit)
     beta1 = state.beta[0]
-    n0An0 = problem.n0_quadratic()
 
     history = []
     delta = np.inf
@@ -322,13 +326,12 @@ def solve(problem, opts=None):
         outcome = lanczos_step(state)
         k = state.k
         broke = outcome == BROKE_DOWN
-        due = k >= opts.minit and (k - opts.minit) % opts.checkstep == 0
-        if not (due or broke or k == state.maxit):
+        if not (k >= opts.minit or broke or k == state.maxit):
             continue
-        red, delta, nres = _reduced_solve(state, opts.method, beta1, gamma, norm_a)
+        red, delta = _reduced_solve(state, opts.method, beta1, gamma, norm_a)
         # cheap exact identity: h(v) = gamma^2 mu + ||b0|| x_1 + n0'An0
-        objective = float(gamma**2 * red.mu + beta1 * red.x[0] + n0An0)
-        history.append(CheckRecord(k, float(red.mu), float(delta), float(nres), objective,
+        objective = float(gamma**2 * red.mu + beta1 * red.x[0] + feas.n0An0)
+        history.append(CheckRecord(k, float(red.mu), float(delta), objective,
                                    red.x.copy(), red.solver, red.iterations))
         if delta <= opts.tol or broke:
             break

@@ -245,11 +245,10 @@ def write_csv(path, rows, columns):
 
 def history_csv(path, solution):
     rows = [
-        {"k": rec.k, "mu": rec.mu, "delta": rec.delta, "nres": rec.nres,
-         "objective": rec.objective}
+        {"k": rec.k, "mu": rec.mu, "delta": rec.delta, "objective": rec.objective}
         for rec in solution.history
     ]
-    write_csv(path, rows, ["k", "mu", "delta", "nres", "objective"])
+    write_csv(path, rows, ["k", "mu", "delta", "objective"])
 
 
 def bench_csv(path, table_rows):

@@ -201,16 +201,14 @@ def bottom_ritz_pairs(op, start, maxit, tol, norm_scale=1.0):
             return
 
 
-def smallest_eigenpair(op, start, tol=1e-10, maxit=None, norm_scale=1.0,
-                       require_converged=False):
+def smallest_eigenpair(op, start, tol=1e-10, maxit=None, norm_scale=1.0):
     """Smallest Ritz pair of M = P A P restricted to null(C').
 
     ``start`` must already lie in the null space (pass a projected random
     vector).  Convergence is declared when the Ritz residual
     ``beta_{k+1} |last component|`` drops below ``tol * scale``; on
     breakdown the pair is exact.  Returns ``(theta, z, info)`` where
-    ``info`` carries steps, residual and the convergence flag; with
-    ``require_converged`` an unconverged run raises ``EigFailureError``.
+    ``info`` carries steps, residual and the convergence flag.
     """
     if maxit is None:
         maxit = min(op.n, 500)
@@ -220,9 +218,5 @@ def smallest_eigenpair(op, start, tol=1e-10, maxit=None, norm_scale=1.0,
             break
     if step is None or not np.isfinite(step.theta):
         raise EigFailureError("projected eigensolve produced no finite Ritz value")
-    if require_converged and not step.converged:
-        raise EigFailureError(
-            f"projected eigensolve stalled at residual {step.resid:.3e} after {step.k} steps"
-        )
     info = {"steps": step.k, "residual": step.resid, "converged": step.converged}
     return step.theta, step.vector(), info

@@ -40,7 +40,7 @@ class CrqProblem:
     factorization, which also backs all least-squares projections.
     """
 
-    def __init__(self, A, C, b, n=None, validate=True):
+    def __init__(self, A, C, b, n=None):
         if sp.issparse(C):
             C_dense = np.asarray(C.todense(), dtype=float)
         else:
@@ -70,10 +70,7 @@ class CrqProblem:
         self._R = R
         self._piv = piv
         self._norm_a = None
-        self._n0An0 = None
-
-        if validate:
-            self._spot_check_symmetry()
+        self._spot_check_symmetry()
 
     def _spot_check_symmetry(self):
         rng = np.random.default_rng(12345)
@@ -91,21 +88,6 @@ class CrqProblem:
         if self._norm_a is None:
             self._norm_a = max(norm_estimate(self.A), np.finfo(float).tiny)
         return self._norm_a
-
-    def apply_A(self, x):
-        return self.A.apply(x)
-
-    def solve_min_norm(self):
-        """Minimum-norm solution n0 of C'v = b via the pivoted QR of C."""
-        z = sla.solve_triangular(self._R, self.b[self._piv], trans="T", lower=False)
-        return self._Q @ z
-
-    def n0_quadratic(self):
-        """Cached value of n0' A n0 (used by cheap objective recovery)."""
-        if self._n0An0 is None:
-            n0 = self.solve_min_norm()
-            self._n0An0 = float(n0 @ self.A.matvec(n0))
-        return self._n0An0
 
     def projected_operator(self):
         return ProjectedOperator(self)
@@ -139,15 +121,17 @@ class ProjectedOperator(SymmetricOperator):
 
 
 class Feasibility:
-    """Outcome of the feasible-set trichotomy."""
+    """Outcome of the feasible-set trichotomy.  An interior instance also
+    carries gamma, b0 = P A n0 and n0'A n0, the last two from one A-apply."""
 
-    __slots__ = ("tag", "n0", "gamma", "b0")
+    __slots__ = ("tag", "n0", "gamma", "b0", "n0An0")
 
-    def __init__(self, tag, n0, gamma=None, b0=None):
+    def __init__(self, tag, n0, gamma=None, b0=None, n0An0=None):
         self.tag = tag
         self.n0 = n0
         self.gamma = gamma
         self.b0 = b0
+        self.n0An0 = n0An0
 
     def __repr__(self):
         extra = "" if self.gamma is None else f", gamma={self.gamma:.6g}"
@@ -155,8 +139,9 @@ class Feasibility:
 
 
 def compute_n0(problem):
-    """Minimum-norm solution of C'v = b."""
-    return problem.solve_min_norm()
+    """Minimum-norm solution of C'v = b via the pivoted QR of C."""
+    z = sla.solve_triangular(problem._R, problem.b[problem._piv], trans="T", lower=False)
+    return problem._Q @ z
 
 
 def classify(problem, eps_f=None):
@@ -174,9 +159,9 @@ def classify(problem, eps_f=None):
     if abs(nrm - 1.0) <= eps_f:
         return Feasibility(UNIQUE_POINT, n0)
     gamma = float(np.sqrt(1.0 - nrm * nrm))
-    op = problem.projected_operator()
-    b0 = op.apply_P(problem.A.matvec(n0))
-    return Feasibility(INTERIOR, n0, gamma, b0)
+    An0 = problem.A.matvec(n0)
+    b0 = problem.projected_operator().apply_P(An0)
+    return Feasibility(INTERIOR, n0, gamma, b0, float(n0 @ An0))
 
 
 def b0_zero_threshold(problem, feas):

@@ -53,6 +53,8 @@ EIG = "eig"
 # factorizations before newton_root gives up; it takes 6 on the n = 1100
 # worst-case instances and at most 14 over 4000 random tridiagonals
 NEWTON_MAXIT = 50
+# steps before smallest_root gives up on its safeguarded rational iteration
+SECULAR_MAXIT = 200
 
 
 class SecularSpec(NamedTuple):
@@ -83,7 +85,7 @@ def secular_derivative(spec, lam):
     return float(-2.0 * np.sum(spec.xi**2 / (lam - spec.theta) ** 3))
 
 
-def smallest_root(spec, eps=None, maxit=200):
+def smallest_root(spec, eps=None):
     """Unique root of the secular function left of its smallest pole.
 
     Returns ``(lambda_star, iterations)``.  Requires either a pole at
@@ -124,7 +126,7 @@ def smallest_root(spec, eps=None, maxit=200):
     if not (lo <= lam < hi):
         lam = 0.5 * (lo + hi)
 
-    for it in range(1, maxit + 1):
+    for it in range(1, SECULAR_MAXIT + 1):
         if lam >= hi:
             # the bracket midpoint rounded onto hi: lo and hi are equal or
             # adjacent floats, and hi may be the pole theta_1 itself
@@ -147,7 +149,7 @@ def smallest_root(spec, eps=None, maxit=200):
         lam = cand
         if step < eps:
             return float(lam), it
-    raise MaxIterError(f"secular iteration did not settle within {maxit} steps")
+    raise MaxIterError(f"secular iteration did not settle within {SECULAR_MAXIT} steps")
 
 
 def _bottom_cluster(theta):

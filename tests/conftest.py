@@ -6,7 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import crqopt
 from crqopt import CrqProblem
+from oracles import exact_qep_residual
 
 
 @pytest.fixture
@@ -16,6 +18,22 @@ def small_example():
     C = np.array([0.65, 1.0, 0.68, 1.13, -0.23]).reshape(-1, 1)
     b = np.array([1.0])
     return CrqProblem(A, C, b)
+
+
+@pytest.fixture
+def qep_residuals(monkeypatch):
+    """``(exact residual, delta)`` at every qepmin check of the solves a
+    test runs, the exact one taken while the check's Lanczos state is live."""
+    records = []
+    bound = crqopt.driver.qep_residual_bound
+
+    def recording(state, sol, norm_a, gamma, beta1):
+        delta = bound(state, sol, norm_a, gamma, beta1)
+        records.append((exact_qep_residual(state, sol, norm_a, gamma, beta1), delta))
+        return delta
+
+    monkeypatch.setattr(crqopt.driver, "qep_residual_bound", recording)
+    return records
 
 
 def random_interior_problem(rng, n, m, target_n0=0.6, spread=1.0):

@@ -103,6 +103,25 @@ def krylov_slice_minimum(A_dense, P, n0, b0, gamma, k):
     return float(v @ (A_dense @ v))
 
 
+def exact_qep_residual(state, sol, norm_a, gamma, beta1):
+    """Exact normalized QEP residual of a qepmin check, with the
+    normalization of ``qep_residual_bound``.
+
+    The full-space residual of (mu, Q_k w) is
+    beta_{k+1} (y_k q_{k+1} + w_k (M - mu I) q_{k+1}); it needs one
+    application of M = P A P to q_{k+1}.  Zero after breakdown.
+    """
+    if state.broke_down:
+        return 0.0
+    k = sol.w.size
+    mu = sol.mu
+    denom = ((norm_a + abs(mu)) ** 2 + (beta1 / gamma) ** 2) * np.linalg.norm(sol.w)
+    q_next = state.q(k + 1)
+    Mq = state.op.matvec(q_next, in_nullspace=True)
+    r = state.beta[k] * (sol.y[-1] * q_next + sol.w[-1] * (Mq - mu * q_next))
+    return float(np.linalg.norm(r) / denom)
+
+
 def chebyshev_value(t, degree):
     """T_degree(t) for |t| <= 1 by the cosine form."""
     return np.cos(degree * np.arccos(np.clip(t, -1.0, 1.0)))

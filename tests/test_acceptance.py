@@ -275,8 +275,7 @@ def test_criterion_5_route_and_oracle_agreement(monkeypatch):
         sols = {}
         for method in (crqopt.LGOPT, crqopt.QEPMIN):
             sols[method] = _solve_collect(
-                prob, SolveOptions(method=method, tol=1e-14, maxit=n,
-                                   checkstep=1, detect_hard=False))
+                prob, SolveOptions(method=method, tol=1e-14, maxit=n, detect_hard=False))
         for method, sol in sols.items():
             worst_v = max(worst_v, float(np.linalg.norm(sol.v - ref.v)))
             worst_mu = max(worst_mu,
@@ -302,9 +301,8 @@ def test_criterion_5_route_and_oracle_agreement(monkeypatch):
 # ---------------------------------------------------------------------------
 # 6. residual bound property on the QEP route
 
-def test_criterion_6_residual_bound():
+def test_criterion_6_residual_bound(qep_residuals):
     rng = np.random.default_rng(66)
-    violations = 0
     total = 0
     reached = []
     for beta in (100.0, 1000.0):
@@ -313,17 +311,15 @@ def test_criterion_6_residual_bound():
         sol = _solve_collect(prob, SolveOptions(method=crqopt.QEPMIN, tol=1e-15,
                                                 maxit=200, detect_hard=False))
         total += len(sol.history)
-        violations += sum(1 for r in sol.history if r.nres > r.delta * (1 + 1e-12))
         below = [r.k for r in sol.history if r.delta < 8e-5]
         reached.append(below[0] if below else None)
     for _ in range(10):
         prob = random_interior_problem(rng, int(rng.integers(15, 45)), 3)
         sol = _solve_collect(prob, SolveOptions(method=crqopt.QEPMIN, tol=1e-13,
-                                                maxit=prob.n, checkstep=1,
-                                                detect_hard=False))
+                                                maxit=prob.n, detect_hard=False))
         total += len(sol.history)
-        violations += sum(1 for r in sol.history if r.nres > r.delta * (1 + 1e-12))
-    ok = violations == 0 and all(k is not None for k in reached)
+    violations = sum(1 for nres, delta in qep_residuals if nres > delta * (1 + 1e-12))
+    ok = len(qep_residuals) == total and violations == 0 and all(k is not None for k in reached)
     _line(6, ok, f"{total} checks, NRes<=delta violations={violations}, "
                  f"delta<8e-5 reached at k={reached}")
     assert ok
@@ -436,7 +432,7 @@ def test_criterion_11_clustering():
     img[:, 4:] = 1.0
     labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
     opts = SolveOptions(method=crqopt.QEPMIN, tol=1e-10, maxit=60, minit=1,
-                        checkstep=1, detect_hard=False)
+                        detect_hard=False)
     mask, _, stats8 = segment(img, labels, delta=0.1, r=2, opts=opts)
     exact = np.array_equal(mask, img < 0.5) and mask[4, 1] and not mask[4, 6]
     c_plus, c_minus = stats8["c_plus"], stats8["c_minus"]

@@ -37,10 +37,11 @@ def test_solve_roundtrip_matches_truth(tmp_path):
     summary = cio.read_keyvalues(sol_dir / "summary.txt")
     truth = cio.read_keyvalues(outdir / "truth.txt")
     assert abs(float(summary["mu"]) - float(truth["lambda_star"])) <= 1e-8
+    assert float(summary["residual"]) <= 1e-8
     v = cio.read_vector(sol_dir / "solution.txt")
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-10
     history = (sol_dir / "history.csv").read_text().splitlines()
-    assert history[0] == "k,mu,delta,nres,objective"
+    assert history[0] == "k,mu,delta,objective"
     assert len(history) > 1
 
 
@@ -53,6 +54,7 @@ def test_solve_unique_point_fixture(tmp_path):
     summary = cio.read_keyvalues(out / "summary.txt")
     assert summary["case"] == "unique_point"
     assert summary["k"] == "0"
+    assert np.isnan(float(summary["residual"]))
 
 
 def test_solve_infeasible_exit_code(tmp_path):
@@ -98,7 +100,7 @@ def test_segment_cli(tmp_path):
     code = main([
         "segment", "--image", str(img_path), "--labels", str(labels_path),
         "--delta", "0.1", "--r", "2", "--out", str(out),
-        "--tol", "1e-8", "--maxit", "60", "--minit", "1", "--checkstep", "1",
+        "--tol", "1e-8", "--maxit", "60", "--minit", "1",
     ])
     assert code == EXIT_OK
     mask, _ = cio.read_pgm(out / "mask.pgm")

@@ -149,7 +149,7 @@ def test_two_block_segmentation_exact_and_ncut_optimal():
     img = two_block_image(8)
     labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
     opts = crqopt.SolveOptions(method=crqopt.QEPMIN, tol=1e-10, maxit=60,
-                               minit=1, checkstep=1, detect_hard=False)
+                               minit=1, detect_hard=False)
     mask, heat, stats = segment(img, labels, delta=0.1, r=2, opts=opts)
     # the produced cut separates the two blocks exactly, with the
     # foreground label on the positive side
@@ -169,7 +169,7 @@ def test_two_block_segmentation_exact_and_ncut_optimal():
 def test_labeled_pixels_respected_on_constant_image():
     img = np.full((8, 8), 3.0)
     labels = LabelSet.from_pixels(img.shape, [(1, 1)], [(6, 6)])
-    opts = crqopt.SolveOptions(tol=1e-10, maxit=60, minit=1, checkstep=1, detect_hard=False)
+    opts = crqopt.SolveOptions(tol=1e-10, maxit=60, minit=1, detect_hard=False)
     mask, heat, stats = segment(img, labels, delta=0.1, r=2, opts=opts)
     assert mask[1, 1]
     assert not mask[6, 6]
@@ -184,7 +184,7 @@ def test_gradient_split_beats_unconstrained_threshold_baseline():
     img[:, size // 2 :] = 0.65 + ramp
     labels = LabelSet.from_pixels(img.shape, [(32, 5)], [(32, 60)])
     opts = crqopt.SolveOptions(method=crqopt.QEPMIN, tol=8e-5, maxit=150,
-                               minit=20, checkstep=5, detect_hard=False)
+                               minit=20, detect_hard=False)
     mask, _, stats = segment(img, labels, delta=0.1, r=3, opts=opts)
     assert mask[32, 5] and not mask[32, 60]
 

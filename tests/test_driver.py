@@ -20,8 +20,6 @@ def test_options_validated():
     with pytest.raises(ValueError):
         SolveOptions(minit=10, maxit=5)
     with pytest.raises(ValueError):
-        SolveOptions(checkstep=0)
-    with pytest.raises(ValueError):
         SolveOptions(maxit=0)
 
 
@@ -31,6 +29,7 @@ def test_unique_point_short_circuit():
     assert sol.case == crqopt.UNIQUE and sol.k == 0
     assert np.allclose(sol.v, [1.0, 0.0])
     assert sol.objective == pytest.approx(3.0)
+    assert np.isnan(sol.residual)
 
 
 def test_infeasible_raises():
@@ -65,7 +64,7 @@ def test_objective_history_nonincreasing():
     rng = np.random.default_rng(22)
     for _ in range(4):
         p = random_interior_problem(rng, 30, 3)
-        sol = solve(p, SolveOptions(tol=1e-15, maxit=27, checkstep=1, detect_hard=False))
+        sol = solve(p, SolveOptions(tol=1e-15, maxit=27, detect_hard=False))
         objs = [rec.objective for rec in sol.history]
         slack = 1e-12 * p.norm_a
         assert all(b <= a + slack for a, b in zip(objs, objs[1:]))
@@ -76,8 +75,8 @@ def test_iterate_is_krylov_slice_minimizer(small_example):
     A = np.diag([1.0, 2, 3, 4, 5])
     P = dense_projector(small_example.C)
     try:
-        sol = solve(small_example, SolveOptions(tol=0.0, maxit=3, checkstep=1,
-                                                detect_hard=False, return_basis=True))
+        sol = solve(small_example, SolveOptions(tol=0.0, maxit=3, detect_hard=False,
+                                                return_basis=True))
     except NotConvergedError as err:
         sol = err.solution
     for rec in sol.history:
@@ -92,13 +91,16 @@ def test_final_multiplier_residual_scaled():
     rng = np.random.default_rng(23)
     p = random_interior_problem(rng, 40, 4)
     tol = 1e-12
-    sol = solve(p, SolveOptions(tol=tol, maxit=40))
     feas = classify(p)
     op = p.projected_operator()
-    u = sol.v - feas.n0
-    resid = np.linalg.norm(op.apply_P(p.A.matvec(u)) - sol.mu * u + feas.b0)
-    scale = (p.norm_a + abs(sol.mu)) * feas.gamma + np.linalg.norm(feas.b0)
-    assert resid <= tol * scale
+    for method in (crqopt.LGOPT, crqopt.QEPMIN):
+        sol = solve(p, SolveOptions(method=method, tol=tol, maxit=40))
+        u = sol.v - feas.n0
+        resid = np.linalg.norm(op.apply_P(p.A.matvec(u)) - sol.mu * u + feas.b0)
+        scale = (p.norm_a + abs(sol.mu)) * feas.gamma + np.linalg.norm(feas.b0)
+        assert resid <= tol * scale
+        # the solution's own residual is the same quantity, formed from A v
+        assert sol.residual == pytest.approx(resid, rel=1e-6, abs=1e-14 * scale)
 
 
 def test_not_converged_payload():
@@ -172,6 +174,7 @@ def test_hard_case_detected_and_repaired():
     assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
     assert abs(np.linalg.norm(sol.v) - 1.0) <= 1e-8
     assert np.linalg.norm(prob.C.T @ sol.v - prob.b) <= 1e-8
+    assert sol.residual <= 1e-6
 
 
 @pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
@@ -268,6 +271,17 @@ def test_detection_on_worst_case_certifies_easy_early():
     assert detect_applies <= 110
     # the last Ritz value only bounds the spectrum bottom from above
     assert sol.hard_gap >= truth.theta[0] - truth.lambda_star - 1e-12
+
+
+def test_qepmin_checks_apply_no_a():
+    # one A-apply per Lanczos step and per detection step, 20 for the norm
+    # estimate, 6 for the symmetry probes, 1 in classify (b0 and n0'A n0)
+    # and 1 at the returned v (objective and residual): none per check
+    spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
+    prob, _ = crqopt.generate(spec)
+    sol, applies = _count_a_applies(prob, SolveOptions(method=crqopt.QEPMIN))
+    assert len(sol.history) == sol.k
+    assert applies == sol.k + sol.extras["detect_steps"] + 20 + 6 + 1 + 1
 
 
 @pytest.mark.parametrize("seed", [41, 900, 905, 909])

@@ -154,6 +154,8 @@ def test_b0_zero_reports_unconverged_eigensolve():
     full = crqopt.solve(p, crqopt.SolveOptions())
     assert full.case == crqopt.B0_ZERO and full.converged
     assert abs(full.mu - 1.0) <= 1e-8
+    # v = n0 + gamma z/||z||, with z's Ritz residual below eig_tol ||A||
+    assert full.residual <= 1e-8 * p.norm_a
 
 
 def test_b0_nonzero_returns_none(small_example):

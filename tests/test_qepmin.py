@@ -128,16 +128,14 @@ def test_residual_bound_breakdown_is_zero():
     assert state.broke_down and state.k <= 2
     a, b = state.tridiagonal()
     sol = solve_reduced_qep(a, b, state.beta[0], feas.gamma)
-    nres, delta = qep_residual_bound(state, sol, p.norm_a, feas.gamma, state.beta[0])
-    assert nres == 0.0 and delta == 0.0
+    assert qep_residual_bound(state, sol, p.norm_a, feas.gamma, state.beta[0]) == 0.0
 
 
 def test_residual_bound_vs_direct_evaluation(small_example):
     feas, state = _small_example_state(small_example, 3)
     a, b = state.tridiagonal()
     sol = solve_reduced_qep(a, b, state.beta[0], feas.gamma)
-    nres, delta = qep_residual_bound(state, sol, small_example.norm_a, feas.gamma, state.beta[0])
-    assert nres <= delta * (1.0 + 1e-12)
+    delta = qep_residual_bound(state, sol, small_example.norm_a, feas.gamma, state.beta[0])
     # direct evaluation of the full-space QEP residual
     P = dense_projector(small_example.C)
     M = P @ np.diag([1.0, 2, 3, 4, 5]) @ P
@@ -147,20 +145,21 @@ def test_residual_bound_vs_direct_evaluation(small_example):
     denom = (small_example.norm_a + abs(sol.mu)) ** 2 + (state.beta[0] / feas.gamma) ** 2
     denom *= np.linalg.norm(sol.w)
     nres_direct = np.linalg.norm(r) / denom
-    assert nres == pytest.approx(nres_direct, rel=1e-6, abs=1e-14)
+    assert nres_direct <= delta * (1.0 + 1e-12)
 
 
-def test_bound_tracks_residual_decay():
+def test_bound_tracks_residual_decay(qep_residuals):
     # the cheap bound should not drift away from the true normalized
     # residual as both decay (same-rate behavior, ratio stays small)
     spec = crqopt.InstanceSpec(n=220, m=20, alpha=1.0, beta=100.0, zeta=0.9, rng_seed=8)
     prob, _ = crqopt.generate(spec)
     sol = crqopt.solve(prob, crqopt.SolveOptions(
-        method=crqopt.QEPMIN, tol=1e-14, maxit=150, checkstep=1, detect_hard=False))
+        method=crqopt.QEPMIN, tol=1e-14, maxit=150, detect_hard=False))
+    assert len(qep_residuals) == len(sol.history)
     floor = 1e3 * np.finfo(float).eps
-    for rec in sol.history:
-        if rec.nres > floor:
-            assert rec.delta <= 10.0 * rec.nres
+    for nres, delta in qep_residuals:
+        if nres > floor:
+            assert delta <= 10.0 * nres
 
 
 def test_degenerate_eigenvector_rejected():
