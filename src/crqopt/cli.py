@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -163,12 +164,9 @@ def cmd_segment(args):
     image, _maxval = cio.read_pgm(args.image)
     fg, bg = cio.read_labels(args.labels)
     labels = LabelSet.from_pixels(image.shape, fg, bg)
-    opts = default_segment_options()
-    opts.tol = args.tol
-    opts.maxit = args.maxit
-    opts.minit = min(args.minit, args.maxit)
-    opts.method = args.method
-    opts.rng_seed = args.seed
+    opts = replace(default_segment_options(), tol=args.tol, maxit=args.maxit,
+                   minit=min(args.minit, args.maxit), method=args.method,
+                   rng_seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     code = EXIT_OK
     try:

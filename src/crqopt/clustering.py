@@ -30,7 +30,7 @@ from .problem import CrqProblem
 class ImageGraph:
     width: int
     height: int
-    W: sp.csr_matrix
+    W: sp.dia_matrix    # ascending offsets, explicit zeros off the raster
     degrees: np.ndarray
     delta: float
     radius: float
@@ -71,8 +71,9 @@ def build_graph(image, delta, r):
     Pixels i, j are connected when ||X(i) - X(j)||_inf < r, with weight
     exp(-(F(i) - F(j))^2 / delta_F) where delta_F is ``delta`` times the
     squared global intensity range.  A constant image gets unit weights
-    on all in-radius pairs.  ``W`` is built directly in CSR form with
-    sorted column indices.
+    on all in-radius pairs.  ``W`` is a ``dia_matrix`` with one row of
+    weights per flat neighbour shift, shifts strictly ascending; entries
+    that fall off the raster are stored as explicit zeros.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
@@ -87,37 +88,34 @@ def build_graph(image, delta, r):
     delta_f = delta * frange**2
     reach = int(np.ceil(r)) - 1 if float(r).is_integer() else int(np.floor(r))
 
-    # Row p of W lists its neighbours p + dy*width + dx in lexicographic
-    # (dy, dx) order, which is ascending column order, so the rows come out
-    # sorted.  Offsets t and T-1-t are opposite, and the weight of a pair
-    # is the same from either end, so each exp is computed once.
+    # Offset (dy, dx) joins pixel p to q = p + s with the flat shift
+    # s = dy*width + dx.  Row d of the diagonal store holds the weights of
+    # shift s_d at column q, and the shifts ascend, so ``W @ x`` sums each
+    # row in ascending column order, as sorted CSR does.  On narrow rasters
+    # (width or height <= 2*reach) two offsets can share a shift; their
+    # supports are disjoint, so they share a row.  Offsets wholly off the
+    # raster are dropped.  The offset list is symmetric about (0, 0), so its
+    # first half meets each opposite pair once, and an offset and its
+    # opposite carry the same weights: each exp is computed once.
     offsets = [(dy, dx) for dy in range(-reach, reach + 1)
-               for dx in range(-reach, reach + 1) if dy or dx]
-    T = len(offsets)
-    vals = np.zeros((T, height, width))
-    for t, (dy, dx) in enumerate(offsets[: T // 2]):
+               for dx in range(-reach, reach + 1)
+               if (dy or dx) and abs(dy) < height and abs(dx) < width]
+    shifts = sorted({dy * width + dx for dy, dx in offsets})
+    row = {s: d for d, s in enumerate(shifts)}
+    data = np.zeros((len(shifts), height, width))
+    for dy, dx in offsets[: len(offsets) // 2]:
         y0, y1 = max(0, -dy), min(height, height - dy)
         x0, x1 = max(0, -dx), min(width, width - dx)
-        if y0 >= y1 or x0 >= x1:
-            continue
         if delta_f == 0.0:
             w = 1.0
         else:
             diff = image[y0:y1, x0:x1] - image[y0 + dy:y1 + dy, x0 + dx:x1 + dx]
             w = np.exp(-(diff * diff) / delta_f)
-        vals[t, y0:y1, x0:x1] = w
-        vals[T - 1 - t, y0 + dy:y1 + dy, x0 + dx:x1 + dx] = w
-    vals = vals.transpose(1, 2, 0)
-    index = np.int32 if n * (T + 1) < 2**31 else np.int64
-    step = np.array([dy * width + dx for dy, dx in offsets], dtype=index)
-    cols = np.arange(n, dtype=index).reshape(height, width, 1) + step
-    # out-of-raster neighbours hold 0 and are dropped, as are weights that
-    # underflow to 0
-    keep = vals != 0.0
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(keep.sum(axis=2).reshape(-1), out=indptr[1:])
-    W = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
-    degrees = np.asarray(W.sum(axis=1)).reshape(-1)
+        s = dy * width + dx
+        data[row[s], y0 + dy:y1 + dy, x0 + dx:x1 + dx] = w
+        data[row[-s], y0:y1, x0:x1] = w
+    W = sp.dia_matrix((data.reshape(len(shifts), n), shifts), shape=(n, n))
+    degrees = W @ np.ones(n)
     if np.any(degrees <= 0.0):
         raise IsolatedPixelError("graph has an isolated pixel (zero degree)")
     return ImageGraph(width, height, W, degrees, delta, r)

@@ -2,7 +2,7 @@ import numpy as np
 
 import crqopt
 from crqopt import io as cio
-from crqopt.cli import EXIT_INFEASIBLE, EXIT_OK, main
+from crqopt.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 
 def _gen(tmp_path, seed=3, out="inst"):
@@ -109,6 +109,22 @@ def test_segment_cli(tmp_path):
     assert maxval == 65535
     stats = cio.read_keyvalues(out / "stats.txt")
     assert float(stats["ncut"]) >= 0.0
+
+
+def test_segment_cli_rejects_zero_maxit(tmp_path, capsys):
+    img = np.zeros((8, 8))
+    img[:, 4:] = 200
+    img_path = tmp_path / "img.pgm"
+    cio.write_pgm(img_path, img, maxval=255)
+    labels_path = tmp_path / "labels.txt"
+    cio.write_labels(labels_path, [(4, 1)], [(4, 6)])
+    code = main([
+        "segment", "--image", str(img_path), "--labels", str(labels_path),
+        "--r", "2", "--out", str(tmp_path / "seg"), "--maxit", "0",
+    ])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "maxit" in err and "Traceback" not in err
 
 
 def test_bench_parallel_seeds(tmp_path, monkeypatch):

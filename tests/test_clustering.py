@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -32,6 +34,18 @@ def test_beyond_radius_zero_weight():
     assert W[0, 1] != 0.0
 
 
+def _oracle_image(shape, constant):
+    rng = np.random.default_rng(17)
+    return np.full(shape, 3.0) if constant else rng.uniform(0.0, 255.0, shape)
+
+
+def _two_region_raster(size):
+    """Demo 04's raster: two intensity halves under a smooth texture."""
+    yy, xx = np.mgrid[0:size, 0:size]
+    image = np.where(xx < size // 2, 60.0, 180.0)
+    return image + 10.0 * np.sin(yy / 9.0) + 6.0 * np.cos(xx / 7.0)
+
+
 def _all_pairs_graph(image, delta, r):
     """Dense W from every pixel pair: ||X(i) - X(j)||_inf < r, Gaussian weight."""
     height, width = image.shape
@@ -50,10 +64,11 @@ def _all_pairs_graph(image, delta, r):
 @pytest.mark.parametrize("r", [1.5, 2, 3.7, 6])
 @pytest.mark.parametrize("constant", [False, True])
 def test_build_graph_matches_all_pairs_oracle(shape, r, constant):
-    rng = np.random.default_rng(17)
-    image = np.full(shape, 3.0) if constant else rng.uniform(0.0, 255.0, shape)
+    image = _oracle_image(shape, constant)
     graph = build_graph(image, delta=0.2, r=r)
-    W = graph.W
+    assert np.all(np.diff(graph.W.offsets) > 0)
+    # tocsr drops the explicit zeros the diagonal store keeps off the raster
+    W = graph.W.tocsr()
     assert W.shape == (image.size, image.size)
     assert W.has_sorted_indices
     assert (W != W.T).nnz == 0
@@ -61,6 +76,45 @@ def test_build_graph_matches_all_pairs_oracle(shape, r, constant):
     assert np.allclose(W.toarray(), oracle, rtol=1e-14, atol=0.0)
     assert W.nnz == np.count_nonzero(oracle)
     assert np.allclose(graph.degrees, oracle.sum(axis=1), rtol=1e-13)
+
+
+def _assert_products_match_sorted_csr(graph):
+    """W @ x sums each row in ascending column order, bit for bit as the
+    sorted CSR form does, and the degrees are exactly W @ 1."""
+    W = graph.W
+    csr = W.tocsr()
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        x = rng.standard_normal(graph.n)
+        assert np.array_equal(W @ x, csr @ x)
+    X = rng.standard_normal((graph.n, 2))
+    assert np.array_equal(W @ X, csr @ X)
+    assert np.array_equal(graph.degrees, W @ np.ones(graph.n))
+
+
+@pytest.mark.parametrize("shape", [(3, 20), (20, 3), (13, 17), (1, 9)])
+@pytest.mark.parametrize("r", [1.5, 2, 3.7, 6])
+@pytest.mark.parametrize("constant", [False, True])
+def test_graph_products_bitwise_equal_sorted_csr(shape, r, constant):
+    _assert_products_match_sorted_csr(build_graph(_oracle_image(shape, constant), 0.2, r))
+
+
+def test_raster_graph_products_bitwise_equal_sorted_csr():
+    _assert_products_match_sorted_csr(build_graph(_two_region_raster(128), 0.1, 5))
+
+
+def test_build_graph_peak_memory_is_the_weights():
+    """The diagonal store is the only large allocation: 256x256 at r = 5
+    holds 80 weight rows (40 MiB), and the build peaks within 25% of it."""
+    image = _two_region_raster(256)
+    tracemalloc.start()
+    try:
+        graph = build_graph(image, 0.1, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.W.data.shape == (80, 256 * 256)
+    assert peak <= 1.25 * graph.W.data.nbytes
 
 
 @pytest.mark.parametrize("shape", [(3, 20), (13, 17)])
