@@ -42,8 +42,6 @@ def _add_solver_flags(parser, tol=1e-15, maxit=200, minit=1):
     parser.add_argument("--maxit", type=int, default=maxit)
     parser.add_argument("--minit", type=int, default=minit)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-detect-hard", action="store_true",
-                        help="skip the degenerate-case diagnostic after convergence")
 
 
 def _options(args, return_basis=False):
@@ -258,6 +256,11 @@ def build_parser():
     p_bench.add_argument("--out", required=True)
     _add_solver_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
+
+    # segment runs without hard-case detection (default_segment_options)
+    for p in (p_solve, p_bench):
+        p.add_argument("--no-detect-hard", action="store_true",
+                       help="skip the degenerate-case diagnostic after convergence")
 
     p_seg = sub.add_parser("segment", help="constrained normalized-cut segmentation")
     p_seg.add_argument("--image", required=True, help="grayscale PGM (P2 or P5)")

@@ -123,23 +123,15 @@ def build_graph(image, delta, r):
 
 @dataclass
 class ConstraintSystem:
+    """Right-hand side of the label rows and the balance row d'x = 0."""
+
     labels: LabelSet
-    balance_column: np.ndarray    # the degree vector d, encoding (Dx)'1 = 0
     rhs: np.ndarray
     c_hat: tuple
 
     @property
     def m(self):
         return self.labels.foreground.size + self.labels.background.size + 1
-
-    def matrix(self, n):
-        """The constraint matrix N with N'x = rhs (x-space form)."""
-        cols = []
-        for i in np.concatenate([self.labels.foreground, self.labels.background]):
-            col = sp.coo_matrix(([1.0], ([i], [0])), shape=(n, 1))
-            cols.append(col)
-        cols.append(sp.coo_matrix(self.balance_column.reshape(-1, 1)))
-        return sp.hstack(cols).tocsc()
 
 
 def encode_constraints(graph, labels):
@@ -162,7 +154,7 @@ def encode_constraints(graph, labels):
             [0.0],
         ]
     )
-    return ConstraintSystem(labels, d.copy(), rhs, (float(c_plus), float(c_minus)))
+    return ConstraintSystem(labels, rhs, (float(c_plus), float(c_minus)))
 
 
 class NormalizedLaplacianOperator(SymmetricOperator):

@@ -91,7 +91,7 @@ class SolveOptions:
 class CheckRecord:
     """One check of the main loop.  ``solver`` names the reduced solver
     that ran (``"newton"`` or ``"eig"``, see ``secular.solve_rlgopt``) and
-    ``solver_iterations`` its iteration count."""
+    ``solver_iterations`` its LDL' factorizations (0 on ``"eig"``)."""
 
     k: int
     mu: float

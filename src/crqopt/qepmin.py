@@ -7,24 +7,23 @@ the rank-one edge coupling leaves
 
 whose leftmost real eigenvalue is the multiplier of the reduced Lagrange
 problem (Gander, Golub & von Matt, LAA 114/115, 1989).  So the route
-takes mu and the minimizer x from ``secular.solve_rlgopt`` and derives
-the eigenvector from them: y = (T_k - mu I) w is proportional to x, and
-w = (T_k - mu I)^{-1} x costs one banded solve.  When mu sits on the
-bottom of the spectrum of T_k (the boundary fallback of the secular
-solve), T_k - mu I is singular and w is the bottom eigenvector of T_k.
-What is left to this route is its residual certificate,
-``qep_residual_bound``: an O(1) bound read from the trailing components
-of (y, w), with no operator applied.  The dense 2k x 2k linearization
-lives in ``reference`` as the oracle.
+reads mu, the minimizer x and the eigenvector w off one
+``secular.solve_rlgopt`` call: on the Newton path w = (T_k - mu I)^{-1} x
+comes from Newton's last LDL' factorization, and y = (T_k - mu I) w is x
+itself.  When mu sits on the bottom of the spectrum of T_k (a boundary
+tag of the case analysis), w is the bottom eigenvector of T_k and
+y = (theta_1 - mu) w = 0.  What is left to this route is its residual
+certificate, ``qep_residual_bound``: an O(1) bound read from the
+trailing components of (y, w), with no operator applied.  The dense
+2k x 2k linearization lives in ``reference`` as the oracle.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DegenerateEigenvectorError
-from .secular import EASY_TAG, EIG, shifted_solve, solve_rlgopt
+from .secular import EASY_TAG, EIG, solve_rlgopt
 
 
 class ReducedQepSolution(NamedTuple):
@@ -42,16 +41,11 @@ class ReducedQepSolution(NamedTuple):
 def solve_reduced_qep(alpha, beta, beta1, gamma):
     """Leftmost real eigenpair (mu, y, w) of the reduced QEP, with the
     reduced minimizer x it comes from."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
     red = solve_rlgopt(alpha, beta, beta1, gamma)
-    w = shifted_solve(alpha, beta, red.mu, red.x) if red.tag == EASY_TAG else None
-    if w is not None:
-        return ReducedQepSolution(red.mu, w, red.x, red.x, red.solver, red.iterations)
-    theta, Z = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
-    w = Z[:, 0]
-    return ReducedQepSolution(red.mu, w, (theta[0] - red.mu) * w, red.x,
-                              red.solver, red.iterations)
+    # y = (T_k - mu I) w; on a boundary tag mu is theta_1 of the same
+    # decomposition, so y vanishes
+    y = red.x if red.tag == EASY_TAG else np.zeros_like(red.w)
+    return ReducedQepSolution(red.mu, red.w, y, red.x, red.solver, red.iterations)
 
 
 def reduced_qep_to_rlgopt(sol, beta1, gamma):

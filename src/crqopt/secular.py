@@ -18,17 +18,20 @@ More & Sorensen (SIAM J. Sci. Stat. Comput. 4, 1983) solves
 1/||x(lam)|| = 1/gamma on the LDL' factorization of T_k - lam I (LAPACK
 ``dpttrf``/``dpttrs``).  Started at the one-pole bound
 theta_1 - |zeta_1|/gamma, right of the root, the iterates fall
-monotonically; bisection in the root bracket is the safeguard.
+monotonically; bisection in the root bracket is the safeguard.  The last
+factorization also gives w = (T_k - mu I)^{-1} x, the eigenvector of the
+reduced QEP.
 
-The eigen-decomposition path stays as the fallback for a nearly
-degenerate leading weight (which warns) and a Newton run that does not
-settle.  There ``smallest_root`` fits the rational model
+A nearly degenerate leading weight (which warns), one with
+|zeta_1|/gamma below the float spacing at theta_1, and a Newton run that
+does not settle (which warns) go to the eigen-decomposition and the
+boundary-aware case analysis of ``solve_plgopt_spectral``, the same one
+the dense oracle runs.  Its
+secular root finder ``smallest_root`` fits the rational model
 g(lam) = -b + a/(lam - pole)^2  to chi and chi' at the current point
 (a two-point Pade-type step that converges much faster than Newton on
 functions with double poles), and falls back to bisection whenever the
-model is unusable or steps out of the current root bracket; a
-multiplier on the spectrum goes to the boundary case analysis of
-``solve_plgopt_spectral``.
+model is unusable or steps out of the current root bracket.
 """
 
 import warnings
@@ -55,6 +58,9 @@ EIG = "eig"
 NEWTON_MAXIT = 50
 # steps before smallest_root gives up on its safeguarded rational iteration
 SECULAR_MAXIT = 200
+# both root finders stop on a step in lambda of at most
+# STEP_TOL (1 + |theta_1| + ||weights|| / gamma)
+STEP_TOL = 1e-14
 
 
 class SecularSpec(NamedTuple):
@@ -85,7 +91,7 @@ def secular_derivative(spec, lam):
     return float(-2.0 * np.sum(spec.xi**2 / (lam - spec.theta) ** 3))
 
 
-def smallest_root(spec, eps=None):
+def smallest_root(spec):
     """Unique root of the secular function left of its smallest pole.
 
     Returns ``(lambda_star, iterations)``.  Requires either a pole at
@@ -101,8 +107,7 @@ def smallest_root(spec, eps=None):
     t1 = theta[0]
     tj = theta[j0]
     delta0 = float(np.sqrt(np.sum(xi**2)) / gamma)
-    if eps is None:
-        eps = 1e-14 * (1.0 + abs(t1) + delta0)
+    eps = STEP_TOL * (1.0 + abs(t1) + delta0)
 
     if tj > t1:
         # no pole at theta_1: a root below the spectrum needs chi(theta_1-) > 0
@@ -212,10 +217,12 @@ class ReducedLgSolution(NamedTuple):
     """Multiplier, minimizer and iterations of a reduced solve.
 
     ``tag`` is ``EASY_TAG`` when mu lies strictly left of the spectrum
-    of T_k, and the boundary tag of the spectral fallback otherwise.
+    of T_k, and the boundary tag of ``solve_plgopt_spectral`` otherwise.
     ``solver`` names the path that produced it: ``NEWTON`` (then
-    ``iterations`` counts LDL' factorizations) or ``EIG`` (secular
-    iterations on the eigen-decomposition).
+    ``iterations`` counts LDL' factorizations) or ``EIG`` (the case
+    analysis on the eigen-decomposition, which makes none, so 0).
+    ``w`` is the reduced QEP eigenvector: (T_k - mu I)^{-1} x on the easy
+    tag, and the bottom eigenvector of T_k on a boundary tag.
     """
 
     mu: float
@@ -223,9 +230,10 @@ class ReducedLgSolution(NamedTuple):
     iterations: int
     tag: str = EASY_TAG
     solver: str = EIG
+    w: np.ndarray = None
 
 
-def newton_root(alpha, beta, beta1, gamma, theta1, zeta1, eps=None):
+def newton_root(alpha, beta, beta1, gamma, theta1, zeta1):
     """Secular root by safeguarded Newton on phi(lam) = 1/||x(lam)|| - 1/gamma.
 
     x(lam) = -beta1 (T_k - lam I)^{-1} e_1.  Each iteration factors
@@ -239,18 +247,17 @@ def newton_root(alpha, beta, beta1, gamma, theta1, zeta1, eps=None):
     |zeta_1|/gamma, which lies right of the root, the iterates fall
     monotonically.  The root stays bracketed in [theta_1 - beta1/gamma,
     theta_1), and a step that leaves the bracket becomes a bisection.
-    Once a step is at most ``eps`` (by default the tolerance of
-    ``smallest_root``), one more factorization gives mu and x together.
-    Returns ``(mu, x, factorizations)``, or None when the start does not
-    lie below theta_1 in floating point, the last factorization fails,
-    or ``NEWTON_MAXIT`` runs out.
+    Once a step is at most STEP_TOL (1 + |theta_1| + beta1/gamma), one
+    more factorization gives mu, x and w together.  Returns the
+    ``ReducedLgSolution``, or None when the start does not lie below
+    theta_1 in floating point, the last factorization fails, or
+    ``NEWTON_MAXIT`` runs out.
     """
     lo, hi = theta1 - beta1 / gamma, theta1
     lam = theta1 - abs(zeta1) / gamma
     if not lo <= lam < hi:
         return None
-    if eps is None:
-        eps = 1e-14 * (1.0 + abs(theta1) + beta1 / gamma)
+    eps = STEP_TOL * (1.0 + abs(theta1) + beta1 / gamma)
     rhs = np.zeros(alpha.size)
     rhs[0] = -beta1
     # the f2py wrappers reject an empty off-diagonal, which k = 1 has
@@ -265,14 +272,14 @@ def newton_root(alpha, beta, beta1, gamma, theta1, zeta1, eps=None):
             cand = 0.5 * (lo + hi)
         else:
             x, _ = lapack.dpttrs(d, e, rhs)
+            w, _ = lapack.dpttrs(d, e, x)
             if settled:
-                return float(lam), x, it
+                return ReducedLgSolution(float(lam), x, it, solver=NEWTON, w=w)
             nx = float(np.linalg.norm(x))
             if nx > gamma:
                 hi = lam
             else:
                 lo = lam
-            w, _ = lapack.dpttrs(d, e, x)
             cand = lam + (nx * nx / float(x @ w)) * (gamma - nx) / gamma
             # closed at hi: a step that rounds to zero leaves lam = hi
             if not lo <= cand <= hi:
@@ -282,24 +289,7 @@ def newton_root(alpha, beta, beta1, gamma, theta1, zeta1, eps=None):
     return None
 
 
-def shifted_solve(alpha, beta, mu, rhs):
-    """(T_k - mu I)^{-1} rhs by a banded Cholesky solve.
-
-    Returns None when T_k - mu I is not numerically positive definite.
-    """
-    if alpha.size == 1:
-        pivot = alpha[0] - mu
-        return rhs / pivot if pivot > 0.0 else None
-    ab = np.zeros((2, alpha.size))
-    ab[0, 1:] = beta
-    ab[1, :] = alpha - mu
-    try:
-        return sla.solveh_banded(ab, rhs, lower=False)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def solve_rlgopt(alpha, beta, beta1, gamma, eps=None):
+def solve_rlgopt(alpha, beta, beta1, gamma):
     """Solve the k-dimensional reduced Lagrange-multiplier problem.
 
     ``alpha``/``beta`` are the diagonal and off-diagonal of the (assumed
@@ -314,50 +304,38 @@ def solve_rlgopt(alpha, beta, beta1, gamma, eps=None):
     spectrum of an irreducible T_k.
 
     The bottom eigenpair alone gives theta_1 and zeta_1, and
-    ``newton_root`` finds mu and x in O(k) per iteration.  A leading
-    weight below ``TINY_LEADING_WEIGHT * beta1`` or a Newton run that
-    does not settle sends the solve to the full eigen-decomposition.
-    ``eps`` is the stop tolerance in lambda of either path.
+    ``newton_root`` finds mu, x and w in O(k) per iteration.  A leading
+    weight below ``TINY_LEADING_WEIGHT * beta1`` (which warns) or with
+    |zeta_1|/gamma below the float spacing at theta_1, and a Newton run
+    that does not settle (which warns), send the solve to
+    ``solve_plgopt_spectral`` on the full eigen-decomposition.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    k = alpha.size
-    if k == 0:
+    if alpha.size == 0:
         raise ValueError("empty tridiagonal")
-    if beta.size != k - 1:
+    if beta.size != alpha.size - 1:
         raise ValueError("off-diagonal must have length k-1")
     theta1, s1 = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
-    zeta1 = beta1 * s1[0, 0]
-    if abs(zeta1) >= TINY_LEADING_WEIGHT * abs(beta1):
-        root = newton_root(alpha, beta, beta1, gamma, float(theta1[0]), zeta1, eps)
+    theta1, zeta1 = float(theta1[0]), beta1 * s1[0, 0]
+    # a weight with |zeta_1|/gamma below the float spacing at theta_1
+    # counts as zero, as in solve_plgopt_spectral, which decides that case
+    if abs(zeta1) >= TINY_LEADING_WEIGHT * abs(beta1) and theta1 - abs(zeta1) / gamma < theta1:
+        root = newton_root(alpha, beta, beta1, gamma, theta1, zeta1)
         if root is not None:
-            return ReducedLgSolution(*root, EASY_TAG, NEWTON)
+            return root
+        warnings.warn("Newton iteration on T_k - lambda I did not settle; solving "
+                      "on the eigen-decomposition", RuntimeWarning, stacklevel=2)
 
     theta, Y = sla.eigh_tridiagonal(alpha, beta)
     zeta = beta1 * Y[0, :]
-    degenerate = abs(zeta[0]) < TINY_LEADING_WEIGHT * abs(beta1)
-    if degenerate:
+    if abs(zeta[0]) < TINY_LEADING_WEIGHT * abs(beta1):
         warnings.warn(
             "nearly degenerate reduced problem: leading secular weight "
             f"{zeta[0]:.3e} is tiny relative to ||b0||",
             RuntimeWarning,
             stacklevel=2,
         )
-    try:
-        mu, iters = smallest_root(make_spec(theta, zeta, gamma), eps=eps)
-    except NoRootError:
-        mu, iters = None, 0
-
-    if mu is not None and mu < theta[0]:
-        rhs = np.zeros(k)
-        rhs[0] = -beta1
-        x = shifted_solve(alpha, beta, mu, rhs)
-        if x is not None:
-            return ReducedLgSolution(float(mu), x, iters)
-
-    # the multiplier reached the reduced spectrum: this only happens when
-    # roundoff seeds the basis with a ghost direction of near-zero weight
-    # (degenerate full-space instances); fall back to the boundary-aware
-    # case analysis in the eigenbasis, which stays finite
     lam, y_hat, tag = solve_plgopt_spectral(theta, zeta, gamma)
-    return ReducedLgSolution(float(lam), Y @ y_hat, iters, tag)
+    w = Y @ (y_hat / (theta - lam)) if tag == EASY_TAG else Y[:, 0]
+    return ReducedLgSolution(lam, Y @ y_hat, 0, tag, EIG, w)

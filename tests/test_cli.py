@@ -127,6 +127,19 @@ def test_segment_cli_rejects_zero_maxit(tmp_path, capsys):
     assert "maxit" in err and "Traceback" not in err
 
 
+def test_segment_cli_rejects_no_detect_hard(tmp_path):
+    # segment never runs hard-case detection, so it offers no flag to skip it
+    img_path = tmp_path / "img.pgm"
+    cio.write_pgm(img_path, np.zeros((8, 8)), maxval=255)
+    labels_path = tmp_path / "labels.txt"
+    cio.write_labels(labels_path, [(4, 1)], [(4, 6)])
+    code = main([
+        "segment", "--image", str(img_path), "--labels", str(labels_path),
+        "--r", "2", "--out", str(tmp_path / "seg"), "--no-detect-hard",
+    ])
+    assert code == EXIT_USAGE
+
+
 def test_bench_parallel_seeds(tmp_path, monkeypatch):
     monkeypatch.setenv("CRQOPT_THREADS", "2")
     out = tmp_path / "batch"

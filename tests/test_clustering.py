@@ -151,9 +151,9 @@ def test_constraint_matrix_full_rank():
     graph = build_graph(img, delta=0.1, r=2)
     labels = LabelSet.from_pixels(img.shape, [(4, 1), (2, 2)], [(4, 6)])
     cons = encode_constraints(graph, labels)
-    N = cons.matrix(graph.n).toarray()
-    assert N.shape == (64, 4)
-    assert np.linalg.matrix_rank(N) == 4
+    C = to_crqopt(graph, cons).C
+    assert C.shape == (64, 4)
+    assert np.linalg.matrix_rank(C) == 4
 
 
 def test_empty_side_rejected():

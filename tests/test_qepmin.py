@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -229,3 +230,43 @@ def test_boundary_fallback_takes_the_bottom_eigenvector():
     assert np.linalg.norm(shifted @ sol.x + beta1 * np.eye(3)[0]) <= 1e-14
     with pytest.raises(crqopt.DegenerateEigenvectorError):
         reduced_qep_to_rlgopt(sol, beta1, gamma)
+
+
+def test_qepmin_check_is_one_selected_eigenpair_and_newton(monkeypatch):
+    # a check reads mu, x and w off Newton's factorizations: no banded
+    # solve and no full eigen-decomposition of T_k
+    calls = []
+
+    def counting(module, name):
+        func = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            select = f":{kwargs.get('select', 'a')}" if name == "eigh_tridiagonal" else ""
+            calls.append(name + select)
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((sla, "eigh_tridiagonal"), (sla, "solveh_banded"),
+                         (lapack, "dpttrf"), (lapack, "dpttrs")):
+        counting(module, name)
+    checks = []
+    reduced = crqopt.driver.solve_reduced_qep
+
+    def recording(*args):
+        start = len(calls)
+        sol = reduced(*args)
+        checks.append((calls[start:], sol))
+        return sol
+
+    monkeypatch.setattr(crqopt.driver, "solve_reduced_qep", recording)
+    spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
+    prob, _ = crqopt.generate(spec)
+    sol = crqopt.solve(prob, crqopt.SolveOptions(method=crqopt.QEPMIN))
+    assert "solveh_banded" not in calls
+    assert "eigh_tridiagonal:a" not in calls
+    assert len(checks) == len(sol.history) > 50
+    for made, red in checks:
+        assert made.count("eigh_tridiagonal:i") == 1
+        assert made.count("dpttrf") == red.iterations
+        assert set(made) == {"eigh_tridiagonal:i", "dpttrf", "dpttrs"}

@@ -163,17 +163,44 @@ def test_newton_path_matches_eigendecomposition(k, seed, family):
         assert np.linalg.norm(red.x - x) <= 1e-10 * gamma
 
 
-def test_eps_is_the_newton_stop_tolerance():
+def test_newton_failure_warns_and_takes_the_eigen_path(monkeypatch):
+    monkeypatch.setattr(crqopt.secular, "NEWTON_MAXIT", 1)
     a, b = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5])
-    tight = solve_rlgopt(a, b, 1.0, 0.5)
-    iterations = tight.iterations
-    for eps in (1e-6, 1e-3, 1e-1):
-        loose = solve_rlgopt(a, b, 1.0, 0.5, eps=eps)
-        assert loose.solver == NEWTON
-        assert abs(loose.mu - tight.mu) <= eps
-        assert loose.iterations <= iterations
-        iterations = loose.iterations
-    assert iterations < tight.iterations
+    beta1, gamma = 1.0, 0.5
+    with pytest.warns(RuntimeWarning, match="did not settle"):
+        red = solve_rlgopt(a, b, beta1, gamma)
+    assert red.solver == EIG
+    assert red.iterations == 0
+    theta, Y = sla.eigh_tridiagonal(a, b)
+    oracle = bisection_secular_root(theta, beta1 * Y[0, :], gamma)
+    assert abs(red.mu - oracle) <= 1e-12 * (1.0 + abs(red.mu))
+
+
+def test_nearly_degenerate_draws_stay_on_the_sphere():
+    # a leading weight below TINY_LEADING_WEIGHT puts a root that uses it
+    # within rounding of theta_1; the case analysis drops the weight, so x
+    # stays on the sphere and solves (T - mu I) x = -beta1 e_1 up to it
+    rng = np.random.default_rng(0)
+    warned = 0
+    for _ in range(3000):
+        k = int(rng.integers(2, 40))
+        a = rng.standard_normal(k) * rng.uniform(0.1, 10.0)
+        b = rng.uniform(0.05, 2.0, k - 1)
+        beta1, gamma = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 2.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            red = solve_rlgopt(a, b, beta1, gamma)
+        assert all("nearly degenerate" in str(w.message) for w in caught)
+        if not caught:
+            continue
+        warned += 1
+        assert red.solver == EIG
+        assert np.linalg.norm(red.x) == pytest.approx(gamma, rel=1e-10)
+        rhs = np.zeros(k)
+        rhs[0] = beta1
+        resid = (tridiagonal_dense(a, b) - red.mu * np.eye(k)) @ red.x + rhs
+        assert np.linalg.norm(resid) <= 1e-9 * beta1
+    assert warned >= 1000
 
 
 def test_scalar_case_takes_the_newton_path():
