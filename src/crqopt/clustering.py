@@ -11,14 +11,18 @@ Rayleigh-quotient problem solved by the driver:
                                      A = D^{-1/2} (D - W) D^{-1/2},
 
 and each linear condition g'x = c becoming (D^{-1/2} g)' v = c, so the
-labeled entries and the volume-balance row transfer exactly.
+labeled entries and the volume-balance row transfer exactly.  The graph
+stores each neighbour pair's weight once, and A is applied from that
+store; its spectrum lies in [0, 2], so ||A|| <= 2 is the norm the driver
+uses for its scales on these problems.
 """
 
 import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+# the compiled kernel behind ``dia_matrix @ x``: y += (diagonals) @ x in place
+from scipy.sparse._sparsetools import dia_matvec
 
 from .driver import QEPMIN, SolveOptions, solve
 from .errors import EmptySideError, IsolatedPixelError, NotConvergedError
@@ -30,7 +34,8 @@ from .problem import CrqProblem
 class ImageGraph:
     width: int
     height: int
-    W: sp.dia_matrix    # ascending offsets, explicit zeros off the raster
+    weights: np.ndarray  # (len(shifts), n): W[q - s, q] at column q, zeros off the raster
+    shifts: np.ndarray   # the positive flat neighbour shifts, ascending
     degrees: np.ndarray
     delta: float
     radius: float
@@ -71,9 +76,10 @@ def build_graph(image, delta, r):
     Pixels i, j are connected when ||X(i) - X(j)||_inf < r, with weight
     exp(-(F(i) - F(j))^2 / delta_F) where delta_F is ``delta`` times the
     squared global intensity range.  A constant image gets unit weights
-    on all in-radius pairs.  ``W`` is a ``dia_matrix`` with one row of
-    weights per flat neighbour shift, shifts strictly ascending; entries
-    that fall off the raster are stored as explicit zeros.
+    on all in-radius pairs.  Each neighbour pair is stored once: row d of
+    ``weights`` holds W[q - s, q] at column q for the positive flat shift
+    s = ``shifts[d]``, shifts strictly ascending; entries that fall off
+    the raster are zeros.  ``apply_weights`` applies the symmetric W.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
@@ -89,36 +95,58 @@ def build_graph(image, delta, r):
     reach = int(np.ceil(r)) - 1 if float(r).is_integer() else int(np.floor(r))
 
     # Offset (dy, dx) joins pixel p to q = p + s with the flat shift
-    # s = dy*width + dx.  Row d of the diagonal store holds the weights of
-    # shift s_d at column q, and the shifts ascend, so ``W @ x`` sums each
-    # row in ascending column order, as sorted CSR does.  On narrow rasters
-    # (width or height <= 2*reach) two offsets can share a shift; their
-    # supports are disjoint, so they share a row.  Offsets wholly off the
-    # raster are dropped.  The offset list is symmetric about (0, 0), so its
-    # first half meets each opposite pair once, and an offset and its
-    # opposite carry the same weights: each exp is computed once.
+    # s = dy*width + dx.  The offset list is symmetric about (0, 0) and
+    # ordered by (dy, dx), so its second half holds exactly the offsets
+    # with s > 0, one of each opposite pair.  On narrow rasters (width or
+    # height <= 2*reach) two offsets can share a shift; their supports are
+    # disjoint, so they share a row.  Offsets wholly off the raster are
+    # dropped.
     offsets = [(dy, dx) for dy in range(-reach, reach + 1)
                for dx in range(-reach, reach + 1)
                if (dy or dx) and abs(dy) < height and abs(dx) < width]
-    shifts = sorted({dy * width + dx for dy, dx in offsets})
-    row = {s: d for d, s in enumerate(shifts)}
-    data = np.zeros((len(shifts), height, width))
-    for dy, dx in offsets[: len(offsets) // 2]:
-        y0, y1 = max(0, -dy), min(height, height - dy)
-        x0, x1 = max(0, -dx), min(width, width - dx)
+    forward = offsets[len(offsets) // 2:]
+    shifts = np.array(sorted({dy * width + dx for dy, dx in forward}), dtype=np.intp)
+    row = {s: d for d, s in enumerate(shifts.tolist())}
+    weights = np.zeros((shifts.size, height, width))
+    for dy, dx in forward:
+        # q = (y, x) runs over the pixels whose partner q - (dy, dx) is on the raster
+        y0, x0 = max(0, dy), max(0, dx)
+        y1, x1 = min(height, height + dy), min(width, width + dx)
         if delta_f == 0.0:
             w = 1.0
         else:
-            diff = image[y0:y1, x0:x1] - image[y0 + dy:y1 + dy, x0 + dx:x1 + dx]
+            diff = image[y0:y1, x0:x1] - image[y0 - dy:y1 - dy, x0 - dx:x1 - dx]
             w = np.exp(-(diff * diff) / delta_f)
-        s = dy * width + dx
-        data[row[s], y0 + dy:y1 + dy, x0 + dx:x1 + dx] = w
-        data[row[-s], y0:y1, x0:x1] = w
-    W = sp.dia_matrix((data.reshape(len(shifts), n), shifts), shape=(n, n))
-    degrees = W @ np.ones(n)
+        weights[row[dy * width + dx], y0:y1, x0:x1] = w
+    weights = weights.reshape(shifts.size, n)
+    degrees = apply_weights(weights, shifts, np.ones(n))
     if np.any(degrees <= 0.0):
         raise IsolatedPixelError("graph has an isolated pixel (zero degree)")
-    return ImageGraph(width, height, W, degrees, delta, r)
+    return ImageGraph(width, height, weights, shifts, degrees, delta, r)
+
+
+def apply_weights(weights, shifts, x):
+    """W @ x for the half store of ``build_graph``.
+
+    The symmetric W has the diagonals -s and +s for each stored shift s,
+    and W[p + s, p] = W[p, p + s] = weights[d, p + s], so diagonal -s is
+    ``y[s:] += weights[d, s:] * x[:n - s]`` and diagonal +s is
+    ``y[:n - s] += weights[d, s:] * x[s:]``.  The diagonals are visited in
+    ascending order, so each row's terms are added in ascending column
+    order: the product is bit-identical to the sorted CSR one.  Each
+    diagonal is one fused pass of scipy's compiled DIA kernel, which
+    accumulates into y: the lower ones one at a time from the shifted row
+    ``weights[d, s:]``, the upper ones together from the store as it is.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    n = x.size
+    y = np.zeros(n)
+    lower = -shifts
+    for d in range(shifts.size - 1, -1, -1):
+        s = int(shifts[d])
+        dia_matvec(n, n, 1, n - s, lower[d:d + 1], weights[d, s:], x, y)
+    dia_matvec(n, n, shifts.size, n, shifts, weights, x, y)
+    return y
 
 
 @dataclass
@@ -140,8 +168,13 @@ def encode_constraints(graph, labels):
     The target values come from the volume estimates
     c+ = sqrt(vol(J) / (vol(I) vol(V))) and
     c- = -sqrt(vol(I) / (vol(J) vol(V))) computed from the labeled sets.
+    Flat label indices must lie in [0, n).
     """
     d = graph.degrees
+    flat = np.concatenate([labels.foreground, labels.background])
+    outside = flat[(flat < 0) | (flat >= graph.n)]
+    if outside.size:
+        raise ValueError(f"label index {outside[0]} outside [0, n) with n = {graph.n}")
     vol_i = float(d[labels.foreground].sum())
     vol_j = float(d[labels.background].sum())
     vol_v = float(d.sum())
@@ -158,20 +191,23 @@ def encode_constraints(graph, labels):
 
 
 class NormalizedLaplacianOperator(SymmetricOperator):
-    """v -> D^{-1/2} (D - W) D^{-1/2} v, kept sparse throughout."""
+    """v -> D^{-1/2} (D - W) D^{-1/2} v, applied from the graph's half store.
 
-    def __init__(self, W, degrees):
-        super().__init__(W.shape[0])
-        self.W = W
-        self.dinv_sqrt = 1.0 / np.sqrt(degrees)
+    Its spectrum lies in [0, 2] (Chung, Spectral Graph Theory, 1997), so
+    ``norm_bound`` is 2 and no norm estimate is run.
+    """
+
+    norm_bound = 2.0
+
+    def __init__(self, graph):
+        super().__init__(graph.n)
+        self.weights = graph.weights
+        self.shifts = graph.shifts
+        self.dinv_sqrt = 1.0 / np.sqrt(graph.degrees)
 
     def matvec(self, x):
         y = self.dinv_sqrt * x
-        return x - self.dinv_sqrt * (self.W @ y)
-
-    def matmat(self, X):
-        Y = self.dinv_sqrt[:, None] * X
-        return X - self.dinv_sqrt[:, None] * (self.W @ Y)
+        return x - self.dinv_sqrt * apply_weights(self.weights, self.shifts, y)
 
 
 def to_crqopt(graph, constraints):
@@ -194,7 +230,7 @@ def to_crqopt(graph, constraints):
         C[i, j] = 1.0 / dsqrt[i]
         j += 1
     C[:, m - 1] = dsqrt
-    A = NormalizedLaplacianOperator(graph.W, d)
+    A = NormalizedLaplacianOperator(graph)
     return CrqProblem(A, C, constraints.rhs.copy())
 
 
@@ -205,7 +241,7 @@ def ncut_value(graph, mask):
         return float("inf")
     ind_a = mask.astype(float)
     ind_b = 1.0 - ind_a
-    cut = float(ind_a @ (graph.W @ ind_b))
+    cut = float(ind_a @ apply_weights(graph.weights, graph.shifts, ind_b))
     vol_a = float(graph.degrees[mask].sum())
     vol_b = float(graph.degrees[~mask].sum())
     return cut / vol_a + cut / vol_b
@@ -255,6 +291,7 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
         "c_plus": constraints.c_hat[0],
         "c_minus": constraints.c_hat[1],
         "converged": failure is None,
+        "graph_mb": graph.weights.nbytes / 2**20,
     }
     if failure is not None:
         failure.partial = (mask, heat, stats)

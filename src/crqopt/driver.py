@@ -62,7 +62,8 @@ CONVERGED = "converged"
 # bound over eig_maxit = 500 steps keeps the total below 5e-8.
 KW_DELTA = 1e-10
 # sigma = NORM_MARGIN * norm_a must bound lambda_max(P A P) from above;
-# norm_a is a 20-step Lanczos estimate, a lower bound on ||A||.
+# norm_a is the operator's rigorous bound where it has one, else a
+# 20-step Lanczos estimate, a lower bound on ||A||.
 NORM_MARGIN = 1.05
 
 

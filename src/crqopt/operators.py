@@ -15,7 +15,13 @@ _NORM_SEED = 0x5EED
 
 
 class SymmetricOperator:
-    """Action of a symmetric matrix, applied to vectors or column blocks."""
+    """Action of a symmetric matrix, applied to vectors or column blocks.
+
+    A subclass whose norm has a known rigorous bound sets ``norm_bound``;
+    ``CrqProblem.norm_a`` then takes it instead of an estimate.
+    """
+
+    norm_bound = None
 
     def __init__(self, n):
         self.n = int(n)

@@ -84,9 +84,14 @@ class CrqProblem:
 
     @property
     def norm_a(self):
-        """Cached 2-norm estimate of A (short Lanczos run, fixed seed)."""
+        """The 2-norm scale of A, cached: the operator's rigorous
+        ``norm_bound`` where it has one (2 for the normalized Laplacian),
+        else a short Lanczos estimate from a fixed seed."""
         if self._norm_a is None:
-            self._norm_a = max(norm_estimate(self.A), np.finfo(float).tiny)
+            norm = self.A.norm_bound
+            if norm is None:
+                norm = norm_estimate(self.A)
+            self._norm_a = max(norm, np.finfo(float).tiny)
         return self._norm_a
 
     def projected_operator(self):

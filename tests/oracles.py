@@ -7,6 +7,7 @@ multiplier machinery.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def pinv_min_norm(C, b):
@@ -125,3 +126,21 @@ def exact_qep_residual(state, sol, norm_a, gamma, beta1):
 def chebyshev_value(t, degree):
     """T_degree(t) for |t| <= 1 by the cosine form."""
     return np.cos(degree * np.arccos(np.clip(t, -1.0, 1.0)))
+
+
+def graph_matrix(graph):
+    """The full symmetric W of a raster graph's half store, as sorted CSR.
+
+    The stored weight ``weights[d, q]`` is the pair (q - s, q) for
+    s = ``shifts[d]``; each nonzero enters at that pair and its mirror.
+    """
+    rows, cols, vals = [], [], []
+    for s, w in zip(graph.shifts, graph.weights):
+        q = np.flatnonzero(w)
+        rows += [q - s, q]
+        cols += [q, q - s]
+        vals += [w[q], w[q]]
+    W = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(graph.n, graph.n)).tocsr()
+    W.sort_indices()
+    return W

@@ -111,6 +111,25 @@ def test_segment_cli(tmp_path):
     assert float(stats["ncut"]) >= 0.0
 
 
+def test_segment_cli_reports_graph_memory(tmp_path):
+    img = np.zeros((8, 8))
+    img[:, 4:] = 200
+    img_path = tmp_path / "img.pgm"
+    cio.write_pgm(img_path, img, maxval=255)
+    labels_path = tmp_path / "labels.txt"
+    cio.write_labels(labels_path, [(4, 1)], [(4, 6)])
+    out = tmp_path / "seg"
+    code = main([
+        "segment", "--image", str(img_path), "--labels", str(labels_path),
+        "--r", "3", "--out", str(out), "--maxit", "60", "--minit", "1",
+    ])
+    assert code == EXIT_OK
+    stats = cio.read_keyvalues(out / "stats.txt")
+    # r = 3 reaches 2 pixels: 12 of the 24 offsets have a positive shift,
+    # each a row of 64 doubles
+    assert float(stats["graph_mb"]) == 12 * 64 * 8 / 2**20
+
+
 def test_segment_cli_rejects_zero_maxit(tmp_path, capsys):
     img = np.zeros((8, 8))
     img[:, 4:] = 200

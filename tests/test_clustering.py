@@ -6,9 +6,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import crqopt
-from crqopt.clustering import (LabelSet, build_graph, encode_constraints,
-                               ncut_value, segment, to_crqopt)
+from crqopt.clustering import (LabelSet, NormalizedLaplacianOperator, apply_weights,
+                               build_graph, encode_constraints, ncut_value, segment,
+                               to_crqopt)
 from crqopt.errors import EmptySideError, IsolatedPixelError
+from oracles import graph_matrix
 
 
 def two_block_image(size=8, low=0.0, high=1.0):
@@ -19,14 +21,14 @@ def two_block_image(size=8, low=0.0, high=1.0):
 
 def test_constant_image_unit_weights():
     graph = build_graph(np.full((5, 5), 7.0), delta=0.1, r=2)
-    W = graph.W.tocoo()
+    W = graph_matrix(graph).tocoo()
     assert W.nnz > 0
     assert np.allclose(W.data, 1.0)
 
 
 def test_beyond_radius_zero_weight():
     graph = build_graph(np.zeros((6, 6)), delta=0.1, r=2)
-    W = graph.W.tocsr()
+    W = graph_matrix(graph)
     # pixels (0,0) and (0,3): chebyshev distance 3 >= r=2 -> no edge
     assert W[0, 3] == 0.0
     # distance exactly r is outside the strict inequality
@@ -66,9 +68,9 @@ def _all_pairs_graph(image, delta, r):
 def test_build_graph_matches_all_pairs_oracle(shape, r, constant):
     image = _oracle_image(shape, constant)
     graph = build_graph(image, delta=0.2, r=r)
-    assert np.all(np.diff(graph.W.offsets) > 0)
-    # tocsr drops the explicit zeros the diagonal store keeps off the raster
-    W = graph.W.tocsr()
+    assert graph.shifts[0] > 0 and np.all(np.diff(graph.shifts) > 0)
+    # the helper drops the zeros the half store keeps off the raster
+    W = graph_matrix(graph)
     assert W.shape == (image.size, image.size)
     assert W.has_sorted_indices
     assert (W != W.T).nnz == 0
@@ -79,17 +81,20 @@ def test_build_graph_matches_all_pairs_oracle(shape, r, constant):
 
 
 def _assert_products_match_sorted_csr(graph):
-    """W @ x sums each row in ascending column order, bit for bit as the
-    sorted CSR form does, and the degrees are exactly W @ 1."""
-    W = graph.W
-    csr = W.tocsr()
+    """The half-store kernel sums each row of W @ x in ascending column
+    order, bit for bit as the sorted CSR form does, and the degrees are
+    exactly W @ 1."""
+    def W(x):
+        return apply_weights(graph.weights, graph.shifts, x)
+
+    csr = graph_matrix(graph)
     rng = np.random.default_rng(3)
     for _ in range(3):
         x = rng.standard_normal(graph.n)
-        assert np.array_equal(W @ x, csr @ x)
+        assert np.array_equal(W(x), csr @ x)
     X = rng.standard_normal((graph.n, 2))
-    assert np.array_equal(W @ X, csr @ X)
-    assert np.array_equal(graph.degrees, W @ np.ones(graph.n))
+    assert np.array_equal(np.column_stack([W(col) for col in X.T]), csr @ X)
+    assert np.array_equal(graph.degrees, W(np.ones(graph.n)))
 
 
 @pytest.mark.parametrize("shape", [(3, 20), (20, 3), (13, 17), (1, 9)])
@@ -104,8 +109,9 @@ def test_raster_graph_products_bitwise_equal_sorted_csr():
 
 
 def test_build_graph_peak_memory_is_the_weights():
-    """The diagonal store is the only large allocation: 256x256 at r = 5
-    holds 80 weight rows (40 MiB), and the build peaks within 25% of it."""
+    """The half store is the only large allocation: 256x256 at r = 5
+    holds 40 weight rows (20 MiB), one per neighbour pair's shift, and the
+    build peaks within 25% of it."""
     image = _two_region_raster(256)
     tracemalloc.start()
     try:
@@ -113,8 +119,8 @@ def test_build_graph_peak_memory_is_the_weights():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert graph.W.data.shape == (80, 256 * 256)
-    assert peak <= 1.25 * graph.W.data.nbytes
+    assert graph.weights.shape == (40, 256 * 256)
+    assert peak <= 1.25 * graph.weights.nbytes
 
 
 @pytest.mark.parametrize("shape", [(3, 20), (13, 17)])
@@ -126,7 +132,7 @@ def test_unit_radius_isolates_every_pixel(shape):
 def test_two_block_weights_hand_computed():
     img = two_block_image(8)
     graph = build_graph(img, delta=0.1, r=2)
-    W = graph.W.tocsr()
+    W = graph_matrix(graph)
     # delta_F = 0.1 * (1-0)^2; cross-block in-radius weight e^{-1/0.1}
     i = 3 * 8 + 3  # (3,3) value 0
     j = 3 * 8 + 4  # (3,4) value 1
@@ -246,7 +252,7 @@ def test_gradient_split_beats_unconstrained_threshold_baseline():
     # eigenvector of (D - W, D), thresholded at zero
     graph = build_graph(img, delta=0.1, r=3)
     D = sp.diags(graph.degrees)
-    L = D - graph.W
+    L = D - graph_matrix(graph)
     vals, vecs = spla.eigsh(L.tocsc(), k=2, M=D.tocsc(), sigma=-1e-6, which="LM")
     fiedler = vecs[:, np.argsort(vals)[1]]
     baseline = fiedler > 0.0
@@ -256,3 +262,52 @@ def test_gradient_split_beats_unconstrained_threshold_baseline():
 def test_labels_out_of_range_rejected():
     with pytest.raises(ValueError):
         LabelSet.from_pixels((8, 8), [(8, 0)], [(0, 0)])
+
+
+@pytest.mark.parametrize("flat", [-60, 70])
+def test_labels_outside_the_raster_rejected_by_index(flat):
+    img = two_block_image(8)
+    labels = LabelSet([flat], [62])
+    with pytest.raises(ValueError, match=rf"label index {flat} outside \[0, n\) with n = 64"):
+        segment(img, labels, delta=0.1, r=2)
+
+
+def test_raster_problem_takes_the_laplacian_norm_bound(monkeypatch):
+    def no_estimate(op):
+        raise AssertionError("the normalized Laplacian needs no norm estimate")
+
+    monkeypatch.setattr(crqopt.problem, "norm_estimate", no_estimate)
+    image = _two_region_raster(32)
+    graph = build_graph(image, 0.1, 5)
+    labels = LabelSet.from_pixels(image.shape, [(16, 3)], [(16, 28)])
+    assert to_crqopt(graph, encode_constraints(graph, labels)).norm_a == 2.0
+
+
+def test_segment_solve_applies_a_once_per_step_plus_eight(monkeypatch):
+    """k Lanczos steps, 6 for the symmetry spot check, 1 for n0'A n0 in
+    classify and 1 for the objective at the returned v: no norm estimate."""
+    applies = []
+    matvec = NormalizedLaplacianOperator.matvec
+
+    def counting(self, x):
+        applies.append(1)
+        return matvec(self, x)
+
+    monkeypatch.setattr(NormalizedLaplacianOperator, "matvec", counting)
+    image = _two_region_raster(32)
+    labels = LabelSet.from_pixels(image.shape, [(16, 3)], [(16, 28)])
+    opts = crqopt.SolveOptions(method=crqopt.QEPMIN, tol=8e-5, maxit=60, minit=20,
+                               detect_hard=False)
+    _, _, stats = segment(image, labels, delta=0.1, r=5, opts=opts)
+    assert len(applies) == stats["steps"] + 6 + 1 + 1
+
+
+@pytest.mark.parametrize("shape", [(3, 20), (20, 3), (13, 17), (1, 9)])
+@pytest.mark.parametrize("r", [1.5, 2, 3.7, 6])
+@pytest.mark.parametrize("constant", [False, True])
+def test_normalized_laplacian_spectrum_within_norm_bound(shape, r, constant):
+    graph = build_graph(_oracle_image(shape, constant), 0.2, r)
+    dense = NormalizedLaplacianOperator(graph).apply(np.eye(graph.n))
+    eigs = np.linalg.eigvalsh(dense)
+    assert eigs[0] >= -1e-12
+    assert eigs[-1] <= NormalizedLaplacianOperator.norm_bound + 1e-12
