@@ -45,14 +45,32 @@ class ImageGraph:
         return self.width * self.height
 
 
+def _pixel_indices(values, side):
+    """Flat pixel indices of one label side as an int array; rejects
+    indices that are not whole numbers and pixels given twice."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iu":
+        raw = raw.astype(float)
+        whole = np.isfinite(raw) & (raw == np.floor(raw))
+        if not whole.all():
+            raise ValueError(f"{side} label index {raw[~whole][0]!r} is not an integer")
+    idx = raw.astype(int)
+    pixels, counts = np.unique(idx, return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"{side} label pixel {pixels[counts > 1][0]} is given more than once")
+    return idx
+
+
 @dataclass
 class LabelSet:
+    """Flat indices of the foreground and background label pixels."""
+
     foreground: np.ndarray
     background: np.ndarray
 
     def __post_init__(self):
-        self.foreground = np.asarray(self.foreground, dtype=int)
-        self.background = np.asarray(self.background, dtype=int)
+        self.foreground = _pixel_indices(self.foreground, "foreground")
+        self.background = _pixel_indices(self.background, "background")
         if self.foreground.size == 0 or self.background.size == 0:
             raise EmptySideError("both label sides must be nonempty")
         if np.intersect1d(self.foreground, self.background).size:
@@ -284,6 +302,7 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
     heat = ((x - x.min()) / span if span > 0 else np.zeros_like(x)).reshape(image.shape)
     stats = {
         "steps": sol.k,
+        "reorth_steps": sol.extras["reorth_steps"],
         "runtime_s": time.perf_counter() - t0,
         "ncut": ncut_value(graph, mask),
         "objective": sol.objective,

@@ -107,7 +107,10 @@ class CheckRecord:
 class CrqSolution:
     """The returned v with its multiplier and objective.  ``residual`` is
     the exact multiplier-equation residual ||P(Av) - mu (v - n0)|| at v,
-    unscaled; it is NaN at the unique point, which has no multiplier."""
+    unscaled; it is NaN at the unique point, which has no multiplier.
+    ``extras["reorth_steps"]`` counts the Lanczos steps of the main loop
+    (of the eigensolve when b0 = 0) that ran a Gram-Schmidt pass, and
+    ``extras["detect_reorth_steps"]`` those of hard-case detection."""
 
     v: np.ndarray
     mu: float
@@ -133,7 +136,8 @@ class HardCaseReport:
     reduced multiplier.  ``eig_converged`` says whether that Ritz pair
     met ``eig_tol``; ``certificate`` names the exit that backs the
     decision (None when ``eig_maxit`` ran out first) and ``steps`` counts
-    the detection run's Lanczos steps.  ``v`` holds the padding pair
+    the detection run's Lanczos steps, ``reorth_steps`` those of them
+    that ran a Gram-Schmidt pass.  ``v`` holds the padding pair
     ``(x_tilde, z)`` on a hard decision.
     """
 
@@ -144,6 +148,7 @@ class HardCaseReport:
     v: tuple = None
     certificate: str = None
     steps: int = 0
+    reorth_steps: int = 0
 
     @property
     def certified(self):
@@ -189,7 +194,8 @@ def resolve_b0_zero(problem, feas, rng=None, eig_tol=1e-10, eig_maxit=None):
     )
     v = feas.n0 + feas.gamma * z / np.linalg.norm(z)
     return crq_solution(problem, v, theta, B0_ZERO, feas.n0, feas.gamma,
-                        k=info["steps"], converged=info["converged"])
+                        k=info["steps"], converged=info["converged"],
+                        extras={"reorth_steps": info["reorth_steps"]})
 
 
 def _reduced_solve(state, method, beta1, gamma, norm_a):
@@ -273,7 +279,8 @@ def detect_hard_case(problem, state, reduced_mu, rng=None, eig_tol=1e-8,
         )
     lam_min = ritz.theta
     report = HardCaseReport(lam_min <= threshold, lam_min, lam_min - reduced_mu,
-                            ritz.converged, certificate=certificate, steps=ritz.k)
+                            ritz.converged, certificate=certificate, steps=ritz.k,
+                            reorth_steps=ritz.state.reorth_steps)
     if not report.is_hard:
         return report
 
@@ -340,20 +347,27 @@ def solve(problem, opts=None):
     last = history[-1]
     converged = broke or last.delta <= opts.tol
     v = feas.n0 + state.basis(last.k) @ last.x
-    mu, case, hard_gap, extras = last.mu, EASY, None, {}
+    mu, case, hard_gap = last.mu, EASY, None
+    extras = {"reorth_steps": state.reorth_steps}
     if opts.detect_hard:
         report = detect_hard_case(
             problem, state, last.mu, rng=rng,
             eig_tol=opts.eig_tol, eig_maxit=opts.eig_maxit,
         )
         hard_gap = report.gap
-        extras = {"lambda_min_projected": report.lambda_min,
-                  "detect_steps": report.steps,
-                  "detect_certificate": report.certificate}
+        extras.update(lambda_min_projected=report.lambda_min,
+                      detect_steps=report.steps,
+                      detect_reorth_steps=report.reorth_steps,
+                      detect_certificate=report.certificate)
         if report.is_hard:
             x_tilde, z = report.v
+            z = z / np.linalg.norm(z)
+            # the padding needs x_tilde orthogonal to z; rounding in the
+            # basis and the near-singular least-squares solve leave a
+            # component along z, removed here in the full space
+            x_tilde = x_tilde - float(z @ x_tilde) * z
             radicand = max(gamma**2 - float(x_tilde @ x_tilde), 0.0)
-            v = feas.n0 + x_tilde + np.sqrt(radicand) * z / np.linalg.norm(z)
+            v = feas.n0 + x_tilde + np.sqrt(radicand) * z
             mu, case = report.lambda_min, HARD
             # the repaired v no longer depends on the main loop's residual,
             # but on the padding eigenvector meeting eig_tol

@@ -1,7 +1,15 @@
-"""Symmetric Lanczos process on M = P A P with full reorthogonalization.
+"""Symmetric Lanczos process on M = P A P with partial reorthogonalization.
 
 The operator is a ``ProjectedOperator`` (anything with ``apply_P``) or a
 plain symmetric operator; the norm estimate runs the same loop on A.
+
+The basis is kept semiorthogonal, |q_j' q_{k+1}| <= sqrt(eps), not
+orthogonal: that keeps T_k the projection of M onto the Krylov space to
+working accuracy (Simon, Linear Algebra Appl. 61, 1984), which is all the
+reduced solves need.  Simon's omega recurrence (Math. Comp. 42, 1984)
+estimates the loss in O(k) per step, and a Gram-Schmidt pass against the
+basis runs only on the steps where the estimate passes sqrt(eps) and on
+the step after each.
 
 The recurrence is started at the shifted gradient b0 (which lies in the
 null space of C'), so every basis vector stays in that null space and
@@ -24,7 +32,8 @@ from .errors import EigFailureError, ZeroStartError
 CONTINUED = "continued"
 BROKE_DOWN = "broke_down"
 
-_REORTH_LOSS_TOL = 1e-10
+_EPS = np.finfo(float).eps
+_SQRT_EPS = np.sqrt(_EPS)
 
 
 def tridiagonal_dense(alpha, beta):
@@ -37,21 +46,25 @@ def tridiagonal_dense(alpha, beta):
 
 
 class LanczosState:
-    """Basis Q, tridiagonal coefficients and breakdown bookkeeping.
+    """Basis Q, tridiagonal coefficients, orthogonality estimates and
+    breakdown bookkeeping.
 
     ``alpha[j]`` holds the j-th diagonal entry, ``beta[0]`` stores the
     norm of the start vector and ``beta[j]`` (j >= 1) the off-diagonal
     coupling produced by step j.  After k steps the basis holds k+1
-    vectors (k on breakdown).
+    vectors (k on breakdown).  ``reorth_steps`` counts the steps that ran
+    a Gram-Schmidt pass.
 
     The basis is stored one vector per contiguous row of a store
     preallocated for ``min(maxit, n)`` steps, so reading q_j, writing
     q_{k+1} and the reorthogonalization products all stream through
     contiguous memory.  Rows never written are never touched, so the
-    resident memory grows with the steps actually taken.
+    resident memory grows with the steps actually taken.  The
+    coefficients and the two rows of omega estimates (see
+    ``lanczos_step``) live in arrays preallocated to the same cap.
     """
 
-    def __init__(self, op, r0, breakdown_tol, maxit=None):
+    def __init__(self, op, r0, breakdown_tol, noise, maxit=None):
         r0 = np.asarray(r0, dtype=float)
         beta1 = float(np.linalg.norm(r0))
         if beta1 <= 0.0:
@@ -59,17 +72,35 @@ class LanczosState:
         self.op = op
         self.projected = hasattr(op, "apply_P")
         self.n = r0.shape[0]
-        self.alpha = []
-        self.beta = [beta1]
         self.broke_down = False
         self.breakdown_tol = breakdown_tol
+        self.noise = noise
+        self.reorth_steps = 0
         self.maxit = self.n if maxit is None else min(maxit, self.n)
+        self._k = 0
         self._Q = np.empty((self.maxit + 1, self.n))
         self._Q[0] = r0 / beta1
+        self._alpha = np.empty(self.maxit)
+        self._beta = np.empty(self.maxit + 1)
+        self._beta[0] = beta1
+        # row _cur estimates q_j' q_{k+1} for j <= k+1, the other row
+        # q_j' q_k; the diagonal entry q_{k+1}' q_{k+1} is 1
+        self._omega = np.empty((2, self.maxit + 1))
+        self._omega[0, 0] = 1.0
+        self._cur = 0
+        self._force_reorth = False
 
     @property
     def k(self):
-        return len(self.alpha)
+        return self._k
+
+    @property
+    def alpha(self):
+        return self._alpha[:self._k]
+
+    @property
+    def beta(self):
+        return self._beta[:self._k + 1]
 
     def basis(self, k=None):
         """First k basis vectors as an (n, k) view."""
@@ -81,18 +112,53 @@ class LanczosState:
         """Basis vector q_j (1-based)."""
         return self._Q[j - 1]
 
+    def omega(self):
+        """Estimates of q_j' q_{k+1} for j = 1..k."""
+        return self._omega[self._cur, :self._k]
+
     def tridiagonal(self, k=None):
         """(diagonal, off-diagonal) arrays of T_k."""
         if k is None:
             k = self.k
-        return np.array(self.alpha[:k]), np.array(self.beta[1:k])
+        return self._alpha[:k].copy(), self._beta[1:k].copy()
 
     def tridiagonal_matrix(self, k=None):
         return tridiagonal_dense(*self.tridiagonal(k))
 
+    def _advance_omega(self, b_next):
+        """Simon's recurrence for the row of q_{k+1}, from the rows of q_k
+        and q_{k-1}; returns max_j |omega_{k+1,j}| over j <= k.
+
+        With M q_j = beta_{j+1} q_{j+1} + alpha_j q_j + beta_j q_{j-1},
+        q_j' M q_k = q_k' M q_j gives, for j < k,
+
+            beta_{k+1} omega_{k+1,j} = beta_{j+1} omega_{k,j+1}
+                + (alpha_j - alpha_k) omega_{k,j} + beta_j omega_{k,j-1}
+                - beta_k omega_{k-1,j} + psi,
+
+        where psi, of the sign of the rest, stands for the rounding of
+        one step; omega_{k+1,k} = psi / beta_{k+1}.
+        """
+        c = self._k  # q_k, 0-based (the step is not yet counted)
+        a, b, psi = self._alpha, self._beta, self.noise
+        cur = self._omega[self._cur]
+        new = self._omega[1 - self._cur]  # holds the row of q_{k-1} until written
+        if c > 0:
+            t = b[1:c + 1] * cur[1:c + 1]
+            t += (a[:c] - a[c]) * cur[:c]
+            t[1:] += b[1:c] * cur[:c - 1]
+            t -= b[c] * new[:c]
+            t += np.copysign(psi, t)
+            np.divide(t, b_next, out=new[:c])
+        new[c] = psi / b_next
+        new[c + 1] = 1.0
+        self._cur = 1 - self._cur
+        return float(np.max(np.abs(new[:c + 1])))
+
 
 def lanczos_init(op, b0, norm_scale=1.0, maxit=None):
-    """Start the process at b0; ``norm_scale`` calibrates the breakdown test.
+    """Start the process at b0; ``norm_scale`` calibrates the breakdown test
+    and the rounding noise of the orthogonality estimates.
 
     ``maxit`` caps the number of steps (at most n, the default) and sizes
     the basis store; stepping past it raises ``RuntimeError``.
@@ -102,14 +168,28 @@ def lanczos_init(op, b0, norm_scale=1.0, maxit=None):
     eps * ||A||), otherwise exact invariant-subspace closures are never
     detected and the process wanders into noise-seeded ghost directions.
     eps^(2/3) * ||A|| separates the two regimes by several orders of
-    magnitude on every instance family exercised by the tests.
+    magnitude on every instance family exercised by the tests.  The
+    rounding of one step, the term psi of the omega recurrence, is taken
+    as eps * sqrt(n) * ||A||.
     """
-    tol = np.finfo(float).eps ** (2.0 / 3.0) * max(norm_scale, 1.0)
-    return LanczosState(op, b0, breakdown_tol=tol, maxit=maxit)
+    tol = _EPS ** (2.0 / 3.0) * max(norm_scale, 1.0)
+    noise = _EPS * np.sqrt(np.size(b0)) * norm_scale
+    return LanczosState(op, b0, breakdown_tol=tol, noise=noise, maxit=maxit)
 
 
 def lanczos_step(state):
-    """One three-term recurrence step; returns CONTINUED or BROKE_DOWN."""
+    """One three-term recurrence step; returns CONTINUED or BROKE_DOWN.
+
+    After the recurrence and the projection the step advances the omega
+    estimates of q_j' q_{k+1}.  When their largest passes sqrt(eps) it
+    runs one classical Gram-Schmidt pass of the new vector against the
+    basis and projects again; the next step does the same, since q_k
+    passes its loss on to q_{k+2} through the recurrence.  A pass resets
+    the estimates of the new vector to eps (psi / beta_{k+1} against
+    q_k), so after the second pass both rows are at that level.  Near a
+    breakdown beta_{k+1} is small, so the estimate passes sqrt(eps) and
+    the pass runs before the breakdown test.
+    """
     if state.broke_down:
         raise RuntimeError("cannot step a broken-down Lanczos process")
     if state.k == state.maxit:
@@ -123,25 +203,32 @@ def lanczos_step(state):
     else:
         w = state.op.matvec(q_k)
     if k >= 2:
-        w -= state.beta[k - 1] * state.q(k - 1)
+        w -= state._beta[k - 1] * state.q(k - 1)
     a_k = float(q_k @ w)
     w -= a_k * q_k
-    # full reorthogonalization: one classical Gram-Schmidt pass, refined
-    # once more if the first pass removed a non-negligible component
-    Q_r = state._Q[:k]
-    base = np.linalg.norm(w)
-    h = Q_r @ w
-    w -= h @ Q_r
-    if np.linalg.norm(h) > _REORTH_LOSS_TOL * max(base, 1e-300):
-        w -= (Q_r @ w) @ Q_r
     # pin the basis to null(C'): without this, roundoff leaks components
     # into range(C) where M has spurious zero eigenvalues, and long runs
     # (inner eigensolves in particular) pick them up as ghost Ritz values
     if state.projected:
         w = state.op.apply_P(w)
     b_next = float(np.linalg.norm(w))
-    state.alpha.append(a_k)
-    state.beta.append(b_next)
+    state._alpha[k - 1] = a_k
+    # a Gram-Schmidt pass only shrinks w, so at or below the breakdown
+    # threshold the step breaks down either way
+    if b_next > state.breakdown_tol and (
+            state._advance_omega(b_next) > _SQRT_EPS or state._force_reorth):
+        Q_r = state._Q[:k]
+        w -= (Q_r @ w) @ Q_r
+        if state.projected:
+            w = state.op.apply_P(w)
+        b_next = float(np.linalg.norm(w))
+        omega = state._omega[state._cur]
+        omega[:k - 1] = _EPS
+        omega[k - 1] = state.noise / b_next
+        state._force_reorth = not state._force_reorth
+        state.reorth_steps += 1
+    state._beta[k] = b_next
+    state._k = k
     if b_next <= state.breakdown_tol:
         state.broke_down = True
         return BROKE_DOWN
@@ -208,7 +295,8 @@ def smallest_eigenpair(op, start, tol=1e-10, maxit=None, norm_scale=1.0):
     vector).  Convergence is declared when the Ritz residual
     ``beta_{k+1} |last component|`` drops below ``tol * scale``; on
     breakdown the pair is exact.  Returns ``(theta, z, info)`` where
-    ``info`` carries steps, residual and the convergence flag.
+    ``info`` carries steps, residual, the convergence flag and the
+    number of reorthogonalized steps.
     """
     if maxit is None:
         maxit = min(op.n, 500)
@@ -218,5 +306,6 @@ def smallest_eigenpair(op, start, tol=1e-10, maxit=None, norm_scale=1.0):
             break
     if step is None or not np.isfinite(step.theta):
         raise EigFailureError("projected eigensolve produced no finite Ritz value")
-    info = {"steps": step.k, "residual": step.resid, "converged": step.converged}
+    info = {"steps": step.k, "residual": step.resid, "converged": step.converged,
+            "reorth_steps": step.state.reorth_steps}
     return step.theta, step.vector(), info

@@ -109,6 +109,8 @@ def test_segment_cli(tmp_path):
     assert maxval == 65535
     stats = cio.read_keyvalues(out / "stats.txt")
     assert float(stats["ncut"]) >= 0.0
+    # the Lanczos steps that ran a Gram-Schmidt pass (2 of 19 here)
+    assert 1 <= int(stats["reorth_steps"]) <= int(stats["steps"])
 
 
 def test_segment_cli_reports_graph_memory(tmp_path):

@@ -167,6 +167,22 @@ def test_empty_side_rejected():
         LabelSet(np.array([1]), np.array([], dtype=int))
 
 
+def test_labelset_rejects_fractional_index():
+    # a fractional index was truncated and labelled its floor
+    with pytest.raises(ValueError, match="5.7"):
+        LabelSet([5.7], [62])
+    labels = LabelSet(np.array([5.0]), [62])
+    assert labels.foreground.dtype.kind == "i" and labels.foreground.tolist() == [5]
+
+
+def test_labelset_names_a_repeated_pixel():
+    # a repeated pixel gave C a repeated column and a rank error
+    with pytest.raises(ValueError, match="foreground label pixel 5 "):
+        LabelSet([5, 5], [62])
+    with pytest.raises(ValueError, match="background label pixel 62 "):
+        LabelSet([5], [62, 7, 62])
+
+
 def test_normalized_laplacian_annihilates_sqrt_degrees():
     img = two_block_image(8)
     graph = build_graph(img, delta=0.1, r=2)

@@ -2,10 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_interior_problem
+from conftest import degenerate_problem, random_interior_problem
 from oracles import dense_projector, krylov_slice_minimum
 
 import crqopt
@@ -175,6 +175,39 @@ def test_hard_case_detected_and_repaired():
     assert abs(np.linalg.norm(sol.v) - 1.0) <= 1e-8
     assert np.linalg.norm(prob.C.T @ sol.v - prob.b) <= 1e-8
     assert sol.residual <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def degenerate_1100():
+    prob = degenerate_problem(3, 1100, 100)
+    return prob, direct_solve(prob)
+
+
+@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
+@pytest.mark.parametrize("maxit", [200, 205, 209, 212, 214, 220, 230])
+def test_hard_case_repair_lands_on_the_sphere(degenerate_1100, maxit):
+    # past k = 200 the least-squares padding base x_tilde picks up a
+    # component along the bottom Ritz vector; the repair must remove it
+    # so that v stays on the sphere and the objective at the reference
+    prob, ref = degenerate_1100
+    sol = solve(prob, SolveOptions(tol=1e-13, maxit=maxit))
+    assert sol.case == crqopt.HARD
+    assert abs(np.linalg.norm(sol.v) - 1.0) <= 1e-14
+    assert abs(sol.objective - ref.objective) <= 1e-12
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), n=st.integers(20, 60), m=st.integers(1, 8))
+def test_reorthogonalized_easy_solve_matches_reference(seed, n, m):
+    # run to tol 1e-14, most of these solves reach the breakdown region,
+    # where the orthogonality estimate triggers a Gram-Schmidt pass in the
+    # main loop
+    prob = random_interior_problem(np.random.default_rng(seed), n, m)
+    sol = solve(prob, SolveOptions(tol=1e-14, maxit=n, detect_hard=False))
+    assume(sol.extras["reorth_steps"] >= 1)
+    ref = direct_solve(prob)
+    assert abs(np.linalg.norm(sol.v) - 1.0) <= 1e-10
+    assert abs(sol.objective - ref.objective) <= 1e-10 * (1.0 + abs(ref.objective))
 
 
 @pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")

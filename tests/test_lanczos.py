@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_interior_problem
+from conftest import degenerate_problem, random_interior_problem
 from oracles import dense_projector
 
 import crqopt
 from crqopt import classify
+from crqopt.clustering import LabelSet, build_graph, encode_constraints, to_crqopt
 from crqopt.errors import ZeroStartError
 from crqopt.lanczos import BROKE_DOWN, lanczos_init, lanczos_step, run, smallest_eigenpair
 
@@ -147,11 +150,12 @@ def test_basis_store_is_row_per_vector_and_preallocated():
     feas = classify(p)
     maxit = 9
     state = lanczos_init(_projected(p), feas.b0, norm_scale=p.norm_a, maxit=maxit)
-    store = state._Q
+    store, omega = state._Q, state._omega
     assert store.shape == (maxit + 1, 40)
+    assert omega.shape == (2, maxit + 1)
     for _ in range(maxit):
         assert lanczos_step(state) != BROKE_DOWN
-        assert state._Q is store
+        assert state._Q is store and state._omega is omega
     assert state.k == maxit
     for j in range(1, maxit + 2):
         assert state.q(j).flags.c_contiguous
@@ -188,3 +192,52 @@ def test_norm_estimate_runs_the_lanczos_loop_on_plain_operators():
     identity = crqopt.as_operator(lambda x: x, n=9)
     assert crqopt.norm_estimate(identity) == pytest.approx(1.0, rel=1e-14)
     assert crqopt.norm_estimate(crqopt.as_operator(np.array([[-2.5]]))) == 2.5
+
+
+SQRT_EPS = np.sqrt(np.finfo(float).eps)
+
+
+def _worst_case(beta):
+    def make(seed):
+        spec = crqopt.InstanceSpec(n=400, m=40, alpha=1.0, beta=beta, zeta=0.9, rng_seed=seed)
+        return crqopt.generate(spec)[0]
+    return make
+
+
+def _raster(seed, size=64):
+    """Two-region 64x64 raster; the seed shifts the texture phase."""
+    phase = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 2)
+    yy, xx = np.mgrid[0:size, 0:size]
+    image = np.where(xx < size // 2, 60.0, 180.0)
+    image += 10.0 * np.sin(yy / 9.0 + phase[0]) + 6.0 * np.cos(xx / 7.0 + phase[1])
+    graph = build_graph(image, 0.1, 5)
+    labels = LabelSet.from_pixels(image.shape, [(32, 8)], [(32, 55)])
+    return to_crqopt(graph, encode_constraints(graph, labels))
+
+
+FAMILIES = {
+    "worst_case_10": _worst_case(10.0),
+    "worst_case_100": _worst_case(100.0),
+    "worst_case_1000": _worst_case(1000.0),
+    "degenerate": lambda seed: degenerate_problem(seed, 400, 40),
+    "raster_64": _raster,
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16))
+def test_basis_stays_semiorthogonal_under_the_omega_estimate(family, seed):
+    # at every step the measured loss max_j |q_j' q_{k+1}| stays below
+    # sqrt(eps), and the omega estimate, which decides when to
+    # reorthogonalize, stays above it
+    prob = FAMILIES[family](seed)
+    feas = classify(prob)
+    state = lanczos_init(prob.projected_operator(), feas.b0, norm_scale=prob.norm_a, maxit=300)
+    while state.k < state.maxit and lanczos_step(state) != BROKE_DOWN:
+        k = state.k
+        loss = np.max(np.abs(state.basis(k).T @ state.q(k + 1)))
+        assert loss <= SQRT_EPS
+        assert np.max(np.abs(state.omega())) >= loss
+    if family in ("degenerate", "raster_64"):
+        assert state.reorth_steps > 0
