@@ -11,8 +11,10 @@ instances sharp tests of the convergence envelopes.
 The embedding couples the two blocks through a rank-one term g0 a' and
 weights the constrained block with eta = (g0' H^{-1} g0) / zeta^2, which
 keeps A positive semidefinite whenever H is positive definite.  A is
-kept as an action (dense factors S1, S2 and small vectors), never as an
-n x n array.
+kept as an action, never as an n x n array: the orthogonal factor
+S = [S2 S1] of the QR of C is held as its m Householder reflectors (the
+n x m ``geqrf`` output), and LAPACK ``dormqr`` applies S or S' to an
+n x k block in O(nmk) flops.
 """
 
 from dataclasses import dataclass
@@ -70,10 +72,45 @@ class GroundTruth:
     kappa: float
     kappa_plus: float
     case_tag: str
-    S1: np.ndarray
-    S2: np.ndarray
+    qr: np.ndarray         # Householder reflectors of the QR of C (n x m)
+    tau: np.ndarray        # their scalar factors
     a: np.ndarray
     eta_coupling: float
+
+    @property
+    def S1(self):
+        """Orthonormal basis of null(C'), n x (n-m); formed in O(n^2 m) per read."""
+        return _orthogonal_factor(self.qr, self.tau)[:, self.tau.size:]
+
+    @property
+    def S2(self):
+        """Orthonormal basis of range(C), n x m; formed in O(n^2 m) per read."""
+        return _orthogonal_factor(self.qr, self.tau)[:, :self.tau.size]
+
+
+def _orthogonal_factor(qr, tau):
+    """The full n x n Q = [S2 S1] of ``sla.qr(C)``, formed from its reflectors."""
+    n, m = qr.shape
+    Q = np.empty((n, n), order="F")
+    Q[:, :m] = qr
+    lwork = int(sla.lapack.dorgqr(Q, tau, lwork=-1)[1][0])
+    Q, _, info = sla.lapack.dorgqr(Q, tau, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise ValueError(f"dorgqr failed with info = {info}")
+    return Q
+
+
+def _reflect(qr, tau, X, trans):
+    """S X (``trans="N"``) or S' X (``trans="T"``) for an n x k block X, as a new array."""
+    # The minimum workspace (k) selects LAPACK's unblocked apply, one
+    # reflector at a time.  With the optimal workspace dormqr rebuilds the
+    # triangular factor of every block of reflectors on each call, which
+    # at n = 1100, m = 100 made a one-column apply about 4x slower (2-core
+    # x86 host, OpenBLAS).
+    out, _, info = sla.lapack.dormqr("L", trans, qr, tau, X, max(1, X.shape[1]))
+    if info != 0:
+        raise ValueError(f"dormqr failed with info = {info}")
+    return out
 
 
 def chebyshev_extreme_nodes(l, alpha, beta):
@@ -95,35 +132,45 @@ def chebyshev_extreme_nodes(l, alpha, beta):
 
 
 class EmbeddedOperator(SymmetricOperator):
-    """Action of A = S * [[diag(h), g0 a'], [a g0', eta I]] * S'."""
+    """Action of A = S K S' with K = [[eta I, a g0'], [g0 a', diag(h)]].
 
-    def __init__(self, S1, S2, h, g0, a, eta):
-        super().__init__(S1.shape[0])
-        self.S1, self.S2 = S1, S2
+    S = [S2 S1] is the orthogonal factor of ``sla.qr(C)``, held as the m
+    Householder reflectors ``(qr, tau)`` of its ``geqrf`` output; its first
+    m columns S2 span range(C) and the rest S1 span null(C').  An apply
+    to an n x k block is S' by ``dormqr``, K in O(nk), then S by
+    ``dormqr``: O(nmk) flops, and no array larger than n x m is held.
+    """
+
+    def __init__(self, qr, tau, h, g0, a, eta):
+        super().__init__(qr.shape[0])
+        self.qr, self.tau = qr, tau
         self.h, self.g0, self.a, self.eta = h, g0, a, eta
 
     def matvec(self, x):
-        y1 = self.S1.T @ x
-        y2 = self.S2.T @ x
-        top = self.h * y1 + self.g0 * (self.a @ y2)
-        bot = (self.g0 @ y1) * self.a + self.eta * y2
-        return self.S1 @ top + self.S2 @ bot
+        return self.matmat(x.reshape(-1, 1))[:, 0]
 
     def matmat(self, X):
-        Y1 = self.S1.T @ X
-        Y2 = self.S2.T @ X
-        top = self.h[:, None] * Y1 + np.outer(self.g0, self.a @ Y2)
-        bot = np.outer(self.a, self.g0 @ Y1) + self.eta * Y2
-        return self.S1 @ top + self.S2 @ bot
+        Y = _reflect(self.qr, self.tau, X, "T")
+        m = self.tau.size
+        Y2, Y1 = Y[:m], Y[m:]
+        s1 = self.g0 @ Y1
+        s2 = self.a @ Y2
+        Y2 *= self.eta
+        Y2 += np.outer(self.a, s1)
+        Y1 *= self.h[:, None]
+        Y1 += np.outer(self.g0, s2)
+        return _reflect(self.qr, self.tau, Y, "N")
 
 
 def embed(h_diag, g0, zeta, m, rng):
     """Embed a reduced pair (diag(h), g0) into a full problem (A, C, b).
 
-    Draws a random C (Gaussian, full QR for the orthogonal split) and a
-    random a with ||a|| = 1/zeta, couples the blocks by g0 a', and sets
-    b = zeta^2 R'a so that the reduction of the assembled problem is
-    exactly (h, g0) with gamma = sqrt(1 - zeta^2).
+    Draws a random C (Gaussian) and a random a with ||a|| = 1/zeta,
+    couples the blocks by g0 a', and sets b = zeta^2 R'a so that the
+    reduction of the assembled problem is exactly (h, g0) with
+    gamma = sqrt(1 - zeta^2).  C is factored once by Householder QR; the
+    operator keeps the n x m reflectors and never forms the orthogonal
+    factor, so it costs O(nm) memory and O(nm) flops per vector apply.
     """
     h_diag = np.asarray(h_diag, dtype=float)
     g0 = np.asarray(g0, dtype=float)
@@ -134,12 +181,10 @@ def embed(h_diag, g0, zeta, m, rng):
     a = rng.standard_normal(m)
     a *= 1.0 / (zeta * np.linalg.norm(a))
     C0 = rng.standard_normal((n, m))
-    Q, R = sla.qr(C0)
-    S2, S1 = Q[:, :m], Q[:, m:]
-    R = R[:m, :]
+    (qr, tau), R = sla.qr(C0, mode="raw")
     b = zeta**2 * (R.T @ a)
     eta = float(g0 @ (g0 / h_diag)) / zeta**2
-    A = EmbeddedOperator(S1, S2, h_diag, g0, a, eta)
+    A = EmbeddedOperator(qr, tau, h_diag, g0, a, eta)
     problem = CrqProblem(A, C0, b)
 
     order = np.argsort(h_diag, kind="stable")
@@ -155,7 +200,7 @@ def embed(h_diag, g0, zeta, m, rng):
         h_diag=h_diag, g0=g0, zeta=float(zeta), gamma=gamma,
         theta=theta, xi=xi, lambda_star=float(lam),
         kappa=float(kappa), kappa_plus=float(kappa_plus), case_tag=tag,
-        S1=S1, S2=S2, a=a, eta_coupling=eta,
+        qr=qr, tau=tau, a=a, eta_coupling=eta,
     )
     return problem, truth
 
@@ -182,14 +227,17 @@ def reference_solution(problem, truth):
 
     The reduction is known by construction (H diagonal), so the
     reference point is assembled directly from the spectral case
-    analysis, without any dense factorization of the full problem.
+    analysis, without any dense factorization of the full problem:
+    S1 y is one reflector apply to [0_m; y].
     """
     feas = classify(problem)
     order = np.argsort(truth.h_diag, kind="stable")
     lam, y_sorted, tag = solve_plgopt_spectral(truth.theta, truth.xi, truth.gamma)
-    y = np.empty_like(y_sorted)
-    y[order] = y_sorted
-    return crq_solution(problem, feas.n0 + truth.S1 @ y, lam,
+    m = truth.tau.size
+    z = np.zeros((problem.n, 1), order="F")
+    z[m + order, 0] = y_sorted
+    s1y = _reflect(truth.qr, truth.tau, z, "N")[:, 0]
+    return crq_solution(problem, feas.n0 + s1y, lam,
                         EASY if tag == EASY_TAG else HARD, feas.n0, feas.gamma,
                         extras={"case_tag": tag})
 
@@ -203,7 +251,7 @@ def verify_roundtrip(problem, truth, rtol=1e-10):
     semidefinite up to roundoff.  Raises ``VerificationError`` naming the
     first violated identity; returns the measured gaps otherwise.
     """
-    S1, S2 = truth.S1, truth.S2
+    S1 = truth.S1
     h, g0 = truth.h_diag, truth.g0
 
     H_round = S1.T @ problem.A.apply(S1)

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import chebyshev_value
 
 import crqopt
-from crqopt import InstanceSpec, chebyshev_extreme_nodes, classify, generate, verify_roundtrip
+from crqopt import (InstanceSpec, chebyshev_extreme_nodes, classify, direct_solve,
+                    generate, reference_solution, verify_roundtrip)
 from crqopt.errors import SingularHError, VerificationError
 
 
@@ -93,3 +99,68 @@ def test_verification_error_on_tampered_truth():
     truth.g0 = truth.g0 + 0.1
     with pytest.raises(VerificationError):
         verify_roundtrip(prob, truth)
+
+
+def _dense_embedding(truth):
+    """K = [[eta I, a g0'], [g0 a', diag(h)]], the middle factor of A = Q K Q'."""
+    m = truth.a.size
+    n = m + truth.h_diag.size
+    K = np.zeros((n, n))
+    K[:m, :m] = truth.eta_coupling * np.eye(m)
+    K[:m, m:] = np.outer(truth.a, truth.g0)
+    K[m:, :m] = K[:m, m:].T
+    K[m:, m:] = np.diag(truth.h_diag)
+    return K
+
+
+@st.composite
+def instance_specs(draw):
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(m + 3, 60))
+    alpha = draw(st.floats(0.5, 5.0))
+    return InstanceSpec(
+        n=n, m=m, alpha=alpha, beta=alpha + draw(st.floats(0.5, 100.0)),
+        zeta=draw(st.floats(0.3, 0.95)),
+        g0_kind=draw(st.sampled_from([crqopt.instances.ONES, crqopt.instances.GEOMETRIC])),
+        spectrum_kind=draw(st.sampled_from([crqopt.instances.CHEBYSHEV_EXTREME,
+                                            crqopt.instances.CHEBYSHEV_PLUS_ISOLATED])),
+        iso_value=draw(st.floats(0.1, 1.0)),
+        rng_seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=instance_specs())
+@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
+def test_reflector_operator_matches_dense_oracle(spec):
+    prob, truth = generate(spec)
+    Q, _ = sla.qr(prob.C)
+    K = _dense_embedding(truth)
+    A_dense = Q @ K @ Q.T
+    tol = 1e-12 * np.linalg.norm(K, 2)
+    rng = np.random.default_rng(spec.rng_seed)
+    X = rng.standard_normal((spec.n, 3))
+    X /= np.linalg.norm(X, axis=0)
+    assert np.max(np.abs(prob.A.apply(X[:, 0]) - A_dense @ X[:, 0])) <= tol
+    assert np.max(np.abs(prob.A.apply(X) - A_dense @ X)) <= tol
+    M = prob.A.apply(np.eye(spec.n))
+    assert np.max(np.abs(M - M.T)) <= tol
+    verify_roundtrip(prob, truth)
+    ref = reference_solution(prob, truth)
+    assert ref.objective == pytest.approx(direct_solve(prob).objective, abs=1e-10)
+
+
+def test_generate_holds_no_square_factor():
+    n, m = 3000, 30
+    spec = InstanceSpec(n=n, m=m, alpha=1.0, beta=100.0, zeta=0.9, rng_seed=3)
+    tracemalloc.start()
+    try:
+        prob, _ = generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the full orthogonal factor alone would be n^2 * 8 bytes
+    assert peak < n * n * 8 / 10
+    for value in vars(prob.A).values():
+        if isinstance(value, np.ndarray):
+            assert value.size <= n * m
