@@ -12,15 +12,18 @@ The embedding couples the two blocks through a rank-one term g0 a' and
 weights the constrained block with eta = (g0' H^{-1} g0) / zeta^2, which
 keeps A positive semidefinite whenever H is positive definite.  A is
 kept as an action, never as an n x n array: the orthogonal factor
-S = [S2 S1] of the QR of C is held as its m Householder reflectors (the
-n x m ``geqrf`` output), and LAPACK ``dormqr`` applies S or S' to an
-n x k block in O(nmk) flops.
+S = [S2 S1] of the QR of C is held in compact WY form S = I - V T V'
+(Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), with V the
+n x m Householder vectors of the ``geqrf`` output and T^{-1} an m x m
+upper triangle.  S or S' reaches an n x k block by two products with V
+and one m x m triangular solve, O(nmk) flops.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .driver import EASY, HARD, crq_solution
 from .errors import SingularHError, VerificationError
@@ -72,7 +75,7 @@ class GroundTruth:
     kappa: float
     kappa_plus: float
     case_tag: str
-    qr: np.ndarray         # Householder reflectors of the QR of C (n x m)
+    qr: np.ndarray         # Householder vectors V of the QR of C (n x m, unit lower trapezoidal)
     tau: np.ndarray        # their scalar factors
     a: np.ndarray
     eta_coupling: float
@@ -93,24 +96,31 @@ def _orthogonal_factor(qr, tau):
     n, m = qr.shape
     Q = np.empty((n, n), order="F")
     Q[:, :m] = qr
-    lwork = int(sla.lapack.dorgqr(Q, tau, lwork=-1)[1][0])
-    Q, _, info = sla.lapack.dorgqr(Q, tau, lwork=lwork, overwrite_a=1)
+    lwork = int(lapack.dorgqr(Q, tau, lwork=-1)[1][0])
+    Q, _, info = lapack.dorgqr(Q, tau, lwork=lwork, overwrite_a=1)
     if info != 0:
         raise ValueError(f"dorgqr failed with info = {info}")
     return Q
 
 
-def _reflect(qr, tau, X, trans):
-    """S X (``trans="N"``) or S' X (``trans="T"``) for an n x k block X, as a new array."""
-    # The minimum workspace (k) selects LAPACK's unblocked apply, one
-    # reflector at a time.  With the optimal workspace dormqr rebuilds the
-    # triangular factor of every block of reflectors on each call, which
-    # at n = 1100, m = 100 made a one-column apply about 4x slower (2-core
-    # x86 host, OpenBLAS).
-    out, _, info = sla.lapack.dormqr("L", trans, qr, tau, X, max(1, X.shape[1]))
+def _wy_t_inv(v, tau):
+    """T^{-1} = striu(V'V) + diag(1/tau) of S = I - V T V', in Fortran order.
+
+    This is the UT transform of Joffrain et al. (ACM TOMS 32(2), 2006):
+    S orthogonal means T^{-1} + T^{-T} = V'V, and 1/tau = v_i'v_i / 2.
+    """
+    t_inv = np.triu(v.T @ v, 1)
+    t_inv[np.diag_indices_from(t_inv)] = 1.0 / tau
+    return np.asfortranarray(t_inv)
+
+
+def _wy_apply(v, t_inv, X, trans):
+    """S X (``trans=0``) or S' X (``trans=1``) as a new array, for a vector
+    or an n x k block: X - V T (V'X), with T's product one triangular solve."""
+    t, info = lapack.dtrtrs(t_inv, v.T @ X, trans=trans, overwrite_b=1)
     if info != 0:
-        raise ValueError(f"dormqr failed with info = {info}")
-    return out
+        raise ValueError(f"dtrtrs failed with info = {info}")
+    return X - v @ t
 
 
 def chebyshev_extreme_nodes(l, alpha, beta):
@@ -134,32 +144,39 @@ def chebyshev_extreme_nodes(l, alpha, beta):
 class EmbeddedOperator(SymmetricOperator):
     """Action of A = S K S' with K = [[eta I, a g0'], [g0 a', diag(h)]].
 
-    S = [S2 S1] is the orthogonal factor of ``sla.qr(C)``, held as the m
-    Householder reflectors ``(qr, tau)`` of its ``geqrf`` output; its first
-    m columns S2 span range(C) and the rest S1 span null(C').  An apply
-    to an n x k block is S' by ``dormqr``, K in O(nk), then S by
-    ``dormqr``: O(nmk) flops, and no array larger than n x m is held.
+    S = [S2 S1] is the orthogonal factor of ``sla.qr(C)``; its first m
+    columns S2 span range(C) and the rest S1 span null(C').  The operator
+    holds S in compact WY form S = I - V T V': ``v`` is the ``geqrf``
+    output ``qr`` itself, made unit lower trapezoidal in place (``dorgqr``
+    never reads that triangle), and ``t_inv`` is the m x m upper triangle
+    T^{-1}, formed once.  An apply to a vector is four GEMVs with V, two
+    m x m triangular solves and K in O(n); an n x k block takes GEMMs
+    instead.  No array larger than n x m is held.
     """
 
     def __init__(self, qr, tau, h, g0, a, eta):
         super().__init__(qr.shape[0])
-        self.qr, self.tau = qr, tau
+        m = tau.size
+        qr[np.triu_indices(m, 1)] = 0.0
+        qr[np.diag_indices(m)] = 1.0
+        self.v = qr
+        self.t_inv = _wy_t_inv(qr, tau)
         self.h, self.g0, self.a, self.eta = h, g0, a, eta
 
-    def matvec(self, x):
-        return self.matmat(x.reshape(-1, 1))[:, 0]
-
     def matmat(self, X):
-        Y = _reflect(self.qr, self.tau, X, "T")
-        m = self.tau.size
+        # one body for a vector and a block: a vector stays on GEMV
+        Y = _wy_apply(self.v, self.t_inv, X, 1)
+        m = self.t_inv.shape[0]
         Y2, Y1 = Y[:m], Y[m:]
         s1 = self.g0 @ Y1
         s2 = self.a @ Y2
         Y2 *= self.eta
-        Y2 += np.outer(self.a, s1)
-        Y1 *= self.h[:, None]
-        Y1 += np.outer(self.g0, s2)
-        return _reflect(self.qr, self.tau, Y, "N")
+        Y2 += np.multiply.outer(self.a, s1)
+        np.multiply(Y1.T, self.h, out=Y1.T)  # row i of Y1 times h_i
+        Y1 += np.multiply.outer(self.g0, s2)
+        return _wy_apply(self.v, self.t_inv, Y, 0)
+
+    matvec = matmat
 
 
 def embed(h_diag, g0, zeta, m, rng):
@@ -168,9 +185,11 @@ def embed(h_diag, g0, zeta, m, rng):
     Draws a random C (Gaussian) and a random a with ||a|| = 1/zeta,
     couples the blocks by g0 a', and sets b = zeta^2 R'a so that the
     reduction of the assembled problem is exactly (h, g0) with
-    gamma = sqrt(1 - zeta^2).  C is factored once by Householder QR; the
-    operator keeps the n x m reflectors and never forms the orthogonal
-    factor, so it costs O(nm) memory and O(nm) flops per vector apply.
+    gamma = sqrt(1 - zeta^2).  C is factored once by Householder QR and the
+    orthogonal factor is never formed: the operator holds the n x m
+    Householder vectors (the ``geqrf`` output, shared with the returned
+    ``GroundTruth``) and an m x m triangle, so it costs O(nm) memory and
+    O(nm) flops per vector apply.
     """
     h_diag = np.asarray(h_diag, dtype=float)
     g0 = np.asarray(g0, dtype=float)
@@ -228,15 +247,15 @@ def reference_solution(problem, truth):
     The reduction is known by construction (H diagonal), so the
     reference point is assembled directly from the spectral case
     analysis, without any dense factorization of the full problem:
-    S1 y is one reflector apply to [0_m; y].
+    S1 y is one WY apply of S to [0_m; y].
     """
     feas = classify(problem)
     order = np.argsort(truth.h_diag, kind="stable")
     lam, y_sorted, tag = solve_plgopt_spectral(truth.theta, truth.xi, truth.gamma)
     m = truth.tau.size
-    z = np.zeros((problem.n, 1), order="F")
-    z[m + order, 0] = y_sorted
-    s1y = _reflect(truth.qr, truth.tau, z, "N")[:, 0]
+    z = np.zeros(problem.n)
+    z[m + order] = y_sorted
+    s1y = _wy_apply(truth.qr, _wy_t_inv(truth.qr, truth.tau), z, 0)
     return crq_solution(problem, feas.n0 + s1y, lam,
                         EASY if tag == EASY_TAG else HARD, feas.n0, feas.gamma,
                         extras={"case_tag": tag})

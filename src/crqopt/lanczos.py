@@ -1,7 +1,8 @@
 """Symmetric Lanczos process on M = P A P with partial reorthogonalization.
 
-The operator is a ``ProjectedOperator`` (anything with ``apply_P``) or a
-plain symmetric operator; the norm estimate runs the same loop on A.
+The operator is a ``ProjectedOperator`` (anything with ``apply_P`` and
+the ``problem`` whose ``A`` it projects) or a plain symmetric operator;
+the norm estimate runs the same loop on A.
 
 The basis is kept semiorthogonal, |q_j' q_{k+1}| <= sqrt(eps), not
 orthogonal: that keeps T_k the projection of M onto the Krylov space to
@@ -13,8 +14,12 @@ the step after each.
 
 The recurrence is started at the shifted gradient b0 (which lies in the
 null space of C'), so every basis vector stays in that null space and
-only one projection per step is needed: for q in null(C'),
-M q = P(A q).  After k clean steps the compact relation
+only one projection per step is needed: P fixes q_k and q_{k-1}, so
+
+    M q_k - alpha_k q_k - beta_k q_{k-1} = P(A q_k - alpha_k q_k - beta_k q_{k-1}),
+
+and a step applies A and projects once, after the subtractions.  After
+k clean steps the compact relation
 
     M Q_k = Q_k T_k + beta_{k+1} q_{k+1} e_k'
 
@@ -25,7 +30,7 @@ invariant (breakdown) and the reduced solves become exact.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import EigFailureError, ZeroStartError
 
@@ -180,8 +185,12 @@ def lanczos_init(op, b0, norm_scale=1.0, maxit=None):
 def lanczos_step(state):
     """One three-term recurrence step; returns CONTINUED or BROKE_DOWN.
 
-    After the recurrence and the projection the step advances the omega
-    estimates of q_j' q_{k+1}.  When their largest passes sqrt(eps) it
+    On a projected operator the step applies A itself (``op.problem.A``)
+    to q_k, subtracts beta_k q_{k-1} and alpha_k q_k, and projects the
+    result, the one projection of the step; since q_k lies in null(C'),
+    the alpha_k it takes from A equals q_k' M q_k.  After the recurrence
+    and the projection the step advances the omega estimates of
+    q_j' q_{k+1}.  When their largest passes sqrt(eps) it
     runs one classical Gram-Schmidt pass of the new vector against the
     basis and projects again; the next step does the same, since q_k
     passes its loss on to q_{k+2} through the recurrence.  A pass resets
@@ -198,17 +207,15 @@ def lanczos_step(state):
         )
     k = state.k + 1
     q_k = state.q(k)
-    if state.projected:
-        w = state.op.matvec(q_k, in_nullspace=True)
-    else:
-        w = state.op.matvec(q_k)
+    w = (state.op.problem.A if state.projected else state.op).matvec(q_k)
     if k >= 2:
         w -= state._beta[k - 1] * state.q(k - 1)
     a_k = float(q_k @ w)
     w -= a_k * q_k
-    # pin the basis to null(C'): without this, roundoff leaks components
-    # into range(C) where M has spurious zero eigenvalues, and long runs
-    # (inner eigensolves in particular) pick them up as ghost Ritz values
+    # the step's one projection, which also pins the basis to null(C'):
+    # without it roundoff leaks components into range(C), where M has
+    # spurious zero eigenvalues that long runs (inner eigensolves in
+    # particular) pick up as ghost Ritz values
     if state.projected:
         w = state.op.apply_P(w)
     b_next = float(np.linalg.norm(w))
@@ -245,6 +252,28 @@ def run(op, b0, steps, norm_scale=1.0):
     return state
 
 
+def bottom_eigenpair(alpha, beta):
+    """Smallest eigenvalue and its unit eigenvector of the symmetric
+    tridiagonal matrix with diagonal ``alpha`` and off-diagonal ``beta``.
+
+    LAPACK ``dstebz`` (bisection for the first eigenvalue, tolerance 0,
+    block order) and ``dstein`` (inverse iteration), as
+    ``scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0))``
+    calls them, without that wrapper's argument checks; k = 1 is closed
+    form.  Returns ``(theta, s)``; a nonzero ``info`` raises
+    ``EigFailureError``.
+    """
+    if alpha.size == 1:
+        return float(alpha[0]), np.ones(1)
+    _, w, iblock, isplit, info = lapack.dstebz(alpha, beta, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info != 0:
+        raise EigFailureError(f"dstebz failed with info = {info}")
+    z, info = lapack.dstein(alpha, beta, w[:1], iblock, isplit)
+    if info != 0:
+        raise EigFailureError(f"dstein failed with info = {info}")
+    return float(w[0]), z[:, 0]
+
+
 @dataclass
 class RitzStep:
     """Bottom Ritz pair after one step of a ``bottom_ritz_pairs`` run."""
@@ -277,10 +306,7 @@ def bottom_ritz_pairs(op, start, maxit, tol, norm_scale=1.0):
     state = lanczos_init(op, start, norm_scale=norm_scale, maxit=maxit)
     while state.k < state.maxit:
         broke = lanczos_step(state) == BROKE_DOWN
-        a, b = state.tridiagonal()
-        vals, vecs = sla.eigh_tridiagonal(a, b, select="i", select_range=(0, 0))
-        theta = float(vals[0])
-        s = vecs[:, 0]
+        theta, s = bottom_eigenpair(state.alpha, state._beta[1:state.k])
         resid = 0.0 if broke else float(state.beta[state.k] * abs(s[-1]))
         converged = resid <= tol * max(norm_scale, abs(theta), 1e-300)
         yield RitzStep(state, theta, s, resid, converged)

@@ -116,10 +116,8 @@ class ProjectedOperator(SymmetricOperator):
         c = np.asarray(c, dtype=float)
         return c - self._Q @ (self._Q.T @ c)
 
-    def matvec(self, x, in_nullspace=False):
-        """Apply M = P A P.  With ``in_nullspace`` the first projection is skipped."""
-        y = x if in_nullspace else self.apply_P(x)
-        return self.apply_P(self.problem.A.matvec(y))
+    def matvec(self, x):
+        return self.apply_P(self.problem.A.matvec(self.apply_P(x)))
 
     def matmat(self, X):
         return self.apply_P(self.problem.A.apply(self.apply_P(X)))

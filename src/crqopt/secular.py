@@ -12,11 +12,11 @@ the optimal multiplier of the reduced problem
     min lam  s.t.  (T_k - lam I) x = -||b0|| e_1,  ||x|| = gamma.
 
 ``solve_rlgopt`` finds it in O(k) per iteration, without the
-eigen-decomposition of T_k: one selected eigenpair gives theta_1 and the
-leading weight zeta_1, and a safeguarded Newton iteration in the style of
-More & Sorensen (SIAM J. Sci. Stat. Comput. 4, 1983) solves
-1/||x(lam)|| = 1/gamma on the LDL' factorization of T_k - lam I (LAPACK
-``dpttrf``/``dpttrs``).  Started at the one-pole bound
+eigen-decomposition of T_k: one selected eigenpair (``bottom_eigenpair``)
+gives theta_1 and the leading weight zeta_1, and a safeguarded Newton
+iteration in the style of More & Sorensen (SIAM J. Sci. Stat. Comput. 4,
+1983) solves 1/||x(lam)|| = 1/gamma on the LDL' factorization of
+T_k - lam I (LAPACK ``dpttrf``/``dpttrs``).  Started at the one-pole bound
 theta_1 - |zeta_1|/gamma, right of the root, the iterates fall
 monotonically; bisection in the root bracket is the safeguard.  The last
 factorization also gives w = (T_k - mu I)^{-1} x, the eigenvector of the
@@ -42,6 +42,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import MaxIterError, NoRootError
+from .lanczos import bottom_eigenpair
 
 TINY_LEADING_WEIGHT = 1e-10
 ORTHO_TOL = 1e-10
@@ -316,8 +317,8 @@ def solve_rlgopt(alpha, beta, beta1, gamma):
         raise ValueError("empty tridiagonal")
     if beta.size != alpha.size - 1:
         raise ValueError("off-diagonal must have length k-1")
-    theta1, s1 = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
-    theta1, zeta1 = float(theta1[0]), beta1 * s1[0, 0]
+    theta1, s1 = bottom_eigenpair(alpha, beta)
+    zeta1 = beta1 * s1[0]
     # a weight with |zeta_1|/gamma below the float spacing at theta_1
     # counts as zero, as in solve_plgopt_spectral, which decides that case
     if abs(zeta1) >= TINY_LEADING_WEIGHT * abs(beta1) and theta1 - abs(zeta1) / gamma < theta1:

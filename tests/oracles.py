@@ -118,7 +118,7 @@ def exact_qep_residual(state, sol, norm_a, gamma, beta1):
     mu = sol.mu
     denom = ((norm_a + abs(mu)) ** 2 + (beta1 / gamma) ** 2) * np.linalg.norm(sol.w)
     q_next = state.q(k + 1)
-    Mq = state.op.matvec(q_next, in_nullspace=True)
+    Mq = state.op.matvec(q_next)
     r = state.beta[k] * (sol.y[-1] * q_next + sol.w[-1] * (Mq - mu * q_next))
     return float(np.linalg.norm(r) / denom)
 

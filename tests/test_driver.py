@@ -321,6 +321,28 @@ def test_qepmin_checks_apply_no_a():
     assert applies == sol.k + sol.extras["detect_steps"] + 20 + 6 + 1 + 1
 
 
+def test_lanczos_steps_project_once(monkeypatch):
+    # one P-apply per Lanczos step of the main loop and of detection, one
+    # more per Gram-Schmidt pass, and 3 fixed: b0 in classify, the random
+    # detection start and the residual at the returned v
+    calls = []
+    apply_P = crqopt.ProjectedOperator.apply_P
+
+    def counting(self, c):
+        calls.append(c.shape)
+        return apply_P(self, c)
+
+    monkeypatch.setattr(crqopt.ProjectedOperator, "apply_P", counting)
+    spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
+    prob, _ = crqopt.generate(spec)
+    sol = solve(prob, SolveOptions())
+    assert sol.case == crqopt.EASY
+    steps = sol.k + sol.extras["detect_steps"]
+    passes = sol.extras["reorth_steps"] + sol.extras["detect_reorth_steps"]
+    assert len(calls) == steps + passes + 3
+    assert set(calls) == {(prob.n,)}
+
+
 @pytest.mark.parametrize("seed", [41, 900, 905, 909])
 @pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_hard_instances_certified_by_interlacing(seed):

@@ -150,6 +150,16 @@ def test_reflector_operator_matches_dense_oracle(spec):
     assert ref.objective == pytest.approx(direct_solve(prob).objective, abs=1e-10)
 
 
+@pytest.mark.parametrize("n, m, seed", [(1100, 100, 1), (60, 8, 2), (9, 1, 3)])
+def test_wy_vector_apply_matches_one_column_block(n, m, seed):
+    prob, _ = generate(InstanceSpec(n=n, m=m, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=seed))
+    x = np.random.default_rng(seed).standard_normal(n)
+    y = prob.A.matvec(x)
+    Y = prob.A.matmat(x[:, None])
+    assert y.shape == (n,) and Y.shape == (n, 1)
+    assert np.linalg.norm(y - Y[:, 0]) <= 1e-14 * np.linalg.norm(y)
+
+
 def test_generate_holds_no_square_factor():
     n, m = 3000, 30
     spec = InstanceSpec(n=n, m=m, alpha=1.0, beta=100.0, zeta=0.9, rng_seed=3)

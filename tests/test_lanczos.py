@@ -11,7 +11,8 @@ import crqopt
 from crqopt import classify
 from crqopt.clustering import LabelSet, build_graph, encode_constraints, to_crqopt
 from crqopt.errors import ZeroStartError
-from crqopt.lanczos import BROKE_DOWN, lanczos_init, lanczos_step, run, smallest_eigenpair
+from crqopt.lanczos import (BROKE_DOWN, bottom_eigenpair, lanczos_init, lanczos_step, run,
+                             smallest_eigenpair)
 
 
 def _projected(problem):
@@ -125,7 +126,7 @@ def test_smallest_eigenpair_matches_dense():
     assert info["converged"]
     assert theta == pytest.approx(red.theta[0], abs=1e-9 * max(1, abs(red.theta[0])))
     # eigenvector residual in the full space
-    resid = op.matvec(z, in_nullspace=True) - theta * z
+    resid = op.matvec(z) - theta * z
     assert np.linalg.norm(resid) <= 1e-7 * p.norm_a
 
 
@@ -241,3 +242,35 @@ def test_basis_stays_semiorthogonal_under_the_omega_estimate(family, seed):
         assert np.max(np.abs(state.omega())) >= loss
     if family in ("degenerate", "raster_64"):
         assert state.reorth_steps > 0
+
+
+@st.composite
+def tridiagonals(draw):
+    """Symmetric tridiagonals with k = 1..160: Gaussian, graded and
+    clustered diagonals, off-diagonals down to 1e-12 of the diagonal."""
+    k = draw(st.integers(1, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["gaussian", "graded", "clustered"]))
+    if kind == "gaussian":
+        alpha = rng.standard_normal(k)
+    elif kind == "graded":
+        alpha = np.logspace(0, -draw(st.integers(1, 12)), k) * rng.choice([-1.0, 1.0], k)
+    else:
+        alpha = draw(st.floats(-5.0, 5.0)) + 1e-10 * rng.standard_normal(k)
+    beta = rng.standard_normal(k - 1) * 10.0 ** -draw(st.integers(0, 12))
+    return alpha, beta
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tri=tridiagonals())
+def test_bottom_eigenpair_is_eigh_tridiagonal_bit_for_bit(tri):
+    alpha, beta = tri
+    theta, s = bottom_eigenpair(alpha, beta)
+    vals, vecs = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+    assert theta == vals[0]
+    assert np.array_equal(s, vecs[:, 0])
+
+
+def test_bottom_eigenpair_scalar():
+    theta, s = bottom_eigenpair(np.array([-2.5]), np.empty(0))
+    assert theta == -2.5 and np.array_equal(s, [1.0])

@@ -233,22 +233,21 @@ def test_boundary_fallback_takes_the_bottom_eigenvector():
 
 
 def test_qepmin_check_is_one_selected_eigenpair_and_newton(monkeypatch):
-    # a check reads mu, x and w off Newton's factorizations: no banded
-    # solve and no full eigen-decomposition of T_k
+    # a check reads mu, x and w off Newton's factorizations: one bottom
+    # eigenpair of T_k, no banded solve and no full eigen-decomposition
     calls = []
 
     def counting(module, name):
         func = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            select = f":{kwargs.get('select', 'a')}" if name == "eigh_tridiagonal" else ""
-            calls.append(name + select)
+            calls.append(name)
             return func(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((sla, "eigh_tridiagonal"), (sla, "solveh_banded"),
-                         (lapack, "dpttrf"), (lapack, "dpttrs")):
+    for module, name in ((crqopt.secular, "bottom_eigenpair"), (sla, "eigh_tridiagonal"),
+                         (sla, "solveh_banded"), (lapack, "dpttrf"), (lapack, "dpttrs")):
         counting(module, name)
     checks = []
     reduced = crqopt.driver.solve_reduced_qep
@@ -264,9 +263,9 @@ def test_qepmin_check_is_one_selected_eigenpair_and_newton(monkeypatch):
     prob, _ = crqopt.generate(spec)
     sol = crqopt.solve(prob, crqopt.SolveOptions(method=crqopt.QEPMIN))
     assert "solveh_banded" not in calls
-    assert "eigh_tridiagonal:a" not in calls
+    assert "eigh_tridiagonal" not in calls
     assert len(checks) == len(sol.history) > 50
     for made, red in checks:
-        assert made.count("eigh_tridiagonal:i") == 1
+        assert made.count("bottom_eigenpair") == 1
         assert made.count("dpttrf") == red.iterations
-        assert set(made) == {"eigh_tridiagonal:i", "dpttrf", "dpttrs"}
+        assert set(made) == {"bottom_eigenpair", "dpttrf", "dpttrs"}
