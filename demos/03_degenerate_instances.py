@@ -4,9 +4,10 @@ When the shifted gradient is orthogonal to the bottom eigenspace of the
 reduced operator and the stationary point fits inside the feasible
 radius, the optimal multiplier collides with the bottom of the spectrum
 and the Krylov space started at the gradient can never see the relevant
-eigenvector.  The driver detects this after convergence with an
-independent projected eigensolve and repairs the minimizer by padding
-with the computed eigenvector.
+eigenvector.  The driver detects this with an independent projected
+eigensolve, which steps beside the main loop and is judged after
+convergence, and repairs the minimizer by padding with the computed
+eigenvector.
 
 A nearby regime -- tiny but nonzero gradient weight on the bottom
 eigenvector -- stays solvable but converges slowly; the driver reports

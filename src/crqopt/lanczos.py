@@ -18,8 +18,10 @@ only one projection per step is needed: P fixes q_k and q_{k-1}, so
 
     M q_k - alpha_k q_k - beta_k q_{k-1} = P(A q_k - alpha_k q_k - beta_k q_{k-1}),
 
-and a step applies A and projects once, after the subtractions.  After
-k clean steps the compact relation
+and a step applies A and projects once, after the subtractions.  Two
+runs on the same problem can share those two applies:
+``lanczos_pair_step`` passes both runs' vectors to A, and both residuals
+to P, as one n x 2 block.  After k clean steps the compact relation
 
     M Q_k = Q_k T_k + beta_{k+1} q_{k+1} e_k'
 
@@ -182,42 +184,32 @@ def lanczos_init(op, b0, norm_scale=1.0, maxit=None):
     return LanczosState(op, b0, breakdown_tol=tol, noise=noise, maxit=maxit)
 
 
-def lanczos_step(state):
-    """One three-term recurrence step; returns CONTINUED or BROKE_DOWN.
-
-    On a projected operator the step applies A itself (``op.problem.A``)
-    to q_k, subtracts beta_k q_{k-1} and alpha_k q_k, and projects the
-    result, the one projection of the step; since q_k lies in null(C'),
-    the alpha_k it takes from A equals q_k' M q_k.  After the recurrence
-    and the projection the step advances the omega estimates of
-    q_j' q_{k+1}.  When their largest passes sqrt(eps) it
-    runs one classical Gram-Schmidt pass of the new vector against the
-    basis and projects again; the next step does the same, since q_k
-    passes its loss on to q_{k+2} through the recurrence.  A pass resets
-    the estimates of the new vector to eps (psi / beta_{k+1} against
-    q_k), so after the second pass both rows are at that level.  Near a
-    breakdown beta_{k+1} is small, so the estimate passes sqrt(eps) and
-    the pass runs before the breakdown test.
-    """
+def _check_room(state):
     if state.broke_down:
         raise RuntimeError("cannot step a broken-down Lanczos process")
     if state.k == state.maxit:
         raise RuntimeError(
             f"Lanczos basis is full: the store was sized for maxit={state.maxit} steps"
         )
+
+
+def _recur(state, w):
+    """Subtract beta_k q_{k-1} and alpha_k q_k from w = A q_k in place;
+    returns alpha_k."""
     k = state.k + 1
     q_k = state.q(k)
-    w = (state.op.problem.A if state.projected else state.op).matvec(q_k)
     if k >= 2:
         w -= state._beta[k - 1] * state.q(k - 1)
     a_k = float(q_k @ w)
     w -= a_k * q_k
-    # the step's one projection, which also pins the basis to null(C'):
-    # without it roundoff leaks components into range(C), where M has
-    # spurious zero eigenvalues that long runs (inner eigensolves in
-    # particular) pick up as ghost Ritz values
-    if state.projected:
-        w = state.op.apply_P(w)
+    return a_k
+
+
+def _finish(state, w, a_k):
+    """The rest of a step once w holds the projected recurrence residual:
+    the omega update, a Gram-Schmidt pass where it is due, the breakdown
+    test and q_{k+1} = w / beta_{k+1}."""
+    k = state.k + 1
     b_next = float(np.linalg.norm(w))
     state._alpha[k - 1] = a_k
     # a Gram-Schmidt pass only shrinks w, so at or below the breakdown
@@ -241,6 +233,61 @@ def lanczos_step(state):
         return BROKE_DOWN
     np.divide(w, b_next, out=state._Q[k])
     return CONTINUED
+
+
+def lanczos_step(state):
+    """One three-term recurrence step; returns CONTINUED or BROKE_DOWN.
+
+    On a projected operator the step applies A itself (``op.problem.A``)
+    to q_k, subtracts beta_k q_{k-1} and alpha_k q_k, and projects the
+    result, the one projection of the step; since q_k lies in null(C'),
+    the alpha_k it takes from A equals q_k' M q_k.  After the recurrence
+    and the projection the step advances the omega estimates of
+    q_j' q_{k+1}.  When their largest passes sqrt(eps) it
+    runs one classical Gram-Schmidt pass of the new vector against the
+    basis and projects again; the next step does the same, since q_k
+    passes its loss on to q_{k+2} through the recurrence.  A pass resets
+    the estimates of the new vector to eps (psi / beta_{k+1} against
+    q_k), so after the second pass both rows are at that level.  Near a
+    breakdown beta_{k+1} is small, so the estimate passes sqrt(eps) and
+    the pass runs before the breakdown test.
+    """
+    _check_room(state)
+    q_k = state.q(state.k + 1)
+    w = (state.op.problem.A if state.projected else state.op).matvec(q_k)
+    a_k = _recur(state, w)
+    # the step's one projection, which also pins the basis to null(C'):
+    # without it roundoff leaks components into range(C), where M has
+    # spurious zero eigenvalues that long runs (inner eigensolves in
+    # particular) pick up as ghost Ritz values
+    if state.projected:
+        w = state.op.apply_P(w)
+    return _finish(state, w, a_k)
+
+
+def lanczos_pair_step(first, second):
+    """One step of each of two projected runs on the same problem.
+
+    The two runs' current vectors go to A as one n x 2 block, and the two
+    recurrence residuals to the projection as another, so the pair costs
+    one A-apply and one projection of a two-column block instead of two of
+    each.  Everything else (the recurrence, the omega update, a
+    Gram-Schmidt pass where it is due, the breakdown test) is each run's
+    own, as in ``lanczos_step``.  Returns the two outcomes.
+    """
+    problem = first.op.problem
+    if second.op.problem is not problem:
+        raise ValueError("paired Lanczos runs must project the same problem")
+    states = (first, second)
+    for state in states:
+        _check_room(state)
+    X = np.empty((first.n, 2), order="F")
+    for j, state in enumerate(states):
+        X[:, j] = state.q(state.k + 1)
+    W = np.asfortranarray(problem.A.apply(X))
+    a = [_recur(state, W[:, j]) for j, state in enumerate(states)]
+    W = np.asfortranarray(first.op.apply_P(W))
+    return tuple(_finish(state, W[:, j], a_j) for j, (state, a_j) in enumerate(zip(states, a)))
 
 
 def run(op, b0, steps, norm_scale=1.0):
@@ -274,44 +321,46 @@ def bottom_eigenpair(alpha, beta):
     return float(w[0]), z[:, 0]
 
 
+def top_eigenvalue(alpha, beta):
+    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    ``alpha`` and off-diagonal ``beta``: one LAPACK ``dstebz`` bisection
+    (range I, il = iu = k, tolerance 0)."""
+    k = alpha.size
+    if k == 1:
+        return float(alpha[0])
+    _, w, _, _, info = lapack.dstebz(alpha, beta, 2, 0.0, 1.0, k, k, 0.0, "B")
+    if info != 0:
+        raise EigFailureError(f"dstebz failed with info = {info}")
+    return float(w[0])
+
+
 @dataclass
 class RitzStep:
-    """Bottom Ritz pair after one step of a ``bottom_ritz_pairs`` run."""
+    """Bottom Ritz pair of a Lanczos run after its step ``k``."""
 
     state: LanczosState
+    k: int
     theta: float
     s: np.ndarray
     resid: float
     converged: bool
 
-    @property
-    def k(self):
-        return self.state.k
-
     def vector(self):
         """Ritz vector Q_k s (unit norm up to roundoff)."""
-        return self.state.basis() @ self.s
+        return self.state.basis(self.k) @ self.s
 
 
-def bottom_ritz_pairs(op, start, maxit, tol, norm_scale=1.0):
-    """Lanczos run from ``start`` that yields the bottom Ritz pair after each step.
-
-    Each ``RitzStep`` carries the smallest eigenvalue ``theta`` of T_k,
-    its eigenvector ``s``, the Ritz residual ``beta_{k+1} |s_k|`` and
-    whether that residual is below ``tol * max(norm_scale, |theta|)``.
-    Breakdown makes the pair exact (residual 0) and ends the run; so does
-    step ``maxit``.  The consumer decides when to stop earlier, and forms
-    the Ritz vector only if it needs it.
+def bottom_ritz_pair(state, tol, norm_scale=1.0):
+    """The smallest eigenvalue ``theta`` of the run's current T_k, its
+    eigenvector ``s``, the Ritz residual ``beta_{k+1} |s_k|`` and whether
+    that residual is below ``tol * max(norm_scale, |theta|)``.  Breakdown
+    makes the pair exact (residual 0).
     """
-    state = lanczos_init(op, start, norm_scale=norm_scale, maxit=maxit)
-    while state.k < state.maxit:
-        broke = lanczos_step(state) == BROKE_DOWN
-        theta, s = bottom_eigenpair(state.alpha, state._beta[1:state.k])
-        resid = 0.0 if broke else float(state.beta[state.k] * abs(s[-1]))
-        converged = resid <= tol * max(norm_scale, abs(theta), 1e-300)
-        yield RitzStep(state, theta, s, resid, converged)
-        if broke:
-            return
+    k = state.k
+    theta, s = bottom_eigenpair(state.alpha, state._beta[1:k])
+    resid = 0.0 if state.broke_down else float(state.beta[k] * abs(s[-1]))
+    converged = resid <= tol * max(norm_scale, abs(theta), 1e-300)
+    return RitzStep(state, k, theta, s, resid, converged)
 
 
 def smallest_eigenpair(op, start, tol=1e-10, maxit=None, norm_scale=1.0):
@@ -326,12 +375,15 @@ def smallest_eigenpair(op, start, tol=1e-10, maxit=None, norm_scale=1.0):
     """
     if maxit is None:
         maxit = min(op.n, 500)
+    state = lanczos_init(op, start, norm_scale=norm_scale, maxit=maxit)
     step = None
-    for step in bottom_ritz_pairs(op, start, maxit, tol, norm_scale):
+    while state.k < state.maxit:
+        lanczos_step(state)
+        step = bottom_ritz_pair(state, tol, norm_scale)
         if step.converged:
             break
     if step is None or not np.isfinite(step.theta):
         raise EigFailureError("projected eigensolve produced no finite Ritz value")
     info = {"steps": step.k, "residual": step.resid, "converged": step.converged,
-            "reorth_steps": step.state.reorth_steps}
+            "reorth_steps": state.reorth_steps}
     return step.theta, step.vector(), info

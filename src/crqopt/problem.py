@@ -21,7 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import RankDeficientError
-from .operators import SymmetricOperator, as_operator, norm_estimate
+from .operators import as_operator, norm_estimate
 
 INFEASIBLE = "infeasible"
 UNIQUE_POINT = "unique_point"
@@ -73,11 +73,13 @@ class CrqProblem:
         self._spot_check_symmetry()
 
     def _spot_check_symmetry(self):
-        rng = np.random.default_rng(12345)
-        for _ in range(_SYM_PROBES):
-            x = rng.standard_normal(self.n)
-            y = rng.standard_normal(self.n)
-            Ax, Ay = self.A.matvec(x), self.A.matvec(y)
+        # the probe pairs (x, y) are the columns of one n x 2*_SYM_PROBES
+        # block, drawn in the order x_1, y_1, x_2, ..., and A is applied
+        # to the block at once
+        X = np.random.default_rng(12345).standard_normal((2 * _SYM_PROBES, self.n)).T
+        AX = self.A.apply(X)
+        for j in range(0, 2 * _SYM_PROBES, 2):
+            x, y, Ax, Ay = X[:, j], X[:, j + 1], AX[:, j], AX[:, j + 1]
             scale = np.linalg.norm(Ax) * np.linalg.norm(y) + np.linalg.norm(Ay) * np.linalg.norm(x)
             if abs(x @ Ay - y @ Ax) > _SYM_TOL * max(scale, 1e-300):
                 raise ValueError("A fails the symmetry spot check")
@@ -98,29 +100,25 @@ class CrqProblem:
         return ProjectedOperator(self)
 
 
-class ProjectedOperator(SymmetricOperator):
-    """P = I - C C^+ and the product M = P A P, matrix-free.
+class ProjectedOperator:
+    """The projector P = I - C C^+ of a problem, matrix-free.
 
     P c is evaluated as c - Q(Q'c) with Q the orthonormal factor of C,
-    i.e. by subtracting the least-squares fit of c from range(C).
+    i.e. by subtracting the least-squares fit of c from range(C), for a
+    vector or an n x k block.  The Lanczos runs on M = P A P apply the
+    problem's A and then P themselves, so M is never applied as a whole.
     Subclasses may override ``apply_P`` to swap the factorization-based
     least squares for an iterative solver when C is too large to factor.
     """
 
     def __init__(self, problem):
-        super().__init__(problem.n)
         self.problem = problem
+        self.n = problem.n
         self._Q = problem._Q
 
     def apply_P(self, c):
         c = np.asarray(c, dtype=float)
         return c - self._Q @ (self._Q.T @ c)
-
-    def matvec(self, x):
-        return self.apply_P(self.problem.A.matvec(self.apply_P(x)))
-
-    def matmat(self, X):
-        return self.apply_P(self.problem.A.apply(self.apply_P(X)))
 
 
 class Feasibility:

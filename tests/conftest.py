@@ -65,3 +65,20 @@ def degenerate_problem(seed, n, m, zeta=0.9):
     w_norm = np.linalg.norm(g_tail / (h[1:] - 1.0))
     g0 = np.concatenate([[0.0], g_tail * (fill * gamma / w_norm)])
     return crqopt.embed(h, g0, zeta, m, rng)[0]
+
+
+class BlockRecordingOperator(crqopt.SymmetricOperator):
+    """Wraps an operator and records the shape of every block passed to
+    its ``matmat``; vector applies go through ``matvec`` unrecorded."""
+
+    def __init__(self, op):
+        super().__init__(op.n)
+        self.op = op
+        self.blocks = []
+
+    def matvec(self, x):
+        return self.op.matvec(x)
+
+    def matmat(self, X):
+        self.blocks.append(X.shape)
+        return self.op.matmat(X)

@@ -104,6 +104,13 @@ def krylov_slice_minimum(A_dense, P, n0, b0, gamma, k):
     return float(v @ (A_dense @ v))
 
 
+def apply_M(problem, X):
+    """M X = P A P X for a vector or an n x k block, with the problem's own
+    projector and operator."""
+    P = problem.projected_operator().apply_P
+    return P(problem.A.apply(P(X)))
+
+
 def exact_qep_residual(state, sol, norm_a, gamma, beta1):
     """Exact normalized QEP residual of a qepmin check, with the
     normalization of ``qep_residual_bound``.
@@ -118,7 +125,7 @@ def exact_qep_residual(state, sol, norm_a, gamma, beta1):
     mu = sol.mu
     denom = ((norm_a + abs(mu)) ** 2 + (beta1 / gamma) ** 2) * np.linalg.norm(sol.w)
     q_next = state.q(k + 1)
-    Mq = state.op.matvec(q_next)
+    Mq = apply_M(state.op.problem, q_next)
     r = state.beta[k] * (sol.y[-1] * q_next + sol.w[-1] * (Mq - mu * q_next))
     return float(np.linalg.norm(r) / denom)
 

@@ -1,11 +1,12 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import degenerate_problem, random_interior_problem
+from conftest import BlockRecordingOperator, degenerate_problem, random_interior_problem
 from oracles import dense_projector, krylov_slice_minimum
 
 import crqopt
@@ -322,9 +323,10 @@ def test_qepmin_checks_apply_no_a():
 
 
 def test_lanczos_steps_project_once(monkeypatch):
-    # one P-apply per Lanczos step of the main loop and of detection, one
-    # more per Gram-Schmidt pass, and 3 fixed: b0 in classify, the random
-    # detection start and the residual at the returned v
+    # one projected column per Lanczos step of the main loop and of
+    # detection, one more per Gram-Schmidt pass, and 3 fixed: b0 in
+    # classify, the random detection start and the residual at the
+    # returned v.  A paired step projects its two columns as one block
     calls = []
     apply_P = crqopt.ProjectedOperator.apply_P
 
@@ -339,8 +341,35 @@ def test_lanczos_steps_project_once(monkeypatch):
     assert sol.case == crqopt.EASY
     steps = sol.k + sol.extras["detect_steps"]
     passes = sol.extras["reorth_steps"] + sol.extras["detect_reorth_steps"]
-    assert len(calls) == steps + passes + 3
-    assert set(calls) == {(prob.n,)}
+    columns = sum(shape[1] if len(shape) == 2 else 1 for shape in calls)
+    assert columns == steps + passes + 3
+    assert set(calls) <= {(prob.n,), (prob.n, 2)}
+    assert calls.count((prob.n, 2)) == sol.extras["detect_paired_steps"] > 0
+
+
+def test_paired_steps_apply_a_to_one_block(monkeypatch):
+    # detection steps beside the main loop, one (n, 2) block per paired
+    # step, and pauses on the random-start bound before the loop ends.
+    # It forms a Ritz pair only where the bound can pass: a handful of
+    # times, not once per step
+    ritz_solves = []
+    bottom_eigenpair = crqopt.lanczos.bottom_eigenpair
+
+    def counting(alpha, beta):
+        ritz_solves.append(alpha.size)
+        return bottom_eigenpair(alpha, beta)
+
+    monkeypatch.setattr(crqopt.lanczos, "bottom_eigenpair", counting)
+    spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
+    prob, _ = crqopt.generate(spec)
+    recorder = BlockRecordingOperator(prob.A)
+    sol = solve(CrqProblem(recorder, prob.C, prob.b), SolveOptions())
+    paired = sol.extras["detect_paired_steps"]
+    assert recorder.blocks.count((prob.n, 2)) == paired == sol.extras["detect_steps"]
+    assert sol.extras["detect_steps"] <= 103
+    assert sol.extras["detect_certificate"] == "random_start_bound"
+    assert 1 <= len(ritz_solves) <= 10
+    assert ritz_solves[-1] == sol.extras["detect_steps"]
 
 
 @pytest.mark.parametrize("seed", [41, 900, 905, 909])
@@ -404,3 +433,82 @@ def test_detection_decision_matches_predicate(kind, seed, nm, m):
     if sol.extras["detect_certificate"] == "random_start_bound":
         true_gap = red.theta[0] - sol.mu
         assert sol.hard_gap >= true_gap - 1e-10 * (1.0 + abs(sol.mu))
+
+
+def test_paused_detection_is_judged_at_the_final_threshold():
+    # a provisional pass of the random-start bound at a lower multiplier
+    # only pauses the run; at the final threshold the run goes on alone and
+    # certifies at the step where a run that never paused certifies
+    spec = crqopt.InstanceSpec(n=400, m=40, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
+    prob, truth = crqopt.generate(spec)
+    mu = truth.lambda_star
+    threshold = mu + 1e-8 * (1.0 + abs(mu))
+    paused = crqopt.driver.DetectionRun(prob, np.random.default_rng(3), 1e-8, 500)
+    while paused.stepping:
+        crqopt.lanczos.lanczos_step(paused.state)
+        paused.observe(mu - (truth.theta[0] - mu))
+    assert paused.paused
+    k_paused = paused.state.k
+    ritz, certificate = paused.finish(threshold)
+    fresh = crqopt.driver.DetectionRun(prob, np.random.default_rng(3), 1e-8, 500)
+    fresh_ritz, fresh_certificate = fresh.finish(threshold)
+    assert certificate == fresh_certificate == "random_start_bound"
+    assert ritz.k == fresh_ritz.k > k_paused
+
+
+def _solution(prob, opts):
+    try:
+        return solve(prob, opts)
+    except NotConvergedError as err:
+        return err.solution
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["easy", "near", "hard"]),
+       seed=st.integers(0, 2**16), nm=st.integers(12, 120), m=st.integers(1, 5))
+@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
+def test_lockstep_detection_leaves_the_main_run_alone(kind, seed, nm, m):
+    # paired steps apply A and P to two-column blocks, which round
+    # differently from the vector applies of a solve without detection.
+    # Away from the hard case that moves neither the stop step nor the
+    # iterate by more than the problem's conditioning,
+    # eps ||A|| / (theta_1 - mu), and that is 1e-12 on the worst case.
+    # On a hard instance the main run's late steps grow a rounding-seeded
+    # component along the zero-weight bottom eigenvector, so its stop step
+    # follows the rounding with or without detection; only the decision
+    # is compared there.
+    prob, truth = _detection_instance(kind, seed, nm, m)
+    red = build_reduction(prob)
+    opts = SolveOptions(tol=1e-13, maxit=prob.n, rng_seed=seed, return_basis=True)
+    paired = _solution(prob, opts)
+    assert (paired.case == crqopt.HARD) == hard_case_predicate(red, truth.gamma)
+    if kind == "hard":
+        return
+    alone = _solution(prob, replace(opts, detect_hard=False))
+    assert paired.k == alone.k
+    tol = max(1e-12, np.finfo(float).eps * prob.norm_a / (red.theta[0] - alone.mu))
+    iterates = [sol.n0 + sol.basis @ sol.history[-1].x for sol in (paired, alone)]
+    assert np.linalg.norm(iterates[0] - iterates[1]) <= tol
+    assert paired.case == crqopt.EASY
+    assert np.linalg.norm(paired.v - alone.v) <= tol
+
+
+def test_sigma_below_the_spectrum_refuses_the_random_start_bound():
+    # with norm_bound half of ||A||, sigma = 1.05 norm_bound lies below
+    # lambda_max(P A P); the run's top Ritz value shows it, the
+    # random-start bound is refused with one warning, and detection ends
+    # on convergence instead
+    spec = crqopt.InstanceSpec(n=400, m=40, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
+    prob, _ = crqopt.generate(spec)
+    true_norm = np.max(np.abs(np.linalg.eigvalsh(prob.A.apply(np.eye(prob.n)))))
+    underestimated = BlockRecordingOperator(prob.A)
+    underestimated.norm_bound = 0.5 * true_norm
+    wrapped = CrqProblem(underestimated, prob.C, prob.b)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve(wrapped, SolveOptions(maxit=prob.n))
+    refused = [w for w in caught if "sigma" in str(w.message)]
+    assert len(refused) == 1 and refused[0].category is RuntimeWarning
+    assert sol.extras["detect_certificate"] not in (None, "random_start_bound")
+    assert sol.case == crqopt.EASY
+    assert sol.objective == pytest.approx(direct_solve(prob).objective, abs=1e-10)

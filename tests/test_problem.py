@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_interior_problem
+from conftest import BlockRecordingOperator, random_interior_problem
 from oracles import circle_min_objective, dense_projector, pinv_min_norm
 
 import crqopt
@@ -109,6 +109,18 @@ def test_asymmetric_rejected():
     A = np.triu(np.ones((4, 4)))
     with pytest.raises(ValueError):
         CrqProblem(A, np.eye(4)[:, :1], [0.5])
+
+
+def test_symmetry_spot_check_applies_a_to_one_block():
+    # the three probe pairs reach an operator with a matmat as one n x 6
+    # block, and an asymmetric one is still rejected through it
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((30, 30))
+    recorder = BlockRecordingOperator(crqopt.as_operator(A + A.T))
+    CrqProblem(recorder, rng.standard_normal((30, 2)), [0.1, 0.1])
+    assert recorder.blocks == [(30, 6)]
+    with pytest.raises(ValueError, match="symmetry"):
+        CrqProblem(BlockRecordingOperator(crqopt.as_operator(A)), np.eye(30)[:, :1], [0.5])
 
 
 def test_b0_zero_scaled_identity():
