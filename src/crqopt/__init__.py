@@ -17,8 +17,7 @@ from .instances import (GroundTruth, InstanceSpec, chebyshev_extreme_nodes,
                         embed, generate, reference_solution, verify_roundtrip)
 from .operators import SymmetricOperator, as_operator, norm_estimate
 from .problem import CrqProblem, Feasibility, ProjectedOperator, classify, compute_n0
-from .qepmin import (ReducedQepSolution, qep_residual_bound,
-                     reduced_qep_to_rlgopt, solve_reduced_qep)
+from .qepmin import ReducedQepSolution, qep_residual_bound, solve_reduced_qep
 from .reference import (DenseReduction, build_reduction, direct_solve,
                         dual_check, equivalence_maps, finite_step_check,
                         hard_case_predicate, solve_plgopt_dense)

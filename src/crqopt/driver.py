@@ -3,16 +3,16 @@
 One solve classifies the instance, handles the boundary cases (the
 single feasible point, and b0 = 0, settled by one projected
 eigensolve), then runs the projected Lanczos process started at b0.  At
-every step from ``minit`` on, the reduced multiplier problem is solved
-by ``secular.solve_rlgopt`` on both routes; ``method`` picks only the
-certificate: the Lagrange residual bound (``lgopt``), or the residual
-bound of the reduced QEP eigenpair derived from the same solve
-(``qepmin``).  Each check is one O(k) reduced solve plus an O(1) bound
-``delta``, and applies no operator.  The loop stops when ``delta`` drops
-below the tolerance, on breakdown (which makes the reduced solve exact),
-or at the iteration cap.  The minimizer is recovered as v = n0 + Q_k x,
-and the one exact residual ||P(Av) - mu (v - n0)|| is taken at the v
-the solve returns.
+every step from ``minit`` on, one ``secular.solve_rlgopt`` call solves
+the reduced multiplier problem on both routes, and ``method`` picks only
+the certificate read from its ``ReducedLgSolution``: the Lagrange
+residual bound (``lgopt``), or ``qepmin.qep_residual_bound`` on the
+reduced QEP eigenpair it holds (``qepmin``).  Each check is one O(k)
+reduced solve plus an O(1) bound ``delta``, and applies no operator.
+The loop stops when ``delta`` drops below the tolerance, on breakdown
+(which makes the reduced solve exact), or at the iteration cap.  The
+minimizer is recovered as v = n0 + Q_k x, and the one exact residual
+||P(Av) - mu (v - n0)|| is taken at the v the solve returns.
 
 Degenerate instances - where the optimal multiplier coincides with the
 bottom of the projected spectrum and the Krylov space is blind to the
@@ -71,6 +71,8 @@ from .errors import EigFailureError, InfeasibleError, NotConvergedError
 from .lanczos import (BROKE_DOWN, bottom_ritz_pair, lanczos_init, lanczos_pair_step,
                       lanczos_step, smallest_eigenpair, top_eigenvalue)
 from .problem import INFEASIBLE, INTERIOR, UNIQUE_POINT, b0_zero_threshold, classify
+# benchmarks/tracing.py wraps driver.solve_reduced_qep by name, so the
+# name stays bound here; the driver never calls it
 from .qepmin import qep_residual_bound, solve_reduced_qep
 from .secular import solve_rlgopt
 
@@ -229,22 +231,18 @@ def resolve_b0_zero(problem, feas, rng=None, eig_tol=1e-10, eig_maxit=None):
 
 
 def _reduced_solve(state, method, beta1, gamma, norm_a):
-    """Solve the reduced problem at the current step.
+    """The one reduced solve at the current step, and the route's bound.
 
-    Returns ``(red, delta)``; ``red`` carries mu, x, the solver that ran
-    and its iterations.
+    Returns ``(red, delta)``: the ``ReducedLgSolution`` and the residual
+    bound read from it, of the Lagrange equations (``lgopt``) or of the
+    reduced QEP (``qepmin``).
     """
-    a, b = state.tridiagonal()
-    k = state.k
-    if method == LGOPT:
-        red = solve_rlgopt(a, b, beta1, gamma)
-        beta_next = state.beta[k]
-        delta = abs(beta_next) * abs(red.x[-1]) / (
-            (norm_a + abs(red.mu)) * np.linalg.norm(red.x) + beta1
-        )
-    else:
-        red = solve_reduced_qep(a, b, beta1, gamma)
-        delta = qep_residual_bound(state, red, norm_a, gamma, beta1)
+    red = solve_rlgopt(*state.tridiagonal(), beta1, gamma)
+    if method == QEPMIN:
+        return red, qep_residual_bound(state, red, norm_a, gamma, beta1)
+    delta = abs(state.beta[state.k]) * abs(red.x[-1]) / (
+        (norm_a + abs(red.mu)) * np.linalg.norm(red.x) + beta1
+    )
     return red, delta
 
 

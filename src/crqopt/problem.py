@@ -73,13 +73,13 @@ class CrqProblem:
         self._spot_check_symmetry()
 
     def _spot_check_symmetry(self):
-        # the probe pairs (x, y) are the columns of one n x 2*_SYM_PROBES
-        # block, drawn in the order x_1, y_1, x_2, ..., and A is applied
-        # to the block at once
-        X = np.random.default_rng(12345).standard_normal((2 * _SYM_PROBES, self.n)).T
-        AX = self.A.apply(X)
-        for j in range(0, 2 * _SYM_PROBES, 2):
-            x, y, Ax, Ay = X[:, j], X[:, j + 1], AX[:, j], AX[:, j + 1]
+        # one n x 2 block per probe pair (x_i, y_i), drawn in order from one
+        # generator; A is applied to one pair at a time
+        rng = np.random.default_rng(12345)
+        for _ in range(_SYM_PROBES):
+            X = rng.standard_normal((2, self.n)).T
+            AX = self.A.apply(X)
+            x, y, Ax, Ay = X[:, 0], X[:, 1], AX[:, 0], AX[:, 1]
             scale = np.linalg.norm(Ax) * np.linalg.norm(y) + np.linalg.norm(Ay) * np.linalg.norm(x)
             if abs(x @ Ay - y @ Ax) > _SYM_TOL * max(scale, 1e-300):
                 raise ValueError("A fails the symmetry spot check")

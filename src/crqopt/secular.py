@@ -20,7 +20,8 @@ T_k - lam I (LAPACK ``dpttrf``/``dpttrs``).  Started at the one-pole bound
 theta_1 - |zeta_1|/gamma, right of the root, the iterates fall
 monotonically; bisection in the root bracket is the safeguard.  The last
 factorization also gives w = (T_k - mu I)^{-1} x, the eigenvector of the
-reduced QEP.
+reduced QEP, so this one solve serves both residual certificates, the
+``lgopt`` and the ``qepmin`` one.
 
 A nearly degenerate leading weight (which warns), one with
 |zeta_1|/gamma below the float spacing at theta_1, and a Newton run that
@@ -86,10 +87,6 @@ def make_spec(theta, xi, gamma):
 
 def secular_value(spec, lam):
     return float(np.sum(spec.xi**2 / (lam - spec.theta) ** 2) - spec.gamma**2)
-
-
-def secular_derivative(spec, lam):
-    return float(-2.0 * np.sum(spec.xi**2 / (lam - spec.theta) ** 3))
 
 
 def smallest_root(spec):

@@ -22,16 +22,24 @@ def small_example():
 
 @pytest.fixture
 def qep_residuals(monkeypatch):
-    """``(exact residual, delta)`` at every qepmin check of the solves a
-    test runs, the exact one taken while the check's Lanczos state is live."""
+    """One entry per reduced solve of the solves a test runs: ``(exact
+    residual, delta)`` of the qepmin check it served, the exact one taken
+    while the check's Lanczos state is live, or None if no QEP bound was
+    read from it."""
     records = []
+    reduced = crqopt.driver.solve_rlgopt
     bound = crqopt.driver.qep_residual_bound
 
-    def recording(state, sol, norm_a, gamma, beta1):
-        delta = bound(state, sol, norm_a, gamma, beta1)
-        records.append((exact_qep_residual(state, sol, norm_a, gamma, beta1), delta))
+    def solving(*args):
+        records.append(None)
+        return reduced(*args)
+
+    def recording(state, red, norm_a, gamma, beta1):
+        delta = bound(state, red, norm_a, gamma, beta1)
+        records[-1] = (exact_qep_residual(state, red, norm_a, gamma, beta1), delta)
         return delta
 
+    monkeypatch.setattr(crqopt.driver, "solve_rlgopt", solving)
     monkeypatch.setattr(crqopt.driver, "qep_residual_bound", recording)
     return records
 

@@ -9,6 +9,9 @@ multiplier machinery.
 import numpy as np
 import scipy.sparse as sp
 
+from crqopt import DegenerateEigenvectorError
+from crqopt.secular import EASY_TAG
+
 
 def pinv_min_norm(C, b):
     """Minimum-norm solution of C'v = b by explicit pseudoinverse."""
@@ -22,6 +25,11 @@ def dense_projector(C):
         C = C.T
     n = C.shape[0]
     return np.eye(n) - C @ np.linalg.solve(C.T @ C, C.T)
+
+
+def secular_derivative(spec, lam):
+    """chi'(lam) of a ``SecularSpec``, summed directly."""
+    return float(-2.0 * np.sum(spec.xi**2 / (lam - spec.theta) ** 3))
 
 
 def bisection_secular_root(theta, xi, gamma, iters=200):
@@ -111,22 +119,40 @@ def apply_M(problem, X):
     return P(problem.A.apply(P(X)))
 
 
-def exact_qep_residual(state, sol, norm_a, gamma, beta1):
-    """Exact normalized QEP residual of a qepmin check, with the
-    normalization of ``qep_residual_bound``.
+def reduced_qep_to_rlgopt(sol, beta1, gamma):
+    """Map the QEP eigenvector of a ``ReducedQepSolution`` to the reduced
+    Lagrange minimizer.
+
+    x = -(gamma^2 / (||b0|| e_1'w)) y, which satisfies
+    (T_k - mu I) x = -||b0|| e_1 and ||x|| = gamma; the map is invalid
+    when e_1'w vanishes (cannot happen for irreducible T_k).
+    """
+    e1w = float(sol.w[0])
+    wnorm = np.linalg.norm(sol.w)
+    if abs(e1w) <= 100.0 * np.finfo(float).eps * wnorm:
+        raise DegenerateEigenvectorError("reduced QEP eigenvector has e_1'w ~ 0")
+    return -(gamma**2 / (beta1 * e1w)) * sol.y
+
+
+def exact_qep_residual(state, red, norm_a, gamma, beta1):
+    """Exact normalized QEP residual of a qepmin check's
+    ``ReducedLgSolution``, with the normalization of ``qep_residual_bound``.
 
     The full-space residual of (mu, Q_k w) is
     beta_{k+1} (y_k q_{k+1} + w_k (M - mu I) q_{k+1}); it needs one
-    application of M = P A P to q_{k+1}.  Zero after breakdown.
+    application of M = P A P to q_{k+1}.  y = (T_k - mu I) w is x on the
+    easy tag and 0 on a boundary tag, where mu is the bottom eigenvalue
+    of T_k and w its eigenvector.  Zero after breakdown.
     """
     if state.broke_down:
         return 0.0
-    k = sol.w.size
-    mu = sol.mu
-    denom = ((norm_a + abs(mu)) ** 2 + (beta1 / gamma) ** 2) * np.linalg.norm(sol.w)
+    k = red.w.size
+    mu = red.mu
+    y_k = red.x[-1] if red.tag == EASY_TAG else 0.0
+    denom = ((norm_a + abs(mu)) ** 2 + (beta1 / gamma) ** 2) * np.linalg.norm(red.w)
     q_next = state.q(k + 1)
     Mq = apply_M(state.op.problem, q_next)
-    r = state.beta[k] * (sol.y[-1] * q_next + sol.w[-1] * (Mq - mu * q_next))
+    r = state.beta[k] * (y_k * q_next + red.w[-1] * (Mq - mu * q_next))
     return float(np.linalg.norm(r) / denom)
 
 

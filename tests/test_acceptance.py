@@ -256,17 +256,19 @@ def test_criterion_4_bound_dominance():
 #    each qepmin check agrees with the dense linearization of its T_k
 
 def test_criterion_5_route_and_oracle_agreement(monkeypatch):
-    checks = []
+    calls = []
+    reduced = crqopt.driver.solve_rlgopt
 
-    def recording_qep(alpha, beta, beta1, gamma):
-        sol = crqopt.qepmin.solve_reduced_qep(alpha, beta, beta1, gamma)
-        checks.append((np.array(alpha), np.array(beta), beta1, gamma, sol.mu))
-        return sol
+    def recording(alpha, beta, beta1, gamma):
+        red = reduced(alpha, beta, beta1, gamma)
+        calls.append((np.array(alpha), np.array(beta), beta1, gamma, red.mu))
+        return red
 
-    monkeypatch.setattr(crqopt.driver, "solve_reduced_qep", recording_qep)
+    monkeypatch.setattr(crqopt.driver, "solve_rlgopt", recording)
     rng = np.random.default_rng(55)
     worst_v, worst_mu, worst_lin = 0.0, 0.0, 0.0
-    shared, identical = 0, True
+    shared, identical, once = 0, True, True
+    checks = []
     for _ in range(50):
         n = int(rng.integers(20, 61))
         m = int(rng.integers(1, 9))
@@ -274,25 +276,33 @@ def test_criterion_5_route_and_oracle_agreement(monkeypatch):
         ref = direct_solve(prob)
         sols = {}
         for method in (crqopt.LGOPT, crqopt.QEPMIN):
+            start = len(calls)
             sols[method] = _solve_collect(
                 prob, SolveOptions(method=method, tol=1e-14, maxit=n, detect_hard=False))
+            # one reduced solve per check on either route
+            once = once and len(calls) - start == len(sols[method].history)
+            if method == crqopt.QEPMIN:
+                checks += calls[start:]
         for method, sol in sols.items():
             worst_v = max(worst_v, float(np.linalg.norm(sol.v - ref.v)))
             worst_mu = max(worst_mu,
                            abs(sol.mu - ref.mu) / (1.0 + abs(ref.mu)))
-        hist_l = {r.k: r.mu for r in sols[crqopt.LGOPT].history}
-        hist_q = {r.k: r.mu for r in sols[crqopt.QEPMIN].history}
+        hist_l = {r.k: r for r in sols[crqopt.LGOPT].history}
+        hist_q = {r.k: r for r in sols[crqopt.QEPMIN].history}
         for k in set(hist_l) & set(hist_q):
             shared += 1
-            identical = identical and hist_l[k] == hist_q[k]
+            identical = (identical and hist_l[k].mu == hist_q[k].mu
+                         and hist_l[k].x.tobytes() == hist_q[k].x.tobytes())
     for alpha, beta, beta1, gamma, mu in checks:
         coupling = np.zeros((alpha.size, alpha.size))
         coupling[0, 0] = -beta1**2 / gamma**2
         mu_lin, _, _, _ = solve_qep_linearization(tridiagonal_dense(alpha, beta), coupling)
         worst_lin = max(worst_lin, abs(mu - mu_lin) / (1.0 + abs(mu)))
-    ok = worst_v <= 1e-8 and worst_mu <= 1e-10 and identical and worst_lin <= 1e-10
+    ok = (worst_v <= 1e-8 and worst_mu <= 1e-10 and identical and once and len(checks) > 0
+          and worst_lin <= 1e-10)
     _line(5, ok, f"max |v-v*|={worst_v:.2e}, max |mu-lambda*|={worst_mu:.2e}, "
-                 f"lgopt/qepmin mu identical at {shared} shared k: {identical}, "
+                 f"lgopt/qepmin (mu, x) identical at {shared} shared k: {identical}, "
+                 f"one reduced solve per check: {once}, "
                  f"max gap to the dense linearization over {len(checks)} "
                  f"qepmin checks={worst_lin:.2e}")
     assert ok
@@ -318,8 +328,11 @@ def test_criterion_6_residual_bound(qep_residuals):
         sol = _solve_collect(prob, SolveOptions(method=crqopt.QEPMIN, tol=1e-13,
                                                 maxit=prob.n, detect_hard=False))
         total += len(sol.history)
-    violations = sum(1 for nres, delta in qep_residuals if nres > delta * (1 + 1e-12))
-    ok = len(qep_residuals) == total and violations == 0 and all(k is not None for k in reached)
+    # one reduced solve per check, each read by the QEP bound
+    once = len(qep_residuals) == total and None not in qep_residuals
+    violations = sum(1 for nres, delta in filter(None, qep_residuals)
+                     if nres > delta * (1 + 1e-12))
+    ok = once and violations == 0 and all(k is not None for k in reached)
     _line(6, ok, f"{total} checks, NRes<=delta violations={violations}, "
                  f"delta<8e-5 reached at k={reached}")
     assert ok

@@ -363,7 +363,10 @@ def test_paired_steps_apply_a_to_one_block(monkeypatch):
     spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
     prob, _ = crqopt.generate(spec)
     recorder = BlockRecordingOperator(prob.A)
-    sol = solve(CrqProblem(recorder, prob.C, prob.b), SolveOptions())
+    problem = CrqProblem(recorder, prob.C, prob.b)
+    # the symmetry spot check's probe pairs are n x 2 blocks too
+    recorder.blocks.clear()
+    sol = solve(problem, SolveOptions())
     paired = sol.extras["detect_paired_steps"]
     assert recorder.blocks.count((prob.n, 2)) == paired == sol.extras["detect_steps"]
     assert sol.extras["detect_steps"] <= 103

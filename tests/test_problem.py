@@ -112,13 +112,13 @@ def test_asymmetric_rejected():
 
 
 def test_symmetry_spot_check_applies_a_to_one_block():
-    # the three probe pairs reach an operator with a matmat as one n x 6
-    # block, and an asymmetric one is still rejected through it
+    # each of the three probe pairs reaches an operator with a matmat as
+    # one n x 2 block, and an asymmetric one is still rejected through it
     rng = np.random.default_rng(8)
     A = rng.standard_normal((30, 30))
     recorder = BlockRecordingOperator(crqopt.as_operator(A + A.T))
     CrqProblem(recorder, rng.standard_normal((30, 2)), [0.1, 0.1])
-    assert recorder.blocks == [(30, 6)]
+    assert recorder.blocks == [(30, 2)] * 3
     with pytest.raises(ValueError, match="symmetry"):
         CrqProblem(BlockRecordingOperator(crqopt.as_operator(A)), np.eye(30)[:, :1], [0.5])
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_interior_problem
-from oracles import dense_projector
+from oracles import dense_projector, reduced_qep_to_rlgopt
 
 import crqopt
-from crqopt import classify, qep_residual_bound, reduced_qep_to_rlgopt, solve_reduced_qep, solve_rlgopt
+from crqopt import classify, qep_residual_bound, solve_reduced_qep, solve_rlgopt
 from crqopt.lanczos import run, tridiagonal_dense
 from crqopt.reference import solve_qep_linearization
 
@@ -128,23 +128,23 @@ def test_residual_bound_breakdown_is_zero():
     # breakdown by one step
     assert state.broke_down and state.k <= 2
     a, b = state.tridiagonal()
-    sol = solve_reduced_qep(a, b, state.beta[0], feas.gamma)
-    assert qep_residual_bound(state, sol, p.norm_a, feas.gamma, state.beta[0]) == 0.0
+    red = solve_rlgopt(a, b, state.beta[0], feas.gamma)
+    assert qep_residual_bound(state, red, p.norm_a, feas.gamma, state.beta[0]) == 0.0
 
 
 def test_residual_bound_vs_direct_evaluation(small_example):
     feas, state = _small_example_state(small_example, 3)
     a, b = state.tridiagonal()
-    sol = solve_reduced_qep(a, b, state.beta[0], feas.gamma)
-    delta = qep_residual_bound(state, sol, small_example.norm_a, feas.gamma, state.beta[0])
+    red = solve_rlgopt(a, b, state.beta[0], feas.gamma)
+    delta = qep_residual_bound(state, red, small_example.norm_a, feas.gamma, state.beta[0])
     # direct evaluation of the full-space QEP residual
     P = dense_projector(small_example.C)
     M = P @ np.diag([1.0, 2, 3, 4, 5]) @ P
-    z = state.basis(3) @ sol.w
-    shifted = M - sol.mu * np.eye(5)
+    z = state.basis(3) @ red.w
+    shifted = M - red.mu * np.eye(5)
     r = shifted @ (shifted @ z) - np.outer(feas.b0, feas.b0) @ z / feas.gamma**2
-    denom = (small_example.norm_a + abs(sol.mu)) ** 2 + (state.beta[0] / feas.gamma) ** 2
-    denom *= np.linalg.norm(sol.w)
+    denom = (small_example.norm_a + abs(red.mu)) ** 2 + (state.beta[0] / feas.gamma) ** 2
+    denom *= np.linalg.norm(red.w)
     nres_direct = np.linalg.norm(r) / denom
     assert nres_direct <= delta * (1.0 + 1e-12)
 
@@ -156,7 +156,7 @@ def test_bound_tracks_residual_decay(qep_residuals):
     prob, _ = crqopt.generate(spec)
     sol = crqopt.solve(prob, crqopt.SolveOptions(
         method=crqopt.QEPMIN, tol=1e-14, maxit=150, detect_hard=False))
-    assert len(qep_residuals) == len(sol.history)
+    assert len(qep_residuals) == len(sol.history) and None not in qep_residuals
     floor = 1e3 * np.finfo(float).eps
     for nres, delta in qep_residuals:
         if nres > floor:
@@ -250,15 +250,15 @@ def test_qepmin_check_is_one_selected_eigenpair_and_newton(monkeypatch):
                          (sla, "solveh_banded"), (lapack, "dpttrf"), (lapack, "dpttrs")):
         counting(module, name)
     checks = []
-    reduced = crqopt.driver.solve_reduced_qep
+    reduced = crqopt.driver.solve_rlgopt
 
     def recording(*args):
         start = len(calls)
-        sol = reduced(*args)
-        checks.append((calls[start:], sol))
-        return sol
+        red = reduced(*args)
+        checks.append((calls[start:], red))
+        return red
 
-    monkeypatch.setattr(crqopt.driver, "solve_reduced_qep", recording)
+    monkeypatch.setattr(crqopt.driver, "solve_rlgopt", recording)
     spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
     prob, _ = crqopt.generate(spec)
     sol = crqopt.solve(prob, crqopt.SolveOptions(method=crqopt.QEPMIN))

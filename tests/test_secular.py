@@ -6,14 +6,14 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bisection_secular_root
+from oracles import bisection_secular_root, secular_derivative
 
 import crqopt
 from crqopt import classify, make_spec, secular_value, smallest_root, solve_rlgopt
 from crqopt.errors import NoRootError
 from crqopt.instances import chebyshev_extreme_nodes
 from crqopt.lanczos import run, tridiagonal_dense
-from crqopt.secular import EIG, NEWTON, TINY_LEADING_WEIGHT, secular_derivative
+from crqopt.secular import EIG, NEWTON, TINY_LEADING_WEIGHT
 
 
 def test_single_pole():
