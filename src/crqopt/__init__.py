@@ -7,12 +7,11 @@ constrained normalized-cut pipeline built on top.
 from .analysis import BoundInputs, convergence_bounds, error_history, history_table, refined_convergence_bounds
 from .driver import (B0_ZERO, EASY, HARD, LGOPT, QEPMIN, UNIQUE, CrqSolution,
                      SolveOptions, detect_hard_case, resolve_b0_zero, solve)
-from .errors import (BracketFailureError, CrqError, DegenerateEigenvectorError,
-                     EigFailureError, EmptySideError, InfeasibleError,
-                     IsolatedPixelError, MaxIterError, NoRealEigenvalueError,
-                     NoRootError, NotConvergedError, RankDeficientError,
-                     SingularHError, TooLargeError, VerificationError,
-                     ZeroStartError)
+from .errors import (BracketFailureError, CrqError, EigFailureError,
+                     EmptySideError, InfeasibleError, IsolatedPixelError,
+                     MaxIterError, NoRealEigenvalueError, NoRootError,
+                     NotConvergedError, RankDeficientError, SingularHError,
+                     TooLargeError, VerificationError, ZeroStartError)
 from .instances import (GroundTruth, InstanceSpec, chebyshev_extreme_nodes,
                         embed, generate, reference_solution, verify_roundtrip)
 from .operators import SymmetricOperator, as_operator, norm_estimate

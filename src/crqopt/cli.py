@@ -140,19 +140,11 @@ def cmd_bench(args):
     else:
         base = _gen_spec(args)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [base.rng_seed]
-    specs = []
-    for seed in seeds:
-        spec = InstanceSpec(
-            n=base.n, m=base.m, alpha=base.alpha, beta=base.beta, zeta=base.zeta,
-            g0_kind=base.g0_kind, eta=base.eta, spectrum_kind=base.spectrum_kind,
-            iso_value=base.iso_value, rng_seed=seed,
-        )
-        specs.append(spec)
+    specs = [replace(base, rng_seed=seed) for seed in seeds]
     workers = int(os.environ.get("CRQOPT_THREADS", "1"))
-    failures = []
     if workers > 1 and len(specs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            failures = [f for f in pool.map(lambda s: _bench_one(s, args, args.out), specs)]
+            failures = list(pool.map(lambda s: _bench_one(s, args, args.out), specs))
     else:
         failures = [_bench_one(spec, args, args.out) for spec in specs]
     return EXIT_NOT_CONVERGED if any(f is not None for f in failures) else EXIT_OK
@@ -224,10 +216,8 @@ def build_parser():
     p_solve.set_defaults(func=cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic benchmark instance")
-    for name, required, default in (
-        ("--n", True, None), ("--m", True, None),
-    ):
-        p_gen.add_argument(name, type=int, required=required, default=default)
+    p_gen.add_argument("--n", type=int, required=True)
+    p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--alpha", type=float, required=True)
     p_gen.add_argument("--beta", type=float, required=True)
     p_gen.add_argument("--zeta", type=float, required=True)

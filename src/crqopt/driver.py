@@ -1,14 +1,15 @@
 """Main Lanczos driver: iterate, check, recover, diagnose.
 
 One solve classifies the instance, handles the boundary cases (the
-single feasible point, and b0 = 0, settled by one projected
-eigensolve), then runs the projected Lanczos process started at b0.  At
-every step from ``minit`` on, one ``secular.solve_rlgopt`` call solves
-the reduced multiplier problem on both routes, and ``method`` picks only
-the certificate read from its ``ReducedLgSolution``: the Lagrange
-residual bound (``lgopt``), or ``qepmin.qep_residual_bound`` on the
-reduced QEP eigenpair it holds (``qepmin``).  Each check is one O(k)
-reduced solve plus an O(1) bound ``delta``, and applies no operator.
+single feasible point, and b0 = 0, settled by the bottom eigenpair of
+P A P that a ``DetectionRun`` forms), then runs the projected Lanczos
+process started at b0.  At every step from ``minit`` on, one
+``secular.solve_rlgopt`` call solves the reduced multiplier problem on
+both routes, and ``method`` picks only the certificate read from its
+``ReducedLgSolution``: the Lagrange residual bound (``lgopt``), or
+``qepmin.qep_residual_bound`` on the reduced QEP eigenpair it holds
+(``qepmin``).  Each check is one O(k) reduced solve plus an O(1) bound
+``delta``, and applies no operator.
 The loop stops when ``delta`` drops below the tolerance, on breakdown
 (which makes the reduced solve exact), or at the iteration cap.  The
 minimizer is recovered as v = n0 + Q_k x, and the one exact residual
@@ -16,11 +17,11 @@ minimizer is recovered as v = n0 + Q_k x, and the one exact residual
 
 Degenerate instances - where the optimal multiplier coincides with the
 bottom of the projected spectrum and the Krylov space is blind to the
-relevant eigenvector - are detected and repaired by padding the
-minimum-norm solution with the bottom eigenvector.  The test is one
+relevant eigenvector - are detected and repaired (``_pad``) by padding
+the minimum-norm solution with the bottom eigenvector.  The test is one
 comparison, lambda_min(P A P) against mu + eps, made by a second Lanczos
-run on P A P from a random projected start.  It decides at the first of
-four exits:
+run on P A P from a random projected start, the ``DetectionRun`` that
+also settles b0 = 0.  It decides at the first of four exits:
 
 1. "interlacing": the smallest Ritz value theta_j decreases toward
    lambda_min, so theta_j <= mu + eps proves "hard".  The run goes on to
@@ -68,8 +69,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigFailureError, InfeasibleError, NotConvergedError
-from .lanczos import (BROKE_DOWN, bottom_ritz_pair, lanczos_init, lanczos_pair_step,
-                      lanczos_step, smallest_eigenpair, top_eigenvalue)
+from .lanczos import (BROKE_DOWN, RitzStep, bottom_ritz_pair, lanczos_init, lanczos_pair_step,
+                      lanczos_step, top_eigenvalue)
 from .problem import INFEASIBLE, INTERIOR, UNIQUE_POINT, b0_zero_threshold, classify
 # benchmarks/tracing.py wraps driver.solve_reduced_qep by name, so the
 # name stays bound here; the driver never calls it
@@ -116,6 +117,8 @@ class SolveOptions:
             raise ValueError("maxit must be >= 1")
         if self.minit > self.maxit:
             raise ValueError("minit must not exceed maxit")
+        if self.eig_maxit < 1:
+            raise ValueError("eig_maxit must be >= 1")
 
 
 @dataclass
@@ -139,7 +142,7 @@ class CrqSolution:
     the exact multiplier-equation residual ||P(Av) - mu (v - n0)|| at v,
     unscaled; it is NaN at the unique point, which has no multiplier.
     ``extras["reorth_steps"]`` counts the Lanczos steps of the main loop
-    (of the eigensolve when b0 = 0) that ran a Gram-Schmidt pass, and
+    (of the detection run when b0 = 0) that ran a Gram-Schmidt pass, and
     ``extras["detect_reorth_steps"]`` those of hard-case detection."""
 
     v: np.ndarray
@@ -168,15 +171,15 @@ class HardCaseReport:
     decision (None when ``eig_maxit`` ran out first) and ``steps`` counts
     the detection run's Lanczos steps, ``reorth_steps`` those of them
     that ran a Gram-Schmidt pass and ``paired_steps`` those taken in
-    lockstep with the main loop.  ``v`` holds the padding pair
-    ``(x_tilde, z)`` on a hard decision.
+    lockstep with the main loop.  ``ritz`` is the last Ritz pair, whose
+    vector pads the minimizer on a hard decision.
     """
 
     is_hard: bool
     lambda_min: float
     gap: float
     eig_converged: bool
-    v: tuple = None
+    ritz: RitzStep
     certificate: str = None
     steps: int = 0
     reorth_steps: int = 0
@@ -202,32 +205,6 @@ def crq_solution(problem, v, mu, case, n0, gamma, k=0, history=None, **fields):
 def unique_point_solution(problem, feas):
     """The single feasible point v = n0 of an instance with ||n0|| = 1."""
     return crq_solution(problem, feas.n0, float("nan"), UNIQUE, feas.n0, 0.0)
-
-
-def resolve_b0_zero(problem, feas, rng=None, eig_tol=1e-10, eig_maxit=None):
-    """Shortcut for b0 = 0: one projected eigensolve settles the instance.
-
-    When the shifted gradient vanishes, the minimizer is
-    ``n0 + gamma * z/||z||`` with ``(theta, z)`` the smallest eigenpair of
-    P A P restricted to the null space of C' (a random projected start
-    keeps the iteration inside that subspace).  Returns ``None`` when
-    ``||b0||`` is above the zero threshold, so the caller proceeds to the
-    main Lanczos loop.
-    """
-    if feas.tag != INTERIOR:
-        raise ValueError("resolve_b0_zero expects an interior instance")
-    if np.linalg.norm(feas.b0) > b0_zero_threshold(problem, feas):
-        return None
-    rng = np.random.default_rng(rng)
-    op = problem.projected_operator()
-    start = op.apply_P(rng.standard_normal(problem.n))
-    theta, z, info = smallest_eigenpair(
-        op, start, tol=eig_tol, maxit=eig_maxit, norm_scale=problem.norm_a
-    )
-    v = feas.n0 + feas.gamma * z / np.linalg.norm(z)
-    return crq_solution(problem, v, theta, B0_ZERO, feas.n0, feas.gamma,
-                        k=info["steps"], converged=info["converged"],
-                        extras={"reorth_steps": info["reorth_steps"]})
 
 
 def _reduced_solve(state, method, beta1, gamma, norm_a):
@@ -266,21 +243,22 @@ def _kw_bound(theta, threshold, sigma, dim, j):
     return 1.648 * np.sqrt(dim) * np.exp(-np.sqrt(e) * (2 * j - 1))
 
 
-def _threshold(reduced_mu, eps_hard=None):
-    """reduced_mu + eps_hard, with eps_hard defaulting to 1e-8 (1 + |reduced_mu|)."""
-    if eps_hard is None:
-        eps_hard = 1e-8 * (1.0 + abs(reduced_mu))
-    return reduced_mu + eps_hard
+def _threshold(reduced_mu):
+    """reduced_mu + eps_hard, with eps_hard = 1e-8 (1 + |reduced_mu|)."""
+    return reduced_mu + 1e-8 * (1.0 + abs(reduced_mu))
 
 
 class DetectionRun:
-    """Hard-case detection's Lanczos run on P A P from a random projected
-    start (one ``rng`` draw), with the tests of its exits.
+    """The Lanczos run on P A P from a random projected start (one ``rng``
+    draw) that forms its bottom Ritz pairs, with the tests of the exits
+    of hard-case detection.
 
     ``solve`` advances the run with ``lanczos_pair_step`` while it is
     ``stepping`` and calls ``observe`` at each check of its main loop;
     ``finish`` judges the run at the final threshold.  The module
-    docstring says when the run steps and tests.
+    docstring says when the run steps and tests.  ``resolve_b0_zero``
+    calls ``finish`` at an infinite threshold, where only the eigenpair
+    exits fire.
     """
 
     def __init__(self, problem, rng, eig_tol, eig_maxit):
@@ -357,13 +335,16 @@ class DetectionRun:
         Returns the last Ritz pair and the certificate, None when
         ``eig_maxit`` ran out first.  On a paused run the first test
         reuses the paused step's pair: O(1) for the random-start bound and
-        one comparison for a converged pair.
+        one comparison for a converged pair.  Raises ``EigFailureError``
+        when the run yields no finite Ritz value.
         """
         state = self.state
         interlacing = False
         while True:
             if state.k:
                 ritz = self.ritz_pair()
+                if not np.isfinite(ritz.theta):
+                    break
                 interlacing = interlacing or ritz.theta <= threshold
                 if ritz.converged:
                     return ritz, INTERLACING if interlacing else CONVERGED
@@ -372,38 +353,56 @@ class DetectionRun:
                 if state.k == state.maxit:
                     return ritz, INTERLACING if interlacing else None
             elif state.maxit == 0:
-                raise EigFailureError("hard-case detection produced no finite Ritz value")
+                break
             lanczos_step(state)
+        raise EigFailureError("projected eigensolve produced no finite Ritz value")
 
 
-def detect_hard_case(problem, state, reduced_mu, rng=None, eig_tol=1e-8,
-                     eig_maxit=500, eps_hard=None, run=None):
-    """Degenerate-case test: is lambda_min(P A P) <= reduced_mu + eps_hard?
+def resolve_b0_zero(problem, feas, rng=None, eig_tol=1e-10, eig_maxit=500):
+    """Shortcut for b0 = 0: the bottom eigenpair of P A P settles the instance.
+
+    When the shifted gradient vanishes, the minimizer is
+    ``n0 + gamma * z/||z||`` with ``(theta, z)`` the smallest eigenpair of
+    P A P restricted to the null space of C'.  A ``DetectionRun`` from
+    ``rng`` forms it: judged at an infinite threshold, the run stops at
+    the first Ritz pair that meets ``eig_tol``, or after ``eig_maxit``
+    steps (at most n) with ``converged=False``.  Returns ``None`` when
+    ``||b0||`` is above the zero threshold, so the caller proceeds to the
+    main Lanczos loop.
+    """
+    if feas.tag != INTERIOR:
+        raise ValueError("resolve_b0_zero expects an interior instance")
+    if np.linalg.norm(feas.b0) > b0_zero_threshold(problem, feas):
+        return None
+    run = DetectionRun(problem, np.random.default_rng(rng), eig_tol, eig_maxit)
+    ritz, _ = run.finish(math.inf)
+    z = ritz.vector()
+    v = feas.n0 + feas.gamma * z / np.linalg.norm(z)
+    return crq_solution(problem, v, ritz.theta, B0_ZERO, feas.n0, feas.gamma,
+                        k=ritz.k, converged=ritz.converged,
+                        extras={"reorth_steps": run.state.reorth_steps})
+
+
+def detect_hard_case(run, reduced_mu):
+    """Degenerate-case test: is lambda_min(P A P) <= reduced_mu + eps_hard,
+    with eps_hard = 1e-8 (1 + |reduced_mu|)?
 
     ``run`` is the ``DetectionRun`` that ``solve`` advanced in lockstep
-    with its main loop; without one, a run is started here from ``rng``
-    with ``eig_tol`` and ``eig_maxit``.  The run is judged at the final
-    threshold reduced_mu + eps_hard alone, whatever it was paused on, and
-    goes on by itself, with a test every step, until one of four exits
-    (see the module docstring): "interlacing" proves "hard" once the
-    smallest Ritz value drops to the threshold, and then runs on to
-    ``eig_tol`` for the eigenvector; "random_start_bound" declares "easy"
-    once the Kuczynski-Wozniakowski bound puts the chance of a hard
-    instance below ``KW_DELTA`` (refused, with a warning, when a Ritz
-    value above sigma shows that the bound's premise fails);
-    "converged" and ``eig_maxit`` decide by comparing the last Ritz
-    value with the threshold, and the latter warns.  On a
+    with its main loop.  It is judged at the final threshold alone,
+    whatever it was paused on, and goes on by itself, with a test every
+    step, until one of four exits (see the module docstring):
+    "interlacing" proves "hard" once the smallest Ritz value drops to the
+    threshold, and then runs on to ``eig_tol`` for the eigenvector;
+    "random_start_bound" declares "easy" once the Kuczynski-Wozniakowski
+    bound puts the chance of a hard instance below ``KW_DELTA`` (refused,
+    with a warning, when a Ritz value above sigma shows that the bound's
+    premise fails); "converged" and ``eig_maxit`` decide by comparing the
+    last Ritz value with the threshold, and the latter warns.  On a
     "random_start_bound" exit the reported ``gap`` is an upper bound on
-    the true gap and no eigenvector is formed.  A hard decision pads the
-    least-squares Krylov solution back to the radius gamma with the Ritz
-    vector.  ``eps_hard`` defaults to ``1e-8 * (1 + |reduced_mu|)``.
+    the true gap.
     """
-    if run is None:
-        run = DetectionRun(problem, np.random.default_rng(rng), eig_tol, eig_maxit)
-    threshold = _threshold(reduced_mu, eps_hard)
+    threshold = _threshold(reduced_mu)
     ritz, certificate = run.finish(threshold)
-    if not np.isfinite(ritz.theta):
-        raise EigFailureError("hard-case detection produced no finite Ritz value")
     if certificate is None:
         warnings.warn(
             f"hard-case detection reached eig_maxit={run.state.maxit} without a "
@@ -411,24 +410,37 @@ def detect_hard_case(problem, state, reduced_mu, rng=None, eig_tol=1e-8,
             RuntimeWarning, stacklevel=2,
         )
     lam_min = ritz.theta
-    report = HardCaseReport(lam_min <= threshold, lam_min, lam_min - reduced_mu,
-                            ritz.converged, certificate=certificate, steps=ritz.k,
-                            reorth_steps=run.state.reorth_steps,
-                            paired_steps=run.paired_steps)
-    if not report.is_hard:
-        return report
+    return HardCaseReport(lam_min <= threshold, lam_min, lam_min - reduced_mu,
+                          ritz.converged, ritz=ritz, certificate=certificate,
+                          steps=ritz.k, reorth_steps=run.state.reorth_steps,
+                          paired_steps=run.paired_steps)
 
+
+def _pad(state, ritz, feas):
+    """The hard case's minimizer: the least-squares Krylov solution padded
+    back to the radius gamma with the Ritz vector.
+
+    With lambda the Ritz value, x_tilde = Q_k y_tilde, where y_tilde
+    minimizes ||[T_k - lambda I; beta_{k+1} e_k'] y + beta_1 e_1||, and
+    v = n0 + x_tilde + tau z with z the unit Ritz vector and tau >= 0
+    chosen so that ||x_tilde + tau z|| = gamma.
+    """
     k = state.k
-    beta1 = state.beta[0]
     aug = np.zeros((k + 1, k))
-    aug[:k, :] = state.tridiagonal_matrix() - lam_min * np.eye(k)
+    aug[:k, :] = state.tridiagonal_matrix() - ritz.theta * np.eye(k)
     aug[k, k - 1] = state.beta[k]
     rhs = np.zeros(k + 1)
-    rhs[0] = -beta1
+    rhs[0] = -state.beta[0]
     y_tilde, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
     x_tilde = state.basis(k) @ y_tilde
-    report.v = (x_tilde, ritz.vector())
-    return report
+    z = ritz.vector()
+    z = z / np.linalg.norm(z)
+    # the padding needs x_tilde orthogonal to z; rounding in the basis and
+    # the near-singular least-squares solve leave a component along z,
+    # removed here in the full space
+    x_tilde = x_tilde - float(z @ x_tilde) * z
+    radicand = max(feas.gamma**2 - float(x_tilde @ x_tilde), 0.0)
+    return feas.n0 + x_tilde + np.sqrt(radicand) * z
 
 
 def solve(problem, opts=None):
@@ -493,10 +505,7 @@ def solve(problem, opts=None):
     mu, case, hard_gap = last.mu, EASY, None
     extras = {"reorth_steps": state.reorth_steps}
     if opts.detect_hard:
-        report = detect_hard_case(
-            problem, state, last.mu, eig_tol=opts.eig_tol, eig_maxit=opts.eig_maxit,
-            run=detection,
-        )
+        report = detect_hard_case(detection, last.mu)
         hard_gap = report.gap
         extras.update(lambda_min_projected=report.lambda_min,
                       detect_steps=report.steps,
@@ -504,14 +513,7 @@ def solve(problem, opts=None):
                       detect_reorth_steps=report.reorth_steps,
                       detect_certificate=report.certificate)
         if report.is_hard:
-            x_tilde, z = report.v
-            z = z / np.linalg.norm(z)
-            # the padding needs x_tilde orthogonal to z; rounding in the
-            # basis and the near-singular least-squares solve leave a
-            # component along z, removed here in the full space
-            x_tilde = x_tilde - float(z @ x_tilde) * z
-            radicand = max(gamma**2 - float(x_tilde @ x_tilde), 0.0)
-            v = feas.n0 + x_tilde + np.sqrt(radicand) * z
+            v = _pad(state, report.ritz, feas)
             mu, case = report.lambda_min, HARD
             # the repaired v no longer depends on the main loop's residual,
             # but on the padding eigenvector meeting eig_tol

@@ -29,10 +29,6 @@ class NoRealEigenvalueError(CrqError):
     """Real-eigenvalue classification of the reduced QEP found nothing."""
 
 
-class DegenerateEigenvectorError(CrqError):
-    """Reduced QEP eigenvector has (numerically) zero leading component."""
-
-
 class EigFailureError(CrqError):
     """An inner eigensolve did not produce a usable eigenpair."""
 

@@ -27,6 +27,10 @@ to P, as one n x 2 block.  After k clean steps the compact relation
 
 holds with T_k tridiagonal; beta_{k+1} = 0 means the Krylov subspace is
 invariant (breakdown) and the reduced solves become exact.
+
+``bottom_ritz_pair`` reads a run's smallest Ritz pair off T_k.  The one
+loop that forms such pairs of P A P is the driver's ``DetectionRun``,
+which settles both the b0 = 0 instance and hard-case detection.
 """
 
 from dataclasses import dataclass
@@ -362,28 +366,3 @@ def bottom_ritz_pair(state, tol, norm_scale=1.0):
     converged = resid <= tol * max(norm_scale, abs(theta), 1e-300)
     return RitzStep(state, k, theta, s, resid, converged)
 
-
-def smallest_eigenpair(op, start, tol=1e-10, maxit=None, norm_scale=1.0):
-    """Smallest Ritz pair of M = P A P restricted to null(C').
-
-    ``start`` must already lie in the null space (pass a projected random
-    vector).  Convergence is declared when the Ritz residual
-    ``beta_{k+1} |last component|`` drops below ``tol * scale``; on
-    breakdown the pair is exact.  Returns ``(theta, z, info)`` where
-    ``info`` carries steps, residual, the convergence flag and the
-    number of reorthogonalized steps.
-    """
-    if maxit is None:
-        maxit = min(op.n, 500)
-    state = lanczos_init(op, start, norm_scale=norm_scale, maxit=maxit)
-    step = None
-    while state.k < state.maxit:
-        lanczos_step(state)
-        step = bottom_ritz_pair(state, tol, norm_scale)
-        if step.converged:
-            break
-    if step is None or not np.isfinite(step.theta):
-        raise EigFailureError("projected eigensolve produced no finite Ritz value")
-    info = {"steps": step.k, "residual": step.resid, "converged": step.converged,
-            "reorth_steps": state.reorth_steps}
-    return step.theta, step.vector(), info

@@ -9,8 +9,12 @@ multiplier machinery.
 import numpy as np
 import scipy.sparse as sp
 
-from crqopt import DegenerateEigenvectorError
+from crqopt import CrqError
 from crqopt.secular import EASY_TAG
+
+
+class DegenerateEigenvectorError(CrqError):
+    """Reduced QEP eigenvector has (numerically) zero leading component."""
 
 
 def pinv_min_norm(C, b):

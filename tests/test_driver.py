@@ -15,13 +15,13 @@ from crqopt import (CrqProblem, SolveOptions, build_reduction, classify,
 from crqopt.errors import InfeasibleError, NotConvergedError
 
 
-def test_options_validated():
+@pytest.mark.parametrize("kwargs", [
+    {"method": "newton"}, {"maxit": 0}, {"minit": 10, "maxit": 5},
+    {"eig_maxit": 0}, {"eig_maxit": -3},
+], ids=["method", "maxit=0", "minit>maxit", "eig_maxit=0", "eig_maxit=-3"])
+def test_options_validated(kwargs):
     with pytest.raises(ValueError):
-        SolveOptions(method="newton")
-    with pytest.raises(ValueError):
-        SolveOptions(minit=10, maxit=5)
-    with pytest.raises(ValueError):
-        SolveOptions(maxit=0)
+        SolveOptions(**kwargs)
 
 
 def test_unique_point_short_circuit():

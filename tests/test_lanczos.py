@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -11,8 +13,8 @@ import crqopt
 from crqopt import classify
 from crqopt.clustering import LabelSet, build_graph, encode_constraints, to_crqopt
 from crqopt.errors import ZeroStartError
-from crqopt.lanczos import (BROKE_DOWN, bottom_eigenpair, lanczos_init, lanczos_step, run,
-                             smallest_eigenpair)
+from crqopt.driver import DetectionRun
+from crqopt.lanczos import BROKE_DOWN, bottom_eigenpair, lanczos_init, lanczos_step, run
 
 
 def _projected(problem):
@@ -118,12 +120,12 @@ def test_krylov_span_matches_power_basis():
 def test_smallest_eigenpair_matches_dense():
     rng = np.random.default_rng(5)
     p = random_interior_problem(rng, 24, 3)
-    op = _projected(p)
-    start = op.apply_P(rng.standard_normal(24))
-    theta, z, info = smallest_eigenpair(op, start, tol=1e-12, norm_scale=p.norm_a)
+    # at an infinite threshold the detection run stops only on its eigenpair
+    ritz, _ = DetectionRun(p, rng, eig_tol=1e-12, eig_maxit=500).finish(math.inf)
+    theta, z = ritz.theta, ritz.vector()
     # dense comparison on the reduced block
     red = crqopt.build_reduction(p)
-    assert info["converged"]
+    assert ritz.converged
     assert theta == pytest.approx(red.theta[0], abs=1e-9 * max(1, abs(red.theta[0])))
     # eigenvector residual in the full space
     resid = apply_M(p, z) - theta * z

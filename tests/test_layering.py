@@ -41,6 +41,23 @@ def test_package_has_modules():
     assert len(MODULES) > 5
 
 
+def test_every_library_error_is_raised():
+    """Each exception class of ``crqopt.errors`` but the base ``CrqError``
+    appears in a ``raise`` somewhere in the package."""
+    defined = {node.name for node in ast.walk(_tree(PACKAGE / "errors.py"))
+               if isinstance(node, ast.ClassDef)} - {"CrqError"}
+    raised = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    assert not defined - raised, f"never raised: {sorted(defined - raised)}"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_import_in_function_body(path):
     lazy = []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_interior_problem
-from oracles import dense_projector, reduced_qep_to_rlgopt
+from oracles import DegenerateEigenvectorError, dense_projector, reduced_qep_to_rlgopt
 
 import crqopt
 from crqopt import classify, qep_residual_bound, solve_reduced_qep, solve_rlgopt
@@ -167,7 +167,7 @@ def test_degenerate_eigenvector_rejected():
     sol = crqopt.ReducedQepSolution(
         mu=0.0, w=np.array([0.0, 1.0]), y=np.array([1.0, 0.0]), x=np.array([1.0, 0.0]),
     )
-    with pytest.raises(crqopt.DegenerateEigenvectorError):
+    with pytest.raises(DegenerateEigenvectorError):
         reduced_qep_to_rlgopt(sol, 1.0, 1.0)
 
 
@@ -228,7 +228,7 @@ def test_boundary_fallback_takes_the_bottom_eigenvector():
     assert np.linalg.norm(r) <= 1e-14
     assert np.linalg.norm(sol.x) == pytest.approx(gamma, rel=1e-12)
     assert np.linalg.norm(shifted @ sol.x + beta1 * np.eye(3)[0]) <= 1e-14
-    with pytest.raises(crqopt.DegenerateEigenvectorError):
+    with pytest.raises(DegenerateEigenvectorError):
         reduced_qep_to_rlgopt(sol, beta1, gamma)
 
 
