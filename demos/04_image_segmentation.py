@@ -27,7 +27,7 @@ labels = LabelSet.from_pixels(image.shape, foreground_rc=[(128, 30)],
 
 opts = default_segment_options()
 print(f"solving with tol={opts.tol:g}, maxit={opts.maxit}, "
-      f"checks at every step from minit={opts.minit}")
+      f"first check at minit={opts.minit}")
 mask, heat, stats = segment(image, labels, delta=0.1, r=5, opts=opts)
 
 print(f"Lanczos steps : {stats['steps']}")

@@ -6,7 +6,8 @@ constrained normalized-cut pipeline built on top.
 
 from .analysis import BoundInputs, convergence_bounds, error_history, history_table, refined_convergence_bounds
 from .driver import (B0_ZERO, EASY, HARD, LGOPT, QEPMIN, UNIQUE, CrqSolution,
-                     SolveOptions, detect_hard_case, resolve_b0_zero, solve)
+                     KrylovRecord, SolveOptions, detect_hard_case, rebuild_history,
+                     resolve_b0_zero, solve)
 from .errors import (BracketFailureError, CrqError, EigFailureError,
                      EmptySideError, InfeasibleError, IsolatedPixelError,
                      MaxIterError, NoRealEigenvalueError, NoRootError,

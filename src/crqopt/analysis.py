@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .driver import rebuild_history
+
 KAPPA_DEGENERATE = 1.0 + 1e-14
 
 
@@ -126,19 +128,21 @@ def refined_convergence_bounds(inp, k):
 
 
 def error_history(solution, ref):
-    """Per-check relative errors against a reference solution.
+    """Per-step relative errors against a reference solution.
 
-    Needs ``solution.basis`` (run the solve with ``return_basis=True``)
-    to rebuild the iterate at each check.  Rows carry
-    ``err1 = |h(v_k) - h(v*)| / |h(v*)|``, ``err2 = ||v_k - v*||`` and
-    ``err3 = |mu_k - lambda*| / |lambda*|``.
+    Needs a solve with ``return_basis=True``: each step's record, from the
+    first check to the stop, is rebuilt after the solve from the returned
+    tridiagonal (``driver.rebuild_history``), whether or not the loop
+    checked at that step, and its iterate from the returned basis.  Rows
+    carry ``err1 = |h(v_k) - h(v*)| / |h(v*)|``, ``err2 = ||v_k - v*||``
+    and ``err3 = |mu_k - lambda*| / |lambda*|``.
     """
     if solution.basis is None:
         raise ValueError("error_history needs a solution with return_basis=True")
     h_ref = ref.objective
     mu_ref = ref.mu
     rows = []
-    for rec in solution.history:
+    for rec in rebuild_history(solution):
         v_k = solution.n0 + solution.basis[:, : rec.k] @ rec.x
         rows.append(
             {

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    solve     problem files (manifest) -> solution vector + history CSV
+    solve     problem files (manifest) -> solution vector + CSV of the checks
     gen       instance spec -> problem files + ground truth
     bench     instance spec -> error/bound CSV against the exact reference
     segment   PGM image + labels -> mask, heat map, stats
@@ -24,7 +24,7 @@ import numpy as np
 from . import io as cio
 from .analysis import BoundInputs, history_table
 from .clustering import LabelSet, default_segment_options, segment
-from .driver import LGOPT, QEPMIN, SolveOptions, solve
+from .driver import LGOPT, QEPMIN, SolveOptions, rebuild_history, solve
 from .errors import CrqError, InfeasibleError, NotConvergedError
 from .instances import InstanceSpec, generate, reference_solution, verify_roundtrip
 from .problem import classify
@@ -68,10 +68,10 @@ def _write_solution(outdir, sol):
         {
             "mu": float(sol.mu), "k": sol.k, "objective": float(sol.objective),
             "case": sol.case, "converged": sol.converged,
-            "residual": float(sol.residual),
+            "residual": float(sol.residual), "checks": len(sol.history),
         },
     )
-    cio.history_csv(os.path.join(outdir, "history.csv"), sol)
+    cio.history_csv(os.path.join(outdir, "history.csv"), sol.history)
 
 
 def cmd_solve(args):
@@ -124,7 +124,8 @@ def _bench_one(spec, args, outdir):
     rows = history_table(sol, ref, inp)
     os.makedirs(outdir, exist_ok=True)
     cio.bench_csv(os.path.join(outdir, f"bench_seed{spec.rng_seed}.csv"), rows)
-    cio.history_csv(os.path.join(outdir, f"history_seed{spec.rng_seed}.csv"), sol)
+    cio.history_csv(os.path.join(outdir, f"history_seed{spec.rng_seed}.csv"),
+                    rebuild_history(sol))
     last = rows[-1]
     print(
         f"seed={spec.rng_seed} k={sol.k} mu={float(sol.mu)!r} "

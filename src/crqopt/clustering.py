@@ -267,7 +267,7 @@ def ncut_value(graph, mask):
 
 def default_segment_options():
     """Solver settings used for image runs: residual bound below 8e-5,
-    stopping conditions checked at every step after a warm-up of 120."""
+    with no check before a warm-up of 120 steps."""
     return SolveOptions(
         method=QEPMIN, tol=8e-5, maxit=300, minit=120, detect_hard=False,
     )

@@ -3,9 +3,9 @@
 One solve classifies the instance, handles the boundary cases (the
 single feasible point, and b0 = 0, settled by the bottom eigenpair of
 P A P that a ``DetectionRun`` forms), then runs the projected Lanczos
-process started at b0.  At every step from ``minit`` on, one
-``secular.solve_rlgopt`` call solves the reduced multiplier problem on
-both routes, and ``method`` picks only the certificate read from its
+process started at b0.  A check is one ``secular.solve_rlgopt`` call,
+which solves the reduced multiplier problem on both routes, and
+``method`` picks only the certificate read from its
 ``ReducedLgSolution``: the Lagrange residual bound (``lgopt``), or
 ``qepmin.qep_residual_bound`` on the reduced QEP eigenpair it holds
 (``qepmin``).  Each check is one O(k) reduced solve plus an O(1) bound
@@ -14,6 +14,18 @@ The loop stops when ``delta`` drops below the tolerance, on breakdown
 (which makes the reduced solve exact), or at the iteration cap.  The
 minimizer is recovered as v = n0 + Q_k x, and the one exact residual
 ||P(Av) - mu (v - n0)|| is taken at the v the solve returns.
+
+When it checks: only where the loop can stop.  A check runs at
+``minit``, on breakdown and at the cap; between checks a ``DeltaProxy``
+estimates lgopt's ``delta`` in O(1) per step at the last check's
+multiplier, and a check runs where the estimate comes within
+``CHECK_MARGIN`` of the tolerance, falls ``CHECK_DROP`` below the last
+check's ``delta`` (which refreshes a stale multiplier), or cannot be
+formed.  No stop is decided on the estimate, and both routes follow the
+same schedule.  ``solution.history`` holds the checks that ran; with
+``return_basis=True`` the solution carries the run's tridiagonal
+(``KrylovRecord``), from which ``rebuild_history`` replays the check of
+every step after the solve.
 
 Degenerate instances - where the optimal multiplier coincides with the
 bottom of the projected spectrum and the Krylov space is blind to the
@@ -47,7 +59,7 @@ loop it goes on alone if it has not paused or its pause does not hold.
 
 When it tests: a Ritz pair costs a small tridiagonal eigensolve, so the
 run forms one only where an exit can fire.  While the main loop runs,
-the threshold is the current check's mu_k + eps.  At or below it the
+the threshold is the last check's mu_k + eps.  At or below it the
 run tests every step until the pair meets ``eig_tol``; above it, the
 next test is the first step at which the random-start bound could pass
 given the current theta_j, since theta only falls.
@@ -64,9 +76,10 @@ one threshold, at most one per step, and the union bound of
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import EigFailureError, InfeasibleError, NotConvergedError
 from .lanczos import (BROKE_DOWN, RitzStep, bottom_ritz_pair, lanczos_init, lanczos_pair_step,
@@ -96,6 +109,10 @@ KW_DELTA = 1e-10
 # norm_a is the operator's rigorous bound where it has one, else a
 # 20-step Lanczos estimate, a lower bound on ||A||.
 NORM_MARGIN = 1.05
+# the check schedule: a check runs where the delta estimate is within
+# CHECK_MARGIN of tol, or CHECK_DROP below the last check's delta
+CHECK_MARGIN = 10.0
+CHECK_DROP = 100.0
 
 
 @dataclass
@@ -137,10 +154,48 @@ class CheckRecord:
 
 
 @dataclass
+class KrylovRecord:
+    """What the checks of a solve read of its main Lanczos run, kept so
+    that the check of any step can be replayed after the solve
+    (``rebuild_history``).
+
+    ``alpha`` holds alpha_1..alpha_K and ``beta`` beta_1 = ||b0||, ...,
+    beta_{K+1}, as ``LanczosState.alpha``/``beta`` do after K steps;
+    ``broke_down`` says whether step K broke down.  ``method``, ``norm_a``
+    and ``n0An0`` are the scalars of the route's bound and of the
+    objective identity.  It answers ``k``, ``beta``, ``broke_down`` and
+    ``tridiagonal()`` as a ``LanczosState`` does, so a check reads either.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    broke_down: bool
+    method: str
+    norm_a: float
+    n0An0: float
+
+    @property
+    def k(self):
+        return self.alpha.size
+
+    def tridiagonal(self):
+        return self.alpha.copy(), self.beta[1:self.k].copy()
+
+    def prefix(self, k):
+        """The record as it stood after step k."""
+        return replace(self, alpha=self.alpha[:k], beta=self.beta[:k + 1],
+                       broke_down=self.broke_down and k == self.k)
+
+
+@dataclass
 class CrqSolution:
     """The returned v with its multiplier and objective.  ``residual`` is
     the exact multiplier-equation residual ||P(Av) - mu (v - n0)|| at v,
     unscaled; it is NaN at the unique point, which has no multiplier.
+    ``history`` holds the checks that ran, in step order.  With
+    ``return_basis=True``, ``basis`` holds Q_k and ``krylov`` the
+    ``KrylovRecord`` of the main run, from which ``rebuild_history``
+    replays every step's check.
     ``extras["reorth_steps"]`` counts the Lanczos steps of the main loop
     (of the detection run when b0 = 0) that ran a Gram-Schmidt pass, and
     ``extras["detect_reorth_steps"]`` those of hard-case detection."""
@@ -155,6 +210,7 @@ class CrqSolution:
     gamma: float = None
     hard_gap: float = None
     basis: np.ndarray = None
+    krylov: KrylovRecord = None
     converged: bool = True
     residual: float = None
     extras: dict = field(default_factory=dict)
@@ -208,7 +264,8 @@ def unique_point_solution(problem, feas):
 
 
 def _reduced_solve(state, method, beta1, gamma, norm_a):
-    """The one reduced solve at the current step, and the route's bound.
+    """The one reduced solve at the current step of ``state`` (a
+    ``LanczosState`` or a ``KrylovRecord``), and the route's bound.
 
     Returns ``(red, delta)``: the ``ReducedLgSolution`` and the residual
     bound read from it, of the Lagrange equations (``lgopt``) or of the
@@ -221,6 +278,77 @@ def _reduced_solve(state, method, beta1, gamma, norm_a):
         (norm_a + abs(red.mu)) * np.linalg.norm(red.x) + beta1
     )
     return red, delta
+
+
+def _check_record(k, red, delta, gamma, beta1, n0An0):
+    # cheap exact identity: h(v) = gamma^2 mu + ||b0|| x_1 + n0'An0
+    objective = float(gamma**2 * red.mu + beta1 * red.x[0] + n0An0)
+    return CheckRecord(k, float(red.mu), float(delta), objective, red.x.copy(),
+                       red.solver, red.iterations)
+
+
+def rebuild_history(solution):
+    """The check of every step from the solve's first check to its stop,
+    replayed from ``solution.krylov`` (a solve with ``return_basis=True``).
+
+    Each record is, bit for bit, the ``CheckRecord`` that a check at that
+    step makes; the checks in ``solution.history`` are among them.
+    """
+    run = solution.krylov
+    if run is None:
+        raise ValueError("rebuild_history needs a solution with return_basis=True")
+    beta1 = run.beta[0]
+    records = []
+    for k in range(solution.history[0].k, run.k + 1):
+        red, delta = _reduced_solve(run.prefix(k), run.method, beta1, solution.gamma, run.norm_a)
+        records.append(_check_record(k, red, delta, solution.gamma, beta1, run.n0An0))
+    return records
+
+
+class DeltaProxy:
+    """lgopt's ``delta`` estimated at a fixed multiplier, in O(1) per step.
+
+    At a check with multiplier mu_bar, T_k - mu_bar I = L D L' is factored
+    once (``dpttrf``).  The last component of x(mu_bar) = -beta_1
+    (T_k - mu_bar I)^{-1} e_1 has modulus beta_1 prod_j |l_j| / d_k, and
+    each later step appends one pivot: l = beta_k / d_{k-1} and
+    d_k = alpha_k - mu_bar - beta_k l.  The estimate
+
+        p_k = beta_{k+1} |x_k(mu_bar)| / ((||A|| + |mu_bar|) gamma + beta_1)
+
+    is lgopt's bound with x(mu_bar) for the check's x and gamma for its
+    norm.  ``due`` says when it calls for a check: at or below
+    ``threshold``, or when the pivot is not positive or a value is not
+    finite.  It only schedules checks; no stop is decided on it.
+    """
+
+    def __init__(self, alpha, beta, beta1, mu, scale, threshold):
+        # the f2py wrapper rejects an empty off-diagonal, which k = 1 has
+        d, e, info = lapack.dpttrf(alpha - mu, beta if beta.size else np.zeros(1))
+        self.mu = mu
+        self.scale = scale
+        self.threshold = threshold
+        self.pivot = float(d[-1]) if info == 0 else math.nan
+        self.log_y = math.log(beta1) + float(np.sum(np.log(np.abs(e[:alpha.size - 1]))))
+
+    @property
+    def x_last(self):
+        """|x_k(mu_bar)| at the current step."""
+        return math.exp(self.log_y) / self.pivot
+
+    def advance(self, alpha_k, beta_k):
+        """Append step k: its diagonal entry and its coupling to step k-1.
+        Called only while ``due`` is False, so the last pivot is positive."""
+        l_k = beta_k / self.pivot
+        self.log_y += math.log(abs(l_k))
+        self.pivot = alpha_k - self.mu - beta_k * l_k
+
+    def due(self, beta_next):
+        """Whether a check is due, given beta_{k+1}."""
+        if not self.pivot > 0.0:
+            return True
+        p = beta_next * self.x_last / self.scale
+        return not math.isfinite(p) or p <= self.threshold
 
 
 def _kw_log(dim):
@@ -254,7 +382,8 @@ class DetectionRun:
     of hard-case detection.
 
     ``solve`` advances the run with ``lanczos_pair_step`` while it is
-    ``stepping`` and calls ``observe`` at each check of its main loop;
+    ``stepping`` and calls ``observe`` at each step of its main loop from
+    the first check on;
     ``finish`` judges the run at the final threshold.  The module
     docstring says when the run steps and tests.  ``resolve_b0_zero``
     calls ``finish`` at an infinite threshold, where only the eigenpair
@@ -321,7 +450,8 @@ class DetectionRun:
         return True
 
     def observe(self, reduced_mu):
-        """Provisional test at a main-loop check with multiplier ``reduced_mu``."""
+        """Provisional test at a main-loop step, with the last check's
+        multiplier ``reduced_mu``."""
         threshold = _threshold(reduced_mu)
         if not self.stepping or self.state.k < self._next_test(threshold):
             return
@@ -477,7 +607,7 @@ def solve(problem, opts=None):
     beta1 = state.beta[0]
 
     history = []
-    delta = np.inf
+    proxy = None
     broke = False
     while state.k < state.maxit:
         if detection is not None and detection.stepping:
@@ -489,15 +619,21 @@ def solve(problem, opts=None):
         broke = outcome == BROKE_DOWN
         if not (k >= opts.minit or broke or k == state.maxit):
             continue
+        if proxy is not None and not broke and k < state.maxit:
+            proxy.advance(state.alpha[k - 1], state.beta[k - 1])
+            if not proxy.due(state.beta[k]):
+                if detection is not None:
+                    detection.observe(proxy.mu)
+                continue
         red, delta = _reduced_solve(state, opts.method, beta1, gamma, norm_a)
-        # cheap exact identity: h(v) = gamma^2 mu + ||b0|| x_1 + n0'An0
-        objective = float(gamma**2 * red.mu + beta1 * red.x[0] + feas.n0An0)
-        history.append(CheckRecord(k, float(red.mu), float(delta), objective,
-                                   red.x.copy(), red.solver, red.iterations))
+        history.append(_check_record(k, red, delta, gamma, beta1, feas.n0An0))
         if detection is not None:
             detection.observe(red.mu)
         if delta <= opts.tol or broke:
             break
+        proxy = DeltaProxy(*state.tridiagonal(), beta1, red.mu,
+                           (norm_a + abs(red.mu)) * gamma + beta1,
+                           max(CHECK_MARGIN * opts.tol, delta / CHECK_DROP))
 
     last = history[-1]
     converged = broke or last.delta <= opts.tol
@@ -524,6 +660,8 @@ def solve(problem, opts=None):
         problem, v, mu, case, feas.n0, gamma, k=last.k, history=history,
         hard_gap=hard_gap, converged=converged, extras=extras,
         basis=state.basis(last.k).copy() if opts.return_basis else None,
+        krylov=KrylovRecord(state.alpha.copy(), state.beta.copy(), state.broke_down,
+                            opts.method, norm_a, feas.n0An0) if opts.return_basis else None,
     )
     if case == EASY and not converged:
         raise NotConvergedError(

@@ -243,10 +243,11 @@ def write_csv(path, rows, columns):
             fh.write(",".join(_format_cell(row[col]) for col in columns) + "\n")
 
 
-def history_csv(path, solution):
+def history_csv(path, records):
+    """One row per ``CheckRecord``: ``k,mu,delta,objective``."""
     rows = [
         {"k": rec.k, "mu": rec.mu, "delta": rec.delta, "objective": rec.objective}
-        for rec in solution.history
+        for rec in records
     ]
     write_csv(path, rows, ["k", "mu", "delta", "objective"])
 

@@ -247,13 +247,14 @@ def test_criterion_4_bound_dominance():
                     and r["err2"] <= r["b2"] * (1 + 1e-6) + floor2):
                 failures.append((seed, r["k"]))
     ok = not failures
-    _line(4, ok, f"20 instances, {checked} checks, violations={failures[:4]}")
+    _line(4, ok, f"20 instances, {checked} steps, violations={failures[:4]}")
     assert ok
 
 
 # ---------------------------------------------------------------------------
 # 5. both reduced routes agree with each other and with the dense solver;
-#    each qepmin check agrees with the dense linearization of its T_k
+#    each qepmin reduced solve, of the checks and of the steps replayed
+#    after the solve, agrees with the dense linearization of its T_k
 
 def test_criterion_5_route_and_oracle_agreement(monkeypatch):
     calls = []
@@ -275,20 +276,24 @@ def test_criterion_5_route_and_oracle_agreement(monkeypatch):
         prob = random_interior_problem(rng, n, m)
         ref = direct_solve(prob)
         sols = {}
+        rebuilt = {}
         for method in (crqopt.LGOPT, crqopt.QEPMIN):
             start = len(calls)
             sols[method] = _solve_collect(
-                prob, SolveOptions(method=method, tol=1e-14, maxit=n, detect_hard=False))
+                prob, SolveOptions(method=method, tol=1e-14, maxit=n, detect_hard=False,
+                                   return_basis=True))
             # one reduced solve per check on either route
             once = once and len(calls) - start == len(sols[method].history)
+            # every step's reduced solve, replayed after the solve
+            rebuilt[method] = crqopt.rebuild_history(sols[method])
             if method == crqopt.QEPMIN:
                 checks += calls[start:]
         for method, sol in sols.items():
             worst_v = max(worst_v, float(np.linalg.norm(sol.v - ref.v)))
             worst_mu = max(worst_mu,
                            abs(sol.mu - ref.mu) / (1.0 + abs(ref.mu)))
-        hist_l = {r.k: r for r in sols[crqopt.LGOPT].history}
-        hist_q = {r.k: r for r in sols[crqopt.QEPMIN].history}
+        hist_l = {r.k: r for r in rebuilt[crqopt.LGOPT]}
+        hist_q = {r.k: r for r in rebuilt[crqopt.QEPMIN]}
         for k in set(hist_l) & set(hist_q):
             shared += 1
             identical = (identical and hist_l[k].mu == hist_q[k].mu
@@ -304,7 +309,7 @@ def test_criterion_5_route_and_oracle_agreement(monkeypatch):
                  f"lgopt/qepmin (mu, x) identical at {shared} shared k: {identical}, "
                  f"one reduced solve per check: {once}, "
                  f"max gap to the dense linearization over {len(checks)} "
-                 f"qepmin checks={worst_lin:.2e}")
+                 f"qepmin reduced solves={worst_lin:.2e}")
     assert ok
 
 

@@ -96,7 +96,9 @@ def test_error_history_matches_direct_recomputation():
     ref = crqopt.reference_solution(prob, truth)
     sol = crqopt.solve(prob, crqopt.SolveOptions(tol=1e-15, maxit=55, return_basis=True))
     rows = crqopt.error_history(sol, ref)
-    rec = sol.history[len(sol.history) // 2]
+    records = crqopt.rebuild_history(sol)
+    assert [row["k"] for row in rows] == [rec.k for rec in records] == list(range(1, sol.k + 1))
+    rec = records[len(records) // 2]
     row = rows[len(rows) // 2]
     v_k = sol.n0 + sol.basis[:, : rec.k] @ rec.x
     assert row["err2"] == pytest.approx(np.linalg.norm(v_k - ref.v), rel=1e-12)

@@ -40,9 +40,12 @@ def test_solve_roundtrip_matches_truth(tmp_path):
     assert float(summary["residual"]) <= 1e-8
     v = cio.read_vector(sol_dir / "solution.txt")
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-10
+    checks = int(summary["checks"])
+    assert 1 <= checks <= int(summary["k"])
+    # one row per check that ran
     history = (sol_dir / "history.csv").read_text().splitlines()
     assert history[0] == "k,mu,delta,objective"
-    assert len(history) > 1
+    assert len(history) == checks + 1
 
 
 def test_solve_unique_point_fixture(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from conftest import BlockRecordingOperator, degenerate_problem, random_interior_problem
 from oracles import dense_projector, krylov_slice_minimum
@@ -12,6 +13,7 @@ from oracles import dense_projector, krylov_slice_minimum
 import crqopt
 from crqopt import (CrqProblem, SolveOptions, build_reduction, classify,
                     direct_solve, finite_step_check, hard_case_predicate, solve)
+from crqopt.driver import DeltaProxy
 from crqopt.errors import InfeasibleError, NotConvergedError
 
 
@@ -65,8 +67,9 @@ def test_objective_history_nonincreasing():
     rng = np.random.default_rng(22)
     for _ in range(4):
         p = random_interior_problem(rng, 30, 3)
-        sol = solve(p, SolveOptions(tol=1e-15, maxit=27, detect_hard=False))
-        objs = [rec.objective for rec in sol.history]
+        sol = solve(p, SolveOptions(tol=1e-15, maxit=27, detect_hard=False, return_basis=True))
+        objs = [rec.objective for rec in crqopt.rebuild_history(sol)]
+        assert len(objs) == sol.k
         slack = 1e-12 * p.norm_a
         assert all(b <= a + slack for a, b in zip(objs, objs[1:]))
 
@@ -80,7 +83,9 @@ def test_iterate_is_krylov_slice_minimizer(small_example):
                                                 return_basis=True))
     except NotConvergedError as err:
         sol = err.solution
-    for rec in sol.history:
+    records = crqopt.rebuild_history(sol)
+    assert [rec.k for rec in records] == [1, 2, 3]
+    for rec in records:
         v_k = feas.n0 + sol.basis[:, : rec.k] @ rec.x
         h_k = float(v_k @ A @ v_k)
         oracle = krylov_slice_minimum(A, P, feas.n0, feas.b0, feas.gamma, rec.k)
@@ -273,6 +278,78 @@ def test_detect_hard_easy_instance_reports_large_gap():
 
 
 # ---------------------------------------------------------------------------
+# the check schedule
+
+
+def _record_bits(rec):
+    return (rec.k, rec.mu, rec.delta, rec.objective, rec.x.tobytes(), rec.solver,
+            rec.solver_iterations)
+
+
+def _replay_cases():
+    """The criterion-5 draws and the n = 1100 worst cases at beta 10, 300
+    and 1000."""
+    rng = np.random.default_rng(55)
+    for _ in range(50):
+        n = int(rng.integers(20, 61))
+        m = int(rng.integers(1, 9))
+        yield random_interior_problem(rng, n, m), {"tol": 1e-14, "maxit": n, "detect_hard": False}
+    for beta in (10.0, 300.0, 1000.0):
+        spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=beta, zeta=0.9, rng_seed=1)
+        yield crqopt.generate(spec)[0], {}
+
+
+@pytest.mark.parametrize("method", [crqopt.LGOPT, crqopt.QEPMIN])
+def test_scheduled_checks_stop_where_checking_every_step_would(method):
+    for prob, kwargs in _replay_cases():
+        opts = SolveOptions(method=method, return_basis=True, **kwargs)
+        try:
+            sol = solve(prob, opts)
+        except NotConvergedError as err:
+            sol = err.solution
+        rebuilt = {rec.k: rec for rec in crqopt.rebuild_history(sol)}
+        assert min(rebuilt) == opts.minit and max(rebuilt) == sol.k
+        stops = [k for k, rec in rebuilt.items() if rec.delta <= opts.tol]
+        if stops:
+            assert sol.k == stops[0]
+        else:
+            assert sol.krylov.broke_down or sol.k == min(opts.maxit, prob.n)
+        assert sol.history[-1].k == sol.k
+        for rec in sol.history:
+            assert _record_bits(rec) == _record_bits(rebuilt[rec.k])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), k=st.integers(1, 40), start=st.integers(1, 40),
+       gap=st.floats(-2.0, 10.0))
+def test_delta_proxy_follows_the_factorization(seed, k, start, gap):
+    # random irreducible T_k and an anchor gap below its bottom eigenvalue
+    # (a negative gap puts it above, so a pivot turns nonpositive)
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(-5.0, 5.0, k)
+    beta = rng.uniform(0.1, 3.0, k)  # beta[j - 1] couples steps j and j + 1
+    beta1 = float(rng.uniform(0.1, 10.0))
+    theta1 = crqopt.lanczos.bottom_eigenpair(alpha, beta[:k - 1])[0]
+    mu = theta1 - gap
+    start = min(start, k)
+    proxy = DeltaProxy(alpha[:start], beta[:start - 1], beta1, mu, 1.0, 0.0)
+    for j in range(start, k + 1):
+        if j > start:
+            proxy.advance(alpha[j - 1], beta[j - 2])
+        d, e, info = lapack.dpttrf(alpha[:j] - mu, beta[:j - 1] if j > 1 else np.zeros(1))
+        if info != 0:
+            assert proxy.due(beta[j - 1])
+            return
+        rhs = np.zeros(j)
+        rhs[0] = -beta1
+        x, _ = lapack.dpttrs(d, e, rhs)
+        assert proxy.pivot == pytest.approx(d[-1], rel=1e-12)
+        assert proxy.x_last == pytest.approx(abs(x[-1]), rel=1e-12)
+        assert not proxy.due(beta[j - 1])
+    assert proxy.due(float("nan"))
+
+
+# ---------------------------------------------------------------------------
 # hard-case detection exits
 
 
@@ -318,7 +395,7 @@ def test_qepmin_checks_apply_no_a():
     spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
     prob, _ = crqopt.generate(spec)
     sol, applies = _count_a_applies(prob, SolveOptions(method=crqopt.QEPMIN))
-    assert len(sol.history) == sol.k
+    assert sol.history[-1].k == sol.k
     assert applies == sol.k + sol.extras["detect_steps"] + 20 + 6 + 1 + 1
 
 

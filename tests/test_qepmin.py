@@ -261,10 +261,12 @@ def test_qepmin_check_is_one_selected_eigenpair_and_newton(monkeypatch):
     monkeypatch.setattr(crqopt.driver, "solve_rlgopt", recording)
     spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
     prob, _ = crqopt.generate(spec)
-    sol = crqopt.solve(prob, crqopt.SolveOptions(method=crqopt.QEPMIN))
+    sol = crqopt.solve(prob, crqopt.SolveOptions(method=crqopt.QEPMIN, return_basis=True))
+    rebuilt = crqopt.rebuild_history(sol)
     assert "solveh_banded" not in calls
     assert "eigh_tridiagonal" not in calls
-    assert len(checks) == len(sol.history) > 50
+    assert len(rebuilt) > 50
+    assert len(checks) == len(sol.history) + len(rebuilt)
     for made, red in checks:
         assert made.count("bottom_eigenpair") == 1
         assert made.count("dpttrf") == red.iterations

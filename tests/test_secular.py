@@ -222,7 +222,8 @@ def test_generic_path_needs_no_full_eigendecomposition(monkeypatch):
     monkeypatch.setattr(sla, "eigh_tridiagonal", counting)
     spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
     prob, truth = crqopt.generate(spec)
-    sol = crqopt.solve(prob)
+    sol = crqopt.solve(prob, crqopt.SolveOptions(return_basis=True))
+    rebuilt = crqopt.rebuild_history(sol)
     assert full == []
-    assert len(sol.history) > 100
+    assert len(rebuilt) > 100
     assert sol.mu == pytest.approx(truth.lambda_star, abs=1e-9 * (1 + abs(truth.lambda_star)))
