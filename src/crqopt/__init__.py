@@ -19,8 +19,8 @@ from .operators import SymmetricOperator, as_operator, norm_estimate
 from .problem import CrqProblem, Feasibility, ProjectedOperator, classify, compute_n0
 from .qepmin import ReducedQepSolution, qep_residual_bound, solve_reduced_qep
 from .reference import (DenseReduction, build_reduction, direct_solve,
-                        dual_check, equivalence_maps, finite_step_check,
-                        hard_case_predicate, solve_plgopt_dense)
+                        dual_check, equivalence_maps, hard_case_predicate,
+                        solve_plgopt_dense)
 from .secular import (SecularSpec, make_spec, secular_value, smallest_root,
                       solve_plgopt_spectral, solve_rlgopt)
 

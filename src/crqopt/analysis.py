@@ -85,6 +85,20 @@ def inv_cosh_power(log_gamma, k):
     return e / (1.0 + e * e)
 
 
+def _envelopes(inp, ratio, exponent, rho):
+    """The three envelopes for the rate ratio ``ratio`` (kappa or
+    kappa_plus, above one), the Chebyshev ``exponent`` (k or k-1) and
+    the prefactor ``rho`` (1.0 for the plain family)."""
+    kappa = inp.kappa
+    log_gamma = np.log((np.sqrt(ratio) + 1.0) / (np.sqrt(ratio) - 1.0))
+    t = inv_cosh_power(log_gamma, exponent)
+    nh = inp.norm_h_shift
+    b1 = 16.0 * inp.gamma**2 * nh * rho * t * t
+    b2 = 4.0 * inp.gamma * np.sqrt(kappa) * rho * t
+    b3 = rho * (16.0 * nh * t * t + 4.0 / inp.gamma * inp.norm_b0 * np.sqrt(kappa) * t)
+    return float(b1), float(b2), float(b3)
+
+
 def convergence_bounds(inp, k):
     """Chebyshev envelopes (objective gap, iterate error, multiplier error).
 
@@ -92,16 +106,9 @@ def convergence_bounds(inp, k):
     (kappa ~ 1) makes the growth factor degenerate; the Krylov space
     then closes in one step, and zero bounds are returned.
     """
-    kappa = inp.kappa
-    if kappa <= KAPPA_DEGENERATE:
+    if inp.kappa <= KAPPA_DEGENERATE:
         return 0.0, 0.0, 0.0
-    log_gamma = np.log((np.sqrt(kappa) + 1.0) / (np.sqrt(kappa) - 1.0))
-    t = inv_cosh_power(log_gamma, k)
-    nh = inp.norm_h_shift
-    b1 = 16.0 * inp.gamma**2 * nh * t * t
-    b2 = 4.0 * inp.gamma * np.sqrt(kappa) * t
-    b3 = 16.0 * nh * t * t + 4.0 / inp.gamma * inp.norm_b0 * np.sqrt(kappa) * t
-    return float(b1), float(b2), float(b3)
+    return _envelopes(inp, inp.kappa, k, 1.0)
 
 
 def refined_convergence_bounds(inp, k):
@@ -111,20 +118,13 @@ def refined_convergence_bounds(inp, k):
     These are not capped by the plain envelopes: at small k they sit
     about rho above them, and drop below them only past
     k_c ~ (ln rho + ln Gamma_+)/(ln Gamma_+ - ln Gamma) for the iterate
-    bound (see the module docstring).
+    bound (see the module docstring).  They are zero when kappa_plus ~ 1,
+    which is checked before rho, whose divisor may then be zero.
     """
-    kappa_plus = inp.kappa_plus
-    if kappa_plus <= KAPPA_DEGENERATE:
+    if inp.kappa_plus <= KAPPA_DEGENERATE:
         return 0.0, 0.0, 0.0
-    kappa = inp.kappa
     rho = (inp.theta_max - inp.theta_min) / (inp.theta_min - inp.lambda_star)
-    log_gamma = np.log((np.sqrt(kappa_plus) + 1.0) / (np.sqrt(kappa_plus) - 1.0))
-    t = inv_cosh_power(log_gamma, k - 1)
-    nh = inp.norm_h_shift
-    b1 = 16.0 * inp.gamma**2 * nh * rho * t * t
-    b2 = 4.0 * inp.gamma * np.sqrt(kappa) * rho * t
-    b3 = rho * (16.0 * nh * t * t + 4.0 / inp.gamma * inp.norm_b0 * np.sqrt(kappa) * t)
-    return float(b1), float(b2), float(b3)
+    return _envelopes(inp, inp.kappa_plus, k - 1, rho)
 
 
 def error_history(solution, ref):

@@ -10,14 +10,13 @@ Subcommands:
 
 Exit codes: 0 success, 2 not converged, 3 infeasible, 1 usage/IO or
 failed validation.  All numeric output is deterministic for a fixed
-``--seed``; ``CRQOPT_THREADS`` caps bench parallelism.
+``--seed``.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -26,7 +25,8 @@ from .analysis import BoundInputs, history_table
 from .clustering import LabelSet, default_segment_options, segment
 from .driver import LGOPT, QEPMIN, SolveOptions, rebuild_history, solve
 from .errors import CrqError, InfeasibleError, NotConvergedError
-from .instances import InstanceSpec, generate, reference_solution, verify_roundtrip
+from .instances import (CHEBYSHEV_EXTREME, CHEBYSHEV_PLUS_ISOLATED, GEOMETRIC, ONES,
+                        InstanceSpec, generate, reference_solution, verify_roundtrip)
 from .problem import classify
 from .reference import build_reduction, direct_solve, dual_check, equivalence_maps, hard_case_predicate
 
@@ -36,12 +36,40 @@ EXIT_NOT_CONVERGED = 2
 EXIT_INFEASIBLE = 3
 
 
-def _add_solver_flags(parser, tol=1e-15, maxit=200, minit=1):
-    parser.add_argument("--method", choices=[LGOPT, QEPMIN], default=LGOPT)
-    parser.add_argument("--tol", type=float, default=tol)
-    parser.add_argument("--maxit", type=int, default=maxit)
-    parser.add_argument("--minit", type=int, default=minit)
-    parser.add_argument("--seed", type=int, default=0)
+# the instance bench runs when given neither --spec nor instance flags
+BENCH_SPEC = InstanceSpec(n=1100, m=100, alpha=1.0, beta=100.0, zeta=0.9)
+# InstanceSpec fields (all but rng_seed, which --seed sets) by flag
+_INSTANCE_FLAGS = {
+    "--n": ("n", int, None), "--m": ("m", int, None),
+    "--alpha": ("alpha", float, None), "--beta": ("beta", float, None),
+    "--zeta": ("zeta", float, None),
+    "--g0-kind": ("g0_kind", str, [ONES, GEOMETRIC]),
+    "--eta": ("eta", float, None),
+    "--spectrum": ("spectrum_kind", str, [CHEBYSHEV_EXTREME, CHEBYSHEV_PLUS_ISOLATED]),
+    "--iso": ("iso_value", float, None),
+}
+
+
+def _add_solver_flags(parser, defaults):
+    """Solver flags, defaulting to the ``SolveOptions`` ``defaults``."""
+    parser.add_argument("--method", choices=[LGOPT, QEPMIN], default=defaults.method)
+    parser.add_argument("--tol", type=float, default=defaults.tol)
+    parser.add_argument("--maxit", type=int, default=defaults.maxit)
+    parser.add_argument("--minit", type=int, default=defaults.minit)
+    parser.add_argument("--seed", type=int, default=defaults.rng_seed)
+
+
+def _add_instance_flags(parser, base=None):
+    """One flag per ``InstanceSpec`` field but the seed, defaulting to
+    ``base``'s value; without a base, to the field's default, and a field
+    without one is a required flag."""
+    field_defaults = {f.name: f.default for f in fields(InstanceSpec)}
+    for flag, (name, kind, choices) in _INSTANCE_FLAGS.items():
+        default = field_defaults[name] if base is None else getattr(base, name)
+        if default is MISSING:
+            parser.add_argument(flag, dest=name, type=kind, choices=choices, required=True)
+        else:
+            parser.add_argument(flag, dest=name, type=kind, choices=choices, default=default)
 
 
 def _options(args, return_basis=False):
@@ -52,12 +80,15 @@ def _options(args, return_basis=False):
     )
 
 
+def _segment_options(args):
+    return replace(default_segment_options(), tol=args.tol, maxit=args.maxit,
+                   minit=min(args.minit, args.maxit), method=args.method,
+                   rng_seed=args.seed)
+
+
 def _gen_spec(args):
-    return InstanceSpec(
-        n=args.n, m=args.m, alpha=args.alpha, beta=args.beta, zeta=args.zeta,
-        g0_kind=args.g0_kind, eta=args.eta, spectrum_kind=args.spectrum,
-        iso_value=args.iso, rng_seed=args.seed,
-    )
+    return InstanceSpec(rng_seed=args.seed,
+                        **{name: getattr(args, name) for name, _, _ in _INSTANCE_FLAGS.values()})
 
 
 def _write_solution(outdir, sol):
@@ -141,13 +172,7 @@ def cmd_bench(args):
     else:
         base = _gen_spec(args)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [base.rng_seed]
-    specs = [replace(base, rng_seed=seed) for seed in seeds]
-    workers = int(os.environ.get("CRQOPT_THREADS", "1"))
-    if workers > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            failures = list(pool.map(lambda s: _bench_one(s, args, args.out), specs))
-    else:
-        failures = [_bench_one(spec, args, args.out) for spec in specs]
+    failures = [_bench_one(replace(base, rng_seed=seed), args, args.out) for seed in seeds]
     return EXIT_NOT_CONVERGED if any(f is not None for f in failures) else EXIT_OK
 
 
@@ -155,9 +180,7 @@ def cmd_segment(args):
     image, _maxval = cio.read_pgm(args.image)
     fg, bg = cio.read_labels(args.labels)
     labels = LabelSet.from_pixels(image.shape, fg, bg)
-    opts = replace(default_segment_options(), tol=args.tol, maxit=args.maxit,
-                   minit=min(args.minit, args.maxit), method=args.method,
-                   rng_seed=args.seed)
+    opts = _segment_options(args)
     os.makedirs(args.out, exist_ok=True)
     code = EXIT_OK
     try:
@@ -213,39 +236,21 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="solve a problem given by a manifest")
     p_solve.add_argument("--manifest", required=True)
     p_solve.add_argument("--out", required=True)
-    _add_solver_flags(p_solve)
+    _add_solver_flags(p_solve, SolveOptions())
     p_solve.set_defaults(func=cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic benchmark instance")
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--m", type=int, required=True)
-    p_gen.add_argument("--alpha", type=float, required=True)
-    p_gen.add_argument("--beta", type=float, required=True)
-    p_gen.add_argument("--zeta", type=float, required=True)
-    p_gen.add_argument("--g0-kind", choices=["ones", "geometric"], default="ones")
-    p_gen.add_argument("--eta", type=float, default=-5e-3)
-    p_gen.add_argument("--spectrum", choices=["chebyshev_extreme", "chebyshev_plus_isolated"],
-                       default="chebyshev_extreme")
-    p_gen.add_argument("--iso", type=float, default=1.0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    _add_instance_flags(p_gen)
+    p_gen.add_argument("--seed", type=int, default=InstanceSpec.rng_seed)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
     p_bench = sub.add_parser("bench", help="error/bound history against the exact reference")
     p_bench.add_argument("--spec", help="instance spec file (overrides gen flags)")
-    p_bench.add_argument("--n", type=int, default=1100)
-    p_bench.add_argument("--m", type=int, default=100)
-    p_bench.add_argument("--alpha", type=float, default=1.0)
-    p_bench.add_argument("--beta", type=float, default=100.0)
-    p_bench.add_argument("--zeta", type=float, default=0.9)
-    p_bench.add_argument("--g0-kind", dest="g0_kind", choices=["ones", "geometric"], default="ones")
-    p_bench.add_argument("--eta", type=float, default=-5e-3)
-    p_bench.add_argument("--spectrum", choices=["chebyshev_extreme", "chebyshev_plus_isolated"],
-                         default="chebyshev_extreme")
-    p_bench.add_argument("--iso", type=float, default=1.0)
-    p_bench.add_argument("--seeds", help="comma-separated seed list (parallel under CRQOPT_THREADS)")
+    _add_instance_flags(p_bench, BENCH_SPEC)
+    p_bench.add_argument("--seeds", help="comma-separated seed list, run in turn")
     p_bench.add_argument("--out", required=True)
-    _add_solver_flags(p_bench)
+    _add_solver_flags(p_bench, SolveOptions())
     p_bench.set_defaults(func=cmd_bench)
 
     # segment runs without hard-case detection (default_segment_options)
@@ -259,8 +264,8 @@ def build_parser():
     p_seg.add_argument("--delta", type=float, default=0.1)
     p_seg.add_argument("--r", type=float, default=5)
     p_seg.add_argument("--out", required=True)
-    _add_solver_flags(p_seg, tol=8e-5, maxit=300, minit=120)
-    p_seg.set_defaults(func=cmd_segment, method=QEPMIN)
+    _add_solver_flags(p_seg, default_segment_options())
+    p_seg.set_defaults(func=cmd_segment)
 
     p_val = sub.add_parser("validate", help="run the dense reference validators")
     p_val.add_argument("--manifest", required=True)

@@ -37,7 +37,7 @@ also settles b0 = 0.  It decides at the first of four exits:
 
 1. "interlacing": the smallest Ritz value theta_j decreases toward
    lambda_min, so theta_j <= mu + eps proves "hard".  The run goes on to
-   ``eig_tol`` because the padding needs the eigenvector.
+   ``EIG_TOL`` because the padding needs the eigenvector.
 2. "random_start_bound": the bound of Kuczynski & Wozniakowski (SIAM J.
    Matrix Anal. Appl. 13(4), 1992) for Lanczos on sigma I - P A P, with
    sigma a margin above the norm estimate and a start uniform on the
@@ -46,8 +46,8 @@ also settles b0 = 0.  It decides at the first of four exits:
    ``hard_gap`` is then theta_j - mu, an upper bound on the true gap.
    The bound needs sigma >= lambda_max(P A P); a top Ritz value above
    sigma disproves that, and the exit is then refused with a warning.
-3. "converged": the Ritz residual met ``eig_tol``; decide by comparison.
-4. ``eig_maxit`` reached: decide by comparison, uncertified, and warn.
+3. "converged": the Ritz residual met ``EIG_TOL``; decide by comparison.
+4. ``EIG_MAXIT`` reached: decide by comparison, uncertified, and warn.
 
 When detection steps: the detection run starts before the main loop
 and advances with it in lockstep.  Each paired step applies A once to
@@ -60,7 +60,7 @@ loop it goes on alone if it has not paused or its pause does not hold.
 When it tests: a Ritz pair costs a small tridiagonal eigensolve, so the
 run forms one only where an exit can fire.  While the main loop runs,
 the threshold is the last check's mu_k + eps.  At or below it the
-run tests every step until the pair meets ``eig_tol``; above it, the
+run tests every step until the pair meets ``EIG_TOL``; above it, the
 next test is the first step at which the random-start bound could pass
 given the current theta_j, since theta only falls.
 
@@ -71,7 +71,7 @@ After the loop the paused step is judged again at mu + eps (O(1) for
 the bound, one comparison for a converged pair), and every step after
 it is tested there too.  Every certificate therefore rests on bounds at
 one threshold, at most one per step, and the union bound of
-``KW_DELTA`` over ``eig_maxit`` steps is unchanged.
+``KW_DELTA`` over ``EIG_MAXIT`` steps is unchanged.
 """
 
 import math
@@ -103,8 +103,13 @@ RANDOM_START_BOUND = "random_start_bound"
 CONVERGED = "converged"
 
 # Allowed probability of a false "easy" at each detection step; a union
-# bound over eig_maxit = 500 steps keeps the total below 5e-8.
+# bound over the at most EIG_MAXIT = 500 steps of a detection run keeps
+# the total at or below 5e-8.
 KW_DELTA = 1e-10
+# a detection run's Ritz pair has converged when its residual is at most
+# EIG_TOL max(||A||, |theta|); the run stops after EIG_MAXIT steps (at most n)
+EIG_TOL = 1e-8
+EIG_MAXIT = 500
 # sigma = NORM_MARGIN * norm_a must bound lambda_max(P A P) from above;
 # norm_a is the operator's rigorous bound where it has one, else a
 # 20-step Lanczos estimate, a lower bound on ||A||.
@@ -124,8 +129,6 @@ class SolveOptions:
     detect_hard: bool = True
     return_basis: bool = False
     rng_seed: int = 0
-    eig_tol: float = 1e-8
-    eig_maxit: int = 500
 
     def __post_init__(self):
         if self.method not in (LGOPT, QEPMIN):
@@ -134,8 +137,6 @@ class SolveOptions:
             raise ValueError("maxit must be >= 1")
         if self.minit > self.maxit:
             raise ValueError("minit must not exceed maxit")
-        if self.eig_maxit < 1:
-            raise ValueError("eig_maxit must be >= 1")
 
 
 @dataclass
@@ -223,8 +224,8 @@ class HardCaseReport:
     ``lambda_min`` is the last smallest Ritz value, an upper bound on
     the bottom of the projected spectrum, and ``gap`` is it minus the
     reduced multiplier.  ``eig_converged`` says whether that Ritz pair
-    met ``eig_tol``; ``certificate`` names the exit that backs the
-    decision (None when ``eig_maxit`` ran out first) and ``steps`` counts
+    met ``EIG_TOL``; ``certificate`` names the exit that backs the
+    decision (None when ``EIG_MAXIT`` ran out first) and ``steps`` counts
     the detection run's Lanczos steps, ``reorth_steps`` those of them
     that ran a Gram-Schmidt pass and ``paired_steps`` those taken in
     lockstep with the main loop.  ``ritz`` is the last Ritz pair, whose
@@ -390,12 +391,11 @@ class DetectionRun:
     exits fire.
     """
 
-    def __init__(self, problem, rng, eig_tol, eig_maxit):
+    def __init__(self, problem, rng):
         op = problem.projected_operator()
         start = op.apply_P(rng.standard_normal(problem.n))
-        self.state = lanczos_init(op, start, norm_scale=problem.norm_a, maxit=eig_maxit)
+        self.state = lanczos_init(op, start, norm_scale=problem.norm_a, maxit=EIG_MAXIT)
         self.norm_scale = problem.norm_a
-        self.eig_tol = eig_tol
         self.sigma = NORM_MARGIN * problem.norm_a
         self.dim = problem.n - problem.m
         self.paired_steps = 0
@@ -411,7 +411,7 @@ class DetectionRun:
     def ritz_pair(self):
         """The bottom Ritz pair at the current step, formed once per step."""
         if self.ritz is None or self.ritz.k != self.state.k:
-            self.ritz = bottom_ritz_pair(self.state, self.eig_tol, self.norm_scale)
+            self.ritz = bottom_ritz_pair(self.state, EIG_TOL, self.norm_scale)
         return self.ritz
 
     def _next_test(self, threshold):
@@ -463,7 +463,7 @@ class DetectionRun:
         stepping alone with a test every step until an exit fires.
 
         Returns the last Ritz pair and the certificate, None when
-        ``eig_maxit`` ran out first.  On a paused run the first test
+        ``EIG_MAXIT`` ran out first.  On a paused run the first test
         reuses the paused step's pair: O(1) for the random-start bound and
         one comparison for a converged pair.  Raises ``EigFailureError``
         when the run yields no finite Ritz value.
@@ -482,20 +482,18 @@ class DetectionRun:
                     return ritz, RANDOM_START_BOUND
                 if state.k == state.maxit:
                     return ritz, INTERLACING if interlacing else None
-            elif state.maxit == 0:
-                break
             lanczos_step(state)
         raise EigFailureError("projected eigensolve produced no finite Ritz value")
 
 
-def resolve_b0_zero(problem, feas, rng=None, eig_tol=1e-10, eig_maxit=500):
+def resolve_b0_zero(problem, feas, rng=None):
     """Shortcut for b0 = 0: the bottom eigenpair of P A P settles the instance.
 
     When the shifted gradient vanishes, the minimizer is
     ``n0 + gamma * z/||z||`` with ``(theta, z)`` the smallest eigenpair of
     P A P restricted to the null space of C'.  A ``DetectionRun`` from
     ``rng`` forms it: judged at an infinite threshold, the run stops at
-    the first Ritz pair that meets ``eig_tol``, or after ``eig_maxit``
+    the first Ritz pair that meets ``EIG_TOL``, or after ``EIG_MAXIT``
     steps (at most n) with ``converged=False``.  Returns ``None`` when
     ``||b0||`` is above the zero threshold, so the caller proceeds to the
     main Lanczos loop.
@@ -504,7 +502,7 @@ def resolve_b0_zero(problem, feas, rng=None, eig_tol=1e-10, eig_maxit=500):
         raise ValueError("resolve_b0_zero expects an interior instance")
     if np.linalg.norm(feas.b0) > b0_zero_threshold(problem, feas):
         return None
-    run = DetectionRun(problem, np.random.default_rng(rng), eig_tol, eig_maxit)
+    run = DetectionRun(problem, np.random.default_rng(rng))
     ritz, _ = run.finish(math.inf)
     z = ritz.vector()
     v = feas.n0 + feas.gamma * z / np.linalg.norm(z)
@@ -522,11 +520,11 @@ def detect_hard_case(run, reduced_mu):
     whatever it was paused on, and goes on by itself, with a test every
     step, until one of four exits (see the module docstring):
     "interlacing" proves "hard" once the smallest Ritz value drops to the
-    threshold, and then runs on to ``eig_tol`` for the eigenvector;
+    threshold, and then runs on to ``EIG_TOL`` for the eigenvector;
     "random_start_bound" declares "easy" once the Kuczynski-Wozniakowski
     bound puts the chance of a hard instance below ``KW_DELTA`` (refused,
     with a warning, when a Ritz value above sigma shows that the bound's
-    premise fails); "converged" and ``eig_maxit`` decide by comparing the
+    premise fails); "converged" and ``EIG_MAXIT`` decide by comparing the
     last Ritz value with the threshold, and the latter warns.  On a
     "random_start_bound" exit the reported ``gap`` is an upper bound on
     the true gap.
@@ -591,9 +589,7 @@ def solve(problem, opts=None):
         return unique_point_solution(problem, feas)
 
     rng = np.random.default_rng(opts.rng_seed)
-    shortcut = resolve_b0_zero(
-        problem, feas, rng=rng, eig_tol=opts.eig_tol, eig_maxit=opts.eig_maxit
-    )
+    shortcut = resolve_b0_zero(problem, feas, rng=rng)
     if shortcut is not None:
         return shortcut
 
@@ -601,7 +597,7 @@ def solve(problem, opts=None):
     norm_a = problem.norm_a
     detection = None
     if opts.detect_hard:
-        detection = DetectionRun(problem, rng, opts.eig_tol, opts.eig_maxit)
+        detection = DetectionRun(problem, rng)
     op = problem.projected_operator()
     state = lanczos_init(op, feas.b0, norm_scale=norm_a, maxit=opts.maxit)
     beta1 = state.beta[0]
@@ -652,7 +648,7 @@ def solve(problem, opts=None):
             v = _pad(state, report.ritz, feas)
             mu, case = report.lambda_min, HARD
             # the repaired v no longer depends on the main loop's residual,
-            # but on the padding eigenvector meeting eig_tol
+            # but on the padding eigenvector meeting EIG_TOL
             converged = report.eig_converged
             extras["padding_eig_converged"] = report.eig_converged
 

@@ -261,11 +261,11 @@ def reference_solution(problem, truth):
                         extras={"case_tag": tag})
 
 
-def verify_roundtrip(problem, truth, rtol=1e-10):
+def verify_roundtrip(problem, truth):
     """Check the construction identities of a generated instance.
 
     Verifies that the reduction of the assembled problem reproduces the
-    prescribed diagonal H and gradient g0, that gamma matches
+    prescribed diagonal H and gradient g0 to 1e-10 relative, that gamma matches
     sqrt(1 - zeta^2), and (for positive definite H) that A is positive
     semidefinite up to roundoff.  Raises ``VerificationError`` naming the
     first violated identity; returns the measured gaps otherwise.
@@ -276,12 +276,12 @@ def verify_roundtrip(problem, truth, rtol=1e-10):
     H_round = S1.T @ problem.A.apply(S1)
     h_gap = float(np.max(np.abs(H_round - np.diag(h))))
     h_scale = float(np.max(np.abs(h)))
-    if h_gap > rtol * h_scale:
+    if h_gap > 1e-10 * h_scale:
         raise VerificationError(f"reduced operator mismatch: {h_gap:.3e}")
 
     feas = classify(problem)
     g_gap = float(np.linalg.norm(S1.T @ feas.b0 - g0))
-    if g_gap > rtol * max(np.linalg.norm(g0), 1e-300):
+    if g_gap > 1e-10 * max(np.linalg.norm(g0), 1e-300):
         raise VerificationError(f"reduced gradient mismatch: {g_gap:.3e}")
 
     gamma_gap = abs(feas.gamma - np.sqrt(1.0 - truth.zeta**2))

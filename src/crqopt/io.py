@@ -54,8 +54,9 @@ def read_keyvalues(path):
     return out
 
 
-def write_problem(dirname, A, C, b, manifest_name="problem.manifest"):
-    """Write A/C/b plus a manifest into ``dirname``; returns the manifest path."""
+def write_problem(dirname, A, C, b):
+    """Write A/C/b plus ``problem.manifest`` into ``dirname``; returns the
+    manifest path."""
     os.makedirs(dirname, exist_ok=True)
     a_path = os.path.join(dirname, "A.mtx")
     c_path = os.path.join(dirname, "C.mtx")
@@ -67,7 +68,7 @@ def write_problem(dirname, A, C, b, manifest_name="problem.manifest"):
     else:
         sio.mmwrite(c_path, np.atleast_2d(np.asarray(C, dtype=float)))
     write_vector(b_path, b)
-    manifest = os.path.join(dirname, manifest_name)
+    manifest = os.path.join(dirname, "problem.manifest")
     write_keyvalues(manifest, {"A": "A.mtx", "C": "C.mtx", "b": "b.txt"})
     return manifest
 
@@ -186,9 +187,6 @@ def write_labels(path, foreground_rc, background_rc):
             fh.write(f"{r} {c} +\n")
         for r, c in background_rc:
             fh.write(f"{r} {c} -\n")
-
-
-_SPEC_FIELDS = ("n", "m", "alpha", "beta", "zeta", "g0_kind", "eta", "seed")
 
 
 def write_instance_spec(path, spec):

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from .lanczos import run
 
 _NORM_SEED = 0x5EED
+_NORM_STEPS = 20
 
 
 class SymmetricOperator:
@@ -40,9 +41,6 @@ class SymmetricOperator:
         if x.ndim == 1:
             return self.matvec(x)
         return self.matmat(x)
-
-    def __call__(self, x):
-        return self.apply(x)
 
 
 class _MatrixOperator(SymmetricOperator):
@@ -84,15 +82,15 @@ def as_operator(A, n=None):
     return _MatrixOperator(A)
 
 
-def norm_estimate(op, iters=20, seed=_NORM_SEED):
+def norm_estimate(op):
     """Estimate ||A||_2 by a short Lanczos run with a fixed seeded start.
 
     The run is ``lanczos.run`` on A itself, and the estimate the largest
     |Ritz value| of its tridiagonal.  It is a lower bound on the true norm
-    that is typically accurate to several digits after ``iters`` steps; it
+    that is typically accurate to several digits after its 20 steps; it
     only feeds residual normalizations and tolerances, never the math
     itself.
     """
-    start = np.random.default_rng(seed).standard_normal(op.n)
-    state = run(op, start, min(iters, op.n))
+    start = np.random.default_rng(_NORM_SEED).standard_normal(op.n)
+    state = run(op, start, min(_NORM_STEPS, op.n))
     return float(np.max(np.abs(sla.eigvalsh_tridiagonal(*state.tridiagonal()))))

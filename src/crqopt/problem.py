@@ -145,14 +145,10 @@ def compute_n0(problem):
     return problem._Q @ z
 
 
-def classify(problem, eps_f=None):
-    """Feasible-set trichotomy on ||n0||.
-
-    ``eps_f`` is the boundary tolerance; it defaults to
-    ``1e-12 * (1 + ||b||)``.
-    """
-    if eps_f is None:
-        eps_f = 1e-12 * (1.0 + np.linalg.norm(problem.b))
+def classify(problem):
+    """Feasible-set trichotomy on ||n0||, with the boundary tolerance
+    eps_f = 1e-12 (1 + ||b||)."""
+    eps_f = 1e-12 * (1.0 + np.linalg.norm(problem.b))
     n0 = compute_n0(problem)
     nrm = np.linalg.norm(n0)
     if nrm > 1.0 + eps_f:

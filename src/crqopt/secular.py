@@ -161,7 +161,7 @@ def _bottom_cluster(theta):
     return np.flatnonzero(theta <= theta[0] + tol)
 
 
-def solve_plgopt_spectral(theta, xi, gamma, ortho_tol=ORTHO_TOL):
+def solve_plgopt_spectral(theta, xi, gamma):
     """Reduced multiplier problem in eigen-coordinates.
 
     ``theta`` ascending eigenvalues, ``xi`` the coordinates of the
@@ -184,7 +184,7 @@ def solve_plgopt_spectral(theta, xi, gamma, ortho_tol=ORTHO_TOL):
     # theta_1 counts as zero: a root that needs it (||w|| < gamma below)
     # lies within rounding of theta_1, where -xi / (theta - lam) divides by 0
     resolved = theta[0] - weight_bottom / gamma < theta[0]
-    if weight_bottom > ortho_tol * norm_g and norm_g > 0.0 and resolved:
+    if weight_bottom > ORTHO_TOL * norm_g and norm_g > 0.0 and resolved:
         lam, _ = smallest_root(make_spec(theta, xi, gamma))
         y_hat = -xi / (theta - lam)
         return float(lam), y_hat, EASY_TAG

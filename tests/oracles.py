@@ -3,13 +3,15 @@
 Everything here deliberately avoids the code paths under test: dense
 pseudoinverses instead of QR solves, bisection instead of the rational
 secular iteration, grid search on the feasible circle instead of any
-multiplier machinery.
+multiplier machinery.  ``finite_step_check`` is the exception: it runs
+the Lanczos solve itself and checks its exact termination against the
+dense direct solver.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from crqopt import CrqError
+from crqopt import CrqError, NotConvergedError, SolveOptions, classify, direct_solve, solve
 from crqopt.secular import EASY_TAG
 
 
@@ -181,3 +183,41 @@ def graph_matrix(graph):
                       shape=(graph.n, graph.n)).tocsr()
     W.sort_indices()
     return W
+
+
+def finite_step_check(problem):
+    """Run a solve to breakdown and verify the exact-termination property.
+
+    On instances whose Krylov subspace closes at dimension d < n - m the
+    process must break down at step d with the recovered pair satisfying
+    the full-space multiplier equations to roundoff (1e-10), and agreeing
+    with the dense direct solver.  Returns a report dict (no exception on
+    a failed property; callers assert on ``report["passed"]``).
+    """
+    opts = SolveOptions(tol=0.0, maxit=min(problem.n, 400), detect_hard=False)
+    try:
+        sol = solve(problem, opts)
+    except NotConvergedError as err:
+        sol = err.solution
+    feas = classify(problem)
+    u = sol.v - feas.n0
+    scale = (problem.norm_a + abs(sol.mu)) * feas.gamma + np.linalg.norm(feas.b0)
+    ref = direct_solve(problem)
+    # sign-fix not needed: the easy case has a unique minimizer
+    report = {
+        "k_breakdown": sol.k,
+        "residual": float(sol.residual / scale),
+        "norm_gap": float(abs(np.linalg.norm(u) - feas.gamma)),
+        "constraint_gap": float(
+            np.linalg.norm(problem.C.T @ sol.v - problem.b)
+        ),
+        "match_v": float(np.linalg.norm(sol.v - ref.v)),
+        "match_mu": float(abs(sol.mu - ref.mu)),
+    }
+    report["passed"] = (
+        report["residual"] <= 1e-10
+        and report["norm_gap"] <= 1e-10
+        and report["constraint_gap"] <= 1e-10 * (1.0 + np.linalg.norm(problem.b))
+        and report["match_v"] <= 1e-6
+    )
+    return report

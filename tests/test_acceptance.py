@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import random_interior_problem
-from oracles import bisection_secular_root
+from oracles import bisection_secular_root, finite_step_check
 
 import crqopt
 from crqopt import (BoundInputs, InstanceSpec, SolveOptions,
@@ -377,7 +377,7 @@ def test_criterion_8_finite_step():
         m = int(rng_master.integers(1, 4))
         prob, truth = crqopt.embed(h, np.ones(h.size), 0.8, m,
                                    np.random.default_rng(1000 + trial))
-        report = crqopt.finite_step_check(prob)
+        report = finite_step_check(prob)
         if report["k_breakdown"] != d or not report["passed"]:
             bad.append((trial, d, report))
     ok = not bad

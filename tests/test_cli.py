@@ -2,7 +2,9 @@ import numpy as np
 
 import crqopt
 from crqopt import io as cio
-from crqopt.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from crqopt.cli import (BENCH_SPEC, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _gen_spec, _options,
+                        _segment_options, build_parser, main)
+from crqopt.clustering import default_segment_options
 
 
 def _gen(tmp_path, seed=3, out="inst"):
@@ -164,8 +166,8 @@ def test_segment_cli_rejects_no_detect_hard(tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_bench_parallel_seeds(tmp_path, monkeypatch):
-    monkeypatch.setenv("CRQOPT_THREADS", "2")
+def test_bench_parallel_seeds(tmp_path):
+    # one call runs every seed of --seeds, one after another
     out = tmp_path / "batch"
     code = main([
         "bench", "--n", "40", "--m", "4", "--alpha", "1", "--beta", "15",
@@ -180,3 +182,16 @@ def test_bench_parallel_seeds(tmp_path, monkeypatch):
 def test_usage_error_exit_code():
     assert main(["solve"]) == 1
     assert main(["no-such-command"]) == 1
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    parser = build_parser()
+    for argv in (["solve", "--manifest", "m", "--out", "o"], ["bench", "--out", "o"]):
+        assert _options(parser.parse_args(argv)) == crqopt.SolveOptions()
+    seg = parser.parse_args(["segment", "--image", "i", "--labels", "l", "--out", "o"])
+    assert _segment_options(seg) == default_segment_options()
+    # the instance flags of gen and bench map onto InstanceSpec's fields
+    assert _gen_spec(parser.parse_args(["bench", "--out", "o"])) == BENCH_SPEC
+    gen = parser.parse_args(["gen", "--n", "40", "--m", "4", "--alpha", "1", "--beta", "20",
+                             "--zeta", "0.9", "--out", "o"])
+    assert _gen_spec(gen) == crqopt.InstanceSpec(n=40, m=4, alpha=1.0, beta=20.0, zeta=0.9)

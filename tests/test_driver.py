@@ -8,19 +8,18 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from conftest import BlockRecordingOperator, degenerate_problem, random_interior_problem
-from oracles import dense_projector, krylov_slice_minimum
+from oracles import dense_projector, finite_step_check, krylov_slice_minimum
 
 import crqopt
 from crqopt import (CrqProblem, SolveOptions, build_reduction, classify,
-                    direct_solve, finite_step_check, hard_case_predicate, solve)
+                    direct_solve, hard_case_predicate, solve)
 from crqopt.driver import DeltaProxy
 from crqopt.errors import InfeasibleError, NotConvergedError
 
 
 @pytest.mark.parametrize("kwargs", [
     {"method": "newton"}, {"maxit": 0}, {"minit": 10, "maxit": 5},
-    {"eig_maxit": 0}, {"eig_maxit": -3},
-], ids=["method", "maxit=0", "minit>maxit", "eig_maxit=0", "eig_maxit=-3"])
+], ids=["method", "maxit=0", "minit>maxit"])
 def test_options_validated(kwargs):
     with pytest.raises(ValueError):
         SolveOptions(**kwargs)
@@ -463,11 +462,12 @@ def test_hard_instances_certified_by_interlacing(seed):
 
 
 @pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
-def test_unconverged_padding_is_reported():
+def test_unconverged_padding_is_reported(monkeypatch):
     # interlacing proves "hard" before step 12, but the eigenvector is
-    # still short of eig_tol there
+    # still short of EIG_TOL there
+    monkeypatch.setattr(crqopt.driver, "EIG_MAXIT", 12)
     prob, _ = _hard_instance(41)
-    sol = solve(prob, SolveOptions(tol=1e-14, maxit=prob.n, rng_seed=5, eig_maxit=12))
+    sol = solve(prob, SolveOptions(tol=1e-14, maxit=prob.n, rng_seed=5))
     assert sol.case == crqopt.HARD
     assert sol.extras["detect_certificate"] == "interlacing"
     assert sol.extras["detect_steps"] == 12
@@ -475,11 +475,12 @@ def test_unconverged_padding_is_reported():
     assert not sol.converged
 
 
-def test_uncertified_detection_warns():
+def test_uncertified_detection_warns(monkeypatch):
+    monkeypatch.setattr(crqopt.driver, "EIG_MAXIT", 5)
     spec = crqopt.InstanceSpec(n=120, m=10, alpha=1.0, beta=100.0, zeta=0.9, rng_seed=44)
     prob, _ = crqopt.generate(spec)
     with pytest.warns(RuntimeWarning, match="without a certificate"):
-        sol = solve(prob, SolveOptions(tol=1e-14, maxit=110, eig_maxit=5))
+        sol = solve(prob, SolveOptions(tol=1e-14, maxit=110))
     assert sol.extras["detect_certificate"] is None
     assert sol.extras["detect_steps"] == 5
 
@@ -523,14 +524,14 @@ def test_paused_detection_is_judged_at_the_final_threshold():
     prob, truth = crqopt.generate(spec)
     mu = truth.lambda_star
     threshold = mu + 1e-8 * (1.0 + abs(mu))
-    paused = crqopt.driver.DetectionRun(prob, np.random.default_rng(3), 1e-8, 500)
+    paused = crqopt.driver.DetectionRun(prob, np.random.default_rng(3))
     while paused.stepping:
         crqopt.lanczos.lanczos_step(paused.state)
         paused.observe(mu - (truth.theta[0] - mu))
     assert paused.paused
     k_paused = paused.state.k
     ritz, certificate = paused.finish(threshold)
-    fresh = crqopt.driver.DetectionRun(prob, np.random.default_rng(3), 1e-8, 500)
+    fresh = crqopt.driver.DetectionRun(prob, np.random.default_rng(3))
     fresh_ritz, fresh_certificate = fresh.finish(threshold)
     assert certificate == fresh_certificate == "random_start_bound"
     assert ritz.k == fresh_ritz.k > k_paused

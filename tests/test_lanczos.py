@@ -117,11 +117,12 @@ def test_krylov_span_matches_power_basis():
     assert np.max(angles) <= 1e-8
 
 
-def test_smallest_eigenpair_matches_dense():
+def test_smallest_eigenpair_matches_dense(monkeypatch):
+    monkeypatch.setattr(crqopt.driver, "EIG_TOL", 1e-12)
     rng = np.random.default_rng(5)
     p = random_interior_problem(rng, 24, 3)
     # at an infinite threshold the detection run stops only on its eigenpair
-    ritz, _ = DetectionRun(p, rng, eig_tol=1e-12, eig_maxit=500).finish(math.inf)
+    ritz, _ = DetectionRun(p, rng).finish(math.inf)
     theta, z = ritz.theta, ritz.vector()
     # dense comparison on the reduced block
     red = crqopt.build_reduction(p)

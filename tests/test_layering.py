@@ -1,4 +1,5 @@
-"""Package layering: imports sit at module top and never form a cycle.
+"""Package layering: imports sit at module top and never form a cycle,
+and every setting the package exposes is one that its callers set.
 
 An import hidden in a function body is how a cycle between two modules
 gets past the interpreter; both checks read the source with ``ast``, so
@@ -6,11 +7,17 @@ they see every import, wherever it is.
 """
 
 import ast
+from dataclasses import fields
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crqopt"
+from crqopt import driver
+from crqopt.driver import SolveOptions
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "crqopt"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -87,3 +94,28 @@ def test_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_every_solve_option_is_set_outside_the_tests():
+    """Each ``SolveOptions`` field is passed by keyword to some
+    ``SolveOptions(...)`` or ``replace(...)`` call in the package, the
+    benchmarks or the demos; a field that only tests set is a constant."""
+    callers = [path for pattern in ("src/**/*.py", "benchmarks/*.py", "demos/*.py")
+               for path in sorted(ROOT.glob(pattern)) if not path.name.startswith("test_")]
+    passed = set()
+    for path in callers:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("SolveOptions", "replace"):
+                    passed.update(kw.arg for kw in node.keywords)
+    unset = {f.name for f in fields(SolveOptions)} - passed
+    assert not unset, f"SolveOptions fields no caller sets: {sorted(unset)}"
+
+
+def test_detection_union_bound():
+    # KW_DELTA bounds a false "easy" at one detection step; over the at
+    # most EIG_MAXIT steps of a run the total stays at or below 5e-8.  The
+    # product is taken in decimal: in binary, 500 * 1e-10 rounds up by one
+    # ulp past 5e-8
+    assert driver.EIG_MAXIT * Decimal(repr(driver.KW_DELTA)) <= Decimal("5e-8")

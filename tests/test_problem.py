@@ -157,16 +157,18 @@ def test_b0_zero_zero_matrix():
     assert abs(np.linalg.norm(sol.v) - 1.0) <= 1e-12
 
 
-def test_b0_zero_reports_unconverged_eigensolve():
+def test_b0_zero_reports_unconverged_eigensolve(monkeypatch):
     # b0 = 0 by construction: zero gradient weight on every reduced mode
     p, _ = crqopt.embed(np.linspace(1.0, 10.0, 60), np.zeros(60), 0.9, 3,
                         np.random.default_rng(0))
-    capped = crqopt.solve(p, crqopt.SolveOptions(eig_maxit=3))
+    with monkeypatch.context() as patch:
+        patch.setattr(crqopt.driver, "EIG_MAXIT", 3)
+        capped = crqopt.solve(p, crqopt.SolveOptions())
     assert capped.case == crqopt.B0_ZERO and not capped.converged
     full = crqopt.solve(p, crqopt.SolveOptions())
     assert full.case == crqopt.B0_ZERO and full.converged
     assert abs(full.mu - 1.0) <= 1e-8
-    # v = n0 + gamma z/||z||, with z's Ritz residual below eig_tol ||A||
+    # v = n0 + gamma z/||z||, with z's Ritz residual below EIG_TOL ||A||
     assert full.residual <= 1e-8 * p.norm_a
 
 

@@ -201,9 +201,10 @@ def test_dual_check_near_unique_instance():
     assert gap <= 1e-6 * (1.0 + abs(ref.objective))
 
 
-def test_dense_cap_enforced(small_example):
+def test_dense_cap_enforced(small_example, monkeypatch):
+    monkeypatch.setattr(crqopt.reference, "DENSE_CAP", 3)
     with pytest.raises(crqopt.TooLargeError):
-        build_reduction(small_example, cap=3)
+        build_reduction(small_example)
 
 
 def test_dual_mass_matrix_positive_definite_random():
