@@ -29,8 +29,7 @@ solution = crqopt.solve(problem, crqopt.SolveOptions(
     method=crqopt.LGOPT, tol=1e-15, maxit=200, return_basis=True))
 print(f"converged in {solution.k} Lanczos steps, {len(solution.history)} reduced solves")
 
-inputs = crqopt.BoundInputs.from_truth(truth, ref_objective=reference.objective,
-                                       ref_v=reference.v)
+inputs = crqopt.BoundInputs.from_truth(truth)
 rows = crqopt.history_table(solution, reference, inputs)
 cio.bench_csv("worst_case_history.csv", rows)
 print("wrote worst_case_history.csv")

@@ -6,8 +6,8 @@ constrained normalized-cut pipeline built on top.
 
 from .analysis import BoundInputs, convergence_bounds, error_history, history_table, refined_convergence_bounds
 from .driver import (B0_ZERO, EASY, HARD, LGOPT, QEPMIN, UNIQUE, CrqSolution,
-                     KrylovRecord, SolveOptions, detect_hard_case, rebuild_history,
-                     resolve_b0_zero, solve)
+                     KrylovRecord, SolveOptions, detect_hard_case, qep_residual_bound,
+                     rebuild_history, resolve_b0_zero, solve)
 from .errors import (BracketFailureError, CrqError, EigFailureError,
                      EmptySideError, InfeasibleError, IsolatedPixelError,
                      MaxIterError, NoRealEigenvalueError, NoRootError,
@@ -17,7 +17,7 @@ from .instances import (GroundTruth, InstanceSpec, chebyshev_extreme_nodes,
                         embed, generate, reference_solution, verify_roundtrip)
 from .operators import SymmetricOperator, as_operator, norm_estimate
 from .problem import CrqProblem, Feasibility, ProjectedOperator, classify, compute_n0
-from .qepmin import ReducedQepSolution, qep_residual_bound, solve_reduced_qep
+from .qepmin import ReducedQepSolution, solve_reduced_qep
 from .reference import (DenseReduction, build_reduction, direct_solve,
                         dual_check, equivalence_maps, hard_case_predicate,
                         solve_plgopt_dense)

@@ -46,8 +46,6 @@ class BoundInputs:
     lambda_star: float
     gamma: float
     norm_b0: float
-    ref_objective: float = None
-    ref_v: np.ndarray = None
 
     @property
     def norm_h_shift(self):
@@ -65,7 +63,7 @@ class BoundInputs:
         return (self.theta_max - self.lambda_star) / (self.theta_2 - self.lambda_star)
 
     @classmethod
-    def from_truth(cls, truth, ref_objective=None, ref_v=None):
+    def from_truth(cls, truth):
         """Bound inputs from a generated instance's ground truth."""
         return cls(
             theta_min=float(truth.theta[0]),
@@ -74,8 +72,6 @@ class BoundInputs:
             lambda_star=truth.lambda_star,
             gamma=truth.gamma,
             norm_b0=float(np.linalg.norm(truth.g0)),
-            ref_objective=ref_objective,
-            ref_v=ref_v,
         )
 
 

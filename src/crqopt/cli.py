@@ -151,7 +151,7 @@ def _bench_one(spec, args, outdir):
     except NotConvergedError as err:
         failure = err
         sol = err.solution
-    inp = BoundInputs.from_truth(truth, ref_objective=ref.objective, ref_v=ref.v)
+    inp = BoundInputs.from_truth(truth)
     rows = history_table(sol, ref, inp)
     os.makedirs(outdir, exist_ok=True)
     cio.bench_csv(os.path.join(outdir, f"bench_seed{spec.rng_seed}.csv"), rows)

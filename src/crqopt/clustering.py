@@ -37,8 +37,6 @@ class ImageGraph:
     weights: np.ndarray  # (len(shifts), n): W[q - s, q] at column q, zeros off the raster
     shifts: np.ndarray   # the positive flat neighbour shifts, ascending
     degrees: np.ndarray
-    delta: float
-    radius: float
 
     @property
     def n(self):
@@ -140,7 +138,7 @@ def build_graph(image, delta, r):
     degrees = apply_weights(weights, shifts, np.ones(n))
     if np.any(degrees <= 0.0):
         raise IsolatedPixelError("graph has an isolated pixel (zero degree)")
-    return ImageGraph(width, height, weights, shifts, degrees, delta, r)
+    return ImageGraph(width, height, weights, shifts, degrees)
 
 
 def apply_weights(weights, shifts, x):

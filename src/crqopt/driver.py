@@ -6,10 +6,13 @@ P A P that a ``DetectionRun`` forms), then runs the projected Lanczos
 process started at b0.  A check is one ``secular.solve_rlgopt`` call,
 which solves the reduced multiplier problem on both routes, and
 ``method`` picks only the certificate read from its
-``ReducedLgSolution``: the Lagrange residual bound (``lgopt``), or
-``qepmin.qep_residual_bound`` on the reduced QEP eigenpair it holds
-(``qepmin``).  Each check is one O(k) reduced solve plus an O(1) bound
-``delta``, and applies no operator.
+``ReducedLgSolution``: the Lagrange residual bound ``_lgopt_bound``
+(``lgopt``), or ``qep_residual_bound`` on the reduced QEP eigenpair it
+holds (``qepmin``).  Each check is one O(k) reduced solve plus an O(1)
+bound ``delta``, and applies no operator.  Every bound the solver stops
+or certifies on is written once, in this module: the two certificates,
+``DeltaProxy`` (``_lgopt_bound`` at a fixed multiplier) and the
+random-start bound of detection (``_kw_steps``).
 The loop stops when ``delta`` drops below the tolerance, on breakdown
 (which makes the reduced solve exact), or at the iteration cap.  The
 minimizer is recovered as v = n0 + Q_k x, and the one exact residual
@@ -82,13 +85,13 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import EigFailureError, InfeasibleError, NotConvergedError
-from .lanczos import (BROKE_DOWN, RitzStep, bottom_ritz_pair, lanczos_init, lanczos_pair_step,
+from .lanczos import (BROKE_DOWN, LanczosState, RitzStep, bottom_ritz_pair, lanczos_pair_step,
                       lanczos_step, top_eigenvalue)
 from .problem import INFEASIBLE, INTERIOR, UNIQUE_POINT, b0_zero_threshold, classify
 # benchmarks/tracing.py wraps driver.solve_reduced_qep by name, so the
 # name stays bound here; the driver never calls it
-from .qepmin import qep_residual_bound, solve_reduced_qep
-from .secular import solve_rlgopt
+from .qepmin import solve_reduced_qep
+from .secular import EASY_TAG, solve_rlgopt
 
 EASY = "easy"
 HARD = "hard_detected"
@@ -264,6 +267,33 @@ def unique_point_solution(problem, feas):
     return crq_solution(problem, feas.n0, float("nan"), UNIQUE, feas.n0, 0.0)
 
 
+def _lgopt_bound(beta_next, x_last, x_norm, mu, norm_a, beta1):
+    """lgopt's normalized residual bound: the Lagrange residual
+    beta_{k+1} |x_k| of the Krylov iterate over (||A|| + |mu|) ||x|| +
+    beta_1.  A check passes ||x||; ``DeltaProxy`` passes gamma."""
+    return beta_next * x_last / ((norm_a + abs(mu)) * x_norm + beta1)
+
+
+def qep_residual_bound(state, red, norm_a, gamma, beta1):
+    """qepmin's bound: a cheap upper bound on the normalized residual of
+    the reduced QEP eigenpair that the ``ReducedLgSolution`` ``red`` holds.
+
+    The pair is (mu, w) with y = (T_k - mu I) w, which is x on the easy
+    tag and (theta_1 - mu) w = 0 on a boundary tag.  The bound reads only
+    the trailing components of (y, w) and beta_{k+1}, so it costs O(1)
+    and applies no operator; the exact normalized residual, which would
+    need M = P A P applied to q_{k+1}, never exceeds it.  After breakdown
+    it is zero.
+    """
+    if state.broke_down:
+        return 0.0
+    shift = norm_a + abs(red.mu)
+    denom = (shift**2 + (beta1 / gamma) ** 2) * np.linalg.norm(red.w)
+    beta_next = state.beta[state.k]
+    y_last = red.x[-1] if red.tag == EASY_TAG else 0.0
+    return float(abs(beta_next) * (abs(y_last) + shift * abs(red.w[-1])) / denom)
+
+
 def _reduced_solve(state, method, beta1, gamma, norm_a):
     """The one reduced solve at the current step of ``state`` (a
     ``LanczosState`` or a ``KrylovRecord``), and the route's bound.
@@ -275,10 +305,8 @@ def _reduced_solve(state, method, beta1, gamma, norm_a):
     red = solve_rlgopt(*state.tridiagonal(), beta1, gamma)
     if method == QEPMIN:
         return red, qep_residual_bound(state, red, norm_a, gamma, beta1)
-    delta = abs(state.beta[state.k]) * abs(red.x[-1]) / (
-        (norm_a + abs(red.mu)) * np.linalg.norm(red.x) + beta1
-    )
-    return red, delta
+    return red, _lgopt_bound(abs(state.beta[state.k]), abs(red.x[-1]), np.linalg.norm(red.x),
+                             red.mu, norm_a, beta1)
 
 
 def _check_record(k, red, delta, gamma, beta1, n0An0):
@@ -317,17 +345,19 @@ class DeltaProxy:
 
         p_k = beta_{k+1} |x_k(mu_bar)| / ((||A|| + |mu_bar|) gamma + beta_1)
 
-    is lgopt's bound with x(mu_bar) for the check's x and gamma for its
+    is ``_lgopt_bound`` with x(mu_bar) for the check's x and gamma for its
     norm.  ``due`` says when it calls for a check: at or below
     ``threshold``, or when the pivot is not positive or a value is not
     finite.  It only schedules checks; no stop is decided on it.
     """
 
-    def __init__(self, alpha, beta, beta1, mu, scale, threshold):
+    def __init__(self, alpha, beta, beta1, mu, norm_a, gamma, threshold):
         # the f2py wrapper rejects an empty off-diagonal, which k = 1 has
         d, e, info = lapack.dpttrf(alpha - mu, beta if beta.size else np.zeros(1))
         self.mu = mu
-        self.scale = scale
+        self.beta1 = beta1
+        self.norm_a = norm_a
+        self.gamma = gamma
         self.threshold = threshold
         self.pivot = float(d[-1]) if info == 0 else math.nan
         self.log_y = math.log(beta1) + float(np.sum(np.log(np.abs(e[:alpha.size - 1]))))
@@ -348,28 +378,23 @@ class DeltaProxy:
         """Whether a check is due, given beta_{k+1}."""
         if not self.pivot > 0.0:
             return True
-        p = beta_next * self.x_last / self.scale
+        p = _lgopt_bound(beta_next, self.x_last, self.gamma, self.mu, self.norm_a, self.beta1)
         return not math.isfinite(p) or p <= self.threshold
 
 
-def _kw_log(dim):
-    """ln(1.648 sqrt(dim) / KW_DELTA): the Kuczynski-Wozniakowski bound
-    after j steps is below KW_DELTA once sqrt(e) (2j - 1) exceeds it."""
-    return math.log(1.648 * math.sqrt(dim) / KW_DELTA)
-
-
-def _kw_bound(theta, threshold, sigma, dim, j):
-    """Kuczynski-Wozniakowski bound on P(lambda_min < threshold) after j
-    steps from a uniformly random start, given Ritz value theta > threshold.
+def _kw_steps(e, dim):
+    """First step j at which the Kuczynski-Wozniakowski bound puts
+    P(lambda_min < threshold) below ``KW_DELTA``, for a run from a
+    uniformly random start whose Ritz value theta lies above threshold.
 
     For B = sigma I - P A P (positive semidefinite on null(C') of
     dimension dim) the relative error of B's top Ritz value exceeds
     e = (theta - threshold)/(sigma - threshold) whenever
     lambda_min < threshold, and P(error >= e) <= 1.648 sqrt(dim)
-    exp(-sqrt(e) (2j - 1)).
+    exp(-sqrt(e) (2j - 1)), which is below ``KW_DELTA`` once
+    sqrt(e) (2j - 1) exceeds ln(1.648 sqrt(dim) / KW_DELTA).
     """
-    e = (theta - threshold) / (sigma - threshold)
-    return 1.648 * np.sqrt(dim) * np.exp(-np.sqrt(e) * (2 * j - 1))
+    return math.floor((math.log(1.648 * math.sqrt(dim) / KW_DELTA) / math.sqrt(e) + 1.0) / 2.0) + 1
 
 
 def _threshold(reduced_mu):
@@ -394,7 +419,7 @@ class DetectionRun:
     def __init__(self, problem, rng):
         op = problem.projected_operator()
         start = op.apply_P(rng.standard_normal(problem.n))
-        self.state = lanczos_init(op, start, norm_scale=problem.norm_a, maxit=EIG_MAXIT)
+        self.state = LanczosState(op, start, norm_scale=problem.norm_a, maxit=EIG_MAXIT)
         self.norm_scale = problem.norm_a
         self.sigma = NORM_MARGIN * problem.norm_a
         self.dim = problem.n - problem.m
@@ -423,7 +448,7 @@ class DetectionRun:
         if self.sigma_refuted or not threshold < ritz.theta or not threshold < self.sigma:
             return ritz.k + 1
         e = min((ritz.theta - threshold) / (self.sigma - threshold), 1.0)
-        return max(ritz.k + 1, math.floor((_kw_log(self.dim) / math.sqrt(e) + 1.0) / 2.0) + 1)
+        return max(ritz.k + 1, _kw_steps(e, self.dim))
 
     def kw_certifies(self, ritz, threshold):
         """Whether the random-start bound puts P(lambda_min < threshold)
@@ -436,7 +461,7 @@ class DetectionRun:
         """
         if self.sigma_refuted or not threshold < ritz.theta < self.sigma:
             return False
-        if _kw_bound(ritz.theta, threshold, self.sigma, self.dim, ritz.k) >= KW_DELTA:
+        if ritz.k < _kw_steps((ritz.theta - threshold) / (self.sigma - threshold), self.dim):
             return False
         top = top_eigenvalue(*self.state.tridiagonal(ritz.k))
         if top > self.sigma:
@@ -533,8 +558,8 @@ def detect_hard_case(run, reduced_mu):
     ritz, certificate = run.finish(threshold)
     if certificate is None:
         warnings.warn(
-            f"hard-case detection reached eig_maxit={run.state.maxit} without a "
-            f"certificate (Ritz residual {ritz.resid:.3e}); decided by comparison",
+            f"hard-case detection ran {run.state.maxit} steps (EIG_MAXIT, at most n) "
+            f"without a certificate (Ritz residual {ritz.resid:.3e}); decided by comparison",
             RuntimeWarning, stacklevel=2,
         )
     lam_min = ritz.theta
@@ -599,7 +624,7 @@ def solve(problem, opts=None):
     if opts.detect_hard:
         detection = DetectionRun(problem, rng)
     op = problem.projected_operator()
-    state = lanczos_init(op, feas.b0, norm_scale=norm_a, maxit=opts.maxit)
+    state = LanczosState(op, feas.b0, norm_scale=norm_a, maxit=opts.maxit)
     beta1 = state.beta[0]
 
     history = []
@@ -627,8 +652,7 @@ def solve(problem, opts=None):
             detection.observe(red.mu)
         if delta <= opts.tol or broke:
             break
-        proxy = DeltaProxy(*state.tridiagonal(), beta1, red.mu,
-                           (norm_a + abs(red.mu)) * gamma + beta1,
+        proxy = DeltaProxy(*state.tridiagonal(), beta1, red.mu, norm_a, gamma,
                            max(CHECK_MARGIN * opts.tol, delta / CHECK_DROP))
 
     last = history[-1]

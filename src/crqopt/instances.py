@@ -85,11 +85,6 @@ class GroundTruth:
         """Orthonormal basis of null(C'), n x (n-m); formed in O(n^2 m) per read."""
         return _orthogonal_factor(self.qr, self.tau)[:, self.tau.size:]
 
-    @property
-    def S2(self):
-        """Orthonormal basis of range(C), n x m; formed in O(n^2 m) per read."""
-        return _orthogonal_factor(self.qr, self.tau)[:, :self.tau.size]
-
 
 def _orthogonal_factor(qr, tau):
     """The full n x n Q = [S2 S1] of ``sla.qr(C)``, formed from its reflectors."""

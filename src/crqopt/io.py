@@ -6,11 +6,11 @@ A problem on disk is three files named by a key=value manifest:
     C=<path>   constraints, Matrix Market (array or coordinate)
     b=<path>   right-hand side, whitespace-separated text
 
-Paths are resolved relative to the manifest's directory.  Rasters use
-PGM (P2 ASCII or P5 binary, 8- or 16-bit); label files carry one
-``row col {+|-}`` triple per line (0-based indices).  Tables are plain
-CSV with shortest round-trip float formatting, so reruns with the same
-seed are byte-identical.
+Paths are resolved relative to the manifest's directory.  Rasters are
+read as PGM (P2 ASCII or P5 binary, 8- or 16-bit) and written as P5;
+label files carry one ``row col {+|-}`` triple per line (0-based
+indices).  Tables are plain CSV with shortest round-trip float
+formatting, so reruns with the same seed are byte-identical.
 """
 
 import os
@@ -135,22 +135,17 @@ def read_pgm(path):
     return arr, maxval
 
 
-def write_pgm(path, array, maxval=255, binary=True):
-    """Write an integer raster as PGM (P5 when binary, else P2)."""
+def write_pgm(path, array, maxval=255):
+    """Write an integer raster as binary PGM (P5)."""
     arr = np.asarray(array)
     if arr.ndim != 2:
         raise ValueError("PGM rasters are 2-D")
     arr = np.clip(np.rint(arr), 0, maxval).astype(np.int64)
     height, width = arr.shape
-    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n"
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     with open(path, "wb") as fh:
-        fh.write(header.encode())
-        if binary:
-            dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-            fh.write(arr.astype(dtype).tobytes())
-        else:
-            body = "\n".join(" ".join(str(v) for v in row) for row in arr)
-            fh.write(body.encode() + b"\n")
+        fh.write(f"P5\n{width} {height}\n{maxval}\n".encode())
+        fh.write(arr.astype(dtype).tobytes())
 
 
 def heat_to_pgm(path, heat):
@@ -179,14 +174,6 @@ def read_labels(path):
             rc = (int(parts[0]), int(parts[1]))
             (fg if parts[2] == "+" else bg).append(rc)
     return fg, bg
-
-
-def write_labels(path, foreground_rc, background_rc):
-    with open(path, "w") as fh:
-        for r, c in foreground_rc:
-            fh.write(f"{r} {c} +\n")
-        for r, c in background_rc:
-            fh.write(f"{r} {c} -\n")
 
 
 def write_instance_spec(path, spec):

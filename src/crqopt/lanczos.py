@@ -2,7 +2,10 @@
 
 The operator is a ``ProjectedOperator`` (anything with ``apply_P`` and
 the ``problem`` whose ``A`` it projects) or a plain symmetric operator;
-the norm estimate runs the same loop on A.
+the norm estimate runs the same loop on A.  A run is a ``LanczosState``,
+built at its start vector with an estimate of ||A|| from which it derives
+its breakdown threshold and the rounding noise of its orthogonality
+estimates, and advanced by ``lanczos_step``.
 
 The basis is kept semiorthogonal, |q_j' q_{k+1}| <= sqrt(eps), not
 orthogonal: that keeps T_k the projection of M onto the Krylov space to
@@ -66,6 +69,20 @@ class LanczosState:
     vectors (k on breakdown).  ``reorth_steps`` counts the steps that ran
     a Gram-Schmidt pass.
 
+    The process starts at b0.  ``maxit`` caps the number of steps (at
+    most n, the default) and sizes the basis store; stepping past it
+    raises ``RuntimeError``.  ``norm_scale`` (an estimate of ||A||)
+    calibrates the breakdown test and the rounding noise of the
+    orthogonality estimates.  The breakdown threshold ``breakdown_tol``
+    must sit above the rounding-noise floor of one recurrence step
+    (cancellation leaves residue well above eps * ||A||), otherwise exact
+    invariant-subspace closures are never detected and the process
+    wanders into noise-seeded ghost directions; eps^(2/3) * ||A|| separates
+    the two regimes by several orders of magnitude on every instance
+    family exercised by the tests.  The rounding of one step, the term
+    psi of the omega recurrence (``noise``), is taken as
+    eps * sqrt(n) * ||A||.
+
     The basis is stored one vector per contiguous row of a store
     preallocated for ``min(maxit, n)`` steps, so reading q_j, writing
     q_{k+1} and the reorthogonalization products all stream through
@@ -75,8 +92,8 @@ class LanczosState:
     ``lanczos_step``) live in arrays preallocated to the same cap.
     """
 
-    def __init__(self, op, r0, breakdown_tol, noise, maxit=None):
-        r0 = np.asarray(r0, dtype=float)
+    def __init__(self, op, b0, norm_scale=1.0, maxit=None):
+        r0 = np.asarray(b0, dtype=float)
         beta1 = float(np.linalg.norm(r0))
         if beta1 <= 0.0:
             raise ZeroStartError("Lanczos start vector is zero")
@@ -84,8 +101,8 @@ class LanczosState:
         self.projected = hasattr(op, "apply_P")
         self.n = r0.shape[0]
         self.broke_down = False
-        self.breakdown_tol = breakdown_tol
-        self.noise = noise
+        self.breakdown_tol = _EPS ** (2.0 / 3.0) * max(norm_scale, 1.0)
+        self.noise = _EPS * np.sqrt(self.n) * norm_scale
         self.reorth_steps = 0
         self.maxit = self.n if maxit is None else min(maxit, self.n)
         self._k = 0
@@ -165,27 +182,6 @@ class LanczosState:
         new[c + 1] = 1.0
         self._cur = 1 - self._cur
         return float(np.max(np.abs(new[:c + 1])))
-
-
-def lanczos_init(op, b0, norm_scale=1.0, maxit=None):
-    """Start the process at b0; ``norm_scale`` calibrates the breakdown test
-    and the rounding noise of the orthogonality estimates.
-
-    ``maxit`` caps the number of steps (at most n, the default) and sizes
-    the basis store; stepping past it raises ``RuntimeError``.
-
-    The breakdown threshold must sit above the rounding-noise floor of
-    one recurrence step (cancellation leaves residue well above
-    eps * ||A||), otherwise exact invariant-subspace closures are never
-    detected and the process wanders into noise-seeded ghost directions.
-    eps^(2/3) * ||A|| separates the two regimes by several orders of
-    magnitude on every instance family exercised by the tests.  The
-    rounding of one step, the term psi of the omega recurrence, is taken
-    as eps * sqrt(n) * ||A||.
-    """
-    tol = _EPS ** (2.0 / 3.0) * max(norm_scale, 1.0)
-    noise = _EPS * np.sqrt(np.size(b0)) * norm_scale
-    return LanczosState(op, b0, breakdown_tol=tol, noise=noise, maxit=maxit)
 
 
 def _check_room(state):
@@ -296,7 +292,7 @@ def lanczos_pair_step(first, second):
 
 def run(op, b0, steps, norm_scale=1.0):
     """Run up to ``steps`` Lanczos steps; stops early on breakdown."""
-    state = lanczos_init(op, b0, norm_scale=norm_scale, maxit=steps)
+    state = LanczosState(op, b0, norm_scale=norm_scale, maxit=steps)
     for _ in range(state.maxit):
         if lanczos_step(state) == BROKE_DOWN:
             break

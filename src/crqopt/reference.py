@@ -37,7 +37,6 @@ class DenseReduction(NamedTuple):
     """Explicit split of the problem over [null(C') | range(C)]."""
 
     S1: np.ndarray       # n x (n-m), orthonormal basis of null(C')
-    S2: np.ndarray       # n x m, orthonormal basis of range(C)
     H: np.ndarray        # (n-m) x (n-m) symmetric reduced operator
     g0: np.ndarray       # length n-m reduced shifted gradient
     theta: np.ndarray    # ascending eigenvalues of H
@@ -55,7 +54,7 @@ def build_reduction(problem):
     if n > DENSE_CAP:
         raise TooLargeError(f"n = {n} exceeds the dense cap {DENSE_CAP}")
     Q, _ = sla.qr(problem.C)
-    S2, S1 = Q[:, :m], Q[:, m:]
+    S1 = Q[:, m:]
     H = S1.T @ problem.A.apply(S1)
     H = 0.5 * (H + H.T)
     n0 = compute_n0(problem)
@@ -63,7 +62,7 @@ def build_reduction(problem):
     b0 = op.apply_P(problem.A.matvec(n0))
     g0 = S1.T @ b0
     theta, Y = sla.eigh(H)
-    return DenseReduction(S1, S2, H, g0, theta, Y)
+    return DenseReduction(S1, H, g0, theta, Y)
 
 
 def solve_plgopt_dense(red, gamma):

@@ -95,7 +95,8 @@ def smallest_root(spec):
     Returns ``(lambda_star, iterations)``.  Requires either a pole at
     theta_1 carrying weight, or a positive left limit of chi at theta_1;
     otherwise there is no root below the spectrum and ``NoRootError`` is
-    raised (the caller falls back to the boundary case analysis).
+    raised.  Its one library caller, ``solve_plgopt_spectral``, asks only
+    where its case analysis has placed a root below theta_1.
     """
     theta, xi, gamma = spec
     nz = np.flatnonzero(xi)

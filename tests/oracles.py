@@ -5,7 +5,8 @@ pseudoinverses instead of QR solves, bisection instead of the rational
 secular iteration, grid search on the feasible circle instead of any
 multiplier machinery.  ``finite_step_check`` is the exception: it runs
 the Lanczos solve itself and checks its exact termination against the
-dense direct solver.
+dense direct solver.  ``write_labels`` writes the label files that
+``crqopt.io.read_labels`` reads, which only the tests need.
 """
 
 import numpy as np
@@ -221,3 +222,12 @@ def finite_step_check(problem):
         and report["match_v"] <= 1e-6
     )
     return report
+
+
+def write_labels(path, foreground_rc, background_rc):
+    """A label file of ``(row, col)`` pixels: '+' lines, then '-' lines."""
+    with open(path, "w") as fh:
+        for r, c in foreground_rc:
+            fh.write(f"{r} {c} +\n")
+        for r, c in background_rc:
+            fh.write(f"{r} {c} -\n")

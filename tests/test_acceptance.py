@@ -139,7 +139,7 @@ def test_criterion_3_near_degenerate_bounds():
     # the multiplier and the bottom of the projected spectrum
     gap_ok = sol.case == crqopt.EASY and abs(sol.hard_gap - 0.0155) <= 1e-3
     ok_values = ok_values and gap_ok
-    inp = BoundInputs.from_truth(truth, ref_objective=ref.objective, ref_v=ref.v)
+    inp = BoundInputs.from_truth(truth)
     rows = crqopt.history_table(sol, ref, inp)
     habs, labs = abs(ref.objective), abs(ref.mu)
 

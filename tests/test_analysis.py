@@ -81,7 +81,7 @@ def test_bounds_dominate_errors_small_instance():
     prob, truth = crqopt.generate(spec)
     ref = crqopt.reference_solution(prob, truth)
     sol = crqopt.solve(prob, crqopt.SolveOptions(tol=1e-15, maxit=120, return_basis=True))
-    inp = BoundInputs.from_truth(truth, ref_objective=ref.objective, ref_v=ref.v)
+    inp = BoundInputs.from_truth(truth)
     rows = crqopt.history_table(sol, ref, inp)
     habs, labs = abs(ref.objective), abs(ref.mu)
     for row in rows:

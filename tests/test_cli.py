@@ -5,6 +5,7 @@ from crqopt import io as cio
 from crqopt.cli import (BENCH_SPEC, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _gen_spec, _options,
                         _segment_options, build_parser, main)
 from crqopt.clustering import default_segment_options
+from oracles import write_labels
 
 
 def _gen(tmp_path, seed=3, out="inst"):
@@ -100,7 +101,7 @@ def test_segment_cli(tmp_path):
     img_path = tmp_path / "img.pgm"
     cio.write_pgm(img_path, img, maxval=255)
     labels_path = tmp_path / "labels.txt"
-    cio.write_labels(labels_path, [(4, 1)], [(4, 6)])
+    write_labels(labels_path, [(4, 1)], [(4, 6)])
     out = tmp_path / "seg"
     code = main([
         "segment", "--image", str(img_path), "--labels", str(labels_path),
@@ -124,7 +125,7 @@ def test_segment_cli_reports_graph_memory(tmp_path):
     img_path = tmp_path / "img.pgm"
     cio.write_pgm(img_path, img, maxval=255)
     labels_path = tmp_path / "labels.txt"
-    cio.write_labels(labels_path, [(4, 1)], [(4, 6)])
+    write_labels(labels_path, [(4, 1)], [(4, 6)])
     out = tmp_path / "seg"
     code = main([
         "segment", "--image", str(img_path), "--labels", str(labels_path),
@@ -143,7 +144,7 @@ def test_segment_cli_rejects_zero_maxit(tmp_path, capsys):
     img_path = tmp_path / "img.pgm"
     cio.write_pgm(img_path, img, maxval=255)
     labels_path = tmp_path / "labels.txt"
-    cio.write_labels(labels_path, [(4, 1)], [(4, 6)])
+    write_labels(labels_path, [(4, 1)], [(4, 6)])
     code = main([
         "segment", "--image", str(img_path), "--labels", str(labels_path),
         "--r", "2", "--out", str(tmp_path / "seg"), "--maxit", "0",
@@ -158,7 +159,7 @@ def test_segment_cli_rejects_no_detect_hard(tmp_path):
     img_path = tmp_path / "img.pgm"
     cio.write_pgm(img_path, np.zeros((8, 8)), maxval=255)
     labels_path = tmp_path / "labels.txt"
-    cio.write_labels(labels_path, [(4, 1)], [(4, 6)])
+    write_labels(labels_path, [(4, 1)], [(4, 6)])
     code = main([
         "segment", "--image", str(img_path), "--labels", str(labels_path),
         "--r", "2", "--out", str(tmp_path / "seg"), "--no-detect-hard",

@@ -331,7 +331,7 @@ def test_delta_proxy_follows_the_factorization(seed, k, start, gap):
     theta1 = crqopt.lanczos.bottom_eigenpair(alpha, beta[:k - 1])[0]
     mu = theta1 - gap
     start = min(start, k)
-    proxy = DeltaProxy(alpha[:start], beta[:start - 1], beta1, mu, 1.0, 0.0)
+    proxy = DeltaProxy(alpha[:start], beta[:start - 1], beta1, mu, 1.0, 1.0, 0.0)
     for j in range(start, k + 1):
         if j > start:
             proxy.advance(alpha[j - 1], beta[j - 2])

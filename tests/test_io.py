@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 import crqopt
 from crqopt import io as cio
+from oracles import write_labels
 
 
 def test_problem_files_roundtrip(tmp_path, small_example):
@@ -39,7 +40,7 @@ def test_pgm_binary_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     img = rng.integers(0, 256, size=(7, 9))
     path = tmp_path / "img.pgm"
-    cio.write_pgm(path, img, maxval=255, binary=True)
+    cio.write_pgm(path, img, maxval=255)
     back, maxval = cio.read_pgm(path)
     assert maxval == 255
     assert np.array_equal(back, img)
@@ -48,11 +49,11 @@ def test_pgm_binary_roundtrip(tmp_path):
 def test_pgm_ascii_and_16bit_roundtrip(tmp_path):
     img = np.array([[0, 1000], [65535, 42]])
     path = tmp_path / "img16.pgm"
-    cio.write_pgm(path, img, maxval=65535, binary=True)
+    cio.write_pgm(path, img, maxval=65535)
     back, maxval = cio.read_pgm(path)
     assert maxval == 65535 and np.array_equal(back, img)
     path2 = tmp_path / "ascii.pgm"
-    cio.write_pgm(path2, np.array([[0, 5], [9, 2]]), maxval=9, binary=False)
+    path2.write_bytes(b"P2\n2 2\n9\n0 5\n9 2\n")
     back2, maxval2 = cio.read_pgm(path2)
     assert maxval2 == 9 and np.array_equal(back2, [[0, 5], [9, 2]])
 
@@ -66,7 +67,7 @@ def test_pgm_comment_handling(tmp_path):
 
 def test_labels_roundtrip(tmp_path):
     path = tmp_path / "labels.txt"
-    cio.write_labels(path, [(1, 2), (3, 4)], [(5, 6)])
+    write_labels(path, [(1, 2), (3, 4)], [(5, 6)])
     fg, bg = cio.read_labels(path)
     assert fg == [(1, 2), (3, 4)]
     assert bg == [(5, 6)]

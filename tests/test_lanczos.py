@@ -14,7 +14,7 @@ from crqopt import classify
 from crqopt.clustering import LabelSet, build_graph, encode_constraints, to_crqopt
 from crqopt.errors import ZeroStartError
 from crqopt.driver import DetectionRun
-from crqopt.lanczos import BROKE_DOWN, bottom_eigenpair, lanczos_init, lanczos_step, run
+from crqopt.lanczos import BROKE_DOWN, LanczosState, bottom_eigenpair, lanczos_step, run
 
 
 def _projected(problem):
@@ -26,7 +26,7 @@ def test_init_unit_start():
     p = random_interior_problem(rng, 8, 2)
     op = _projected(p)
     b0 = op.apply_P(np.eye(8)[:, 0])
-    state = lanczos_init(op, b0)
+    state = LanczosState(op, b0)
     assert np.allclose(state.q(1), b0 / np.linalg.norm(b0))
     assert state.beta[0] == pytest.approx(np.linalg.norm(b0))
 
@@ -36,20 +36,20 @@ def test_init_records_start_norm():
     p = random_interior_problem(rng, 8, 2)
     op = _projected(p)
     b0 = 2.0 * op.apply_P(np.eye(8)[:, 1])
-    state = lanczos_init(op, b0)
+    state = LanczosState(op, b0)
     assert state.beta[0] == pytest.approx(np.linalg.norm(b0))
     assert np.linalg.norm(state.q(1)) == pytest.approx(1.0)
 
 
 def test_init_small_example_start(small_example):
     feas = classify(small_example)
-    state = lanczos_init(_projected(small_example), feas.b0)
+    state = LanczosState(_projected(small_example), feas.b0)
     assert np.allclose(state.q(1), feas.b0 / np.linalg.norm(feas.b0), atol=1e-15)
 
 
 def test_zero_start_rejected(small_example):
     with pytest.raises(ZeroStartError):
-        lanczos_init(_projected(small_example), np.zeros(5))
+        LanczosState(_projected(small_example), np.zeros(5))
 
 
 def test_identity_breaks_down_immediately():
@@ -60,7 +60,7 @@ def test_identity_breaks_down_immediately():
     p = crqopt.CrqProblem(np.eye(6), C, 0.1 * np.ones(2))
     op = _projected(p)
     b0 = op.apply_P(rng.standard_normal(6))
-    state = lanczos_init(op, b0, norm_scale=1.0)
+    state = LanczosState(op, b0, norm_scale=1.0)
     assert lanczos_step(state) == BROKE_DOWN
     assert state.alpha[0] == pytest.approx(1.0)
     assert state.beta[1] <= state.breakdown_tol
@@ -153,7 +153,7 @@ def test_basis_store_is_row_per_vector_and_preallocated():
     p = random_interior_problem(rng, 40, 3)
     feas = classify(p)
     maxit = 9
-    state = lanczos_init(_projected(p), feas.b0, norm_scale=p.norm_a, maxit=maxit)
+    state = LanczosState(_projected(p), feas.b0, norm_scale=p.norm_a, maxit=maxit)
     store, omega = state._Q, state._omega
     assert store.shape == (maxit + 1, 40)
     assert omega.shape == (2, maxit + 1)
@@ -237,7 +237,7 @@ def test_basis_stays_semiorthogonal_under_the_omega_estimate(family, seed):
     # reorthogonalize, stays above it
     prob = FAMILIES[family](seed)
     feas = classify(prob)
-    state = lanczos_init(prob.projected_operator(), feas.b0, norm_scale=prob.norm_a, maxit=300)
+    state = LanczosState(prob.projected_operator(), feas.b0, norm_scale=prob.norm_a, maxit=300)
     while state.k < state.maxit and lanczos_step(state) != BROKE_DOWN:
         k = state.k
         loss = np.max(np.abs(state.basis(k).T @ state.q(k + 1)))

@@ -1,5 +1,6 @@
 """Package layering: imports sit at module top and never form a cycle,
-and every setting the package exposes is one that its callers set.
+every setting the package exposes is one that its callers set, and every
+value it stores is one that something reads.
 
 An import hidden in a function body is how a cycle between two modules
 gets past the interpreter; both checks read the source with ``ast``, so
@@ -111,6 +112,37 @@ def test_every_solve_option_is_set_outside_the_tests():
                     passed.update(kw.arg for kw in node.keywords)
     unset = {f.name for f in fields(SolveOptions)} - passed
     assert not unset, f"SolveOptions fields no caller sets: {sorted(unset)}"
+
+
+def test_every_stored_field_is_read():
+    """Each class-level annotated field, and each ``self.x = ...`` of an
+    ``__init__``, of a class in the package is read as an attribute
+    (``obj.x``) somewhere in the package, the benchmarks, the demos or the
+    tests.  The check goes by name only: a field is taken as read when any
+    attribute of that name is, so a field that shares its name with a read
+    one (``ImageGraph.delta`` did, with ``CheckRecord.delta``) gets past it.
+    """
+    stored = {}
+    for path in MODULES:
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    stored[f"{path.stem}.{cls.name}.{node.target.id}"] = node.target.id
+                elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    for sub in ast.walk(node):
+                        targets = (sub.targets if isinstance(sub, ast.Assign)
+                                   else [sub.target] if isinstance(sub, ast.AnnAssign) else [])
+                        stored.update((f"{path.stem}.{cls.name}.{t.attr}", t.attr) for t in targets
+                                      if isinstance(t, ast.Attribute)
+                                      and isinstance(t.value, ast.Name) and t.value.id == "self")
+    read = {node.attr
+            for pattern in ("src/**/*.py", "benchmarks/*.py", "demos/*.py", "tests/*.py")
+            for path in ROOT.glob(pattern) for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(key for key, name in stored.items() if name not in read)
+    assert not unread, f"stored but never read: {unread}"
 
 
 def test_detection_union_bound():

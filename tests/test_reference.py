@@ -172,7 +172,7 @@ def test_leftmost_dense_qep_real_on_random_instances():
         g0 = rng.standard_normal(ell)
         gamma = float(rng.uniform(0.2, 2.0))
         theta, Y = sla.eigh(H)
-        red = crqopt.DenseReduction(None, None, H, g0, theta, Y)
+        red = crqopt.DenseReduction(None, H, g0, theta, Y)
         mu, y, w, spectrum = solve_pqepmin_dense(red, gamma)
         assert np.isfinite(mu)
         # leftmost overall: no eigenvalue has smaller real part
