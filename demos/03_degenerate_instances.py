@@ -10,8 +10,9 @@ convergence, and repairs the minimizer by padding with the computed
 eigenvector.
 
 A nearby regime -- tiny but nonzero gradient weight on the bottom
-eigenvector -- stays solvable but converges slowly; the driver reports
-the gap between the multiplier and the spectrum bottom as a diagnostic.
+eigenvector -- stays solvable but converges slowly; the detection report
+(``solution.detection``) gives the gap between the multiplier and the
+spectrum bottom as a diagnostic.
 """
 
 import numpy as np
@@ -40,8 +41,8 @@ print(f"driver case = {solution.case}, multiplier = {solution.mu:.8f} "
       f"(spectrum bottom = {h[0]:g})")
 print(f"objective: driver = {solution.objective:.10f}, "
       f"reference = {reference.objective:.10f}")
-print(f"detection certificate: {solution.extras['detect_certificate']} "
-      f"after {solution.extras['detect_steps']} steps")
+print(f"detection certificate: {solution.detection.certificate} "
+      f"after {solution.detection.steps} steps")
 
 # same spectrum, but a whisper of gradient weight on the bottom
 # eigenvector: no longer degenerate, yet numerically close to it
@@ -55,7 +56,7 @@ with warnings.catch_warnings():
     solution2 = crqopt.solve(problem2, crqopt.SolveOptions(tol=1e-13, maxit=problem2.n))
 print(f"\nnear-degenerate run: case = {solution2.case}, "
       f"multiplier = {solution2.mu:.8f}")
-print(f"diagnostic gap to the spectrum bottom: {solution2.hard_gap:.6f} "
+print(f"diagnostic gap to the spectrum bottom: {solution2.detection.gap:.6f} "
       f"(exact: {1.0 - truth2.lambda_star:.6f})")
-print(f"detection certificate: {solution2.extras['detect_certificate']} "
-      f"after {solution2.extras['detect_steps']} steps")
+print(f"detection certificate: {solution2.detection.certificate} "
+      f"after {solution2.detection.steps} steps")

@@ -133,13 +133,14 @@ def error_history(solution, ref):
     carry ``err1 = |h(v_k) - h(v*)| / |h(v*)|``, ``err2 = ||v_k - v*||``
     and ``err3 = |mu_k - lambda*| / |lambda*|``.
     """
-    if solution.basis is None:
+    run = solution.krylov
+    if run is None:
         raise ValueError("error_history needs a solution with return_basis=True")
     h_ref = ref.objective
     mu_ref = ref.mu
     rows = []
     for rec in rebuild_history(solution):
-        v_k = solution.n0 + solution.basis[:, : rec.k] @ rec.x
+        v_k = run.n0 + run.basis[:, : rec.k] @ rec.x
         rows.append(
             {
                 "k": rec.k,
@@ -151,15 +152,10 @@ def error_history(solution, ref):
     return rows
 
 
-def history_table(solution, ref, inp=None):
+def history_table(solution, ref, inp):
     """Error history joined with both bound families (CSV-ready rows)."""
     rows = error_history(solution, ref)
     for row in rows:
-        if inp is None:
-            row.update(
-                {key: float("nan") for key in ("b1", "b2", "b3", "b1p", "b2p", "b3p")}
-            )
-            continue
         b1, b2, b3 = convergence_bounds(inp, row["k"])
         b1p, b2p, b3p = refined_convergence_bounds(inp, row["k"])
         row.update({"b1": b1, "b2": b2, "b3": b3, "b1p": b1p, "b2p": b2p, "b3p": b3p})

@@ -300,7 +300,7 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
     heat = ((x - x.min()) / span if span > 0 else np.zeros_like(x)).reshape(image.shape)
     stats = {
         "steps": sol.k,
-        "reorth_steps": sol.extras["reorth_steps"],
+        "reorth_steps": sol.reorth_steps,
         "runtime_s": time.perf_counter() - t0,
         "ncut": ncut_value(graph, mask),
         "objective": sol.objective,

@@ -26,9 +26,9 @@ multiplier, and a check runs where the estimate comes within
 check's ``delta`` (which refreshes a stale multiplier), or cannot be
 formed.  No stop is decided on the estimate, and both routes follow the
 same schedule.  ``solution.history`` holds the checks that ran; with
-``return_basis=True`` the solution carries the run's tridiagonal
-(``KrylovRecord``), from which ``rebuild_history`` replays the check of
-every step after the solve.
+``return_basis=True`` the solution carries the run's tridiagonal and
+basis (``KrylovRecord``), from which ``rebuild_history`` replays the
+check of every step after the solve.
 
 Degenerate instances - where the optimal multiplier coincides with the
 bottom of the projected spectrum and the Krylov space is blind to the
@@ -46,7 +46,8 @@ also settles b0 = 0.  It decides at the first of four exits:
    sigma a margin above the norm estimate and a start uniform on the
    sphere of null(C'), says that lambda_min < mu + eps has probability
    below ``KW_DELTA``; the run declares "easy" without an eigenvector.
-   ``hard_gap`` is then theta_j - mu, an upper bound on the true gap.
+   The report's ``gap`` is then theta_j - mu, an upper bound on the true
+   gap.
    The bound needs sigma >= lambda_max(P A P); a top Ritz value above
    sigma disproves that, and the exit is then refused with a warning.
 3. "converged": the Ritz residual met ``EIG_TOL``; decide by comparison.
@@ -79,14 +80,14 @@ one threshold, at most one per step, and the union bound of
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import EigFailureError, InfeasibleError, NotConvergedError
-from .lanczos import (BROKE_DOWN, LanczosState, RitzStep, bottom_ritz_pair, lanczos_pair_step,
-                      lanczos_step, top_eigenvalue)
+from .lanczos import (BROKE_DOWN, LanczosState, bottom_ritz_pair, lanczos_pair_step, lanczos_step,
+                      top_eigenvalue)
 from .problem import INFEASIBLE, INTERIOR, UNIQUE_POINT, b0_zero_threshold, classify
 # benchmarks/tracing.py wraps driver.solve_reduced_qep by name, so the
 # name stays bound here; the driver never calls it
@@ -165,9 +166,10 @@ class KrylovRecord:
 
     ``alpha`` holds alpha_1..alpha_K and ``beta`` beta_1 = ||b0||, ...,
     beta_{K+1}, as ``LanczosState.alpha``/``beta`` do after K steps;
-    ``broke_down`` says whether step K broke down.  ``method``, ``norm_a``
-    and ``n0An0`` are the scalars of the route's bound and of the
-    objective identity.  It answers ``k``, ``beta``, ``broke_down`` and
+    ``broke_down`` says whether step K broke down.  ``method``, ``norm_a``,
+    ``gamma`` and ``n0An0`` are the scalars of the route's bound and of
+    the objective identity, and ``n0 + basis[:, :k] @ x`` is the iterate
+    of a step-k check.  It answers ``k``, ``beta``, ``broke_down`` and
     ``tridiagonal()`` as a ``LanczosState`` does, so a check reads either.
     """
 
@@ -176,7 +178,10 @@ class KrylovRecord:
     broke_down: bool
     method: str
     norm_a: float
+    gamma: float
     n0An0: float
+    n0: np.ndarray
+    basis: np.ndarray
 
     @property
     def k(self):
@@ -192,35 +197,6 @@ class KrylovRecord:
 
 
 @dataclass
-class CrqSolution:
-    """The returned v with its multiplier and objective.  ``residual`` is
-    the exact multiplier-equation residual ||P(Av) - mu (v - n0)|| at v,
-    unscaled; it is NaN at the unique point, which has no multiplier.
-    ``history`` holds the checks that ran, in step order.  With
-    ``return_basis=True``, ``basis`` holds Q_k and ``krylov`` the
-    ``KrylovRecord`` of the main run, from which ``rebuild_history``
-    replays every step's check.
-    ``extras["reorth_steps"]`` counts the Lanczos steps of the main loop
-    (of the detection run when b0 = 0) that ran a Gram-Schmidt pass, and
-    ``extras["detect_reorth_steps"]`` those of hard-case detection."""
-
-    v: np.ndarray
-    mu: float
-    k: int
-    history: list
-    case: str
-    objective: float
-    n0: np.ndarray = None
-    gamma: float = None
-    hard_gap: float = None
-    basis: np.ndarray = None
-    krylov: KrylovRecord = None
-    converged: bool = True
-    residual: float = None
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass
 class HardCaseReport:
     """Outcome of ``detect_hard_case``.
 
@@ -231,15 +207,13 @@ class HardCaseReport:
     decision (None when ``EIG_MAXIT`` ran out first) and ``steps`` counts
     the detection run's Lanczos steps, ``reorth_steps`` those of them
     that ran a Gram-Schmidt pass and ``paired_steps`` those taken in
-    lockstep with the main loop.  ``ritz`` is the last Ritz pair, whose
-    vector pads the minimizer on a hard decision.
+    lockstep with the main loop.
     """
 
     is_hard: bool
     lambda_min: float
     gap: float
     eig_converged: bool
-    ritz: RitzStep
     certificate: str = None
     steps: int = 0
     reorth_steps: int = 0
@@ -250,21 +224,47 @@ class HardCaseReport:
         return self.certificate is not None
 
 
-def crq_solution(problem, v, mu, case, n0, gamma, k=0, history=None, **fields):
+@dataclass
+class CrqSolution:
+    """The returned v with its multiplier and objective.  ``residual`` is
+    the exact multiplier-equation residual ||P(Av) - mu (v - n0)|| at v,
+    unscaled; it is NaN at the unique point, which has no multiplier.
+    ``history`` holds the checks that ran, in step order.  With
+    ``return_basis=True``, ``krylov`` holds the ``KrylovRecord`` of the
+    main run, from which ``rebuild_history`` replays every step's check.
+    ``reorth_steps`` counts the Lanczos steps of the main loop (of the
+    detection run when b0 = 0) that ran a Gram-Schmidt pass.
+    ``detection`` is the ``HardCaseReport`` of a solve that ran hard-case
+    detection; it is None at the unique point, on the b0 = 0 shortcut
+    and with ``detect_hard=False``."""
+
+    v: np.ndarray
+    mu: float
+    k: int
+    history: list
+    case: str
+    objective: float
+    krylov: KrylovRecord = None
+    converged: bool = True
+    residual: float = None
+    reorth_steps: int = 0
+    detection: HardCaseReport = None
+
+
+def crq_solution(problem, v, mu, case, n0, k=0, history=None, **fields):
     """A ``CrqSolution`` at v.  The objective v'Av costs one A-apply, and
     the residual reuses Av at the cost of one P-apply."""
     Av = problem.A.matvec(v)
     residual = np.linalg.norm(problem.projected_operator().apply_P(Av) - mu * (v - n0))
     return CrqSolution(
         v=v, mu=float(mu), k=k, history=[] if history is None else history,
-        case=case, objective=float(v @ Av), n0=n0, gamma=gamma,
-        residual=float(residual), **fields,
+        case=case, objective=float(v @ Av), residual=float(residual), **fields,
     )
 
 
 def unique_point_solution(problem, feas):
     """The single feasible point v = n0 of an instance with ||n0|| = 1."""
-    return crq_solution(problem, feas.n0, float("nan"), UNIQUE, feas.n0, 0.0)
+    return crq_solution(problem, feas.n0, float("nan"), UNIQUE, feas.n0)
 
 
 def _lgopt_bound(beta_next, x_last, x_norm, mu, norm_a, beta1):
@@ -329,8 +329,8 @@ def rebuild_history(solution):
     beta1 = run.beta[0]
     records = []
     for k in range(solution.history[0].k, run.k + 1):
-        red, delta = _reduced_solve(run.prefix(k), run.method, beta1, solution.gamma, run.norm_a)
-        records.append(_check_record(k, red, delta, solution.gamma, beta1, run.n0An0))
+        red, delta = _reduced_solve(run.prefix(k), run.method, beta1, run.gamma, run.norm_a)
+        records.append(_check_record(k, red, delta, run.gamma, beta1, run.n0An0))
     return records
 
 
@@ -426,6 +426,8 @@ class DetectionRun:
         self.paired_steps = 0
         self.paused = False
         self.sigma_refuted = False
+        # the last Ritz pair formed; after ``finish``, the pair it returned,
+        # whose vector pads the minimizer on a hard decision
         self.ritz = None
 
     @property
@@ -531,9 +533,8 @@ def resolve_b0_zero(problem, feas, rng=None):
     ritz, _ = run.finish(math.inf)
     z = ritz.vector()
     v = feas.n0 + feas.gamma * z / np.linalg.norm(z)
-    return crq_solution(problem, v, ritz.theta, B0_ZERO, feas.n0, feas.gamma,
-                        k=ritz.k, converged=ritz.converged,
-                        extras={"reorth_steps": run.state.reorth_steps})
+    return crq_solution(problem, v, ritz.theta, B0_ZERO, feas.n0, k=ritz.k,
+                        converged=ritz.converged, reorth_steps=run.state.reorth_steps)
 
 
 def detect_hard_case(run, reduced_mu):
@@ -564,9 +565,8 @@ def detect_hard_case(run, reduced_mu):
         )
     lam_min = ritz.theta
     return HardCaseReport(lam_min <= threshold, lam_min, lam_min - reduced_mu,
-                          ritz.converged, ritz=ritz, certificate=certificate,
-                          steps=ritz.k, reorth_steps=run.state.reorth_steps,
-                          paired_steps=run.paired_steps)
+                          ritz.converged, certificate=certificate, steps=ritz.k,
+                          reorth_steps=run.state.reorth_steps, paired_steps=run.paired_steps)
 
 
 def _pad(state, ritz, feas):
@@ -658,30 +658,23 @@ def solve(problem, opts=None):
     last = history[-1]
     converged = broke or last.delta <= opts.tol
     v = feas.n0 + state.basis(last.k) @ last.x
-    mu, case, hard_gap = last.mu, EASY, None
-    extras = {"reorth_steps": state.reorth_steps}
+    mu, case, report = last.mu, EASY, None
     if opts.detect_hard:
         report = detect_hard_case(detection, last.mu)
-        hard_gap = report.gap
-        extras.update(lambda_min_projected=report.lambda_min,
-                      detect_steps=report.steps,
-                      detect_paired_steps=report.paired_steps,
-                      detect_reorth_steps=report.reorth_steps,
-                      detect_certificate=report.certificate)
         if report.is_hard:
-            v = _pad(state, report.ritz, feas)
+            v = _pad(state, detection.ritz, feas)
             mu, case = report.lambda_min, HARD
             # the repaired v no longer depends on the main loop's residual,
             # but on the padding eigenvector meeting EIG_TOL
             converged = report.eig_converged
-            extras["padding_eig_converged"] = report.eig_converged
 
+    krylov = None
+    if opts.return_basis:
+        krylov = KrylovRecord(state.alpha.copy(), state.beta.copy(), state.broke_down, opts.method,
+                              norm_a, gamma, feas.n0An0, feas.n0, state.basis(last.k).copy())
     solution = crq_solution(
-        problem, v, mu, case, feas.n0, gamma, k=last.k, history=history,
-        hard_gap=hard_gap, converged=converged, extras=extras,
-        basis=state.basis(last.k).copy() if opts.return_basis else None,
-        krylov=KrylovRecord(state.alpha.copy(), state.beta.copy(), state.broke_down,
-                            opts.method, norm_a, feas.n0An0) if opts.return_basis else None,
+        problem, v, mu, case, feas.n0, k=last.k, history=history, krylov=krylov,
+        converged=converged, reorth_steps=state.reorth_steps, detection=report,
     )
     if case == EASY and not converged:
         raise NotConvergedError(

@@ -46,9 +46,9 @@ class InstanceSpec:
     zeta: float
     g0_kind: str = ONES
     eta: float = -5e-3
+    rng_seed: int = 0
     spectrum_kind: str = CHEBYSHEV_EXTREME
     iso_value: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not self.alpha < self.beta:
@@ -252,8 +252,7 @@ def reference_solution(problem, truth):
     z[m + order] = y_sorted
     s1y = _wy_apply(truth.qr, _wy_t_inv(truth.qr, truth.tau), z, 0)
     return crq_solution(problem, feas.n0 + s1y, lam,
-                        EASY if tag == EASY_TAG else HARD, feas.n0, feas.gamma,
-                        extras={"case_tag": tag})
+                        EASY if tag == EASY_TAG else HARD, feas.n0)
 
 
 def verify_roundtrip(problem, truth):

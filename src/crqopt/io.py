@@ -14,6 +14,7 @@ formatting, so reruns with the same seed are byte-identical.
 """
 
 import os
+from dataclasses import MISSING, fields
 
 import numpy as np
 import scipy.io as sio
@@ -80,18 +81,9 @@ def load_problem(manifest_path):
     for key in ("A", "C", "b"):
         if key not in entries:
             raise ValueError(f"manifest is missing the {key!r} entry")
+    # CrqProblem converts A to an operator and C to a dense array
     A = sio.mmread(os.path.join(base, entries["A"]))
-    if sp.issparse(A):
-        A = A.tocsr()
-    else:
-        A = np.asarray(A, dtype=float)
     C = sio.mmread(os.path.join(base, entries["C"]))
-    if sp.issparse(C):
-        C = np.asarray(C.todense(), dtype=float)
-    else:
-        C = np.asarray(C, dtype=float)
-    if C.ndim == 1:
-        C = C.reshape(-1, 1)
     b = read_vector(os.path.join(base, entries["b"]))
     return CrqProblem(A, C, b)
 
@@ -176,38 +168,28 @@ def read_labels(path):
     return fg, bg
 
 
+# on-disk keys of the InstanceSpec fields whose key is not the field name
+_SPEC_KEYS = {"rng_seed": "seed", "iso_value": "iso"}
+
+
 def write_instance_spec(path, spec):
-    mapping = {
-        "n": spec.n, "m": spec.m, "alpha": spec.alpha, "beta": spec.beta,
-        "zeta": spec.zeta, "g0_kind": spec.g0_kind, "eta": spec.eta,
-        "seed": spec.rng_seed, "spectrum_kind": spec.spectrum_kind,
-        "iso": spec.iso_value,
-    }
-    write_keyvalues(path, mapping)
+    write_keyvalues(path, {_SPEC_KEYS.get(f.name, f.name): getattr(spec, f.name)
+                           for f in fields(InstanceSpec)})
 
 
 def read_instance_spec(path):
+    """An ``InstanceSpec`` from ``key=value`` lines; a field without a
+    default is required, the others default."""
     raw = read_keyvalues(path)
-    missing = [key for key in ("n", "m", "alpha", "beta", "zeta") if key not in raw]
+    kwargs, missing = {}, []
+    for f in fields(InstanceSpec):
+        key = _SPEC_KEYS.get(f.name, f.name)
+        if key in raw:
+            kwargs[f.name] = f.type(raw[key])
+        elif f.default is MISSING:
+            missing.append(key)
     if missing:
         raise ValueError(f"instance spec is missing {missing}")
-    kwargs = {
-        "n": int(raw["n"]),
-        "m": int(raw["m"]),
-        "alpha": float(raw["alpha"]),
-        "beta": float(raw["beta"]),
-        "zeta": float(raw["zeta"]),
-    }
-    if "g0_kind" in raw:
-        kwargs["g0_kind"] = raw["g0_kind"]
-    if "eta" in raw:
-        kwargs["eta"] = float(raw["eta"])
-    if "seed" in raw:
-        kwargs["rng_seed"] = int(raw["seed"])
-    if "spectrum_kind" in raw:
-        kwargs["spectrum_kind"] = raw["spectrum_kind"]
-    if "iso" in raw:
-        kwargs["iso_value"] = float(raw["iso"])
     return InstanceSpec(**kwargs)
 
 

@@ -86,8 +86,7 @@ def direct_solve(problem):
     red = build_reduction(problem)
     lam, y, tag = solve_plgopt_dense(red, feas.gamma)
     return crq_solution(problem, feas.n0 + red.S1 @ y, lam,
-                        EASY if tag == EASY_TAG else HARD, feas.n0, feas.gamma,
-                        extras={"case_tag": tag})
+                        EASY if tag == EASY_TAG else HARD, feas.n0)
 
 
 def pinv_shift_apply(red, lam, vec):

@@ -137,7 +137,7 @@ def test_criterion_3_near_degenerate_bounds():
                                             maxit=200, return_basis=True))
     # near-degenerate but generic: the diagnostic reports the gap between
     # the multiplier and the bottom of the projected spectrum
-    gap_ok = sol.case == crqopt.EASY and abs(sol.hard_gap - 0.0155) <= 1e-3
+    gap_ok = sol.case == crqopt.EASY and abs(sol.detection.gap - 0.0155) <= 1e-3
     ok_values = ok_values and gap_ok
     inp = BoundInputs.from_truth(truth)
     rows = crqopt.history_table(sol, ref, inp)

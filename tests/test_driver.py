@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -85,7 +85,7 @@ def test_iterate_is_krylov_slice_minimizer(small_example):
     records = crqopt.rebuild_history(sol)
     assert [rec.k for rec in records] == [1, 2, 3]
     for rec in records:
-        v_k = feas.n0 + sol.basis[:, : rec.k] @ rec.x
+        v_k = feas.n0 + sol.krylov.basis[:, : rec.k] @ rec.x
         h_k = float(v_k @ A @ v_k)
         oracle = krylov_slice_minimum(A, P, feas.n0, feas.b0, feas.gamma, rec.k)
         assert h_k <= oracle + 1e-8
@@ -210,7 +210,7 @@ def test_reorthogonalized_easy_solve_matches_reference(seed, n, m):
     # main loop
     prob = random_interior_problem(np.random.default_rng(seed), n, m)
     sol = solve(prob, SolveOptions(tol=1e-14, maxit=n, detect_hard=False))
-    assume(sol.extras["reorth_steps"] >= 1)
+    assume(sol.reorth_steps >= 1)
     ref = direct_solve(prob)
     assert abs(np.linalg.norm(sol.v) - 1.0) <= 1e-10
     assert abs(sol.objective - ref.objective) <= 1e-10 * (1.0 + abs(ref.objective))
@@ -227,8 +227,8 @@ def test_near_degenerate_reports_gap_but_stays_easy():
     prob, truth = crqopt.embed(h, g0, 0.9, m, rng)
     sol = solve(prob, SolveOptions(tol=1e-13, maxit=prob.n, rng_seed=1))
     assert sol.case == crqopt.EASY
-    assert sol.hard_gap is not None
-    assert sol.hard_gap == pytest.approx(1.0 - truth.lambda_star, abs=1e-5)
+    assert sol.detection is not None
+    assert sol.detection.gap == pytest.approx(1.0 - truth.lambda_star, abs=1e-5)
 
 
 def test_checks_report_the_newton_solver():
@@ -272,7 +272,7 @@ def test_detect_hard_easy_instance_reports_large_gap():
     sol = solve(prob, SolveOptions(tol=1e-14, maxit=110))
     assert sol.case == crqopt.EASY
     # multiplier far below the projected spectrum bottom (easy case)
-    assert sol.hard_gap > 1.0
+    assert sol.detection.gap > 1.0
     assert sol.mu == pytest.approx(truth.lambda_star, abs=1e-9 * (1 + abs(truth.lambda_star)))
 
 
@@ -379,12 +379,12 @@ def test_detection_on_worst_case_certifies_easy_early():
     _, without = _count_a_applies(prob, SolveOptions(detect_hard=False))
     detect_applies = with_detect - without
     assert sol.case == crqopt.EASY
-    assert sol.extras["detect_certificate"] == "random_start_bound"
-    assert detect_applies == sol.extras["detect_steps"]
+    assert sol.detection.certificate == "random_start_bound"
+    assert detect_applies == sol.detection.steps
     # at least 4.5x fewer than the full eig_maxit = 500 steps
     assert detect_applies <= 110
     # the last Ritz value only bounds the spectrum bottom from above
-    assert sol.hard_gap >= truth.theta[0] - truth.lambda_star - 1e-12
+    assert sol.detection.gap >= truth.theta[0] - truth.lambda_star - 1e-12
 
 
 def test_qepmin_checks_apply_no_a():
@@ -395,7 +395,7 @@ def test_qepmin_checks_apply_no_a():
     prob, _ = crqopt.generate(spec)
     sol, applies = _count_a_applies(prob, SolveOptions(method=crqopt.QEPMIN))
     assert sol.history[-1].k == sol.k
-    assert applies == sol.k + sol.extras["detect_steps"] + 20 + 6 + 1 + 1
+    assert applies == sol.k + sol.detection.steps + 20 + 6 + 1 + 1
 
 
 def test_lanczos_steps_project_once(monkeypatch):
@@ -415,12 +415,12 @@ def test_lanczos_steps_project_once(monkeypatch):
     prob, _ = crqopt.generate(spec)
     sol = solve(prob, SolveOptions())
     assert sol.case == crqopt.EASY
-    steps = sol.k + sol.extras["detect_steps"]
-    passes = sol.extras["reorth_steps"] + sol.extras["detect_reorth_steps"]
+    steps = sol.k + sol.detection.steps
+    passes = sol.reorth_steps + sol.detection.reorth_steps
     columns = sum(shape[1] if len(shape) == 2 else 1 for shape in calls)
     assert columns == steps + passes + 3
     assert set(calls) <= {(prob.n,), (prob.n, 2)}
-    assert calls.count((prob.n, 2)) == sol.extras["detect_paired_steps"] > 0
+    assert calls.count((prob.n, 2)) == sol.detection.paired_steps > 0
 
 
 def test_paired_steps_apply_a_to_one_block(monkeypatch):
@@ -443,12 +443,12 @@ def test_paired_steps_apply_a_to_one_block(monkeypatch):
     # the symmetry spot check's probe pairs are n x 2 blocks too
     recorder.blocks.clear()
     sol = solve(problem, SolveOptions())
-    paired = sol.extras["detect_paired_steps"]
-    assert recorder.blocks.count((prob.n, 2)) == paired == sol.extras["detect_steps"]
-    assert sol.extras["detect_steps"] <= 103
-    assert sol.extras["detect_certificate"] == "random_start_bound"
+    paired = sol.detection.paired_steps
+    assert recorder.blocks.count((prob.n, 2)) == paired == sol.detection.steps
+    assert sol.detection.steps <= 103
+    assert sol.detection.certificate == "random_start_bound"
     assert 1 <= len(ritz_solves) <= 10
-    assert ritz_solves[-1] == sol.extras["detect_steps"]
+    assert ritz_solves[-1] == sol.detection.steps
 
 
 @pytest.mark.parametrize("seed", [41, 900, 905, 909])
@@ -457,8 +457,8 @@ def test_hard_instances_certified_by_interlacing(seed):
     prob, _ = _hard_instance(seed)
     sol = solve(prob, SolveOptions(tol=1e-14, maxit=prob.n, rng_seed=5))
     assert sol.case == crqopt.HARD
-    assert sol.extras["detect_certificate"] == "interlacing"
-    assert sol.extras["padding_eig_converged"] and sol.converged
+    assert sol.detection.certificate == "interlacing"
+    assert sol.detection.eig_converged and sol.converged
 
 
 @pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
@@ -469,10 +469,39 @@ def test_unconverged_padding_is_reported(monkeypatch):
     prob, _ = _hard_instance(41)
     sol = solve(prob, SolveOptions(tol=1e-14, maxit=prob.n, rng_seed=5))
     assert sol.case == crqopt.HARD
-    assert sol.extras["detect_certificate"] == "interlacing"
-    assert sol.extras["detect_steps"] == 12
-    assert not sol.extras["padding_eig_converged"]
+    assert sol.detection.certificate == "interlacing"
+    assert sol.detection.steps == 12
+    assert not sol.detection.eig_converged
     assert not sol.converged
+
+
+def test_detection_is_reported_only_where_it_ran():
+    rng = np.random.default_rng(25)
+    p = random_interior_problem(rng, 40, 4)
+    assert solve(p, SolveOptions(tol=1e-12, maxit=40, detect_hard=False)).detection is None
+    report = solve(p, SolveOptions(tol=1e-12, maxit=40)).detection
+    assert report is not None and report.certified
+    unique = CrqProblem(np.diag([3.0, 1.0]), np.array([[1.0], [0.0]]), [1.0])
+    assert solve(unique).detection is None
+    # b0 = 0 by construction: the shortcut's eigensolve is not a detection
+    b0_zero, _ = crqopt.embed(np.linspace(1.0, 10.0, 60), np.zeros(60), 0.9, 3,
+                              np.random.default_rng(0))
+    sol = solve(b0_zero)
+    assert sol.case == crqopt.B0_ZERO and sol.detection is None
+
+
+@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
+def test_detection_report_holds_only_scalars():
+    # the report keeps no reference to the detection run's Lanczos basis
+    easy, _ = crqopt.generate(crqopt.InstanceSpec(n=120, m=10, alpha=1.0, beta=100.0, zeta=0.9,
+                                                  rng_seed=44))
+    hard, _ = _hard_instance(41)
+    for prob, is_hard in ((easy, False), (hard, True)):
+        report = solve(prob, SolveOptions(tol=1e-13, maxit=prob.n, rng_seed=5)).detection
+        assert report.is_hard == is_hard
+        for f in fields(report):
+            value = getattr(report, f.name)
+            assert value is None or type(value) in (bool, int, float, str), (f.name, type(value))
 
 
 def test_uncertified_detection_warns(monkeypatch):
@@ -481,8 +510,8 @@ def test_uncertified_detection_warns(monkeypatch):
     prob, _ = crqopt.generate(spec)
     with pytest.warns(RuntimeWarning, match="without a certificate"):
         sol = solve(prob, SolveOptions(tol=1e-14, maxit=110))
-    assert sol.extras["detect_certificate"] is None
-    assert sol.extras["detect_steps"] == 5
+    assert sol.detection.certificate is None
+    assert sol.detection.steps == 5
 
 
 def _detection_instance(kind, seed, nm, m):
@@ -510,10 +539,10 @@ def test_detection_decision_matches_predicate(kind, seed, nm, m):
     red = build_reduction(prob)
     sol = solve(prob, SolveOptions(tol=1e-13, maxit=prob.n, rng_seed=seed))
     assert (sol.case == crqopt.HARD) == hard_case_predicate(red, truth.gamma)
-    assert sol.extras["detect_certificate"] is not None
-    if sol.extras["detect_certificate"] == "random_start_bound":
+    assert sol.detection.certificate is not None
+    if sol.detection.certificate == "random_start_bound":
         true_gap = red.theta[0] - sol.mu
-        assert sol.hard_gap >= true_gap - 1e-10 * (1.0 + abs(sol.mu))
+        assert sol.detection.gap >= true_gap - 1e-10 * (1.0 + abs(sol.mu))
 
 
 def test_paused_detection_is_judged_at_the_final_threshold():
@@ -568,7 +597,7 @@ def test_lockstep_detection_leaves_the_main_run_alone(kind, seed, nm, m):
     alone = _solution(prob, replace(opts, detect_hard=False))
     assert paired.k == alone.k
     tol = max(1e-12, np.finfo(float).eps * prob.norm_a / (red.theta[0] - alone.mu))
-    iterates = [sol.n0 + sol.basis @ sol.history[-1].x for sol in (paired, alone)]
+    iterates = [sol.krylov.n0 + sol.krylov.basis @ sol.history[-1].x for sol in (paired, alone)]
     assert np.linalg.norm(iterates[0] - iterates[1]) <= tol
     assert paired.case == crqopt.EASY
     assert np.linalg.norm(paired.v - alone.v) <= tol
@@ -590,6 +619,6 @@ def test_sigma_below_the_spectrum_refuses_the_random_start_bound():
         sol = solve(wrapped, SolveOptions(maxit=prob.n))
     refused = [w for w in caught if "sigma" in str(w.message)]
     assert len(refused) == 1 and refused[0].category is RuntimeWarning
-    assert sol.extras["detect_certificate"] not in (None, "random_start_bound")
+    assert sol.detection.certificate not in (None, "random_start_bound")
     assert sol.case == crqopt.EASY
     assert sol.objective == pytest.approx(direct_solve(prob).objective, abs=1e-10)

@@ -29,6 +29,21 @@ def test_sparse_matrix_roundtrip(tmp_path):
     assert np.allclose(loaded.A.matvec(x), A @ x)
 
 
+def test_coordinate_and_array_constraints_load_alike(tmp_path):
+    rng = np.random.default_rng(2)
+    A = np.diag(np.arange(1.0, 13.0))
+    C = rng.standard_normal((12, 3))
+    C[C < 0.3] = 0.0
+    array = cio.load_problem(cio.write_problem(str(tmp_path / "array"), A, C, [0.1, 0.2, 0.3]))
+    coordinate = cio.load_problem(cio.write_problem(str(tmp_path / "coordinate"), A,
+                                                    sp.csr_matrix(C), [0.1, 0.2, 0.3]))
+    assert "coordinate" in (tmp_path / "coordinate" / "C.mtx").read_text().splitlines()[0]
+    assert "array" in (tmp_path / "array" / "C.mtx").read_text().splitlines()[0]
+    assert coordinate.C.dtype == array.C.dtype == np.float64
+    assert np.array_equal(coordinate.C, array.C)
+    assert np.array_equal(array.C, C)
+
+
 def test_vector_roundtrip(tmp_path):
     v = np.array([1.0, -2.5e-17, 3.141592653589793])
     path = tmp_path / "v.txt"
@@ -90,6 +105,20 @@ def test_instance_spec_roundtrip(tmp_path):
     cio.write_instance_spec(path, spec)
     back = cio.read_instance_spec(path)
     assert back == spec
+
+
+def test_instance_spec_defaults_the_optional_keys(tmp_path):
+    path = tmp_path / "inst.spec"
+    path.write_text("n=40\nm=4\nalpha=1.0\nbeta=20.0\nzeta=0.9\n")
+    assert cio.read_instance_spec(path) == crqopt.InstanceSpec(n=40, m=4, alpha=1.0, beta=20.0,
+                                                               zeta=0.9)
+
+
+def test_instance_spec_names_a_missing_key(tmp_path):
+    path = tmp_path / "inst.spec"
+    path.write_text("n=40\nm=4\nalpha=1.0\nbeta=20.0\nseed=3\n")
+    with pytest.raises(ValueError, match="zeta"):
+        cio.read_instance_spec(path)
 
 
 def test_csv_deterministic(tmp_path):

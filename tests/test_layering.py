@@ -145,6 +145,32 @@ def test_every_stored_field_is_read():
     assert not unread, f"stored but never read: {unread}"
 
 
+def _is_dict_field(node):
+    """Whether the class-level ``node`` is annotated ``dict`` (or
+    ``dict[...]``) or defaults to ``field(default_factory=dict)``."""
+    annotation = node.annotation
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    if isinstance(annotation, ast.Name) and annotation.id == "dict":
+        return True
+    value = node.value
+    return (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+            and any(kw.arg == "default_factory" and getattr(kw.value, "id", None) == "dict"
+                    for kw in value.keywords))
+
+
+def test_no_class_field_is_a_dict():
+    """A string-keyed catch-all field hides the values it holds from
+    ``test_every_stored_field_is_read``; each reported value gets a typed
+    field of its own instead."""
+    found = [f"{path.stem}.{cls.name}.{node.target.id}"
+             for path in MODULES for cls in ast.walk(_tree(path)) if isinstance(cls, ast.ClassDef)
+             for node in cls.body
+             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+             and _is_dict_field(node)]
+    assert not found, f"dict-valued class fields: {found}"
+
+
 def test_detection_union_bound():
     # KW_DELTA bounds a false "easy" at one detection step; over the at
     # most EIG_MAXIT steps of a run the total stays at or below 5e-8.  The
