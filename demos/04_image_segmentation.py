@@ -26,8 +26,7 @@ labels = LabelSet.from_pixels(image.shape, foreground_rc=[(128, 30)],
                               background_rc=[(128, 220)])
 
 opts = default_segment_options()
-print(f"solving with tol={opts.tol:g}, maxit={opts.maxit}, "
-      f"first check at minit={opts.minit}")
+print(f"solving with {opts.method}, tol={opts.tol:g}, maxit={opts.maxit}")
 mask, heat, stats = segment(image, labels, delta=0.1, r=5, opts=opts)
 
 print(f"Lanczos steps : {stats['steps']}")

@@ -38,16 +38,12 @@ EXIT_INFEASIBLE = 3
 
 # the instance bench runs when given neither --spec nor instance flags
 BENCH_SPEC = InstanceSpec(n=1100, m=100, alpha=1.0, beta=100.0, zeta=0.9)
-# InstanceSpec fields (all but rng_seed, which --seed sets) by flag
-_INSTANCE_FLAGS = {
-    "--n": ("n", int, None), "--m": ("m", int, None),
-    "--alpha": ("alpha", float, None), "--beta": ("beta", float, None),
-    "--zeta": ("zeta", float, None),
-    "--g0-kind": ("g0_kind", str, [ONES, GEOMETRIC]),
-    "--eta": ("eta", float, None),
-    "--spectrum": ("spectrum_kind", str, [CHEBYSHEV_EXTREME, CHEBYSHEV_PLUS_ISOLATED]),
-    "--iso": ("iso_value", float, None),
-}
+# every InstanceSpec field but rng_seed (which --seed sets) is a flag
+# --<name> with dashes, except where named here
+_INSTANCE_FIELDS = [f for f in fields(InstanceSpec) if f.name != "rng_seed"]
+_FLAG_NAMES = {"spectrum_kind": "--spectrum", "iso_value": "--iso"}
+_CHOICES = {"g0_kind": [ONES, GEOMETRIC],
+            "spectrum_kind": [CHEBYSHEV_EXTREME, CHEBYSHEV_PLUS_ISOLATED]}
 
 
 def _add_solver_flags(parser, defaults):
@@ -55,7 +51,6 @@ def _add_solver_flags(parser, defaults):
     parser.add_argument("--method", choices=[LGOPT, QEPMIN], default=defaults.method)
     parser.add_argument("--tol", type=float, default=defaults.tol)
     parser.add_argument("--maxit", type=int, default=defaults.maxit)
-    parser.add_argument("--minit", type=int, default=defaults.minit)
     parser.add_argument("--seed", type=int, default=defaults.rng_seed)
 
 
@@ -63,32 +58,29 @@ def _add_instance_flags(parser, base=None):
     """One flag per ``InstanceSpec`` field but the seed, defaulting to
     ``base``'s value; without a base, to the field's default, and a field
     without one is a required flag."""
-    field_defaults = {f.name: f.default for f in fields(InstanceSpec)}
-    for flag, (name, kind, choices) in _INSTANCE_FLAGS.items():
-        default = field_defaults[name] if base is None else getattr(base, name)
-        if default is MISSING:
-            parser.add_argument(flag, dest=name, type=kind, choices=choices, required=True)
-        else:
-            parser.add_argument(flag, dest=name, type=kind, choices=choices, default=default)
+    for f in _INSTANCE_FIELDS:
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        default = f.default if base is None else getattr(base, f.name)
+        kwargs = {"required": True} if default is MISSING else {"default": default}
+        parser.add_argument(flag, dest=f.name, type=f.type, choices=_CHOICES.get(f.name),
+                            **kwargs)
 
 
 def _options(args, return_basis=False):
     return SolveOptions(
-        method=args.method, tol=args.tol, maxit=args.maxit, minit=args.minit,
-        rng_seed=args.seed,
+        method=args.method, tol=args.tol, maxit=args.maxit, rng_seed=args.seed,
         detect_hard=not args.no_detect_hard, return_basis=return_basis,
     )
 
 
 def _segment_options(args):
     return replace(default_segment_options(), tol=args.tol, maxit=args.maxit,
-                   minit=min(args.minit, args.maxit), method=args.method,
-                   rng_seed=args.seed)
+                   method=args.method, rng_seed=args.seed)
 
 
 def _gen_spec(args):
     return InstanceSpec(rng_seed=args.seed,
-                        **{name: getattr(args, name) for name, _, _ in _INSTANCE_FLAGS.values()})
+                        **{f.name: getattr(args, f.name) for f in _INSTANCE_FIELDS})
 
 
 def _write_solution(outdir, sol):

@@ -264,11 +264,11 @@ def ncut_value(graph, mask):
 
 
 def default_segment_options():
-    """Solver settings used for image runs: residual bound below 8e-5,
-    with no check before a warm-up of 120 steps."""
-    return SolveOptions(
-        method=QEPMIN, tol=8e-5, maxit=300, minit=120, detect_hard=False,
-    )
+    """Solver settings used for image runs: the loop stops at the first
+    check whose qepmin residual bound is below 8e-5.  The mask reads only
+    the sign of the relaxed indicator; a caller who needs a tighter
+    objective sets a smaller ``tol``."""
+    return SolveOptions(method=QEPMIN, tol=8e-5, maxit=300, detect_hard=False)
 
 
 def segment(image, labels, delta=0.1, r=5, opts=None):

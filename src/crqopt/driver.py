@@ -18,8 +18,8 @@ The loop stops when ``delta`` drops below the tolerance, on breakdown
 minimizer is recovered as v = n0 + Q_k x, and the one exact residual
 ||P(Av) - mu (v - n0)|| is taken at the v the solve returns.
 
-When it checks: only where the loop can stop.  A check runs at
-``minit``, on breakdown and at the cap; between checks a ``DeltaProxy``
+When it checks: only where the loop can stop.  A check runs at the
+first step, on breakdown and at the cap; between checks a ``DeltaProxy``
 estimates lgopt's ``delta`` in O(1) per step at the last check's
 multiplier, and a check runs where the estimate comes within
 ``CHECK_MARGIN`` of the tolerance, falls ``CHECK_DROP`` below the last
@@ -129,7 +129,6 @@ class SolveOptions:
     method: str = LGOPT
     tol: float = 1e-15
     maxit: int = 200
-    minit: int = 1
     detect_hard: bool = True
     return_basis: bool = False
     rng_seed: int = 0
@@ -139,8 +138,6 @@ class SolveOptions:
             raise ValueError(f"method must be '{LGOPT}' or '{QEPMIN}'")
         if self.maxit < 1:
             raise ValueError("maxit must be >= 1")
-        if self.minit > self.maxit:
-            raise ValueError("minit must not exceed maxit")
 
 
 @dataclass
@@ -638,8 +635,6 @@ def solve(problem, opts=None):
             outcome = lanczos_step(state)
         k = state.k
         broke = outcome == BROKE_DOWN
-        if not (k >= opts.minit or broke or k == state.maxit):
-            continue
         if proxy is not None and not broke and k < state.maxit:
             proxy.advance(state.alpha[k - 1], state.beta[k - 1])
             if not proxy.due(state.beta[k]):

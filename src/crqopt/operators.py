@@ -13,11 +13,17 @@ from .lanczos import run
 
 _NORM_SEED = 0x5EED
 _NORM_STEPS = 20
+# an explicit matrix is symmetric when max |A - A'| <= _SYM_TOL max |A|, a
+# callable when |x'Ay - y'Ax| <= _SYM_TOL (|Ax||y| + |Ay||x|) on each of
+# _SYM_PROBES random pairs
+_SYM_TOL = 1e-8
+_SYM_PROBES = 3
 
 
 class SymmetricOperator:
     """Action of a symmetric matrix, applied to vectors or column blocks.
 
+    A subclass is symmetric by contract, and nothing checks it.
     A subclass whose norm has a known rigorous bound sets ``norm_bound``;
     ``CrqProblem.norm_a`` then takes it instead of an estimate.
     """
@@ -46,6 +52,10 @@ class SymmetricOperator:
 class _MatrixOperator(SymmetricOperator):
     def __init__(self, mat):
         super().__init__(mat.shape[0])
+        # entry by entry against the transpose: O(nnz), no apply
+        gap = abs(mat - mat.T).max()
+        if gap > _SYM_TOL * abs(mat).max():
+            raise ValueError(f"A is not symmetric: max |A - A'| = {gap:.3e}")
         self.mat = mat
 
     def matvec(self, x):
@@ -59,13 +69,24 @@ class _CallableOperator(SymmetricOperator):
     def __init__(self, fn, n):
         super().__init__(n)
         self.fn = fn
+        # one n x 2 block per probe pair (x_i, y_i), drawn in order from its
+        # own generator; y'Ax = x'Ay is checked for each pair
+        rng = np.random.default_rng(12345)
+        for _ in range(_SYM_PROBES):
+            X = rng.standard_normal((2, self.n)).T
+            AX = self.apply(X)
+            x, y, Ax, Ay = X[:, 0], X[:, 1], AX[:, 0], AX[:, 1]
+            scale = np.linalg.norm(Ax) * np.linalg.norm(y) + np.linalg.norm(Ay) * np.linalg.norm(x)
+            if abs(x @ Ay - y @ Ax) > _SYM_TOL * max(scale, 1e-300):
+                raise ValueError("A fails the symmetry spot check")
 
     def matvec(self, x):
         return np.asarray(self.fn(x), dtype=float).reshape(-1)
 
 
 def as_operator(A, n=None):
-    """Wrap ``A`` (array, sparse matrix, callable or operator) as a SymmetricOperator."""
+    """Wrap ``A`` (array, sparse matrix, callable or operator) as a
+    SymmetricOperator; a matrix or a callable is checked for symmetry."""
     if isinstance(A, SymmetricOperator):
         return A
     if sp.issparse(A):

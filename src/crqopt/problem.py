@@ -27,15 +27,13 @@ INFEASIBLE = "infeasible"
 UNIQUE_POINT = "unique_point"
 INTERIOR = "interior"
 
-_SYM_PROBES = 3
-_SYM_TOL = 1e-8
-
 
 class CrqProblem:
     """Operator A, constraint matrix C and right-hand side b.
 
     ``A`` may be a dense array, a sparse matrix, a ``SymmetricOperator``
-    or a callable (pass ``n`` for callables).  ``C`` is dense or sparse
+    or a callable (pass ``n`` for callables); ``as_operator`` checks an
+    explicit matrix or a callable for symmetry.  ``C`` is dense or sparse
     with full column rank; rank is checked through a column-pivoted QR
     factorization, which also backs all least-squares projections.
     """
@@ -70,19 +68,6 @@ class CrqProblem:
         self._R = R
         self._piv = piv
         self._norm_a = None
-        self._spot_check_symmetry()
-
-    def _spot_check_symmetry(self):
-        # one n x 2 block per probe pair (x_i, y_i), drawn in order from one
-        # generator; A is applied to one pair at a time
-        rng = np.random.default_rng(12345)
-        for _ in range(_SYM_PROBES):
-            X = rng.standard_normal((2, self.n)).T
-            AX = self.A.apply(X)
-            x, y, Ax, Ay = X[:, 0], X[:, 1], AX[:, 0], AX[:, 1]
-            scale = np.linalg.norm(Ax) * np.linalg.norm(y) + np.linalg.norm(Ay) * np.linalg.norm(x)
-            if abs(x @ Ay - y @ Ax) > _SYM_TOL * max(scale, 1e-300):
-                raise ValueError("A fails the symmetry spot check")
 
     @property
     def norm_a(self):

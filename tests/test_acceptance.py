@@ -449,8 +449,7 @@ def test_criterion_11_clustering():
     img = np.zeros((8, 8))
     img[:, 4:] = 1.0
     labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
-    opts = SolveOptions(method=crqopt.QEPMIN, tol=1e-10, maxit=60, minit=1,
-                        detect_hard=False)
+    opts = SolveOptions(method=crqopt.QEPMIN, tol=1e-10, maxit=60, detect_hard=False)
     mask, _, stats8 = segment(img, labels, delta=0.1, r=2, opts=opts)
     exact = np.array_equal(mask, img < 0.5) and mask[4, 1] and not mask[4, 6]
     c_plus, c_minus = stats8["c_plus"], stats8["c_minus"]

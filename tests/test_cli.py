@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import crqopt
 from crqopt import io as cio
@@ -106,7 +107,7 @@ def test_segment_cli(tmp_path):
     code = main([
         "segment", "--image", str(img_path), "--labels", str(labels_path),
         "--delta", "0.1", "--r", "2", "--out", str(out),
-        "--tol", "1e-8", "--maxit", "60", "--minit", "1",
+        "--tol", "1e-8", "--maxit", "60",
     ])
     assert code == EXIT_OK
     mask, _ = cio.read_pgm(out / "mask.pgm")
@@ -129,7 +130,7 @@ def test_segment_cli_reports_graph_memory(tmp_path):
     out = tmp_path / "seg"
     code = main([
         "segment", "--image", str(img_path), "--labels", str(labels_path),
-        "--r", "3", "--out", str(out), "--maxit", "60", "--minit", "1",
+        "--r", "3", "--out", str(out), "--maxit", "60",
     ])
     assert code == EXIT_OK
     stats = cio.read_keyvalues(out / "stats.txt")
@@ -196,3 +197,29 @@ def test_parsed_defaults_are_the_library_defaults():
     gen = parser.parse_args(["gen", "--n", "40", "--m", "4", "--alpha", "1", "--beta", "20",
                              "--zeta", "0.9", "--out", "o"])
     assert _gen_spec(gen) == crqopt.InstanceSpec(n=40, m=4, alpha=1.0, beta=20.0, zeta=0.9)
+
+
+_ALL_INSTANCE_FLAGS = ["--n", "60", "--m", "5", "--alpha", "2", "--beta", "50", "--zeta", "0.7",
+                       "--g0-kind", "geometric", "--eta", "-0.01",
+                       "--spectrum", "chebyshev_plus_isolated", "--iso", "0.5", "--seed", "4"]
+
+
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_instance_flags_parse_to_the_same_spec(command):
+    # every flag spelling and value maps onto the InstanceSpec field it
+    # always did, on both subcommands
+    args = build_parser().parse_args([command, *_ALL_INSTANCE_FLAGS, "--out", "o"])
+    assert _gen_spec(args) == crqopt.InstanceSpec(
+        n=60, m=5, alpha=2.0, beta=50.0, zeta=0.7, g0_kind=crqopt.instances.GEOMETRIC,
+        eta=-0.01, rng_seed=4, spectrum_kind=crqopt.instances.CHEBYSHEV_PLUS_ISOLATED,
+        iso_value=0.5)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--zeta", "0.9", "--g0-kind", "cubic"], ["--zeta", "0.9", "--spectrum", "uniform"], [],
+], ids=["g0-kind", "spectrum", "no-zeta"])
+def test_bad_instance_flags_are_usage_errors(flags):
+    # the two kinds take only their choices, and a field without an
+    # InstanceSpec default (here zeta) is a required flag of gen
+    base = ["--n", "40", "--m", "4", "--alpha", "1", "--beta", "20"]
+    assert main(["gen", *base, *flags, "--out", "o"]) == EXIT_USAGE

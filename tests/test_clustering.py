@@ -7,8 +7,8 @@ import scipy.sparse.linalg as spla
 
 import crqopt
 from crqopt.clustering import (LabelSet, NormalizedLaplacianOperator, apply_weights,
-                               build_graph, encode_constraints, ncut_value, segment,
-                               to_crqopt)
+                               build_graph, default_segment_options, encode_constraints,
+                               ncut_value, segment, to_crqopt)
 from crqopt.errors import EmptySideError, IsolatedPixelError
 from oracles import graph_matrix
 
@@ -41,11 +41,12 @@ def _oracle_image(shape, constant):
     return np.full(shape, 3.0) if constant else rng.uniform(0.0, 255.0, shape)
 
 
-def _two_region_raster(size):
-    """Demo 04's raster: two intensity halves under a smooth texture."""
+def _two_region_raster(size, phase=(0.0, 0.0)):
+    """Demo 04's raster: two intensity halves under a smooth texture,
+    whose row and column phases ``phase`` shifts."""
     yy, xx = np.mgrid[0:size, 0:size]
     image = np.where(xx < size // 2, 60.0, 180.0)
-    return image + 10.0 * np.sin(yy / 9.0) + 6.0 * np.cos(xx / 7.0)
+    return image + 10.0 * np.sin(yy / 9.0 + phase[0]) + 6.0 * np.cos(xx / 7.0 + phase[1])
 
 
 def _all_pairs_graph(image, delta, r):
@@ -224,8 +225,7 @@ def test_pipeline_feasibility_and_normalization():
 def test_two_block_segmentation_exact_and_ncut_optimal():
     img = two_block_image(8)
     labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
-    opts = crqopt.SolveOptions(method=crqopt.QEPMIN, tol=1e-10, maxit=60,
-                               minit=1, detect_hard=False)
+    opts = crqopt.SolveOptions(method=crqopt.QEPMIN, tol=1e-10, maxit=60, detect_hard=False)
     mask, heat, stats = segment(img, labels, delta=0.1, r=2, opts=opts)
     # the produced cut separates the two blocks exactly, with the
     # foreground label on the positive side
@@ -245,7 +245,7 @@ def test_two_block_segmentation_exact_and_ncut_optimal():
 def test_labeled_pixels_respected_on_constant_image():
     img = np.full((8, 8), 3.0)
     labels = LabelSet.from_pixels(img.shape, [(1, 1)], [(6, 6)])
-    opts = crqopt.SolveOptions(tol=1e-10, maxit=60, minit=1, detect_hard=False)
+    opts = crqopt.SolveOptions(tol=1e-10, maxit=60, detect_hard=False)
     mask, heat, stats = segment(img, labels, delta=0.1, r=2, opts=opts)
     assert mask[1, 1]
     assert not mask[6, 6]
@@ -259,8 +259,7 @@ def test_gradient_split_beats_unconstrained_threshold_baseline():
     img[:, : size // 2] = ramp
     img[:, size // 2 :] = 0.65 + ramp
     labels = LabelSet.from_pixels(img.shape, [(32, 5)], [(32, 60)])
-    opts = crqopt.SolveOptions(method=crqopt.QEPMIN, tol=8e-5, maxit=150,
-                               minit=20, detect_hard=False)
+    opts = crqopt.SolveOptions(method=crqopt.QEPMIN, tol=8e-5, maxit=150, detect_hard=False)
     mask, _, stats = segment(img, labels, delta=0.1, r=3, opts=opts)
     assert mask[32, 5] and not mask[32, 60]
 
@@ -299,9 +298,9 @@ def test_raster_problem_takes_the_laplacian_norm_bound(monkeypatch):
     assert to_crqopt(graph, encode_constraints(graph, labels)).norm_a == 2.0
 
 
-def test_segment_solve_applies_a_once_per_step_plus_eight(monkeypatch):
-    """k Lanczos steps, 6 for the symmetry spot check, 1 for n0'A n0 in
-    classify and 1 for the objective at the returned v: no norm estimate."""
+def test_segment_solve_applies_a_once_per_step_plus_two(monkeypatch):
+    """k Lanczos steps, 1 for n0'A n0 in classify and 1 for the objective
+    at the returned v: no norm estimate and no symmetry probe."""
     applies = []
     matvec = NormalizedLaplacianOperator.matvec
 
@@ -312,10 +311,9 @@ def test_segment_solve_applies_a_once_per_step_plus_eight(monkeypatch):
     monkeypatch.setattr(NormalizedLaplacianOperator, "matvec", counting)
     image = _two_region_raster(32)
     labels = LabelSet.from_pixels(image.shape, [(16, 3)], [(16, 28)])
-    opts = crqopt.SolveOptions(method=crqopt.QEPMIN, tol=8e-5, maxit=60, minit=20,
-                               detect_hard=False)
+    opts = crqopt.SolveOptions(method=crqopt.QEPMIN, tol=8e-5, maxit=60, detect_hard=False)
     _, _, stats = segment(image, labels, delta=0.1, r=5, opts=opts)
-    assert len(applies) == stats["steps"] + 6 + 1 + 1
+    assert len(applies) == stats["steps"] + 1 + 1
 
 
 @pytest.mark.parametrize("shape", [(3, 20), (20, 3), (13, 17), (1, 9)])
@@ -324,6 +322,20 @@ def test_segment_solve_applies_a_once_per_step_plus_eight(monkeypatch):
 def test_normalized_laplacian_spectrum_within_norm_bound(shape, r, constant):
     graph = build_graph(_oracle_image(shape, constant), 0.2, r)
     dense = NormalizedLaplacianOperator(graph).apply(np.eye(graph.n))
+    # symmetric by contract, unchecked at construction: this is the proof
+    assert np.abs(dense - dense.T).max() <= 1e-15 * np.abs(dense).max()
     eigs = np.linalg.eigvalsh(dense)
     assert eigs[0] >= -1e-12
     assert eigs[-1] <= NormalizedLaplacianOperator.norm_bound + 1e-12
+
+
+@pytest.mark.parametrize("phase", [(0.0, 0.0), (2.0, 4.5), (5.0, 1.5)])
+def test_default_options_stop_the_raster_on_tol(phase):
+    # the benchmark's 256 x 256 raster stops where the qepmin bound meets
+    # tol (k = 78 on these phases) with exactly the left/right split
+    image = _two_region_raster(256, phase)
+    labels = LabelSet.from_pixels(image.shape, [(128, 30)], [(128, 220)])
+    mask, _, stats = segment(image, labels, delta=0.1, r=5, opts=default_segment_options())
+    assert stats["converged"] and stats["steps"] <= 80
+    assert mask[128, 30] and not mask[128, 220]
+    assert np.array_equal(mask, np.mgrid[0:256, 0:256][1] < 128)

@@ -18,8 +18,8 @@ from crqopt.errors import InfeasibleError, NotConvergedError
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"method": "newton"}, {"maxit": 0}, {"minit": 10, "maxit": 5},
-], ids=["method", "maxit=0", "minit>maxit"])
+    {"method": "newton"}, {"maxit": 0},
+], ids=["method", "maxit=0"])
 def test_options_validated(kwargs):
     with pytest.raises(ValueError):
         SolveOptions(**kwargs)
@@ -307,7 +307,8 @@ def test_scheduled_checks_stop_where_checking_every_step_would(method):
         except NotConvergedError as err:
             sol = err.solution
         rebuilt = {rec.k: rec for rec in crqopt.rebuild_history(sol)}
-        assert min(rebuilt) == opts.minit and max(rebuilt) == sol.k
+        # the first check runs at the first step
+        assert min(rebuilt) == sol.history[0].k == 1 and max(rebuilt) == sol.k
         stops = [k for k, rec in rebuilt.items() if rec.delta <= opts.tol]
         if stops:
             assert sol.k == stops[0]
@@ -389,13 +390,13 @@ def test_detection_on_worst_case_certifies_easy_early():
 
 def test_qepmin_checks_apply_no_a():
     # one A-apply per Lanczos step and per detection step, 20 for the norm
-    # estimate, 6 for the symmetry probes, 1 in classify (b0 and n0'A n0)
-    # and 1 at the returned v (objective and residual): none per check
+    # estimate, 1 in classify (b0 and n0'A n0) and 1 at the returned v
+    # (objective and residual): none per check and none at construction
     spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
     prob, _ = crqopt.generate(spec)
     sol, applies = _count_a_applies(prob, SolveOptions(method=crqopt.QEPMIN))
     assert sol.history[-1].k == sol.k
-    assert applies == sol.k + sol.detection.steps + 20 + 6 + 1 + 1
+    assert applies == sol.k + sol.detection.steps + 20 + 1 + 1
 
 
 def test_lanczos_steps_project_once(monkeypatch):
@@ -440,8 +441,8 @@ def test_paired_steps_apply_a_to_one_block(monkeypatch):
     prob, _ = crqopt.generate(spec)
     recorder = BlockRecordingOperator(prob.A)
     problem = CrqProblem(recorder, prob.C, prob.b)
-    # the symmetry spot check's probe pairs are n x 2 blocks too
-    recorder.blocks.clear()
+    # an operator is symmetric by contract: construction applies no block
+    assert recorder.blocks == []
     sol = solve(problem, SolveOptions())
     paired = sol.detection.paired_steps
     assert recorder.blocks.count((prob.n, 2)) == paired == sol.detection.steps

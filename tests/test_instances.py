@@ -143,6 +143,7 @@ def test_reflector_operator_matches_dense_oracle(spec):
     X /= np.linalg.norm(X, axis=0)
     assert np.max(np.abs(prob.A.apply(X[:, 0]) - A_dense @ X[:, 0])) <= tol
     assert np.max(np.abs(prob.A.apply(X) - A_dense @ X)) <= tol
+    # symmetric by contract, unchecked at construction: this is the proof
     M = prob.A.apply(np.eye(spec.n))
     assert np.max(np.abs(M - M.T)) <= tol
     verify_roundtrip(prob, truth)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from conftest import BlockRecordingOperator, random_interior_problem
+from conftest import random_interior_problem
 from oracles import circle_min_objective, dense_projector, pinv_min_norm
 
 import crqopt
@@ -106,21 +107,85 @@ def test_rank_deficient_rejected():
 
 
 def test_asymmetric_rejected():
+    # an explicit matrix, dense or sparse, against its transpose; a
+    # callable through the probes
     A = np.triu(np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        CrqProblem(A, np.eye(4)[:, :1], [0.5])
+    for given in (A, sp.csr_matrix(A), lambda x: A @ x):
+        with pytest.raises(ValueError, match="symmetr"):
+            CrqProblem(given, np.eye(4)[:, :1], [0.5])
 
 
-def test_symmetry_spot_check_applies_a_to_one_block():
-    # each of the three probe pairs reaches an operator with a matmat as
-    # one n x 2 block, and an asymmetric one is still rejected through it
+def _recording(monkeypatch, cls, names):
+    """Record the shape of every argument to ``cls``'s methods ``names``."""
+    shapes = []
+    for name in names:
+        method = getattr(cls, name)
+
+        def recording(self, x, method=method):
+            shapes.append(x.shape)
+            return method(self, x)
+
+        monkeypatch.setattr(cls, name, recording)
+    return shapes
+
+
+def test_symmetry_spot_check_applies_a_to_one_block(monkeypatch):
+    # only a callable is probed: each of the three probe pairs reaches it
+    # as one n x 2 block, applied a column at a time, and an asymmetric
+    # callable is still rejected through it
+    blocks = _recording(monkeypatch, crqopt.operators._CallableOperator, ["matmat"])
     rng = np.random.default_rng(8)
     A = rng.standard_normal((30, 30))
-    recorder = BlockRecordingOperator(crqopt.as_operator(A + A.T))
-    CrqProblem(recorder, rng.standard_normal((30, 2)), [0.1, 0.1])
-    assert recorder.blocks == [(30, 2)] * 3
+    S = A + A.T
+    calls = []
+
+    def fn(x):
+        calls.append(x.shape)
+        return S @ x
+
+    CrqProblem(fn, rng.standard_normal((30, 2)), [0.1, 0.1])
+    assert blocks == [(30, 2)] * 3
+    assert calls == [(30,)] * 6
     with pytest.raises(ValueError, match="symmetry"):
-        CrqProblem(BlockRecordingOperator(crqopt.as_operator(A)), np.eye(30)[:, :1], [0.5])
+        CrqProblem(lambda x: A @ x, np.eye(30)[:, :1], [0.5])
+
+
+def test_roundoff_asymmetry_accepted():
+    # a matrix symmetric up to roundoff passes the entrywise check
+    rng = np.random.default_rng(4)
+    Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    A = (Q * rng.uniform(-3.0, 3.0, 20)) @ Q.T
+    assert np.abs(A - A.T).max() > 0.0
+    for given in (A, sp.csr_matrix(A)):
+        CrqProblem(given, np.eye(20)[:, :1], [0.5])
+
+
+class _DenseOperator(crqopt.SymmetricOperator):
+    def __init__(self, mat):
+        super().__init__(mat.shape[0])
+        self.mat = mat
+
+    def matvec(self, x):
+        return self.mat @ x
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr", "operator"])
+def test_construction_applies_no_a(monkeypatch, kind):
+    # an explicit matrix is checked against its transpose and an operator
+    # is symmetric by contract: neither is applied at construction
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((30, 30))
+    S = A + A.T
+    if kind == "operator":
+        given, cls = _DenseOperator(S), _DenseOperator
+    else:
+        given, cls = (S if kind == "dense" else sp.csr_matrix(S)), crqopt.operators._MatrixOperator
+    applies = _recording(monkeypatch, cls, ["matvec", "matmat"])
+    p = CrqProblem(given, rng.standard_normal((30, 2)), [0.1, 0.1])
+    assert applies == []
+    # the counter sees the applies that do run: classify's one A n0
+    classify(p)
+    assert applies == [(30,)]
 
 
 def test_b0_zero_scaled_identity():
