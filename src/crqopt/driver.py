@@ -252,7 +252,7 @@ def crq_solution(problem, v, mu, case, n0, k=0, history=None, **fields):
     """A ``CrqSolution`` at v.  The objective v'Av costs one A-apply, and
     the residual reuses Av at the cost of one P-apply."""
     Av = problem.A.matvec(v)
-    residual = np.linalg.norm(problem.projected_operator().apply_P(Av) - mu * (v - n0))
+    residual = np.linalg.norm(problem.P.apply_P(Av) - mu * (v - n0))
     return CrqSolution(
         v=v, mu=float(mu), k=k, history=[] if history is None else history,
         case=case, objective=float(v @ Av), residual=float(residual), **fields,
@@ -414,9 +414,9 @@ class DetectionRun:
     """
 
     def __init__(self, problem, rng):
-        op = problem.projected_operator()
-        start = op.apply_P(rng.standard_normal(problem.n))
-        self.state = LanczosState(op, start, norm_scale=problem.norm_a, maxit=EIG_MAXIT)
+        start = problem.P.apply_P(rng.standard_normal(problem.n))
+        self.state = LanczosState(problem.A, start, problem.P, norm_scale=problem.norm_a,
+                                  maxit=EIG_MAXIT)
         self.norm_scale = problem.norm_a
         self.sigma = NORM_MARGIN * problem.norm_a
         self.dim = problem.n - problem.m
@@ -620,8 +620,7 @@ def solve(problem, opts=None):
     detection = None
     if opts.detect_hard:
         detection = DetectionRun(problem, rng)
-    op = problem.projected_operator()
-    state = LanczosState(op, feas.b0, norm_scale=norm_a, maxit=opts.maxit)
+    state = LanczosState(problem.A, feas.b0, problem.P, norm_scale=norm_a, maxit=opts.maxit)
     beta1 = state.beta[0]
 
     history = []

@@ -1,10 +1,10 @@
 """Symmetric Lanczos process on M = P A P with partial reorthogonalization.
 
-The operator is a ``ProjectedOperator`` (anything with ``apply_P`` and
-the ``problem`` whose ``A`` it projects) or a plain symmetric operator;
-the norm estimate runs the same loop on A.  A run is a ``LanczosState``,
-built at its start vector with an estimate of ||A|| from which it derives
-its breakdown threshold and the rounding noise of its orthogonality
+A run is given the symmetric operator A and the projector P, a
+problem's ``ProjectedOperator``, explicitly; with ``P=None`` it runs on
+A itself, as the norm estimate does.  The run is a ``LanczosState``, built
+at its start vector with an estimate of ||A|| from which it derives its
+breakdown threshold and the rounding noise of its orthogonality
 estimates, and advanced by ``lanczos_step``.
 
 The basis is kept semiorthogonal, |q_j' q_{k+1}| <= sqrt(eps), not
@@ -22,7 +22,7 @@ only one projection per step is needed: P fixes q_k and q_{k-1}, so
     M q_k - alpha_k q_k - beta_k q_{k-1} = P(A q_k - alpha_k q_k - beta_k q_{k-1}),
 
 and a step applies A and projects once, after the subtractions.  Two
-runs on the same problem can share those two applies:
+runs on the same A and P can share those two applies:
 ``lanczos_pair_step`` passes both runs' vectors to A, and both residuals
 to P, as one n x 2 block.  After k clean steps the compact relation
 
@@ -69,7 +69,8 @@ class LanczosState:
     vectors (k on breakdown).  ``reorth_steps`` counts the steps that ran
     a Gram-Schmidt pass.
 
-    The process starts at b0.  ``maxit`` caps the number of steps (at
+    The process on P A P (on A when ``P`` is None) starts at b0, which
+    lies in the range of P.  ``maxit`` caps the number of steps (at
     most n, the default) and sizes the basis store; stepping past it
     raises ``RuntimeError``.  ``norm_scale`` (an estimate of ||A||)
     calibrates the breakdown test and the rounding noise of the
@@ -92,13 +93,13 @@ class LanczosState:
     ``lanczos_step``) live in arrays preallocated to the same cap.
     """
 
-    def __init__(self, op, b0, norm_scale=1.0, maxit=None):
+    def __init__(self, A, b0, P=None, norm_scale=1.0, maxit=None):
         r0 = np.asarray(b0, dtype=float)
         beta1 = float(np.linalg.norm(r0))
         if beta1 <= 0.0:
             raise ZeroStartError("Lanczos start vector is zero")
-        self.op = op
-        self.projected = hasattr(op, "apply_P")
+        self.A = A
+        self.P = P
         self.n = r0.shape[0]
         self.broke_down = False
         self.breakdown_tol = _EPS ** (2.0 / 3.0) * max(norm_scale, 1.0)
@@ -193,6 +194,11 @@ def _check_room(state):
         )
 
 
+def _project(P, w):
+    """P w, or w itself on a run without a projector."""
+    return w if P is None else P.apply_P(w)
+
+
 def _recur(state, w):
     """Subtract beta_k q_{k-1} and alpha_k q_k from w = A q_k in place;
     returns alpha_k."""
@@ -218,8 +224,7 @@ def _finish(state, w, a_k):
             state._advance_omega(b_next) > _SQRT_EPS or state._force_reorth):
         Q_r = state._Q[:k]
         w -= (Q_r @ w) @ Q_r
-        if state.projected:
-            w = state.op.apply_P(w)
+        w = _project(state.P, w)
         b_next = float(np.linalg.norm(w))
         omega = state._omega[state._cur]
         omega[:k - 1] = _EPS
@@ -238,12 +243,11 @@ def _finish(state, w, a_k):
 def lanczos_step(state):
     """One three-term recurrence step; returns CONTINUED or BROKE_DOWN.
 
-    On a projected operator the step applies A itself (``op.problem.A``)
-    to q_k, subtracts beta_k q_{k-1} and alpha_k q_k, and projects the
-    result, the one projection of the step; since q_k lies in null(C'),
-    the alpha_k it takes from A equals q_k' M q_k.  After the recurrence
-    and the projection the step advances the omega estimates of
-    q_j' q_{k+1}.  When their largest passes sqrt(eps) it
+    The step applies A to q_k, subtracts beta_k q_{k-1} and alpha_k q_k,
+    and projects the result with P, the one projection of the step; since
+    q_k lies in null(C'), the alpha_k it takes from A equals q_k' M q_k.
+    After the recurrence and the projection the step advances the omega
+    estimates of q_j' q_{k+1}.  When their largest passes sqrt(eps) it
     runs one classical Gram-Schmidt pass of the new vector against the
     basis and projects again; the next step does the same, since q_k
     passes its loss on to q_{k+2} through the recurrence.  A pass resets
@@ -254,19 +258,17 @@ def lanczos_step(state):
     """
     _check_room(state)
     q_k = state.q(state.k + 1)
-    w = (state.op.problem.A if state.projected else state.op).matvec(q_k)
+    w = state.A.matvec(q_k)
     a_k = _recur(state, w)
     # the step's one projection, which also pins the basis to null(C'):
     # without it roundoff leaks components into range(C), where M has
     # spurious zero eigenvalues that long runs (inner eigensolves in
     # particular) pick up as ghost Ritz values
-    if state.projected:
-        w = state.op.apply_P(w)
-    return _finish(state, w, a_k)
+    return _finish(state, _project(state.P, w), a_k)
 
 
 def lanczos_pair_step(first, second):
-    """One step of each of two projected runs on the same problem.
+    """One step of each of two runs on the same A and P.
 
     The two runs' current vectors go to A as one n x 2 block, and the two
     recurrence residuals to the projection as another, so the pair costs
@@ -275,24 +277,23 @@ def lanczos_pair_step(first, second):
     Gram-Schmidt pass where it is due, the breakdown test) is each run's
     own, as in ``lanczos_step``.  Returns the two outcomes.
     """
-    problem = first.op.problem
-    if second.op.problem is not problem:
-        raise ValueError("paired Lanczos runs must project the same problem")
+    if first.A is not second.A or first.P is not second.P:
+        raise ValueError("paired Lanczos runs must share A and P")
     states = (first, second)
     for state in states:
         _check_room(state)
     X = np.empty((first.n, 2), order="F")
     for j, state in enumerate(states):
         X[:, j] = state.q(state.k + 1)
-    W = np.asfortranarray(problem.A.apply(X))
+    W = np.asfortranarray(first.A.apply(X))
     a = [_recur(state, W[:, j]) for j, state in enumerate(states)]
-    W = np.asfortranarray(first.op.apply_P(W))
+    W = np.asfortranarray(_project(first.P, W))
     return tuple(_finish(state, W[:, j], a_j) for j, (state, a_j) in enumerate(zip(states, a)))
 
 
-def run(op, b0, steps, norm_scale=1.0):
+def run(A, b0, steps, P=None, norm_scale=1.0):
     """Run up to ``steps`` Lanczos steps; stops early on breakdown."""
-    state = LanczosState(op, b0, norm_scale=norm_scale, maxit=steps)
+    state = LanczosState(A, b0, P, norm_scale=norm_scale, maxit=steps)
     for _ in range(state.maxit):
         if lanczos_step(state) == BROKE_DOWN:
             break

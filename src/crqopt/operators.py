@@ -2,7 +2,8 @@
 
 Everything downstream (Lanczos, projections, the clustering pipeline)
 talks to matrices through this thin wrapper so that dense arrays, sparse
-matrices and matrix-free callables are interchangeable.
+matrices and matrix-free ``SymmetricOperator`` subclasses are
+interchangeable.
 """
 
 import numpy as np
@@ -13,11 +14,8 @@ from .lanczos import run
 
 _NORM_SEED = 0x5EED
 _NORM_STEPS = 20
-# an explicit matrix is symmetric when max |A - A'| <= _SYM_TOL max |A|, a
-# callable when |x'Ay - y'Ax| <= _SYM_TOL (|Ax||y| + |Ay||x|) on each of
-# _SYM_PROBES random pairs
+# an explicit matrix is symmetric when max |A - A'| <= _SYM_TOL max |A|
 _SYM_TOL = 1e-8
-_SYM_PROBES = 3
 
 
 class SymmetricOperator:
@@ -65,28 +63,9 @@ class _MatrixOperator(SymmetricOperator):
         return np.asarray(self.mat @ X, dtype=float)
 
 
-class _CallableOperator(SymmetricOperator):
-    def __init__(self, fn, n):
-        super().__init__(n)
-        self.fn = fn
-        # one n x 2 block per probe pair (x_i, y_i), drawn in order from its
-        # own generator; y'Ax = x'Ay is checked for each pair
-        rng = np.random.default_rng(12345)
-        for _ in range(_SYM_PROBES):
-            X = rng.standard_normal((2, self.n)).T
-            AX = self.apply(X)
-            x, y, Ax, Ay = X[:, 0], X[:, 1], AX[:, 0], AX[:, 1]
-            scale = np.linalg.norm(Ax) * np.linalg.norm(y) + np.linalg.norm(Ay) * np.linalg.norm(x)
-            if abs(x @ Ay - y @ Ax) > _SYM_TOL * max(scale, 1e-300):
-                raise ValueError("A fails the symmetry spot check")
-
-    def matvec(self, x):
-        return np.asarray(self.fn(x), dtype=float).reshape(-1)
-
-
-def as_operator(A, n=None):
-    """Wrap ``A`` (array, sparse matrix, callable or operator) as a
-    SymmetricOperator; a matrix or a callable is checked for symmetry."""
+def as_operator(A):
+    """Wrap ``A`` (array, sparse matrix or operator) as a
+    SymmetricOperator; a matrix is checked for symmetry."""
     if isinstance(A, SymmetricOperator):
         return A
     if sp.issparse(A):
@@ -94,9 +73,7 @@ def as_operator(A, n=None):
             raise ValueError("operator must be square")
         return _MatrixOperator(A.tocsr())
     if callable(A):
-        if n is None:
-            raise ValueError("callable operator needs an explicit dimension n")
-        return _CallableOperator(A, n)
+        raise TypeError("a matrix-free A must be a SymmetricOperator subclass, not a callable")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("operator must be a square matrix")

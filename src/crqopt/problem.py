@@ -31,14 +31,14 @@ INTERIOR = "interior"
 class CrqProblem:
     """Operator A, constraint matrix C and right-hand side b.
 
-    ``A`` may be a dense array, a sparse matrix, a ``SymmetricOperator``
-    or a callable (pass ``n`` for callables); ``as_operator`` checks an
-    explicit matrix or a callable for symmetry.  ``C`` is dense or sparse
-    with full column rank; rank is checked through a column-pivoted QR
-    factorization, which also backs all least-squares projections.
+    ``A`` may be a dense array, a sparse matrix or a ``SymmetricOperator``;
+    ``as_operator`` checks an explicit matrix for symmetry.  ``C`` is
+    dense or sparse, with 0 < m < n columns of full rank.  C is factored
+    once, into the ``ProjectedOperator`` ``P``, which checks the rank and
+    backs n0 and every projection.
     """
 
-    def __init__(self, A, C, b, n=None):
+    def __init__(self, A, C, b):
         if sp.issparse(C):
             C_dense = np.asarray(C.todense(), dtype=float)
         else:
@@ -47,26 +47,17 @@ class CrqProblem:
                 C_dense = C_dense.T
         self.C = C_dense
         self.n, self.m = C_dense.shape
+        if self.m == 0:
+            raise ValueError("need at least one constraint")
         if self.m >= self.n:
             raise ValueError("need m < n constraints")
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
         if self.b.shape != (self.m,):
             raise ValueError("b must have length m")
-        self.A = as_operator(A, n=self.n if n is None else n)
+        self.A = as_operator(A)
         if self.A.n != self.n:
             raise ValueError("A and C have inconsistent dimensions")
-
-        # column-pivoted QR of C; never normal equations
-        Q, R, piv = sla.qr(C_dense, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        tol = max(self.n, self.m) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-        if diag.size == 0 or np.any(diag <= tol):
-            raise RankDeficientError(
-                f"C has numerical rank < m = {self.m} (|R_ii| floor {diag.min() if diag.size else 0:.3e})"
-            )
-        self._Q = Q
-        self._R = R
-        self._piv = piv
+        self.P = ProjectedOperator(C_dense)
         self._norm_a = None
 
     @property
@@ -81,29 +72,40 @@ class CrqProblem:
             self._norm_a = max(norm, np.finfo(float).tiny)
         return self._norm_a
 
-    def projected_operator(self):
-        return ProjectedOperator(self)
-
 
 class ProjectedOperator:
-    """The projector P = I - C C^+ of a problem, matrix-free.
+    """The factorization of an n x m constraint matrix C (0 < m < n) and
+    what is read from it: the projector P = I - C C^+ and the
+    minimum-norm solution of C'v = b.
 
-    P c is evaluated as c - Q(Q'c) with Q the orthonormal factor of C,
-    i.e. by subtracting the least-squares fit of c from range(C), for a
-    vector or an n x k block.  The Lanczos runs on M = P A P apply the
-    problem's A and then P themselves, so M is never applied as a whole.
-    Subclasses may override ``apply_P`` to swap the factorization-based
-    least squares for an iterative solver when C is too large to factor.
+    C is factored once by a column-pivoted QR, C[:, piv] = Q R, never
+    through the normal equations, and rejected when its numerical rank is
+    below m.  P c is evaluated as c - Q(Q'c), i.e. by subtracting the
+    least-squares fit of c from range(C), for a vector or an n x k block.
+    The Lanczos runs on M = P A P apply A and then P themselves, so M is
+    never applied as a whole.
     """
 
-    def __init__(self, problem):
-        self.problem = problem
-        self.n = problem.n
-        self._Q = problem._Q
+    def __init__(self, C):
+        n, m = C.shape
+        Q, R, piv = sla.qr(C, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(R))
+        tol = max(n, m) * np.finfo(float).eps * diag.max()
+        if np.any(diag <= tol):
+            raise RankDeficientError(
+                f"C has numerical rank < m = {m} (|R_ii| floor {diag.min():.3e})")
+        self._Q = Q
+        self._R = R
+        self._piv = piv
 
     def apply_P(self, c):
         c = np.asarray(c, dtype=float)
         return c - self._Q @ (self._Q.T @ c)
+
+    def min_norm(self, b):
+        """Minimum-norm solution of C'v = b."""
+        z = sla.solve_triangular(self._R, b[self._piv], trans="T", lower=False)
+        return self._Q @ z
 
 
 class Feasibility:
@@ -125,9 +127,8 @@ class Feasibility:
 
 
 def compute_n0(problem):
-    """Minimum-norm solution of C'v = b via the pivoted QR of C."""
-    z = sla.solve_triangular(problem._R, problem.b[problem._piv], trans="T", lower=False)
-    return problem._Q @ z
+    """Minimum-norm solution of C'v = b, from the problem's factored C."""
+    return problem.P.min_norm(problem.b)
 
 
 def classify(problem):
@@ -142,7 +143,7 @@ def classify(problem):
         return Feasibility(UNIQUE_POINT, n0)
     gamma = float(np.sqrt(1.0 - nrm * nrm))
     An0 = problem.A.matvec(n0)
-    b0 = problem.projected_operator().apply_P(An0)
+    b0 = problem.P.apply_P(An0)
     return Feasibility(INTERIOR, n0, gamma, b0, float(n0 @ An0))
 
 

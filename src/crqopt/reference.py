@@ -58,8 +58,7 @@ def build_reduction(problem):
     H = S1.T @ problem.A.apply(S1)
     H = 0.5 * (H + H.T)
     n0 = compute_n0(problem)
-    op = problem.projected_operator()
-    b0 = op.apply_P(problem.A.matvec(n0))
+    b0 = problem.P.apply_P(problem.A.matvec(n0))
     g0 = S1.T @ b0
     theta, Y = sla.eigh(H)
     return DenseReduction(S1, H, g0, theta, Y)

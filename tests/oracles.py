@@ -120,9 +120,9 @@ def krylov_slice_minimum(A_dense, P, n0, b0, gamma, k):
 
 
 def apply_M(problem, X):
-    """M X = P A P X for a vector or an n x k block, with the problem's own
-    projector and operator."""
-    P = problem.projected_operator().apply_P
+    """M X = P A P X for a vector or an n x k block, with the own projector
+    ``P`` and operator ``A`` of a problem or of a projected Lanczos run."""
+    P = problem.P.apply_P
     return P(problem.A.apply(P(X)))
 
 
@@ -158,7 +158,7 @@ def exact_qep_residual(state, red, norm_a, gamma, beta1):
     y_k = red.x[-1] if red.tag == EASY_TAG else 0.0
     denom = ((norm_a + abs(mu)) ** 2 + (beta1 / gamma) ** 2) * np.linalg.norm(red.w)
     q_next = state.q(k + 1)
-    Mq = apply_M(state.op.problem, q_next)
+    Mq = apply_M(state, q_next)
     r = state.beta[k] * (y_k * q_next + red.w[-1] * (Mq - mu * q_next))
     return float(np.linalg.norm(r) / denom)
 

@@ -45,7 +45,7 @@ def test_criterion_1_small_example_spectra(small_example):
     red = build_reduction(small_example)
     mu_dense, _, _, _ = solve_pqepmin_dense(red, feas.gamma)
 
-    state = lanczos_run(small_example.projected_operator(), feas.b0, 2,
+    state = lanczos_run(small_example.A, feas.b0, 2, small_example.P,
                         norm_scale=small_example.norm_a)
     a, b = state.tridiagonal()
     T = tridiagonal_dense(a, b)

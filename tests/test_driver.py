@@ -97,11 +97,10 @@ def test_final_multiplier_residual_scaled():
     p = random_interior_problem(rng, 40, 4)
     tol = 1e-12
     feas = classify(p)
-    op = p.projected_operator()
     for method in (crqopt.LGOPT, crqopt.QEPMIN):
         sol = solve(p, SolveOptions(method=method, tol=tol, maxit=40))
         u = sol.v - feas.n0
-        resid = np.linalg.norm(op.apply_P(p.A.matvec(u)) - sol.mu * u + feas.b0)
+        resid = np.linalg.norm(p.P.apply_P(p.A.matvec(u)) - sol.mu * u + feas.b0)
         scale = (p.norm_a + abs(sol.mu)) * feas.gamma + np.linalg.norm(feas.b0)
         assert resid <= tol * scale
         # the solution's own residual is the same quantity, formed from A v

@@ -14,19 +14,15 @@ from crqopt import classify
 from crqopt.clustering import LabelSet, build_graph, encode_constraints, to_crqopt
 from crqopt.errors import ZeroStartError
 from crqopt.driver import DetectionRun
-from crqopt.lanczos import BROKE_DOWN, LanczosState, bottom_eigenpair, lanczos_step, run
-
-
-def _projected(problem):
-    return problem.projected_operator()
+from crqopt.lanczos import (BROKE_DOWN, LanczosState, bottom_eigenpair, lanczos_pair_step,
+                            lanczos_step, run)
 
 
 def test_init_unit_start():
     rng = np.random.default_rng(0)
     p = random_interior_problem(rng, 8, 2)
-    op = _projected(p)
-    b0 = op.apply_P(np.eye(8)[:, 0])
-    state = LanczosState(op, b0)
+    b0 = p.P.apply_P(np.eye(8)[:, 0])
+    state = LanczosState(p.A, b0, p.P)
     assert np.allclose(state.q(1), b0 / np.linalg.norm(b0))
     assert state.beta[0] == pytest.approx(np.linalg.norm(b0))
 
@@ -34,22 +30,21 @@ def test_init_unit_start():
 def test_init_records_start_norm():
     rng = np.random.default_rng(1)
     p = random_interior_problem(rng, 8, 2)
-    op = _projected(p)
-    b0 = 2.0 * op.apply_P(np.eye(8)[:, 1])
-    state = LanczosState(op, b0)
+    b0 = 2.0 * p.P.apply_P(np.eye(8)[:, 1])
+    state = LanczosState(p.A, b0, p.P)
     assert state.beta[0] == pytest.approx(np.linalg.norm(b0))
     assert np.linalg.norm(state.q(1)) == pytest.approx(1.0)
 
 
 def test_init_small_example_start(small_example):
     feas = classify(small_example)
-    state = LanczosState(_projected(small_example), feas.b0)
+    state = LanczosState(small_example.A, feas.b0, small_example.P)
     assert np.allclose(state.q(1), feas.b0 / np.linalg.norm(feas.b0), atol=1e-15)
 
 
 def test_zero_start_rejected(small_example):
     with pytest.raises(ZeroStartError):
-        LanczosState(_projected(small_example), np.zeros(5))
+        LanczosState(small_example.A, np.zeros(5), small_example.P)
 
 
 def test_identity_breaks_down_immediately():
@@ -58,9 +53,8 @@ def test_identity_breaks_down_immediately():
     rng = np.random.default_rng(2)
     C = rng.standard_normal((6, 2))
     p = crqopt.CrqProblem(np.eye(6), C, 0.1 * np.ones(2))
-    op = _projected(p)
-    b0 = op.apply_P(rng.standard_normal(6))
-    state = LanczosState(op, b0, norm_scale=1.0)
+    b0 = p.P.apply_P(rng.standard_normal(6))
+    state = LanczosState(p.A, b0, p.P, norm_scale=1.0)
     assert lanczos_step(state) == BROKE_DOWN
     assert state.alpha[0] == pytest.approx(1.0)
     assert state.beta[1] <= state.breakdown_tol
@@ -68,8 +62,7 @@ def test_identity_breaks_down_immediately():
 
 def test_tridiagonal_matches_dense_gram(small_example):
     feas = classify(small_example)
-    op = _projected(small_example)
-    state = run(op, feas.b0, 2, norm_scale=small_example.norm_a)
+    state = run(small_example.A, feas.b0, 2, small_example.P, norm_scale=small_example.norm_a)
     P = dense_projector(small_example.C)
     M = P @ np.diag([1.0, 2, 3, 4, 5]) @ P
     Q = state.basis(2)
@@ -81,8 +74,7 @@ def test_compact_relation_and_nullspace_small():
     rng = np.random.default_rng(3)
     p = random_interior_problem(rng, 30, 4)
     feas = classify(p)
-    op = _projected(p)
-    state = run(op, feas.b0, 12, norm_scale=p.norm_a)
+    state = run(p.A, feas.b0, 12, p.P, norm_scale=p.norm_a)
     k = state.k
     Q = state.basis(k)
     # orthonormality
@@ -106,7 +98,7 @@ def test_krylov_span_matches_power_basis():
     rng = np.random.default_rng(4)
     p = random_interior_problem(rng, 20, 3)
     feas = classify(p)
-    state = run(_projected(p), feas.b0, 6, norm_scale=p.norm_a)
+    state = run(p.A, feas.b0, 6, p.P, norm_scale=p.norm_a)
     P = dense_projector(p.C)
     M = P @ p.A.apply(np.eye(20)) @ P
     cols = [feas.b0]
@@ -137,7 +129,7 @@ def test_long_run_compact_relation_large_instance():
     spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=100.0, zeta=0.9, rng_seed=7)
     prob, truth = crqopt.generate(spec)
     feas = classify(prob)
-    state = run(prob.projected_operator(), feas.b0, 200, norm_scale=prob.norm_a)
+    state = run(prob.A, feas.b0, 200, prob.P, norm_scale=prob.norm_a)
     assert state.k == 200 and not state.broke_down
     k = state.k
     Q = state.basis(k)
@@ -153,7 +145,7 @@ def test_basis_store_is_row_per_vector_and_preallocated():
     p = random_interior_problem(rng, 40, 3)
     feas = classify(p)
     maxit = 9
-    state = LanczosState(_projected(p), feas.b0, norm_scale=p.norm_a, maxit=maxit)
+    state = LanczosState(p.A, feas.b0, p.P, norm_scale=p.norm_a, maxit=maxit)
     store, omega = state._Q, state._omega
     assert store.shape == (maxit + 1, 40)
     assert omega.shape == (2, maxit + 1)
@@ -174,9 +166,21 @@ def test_basis_store_capped_at_dimension():
     rng = np.random.default_rng(7)
     p = random_interior_problem(rng, 10, 2)
     feas = classify(p)
-    state = run(_projected(p), feas.b0, 50, norm_scale=p.norm_a)
+    state = run(p.A, feas.b0, 50, p.P, norm_scale=p.norm_a)
     assert state._Q.shape == (11, 10)
     assert state.broke_down and state.k <= 8
+
+
+def test_pair_step_needs_one_a_and_one_p():
+    # paired runs share their two applies, so they must run on the same
+    # A and the same P
+    rng = np.random.default_rng(8)
+    p, q = random_interior_problem(rng, 12, 2), random_interior_problem(rng, 12, 2)
+    b0 = p.P.apply_P(rng.standard_normal(12))
+    with pytest.raises(ValueError, match="share A and P"):
+        lanczos_pair_step(LanczosState(p.A, b0, p.P), LanczosState(q.A, b0, q.P))
+    with pytest.raises(ValueError, match="share A and P"):
+        lanczos_pair_step(LanczosState(p.A, b0, p.P), LanczosState(p.A, b0))
 
 
 def test_norm_estimate_runs_the_lanczos_loop_on_plain_operators():
@@ -193,7 +197,7 @@ def test_norm_estimate_runs_the_lanczos_loop_on_plain_operators():
     a, b = run(op, start, 20).tridiagonal()
     assert est == np.max(np.abs(sla.eigvalsh_tridiagonal(a, b)))
     # the identity breaks down at the first step
-    identity = crqopt.as_operator(lambda x: x, n=9)
+    identity = crqopt.as_operator(np.eye(9))
     assert crqopt.norm_estimate(identity) == pytest.approx(1.0, rel=1e-14)
     assert crqopt.norm_estimate(crqopt.as_operator(np.array([[-2.5]]))) == 2.5
 
@@ -237,7 +241,7 @@ def test_basis_stays_semiorthogonal_under_the_omega_estimate(family, seed):
     # reorthogonalize, stays above it
     prob = FAMILIES[family](seed)
     feas = classify(prob)
-    state = LanczosState(prob.projected_operator(), feas.b0, norm_scale=prob.norm_a, maxit=300)
+    state = LanczosState(prob.A, feas.b0, prob.P, norm_scale=prob.norm_a, maxit=300)
     while state.k < state.maxit and lanczos_step(state) != BROKE_DOWN:
         k = state.k
         loss = np.max(np.abs(state.basis(k).T @ state.q(k + 1)))

@@ -33,38 +33,34 @@ def test_apply_p_kills_range_vectors():
     rng = np.random.default_rng(0)
     C = rng.standard_normal((6, 2))
     p = CrqProblem(np.eye(6), C, [0.1, 0.1])
-    op = p.projected_operator()
     c = C @ rng.standard_normal(2)
-    assert np.linalg.norm(op.apply_P(c)) <= 1e-12 * np.linalg.norm(c)
+    assert np.linalg.norm(p.P.apply_P(c)) <= 1e-12 * np.linalg.norm(c)
 
 
 def test_apply_p_fixes_orthogonal_vectors():
     rng = np.random.default_rng(1)
     C = rng.standard_normal((6, 2))
     p = CrqProblem(np.eye(6), C, [0.1, 0.1])
-    op = p.projected_operator()
     c_perp = dense_projector(C) @ rng.standard_normal(6)
-    assert np.allclose(op.apply_P(c_perp), c_perp, atol=1e-12)
+    assert np.allclose(p.P.apply_P(c_perp), c_perp, atol=1e-12)
 
 
 def test_apply_p_matches_dense_projector():
     rng = np.random.default_rng(2)
     C = rng.standard_normal((6, 2))
     p = CrqProblem(np.eye(6), C, [0.1, 0.1])
-    op = p.projected_operator()
     c = rng.standard_normal(6)
-    assert np.linalg.norm(op.apply_P(c) - dense_projector(C) @ c) <= 1e-12
+    assert np.linalg.norm(p.P.apply_P(c) - dense_projector(C) @ c) <= 1e-12
 
 
 def test_apply_p_idempotent_and_annihilates_c():
     rng = np.random.default_rng(3)
     C = rng.standard_normal((40, 5))
     p = CrqProblem(np.eye(40), C, np.zeros(5) + 0.01)
-    op = p.projected_operator()
     c = rng.standard_normal(40)
-    pc = op.apply_P(c)
-    assert np.linalg.norm(op.apply_P(pc) - pc) <= 1e-12 * np.linalg.norm(c)
-    assert np.linalg.norm(op.apply_P(C)) <= 1e-12 * np.linalg.norm(C)
+    pc = p.P.apply_P(c)
+    assert np.linalg.norm(p.P.apply_P(pc) - pc) <= 1e-12 * np.linalg.norm(c)
+    assert np.linalg.norm(p.P.apply_P(C)) <= 1e-12 * np.linalg.norm(C)
 
 
 def test_classify_infeasible():
@@ -93,8 +89,7 @@ def test_interior_identities():
     feas = classify(p)
     assert feas.tag == INTERIOR
     assert abs(np.linalg.norm(feas.n0) ** 2 + feas.gamma**2 - 1.0) <= 1e-14
-    op = p.projected_operator()
-    assert np.linalg.norm(op.apply_P(feas.b0) - feas.b0) <= 1e-12 * np.linalg.norm(feas.b0)
+    assert np.linalg.norm(p.P.apply_P(feas.b0) - feas.b0) <= 1e-12 * np.linalg.norm(feas.b0)
     assert np.linalg.norm(p.C.T @ feas.b0) <= 1e-10 * np.linalg.norm(p.C) * np.linalg.norm(feas.b0)
 
 
@@ -107,12 +102,41 @@ def test_rank_deficient_rejected():
 
 
 def test_asymmetric_rejected():
-    # an explicit matrix, dense or sparse, against its transpose; a
-    # callable through the probes
+    # an explicit matrix, dense or sparse, is checked against its
+    # transpose; a matrix-free A is a SymmetricOperator subclass, so a
+    # bare callable is refused unchecked
     A = np.triu(np.ones((4, 4)))
-    for given in (A, sp.csr_matrix(A), lambda x: A @ x):
+    for given in (A, sp.csr_matrix(A)):
         with pytest.raises(ValueError, match="symmetr"):
             CrqProblem(given, np.eye(4)[:, :1], [0.5])
+    with pytest.raises(TypeError, match="SymmetricOperator"):
+        CrqProblem(lambda x: A @ x, np.eye(4)[:, :1], [0.5])
+
+
+def test_no_constraints_rejected():
+    with pytest.raises(ValueError, match="at least one constraint"):
+        CrqProblem(np.eye(5), np.zeros((5, 0)), [])
+
+
+def test_constraints_factored_once(monkeypatch):
+    # C is factored once, at construction, into the problem's P; every
+    # solve path reads it from there
+    built = []
+    init = crqopt.ProjectedOperator.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(crqopt.ProjectedOperator, "__init__", counting)
+    p = random_interior_problem(np.random.default_rng(10), 30, 3)
+    assert len(built) == 1
+    feas = classify(p)
+    for detect in (True, False):
+        crqopt.solve(p, crqopt.SolveOptions(detect_hard=detect))
+    crqopt.direct_solve(p)
+    crqopt.driver.crq_solution(p, feas.n0, 0.0, crqopt.EASY, feas.n0)
+    assert len(built) == 1
 
 
 def _recording(monkeypatch, cls, names):
@@ -127,27 +151,6 @@ def _recording(monkeypatch, cls, names):
 
         monkeypatch.setattr(cls, name, recording)
     return shapes
-
-
-def test_symmetry_spot_check_applies_a_to_one_block(monkeypatch):
-    # only a callable is probed: each of the three probe pairs reaches it
-    # as one n x 2 block, applied a column at a time, and an asymmetric
-    # callable is still rejected through it
-    blocks = _recording(monkeypatch, crqopt.operators._CallableOperator, ["matmat"])
-    rng = np.random.default_rng(8)
-    A = rng.standard_normal((30, 30))
-    S = A + A.T
-    calls = []
-
-    def fn(x):
-        calls.append(x.shape)
-        return S @ x
-
-    CrqProblem(fn, rng.standard_normal((30, 2)), [0.1, 0.1])
-    assert blocks == [(30, 2)] * 3
-    assert calls == [(30,)] * 6
-    with pytest.raises(ValueError, match="symmetry"):
-        CrqProblem(lambda x: A @ x, np.eye(30)[:, :1], [0.5])
 
 
 def test_roundoff_asymmetry_accepted():

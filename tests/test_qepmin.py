@@ -24,7 +24,7 @@ def test_scalar_case():
 
 def _small_example_state(problem, k):
     feas = classify(problem)
-    state = run(problem.projected_operator(), feas.b0, k, norm_scale=problem.norm_a)
+    state = run(problem.A, feas.b0, k, problem.P, norm_scale=problem.norm_a)
     return feas, state
 
 
@@ -88,7 +88,7 @@ def test_route_agreement_random_instances():
         p = random_interior_problem(rng, n, m)
         feas = classify(p)
         ks = [1, 2, 3, 5]
-        state = run(p.projected_operator(), feas.b0, max(ks), norm_scale=p.norm_a)
+        state = run(p.A, feas.b0, max(ks), p.P, norm_scale=p.norm_a)
         for k in ks:
             if k > state.k:
                 break
@@ -123,7 +123,7 @@ def test_residual_bound_breakdown_is_zero():
     C = rng.standard_normal((6, 2))
     p = crqopt.CrqProblem(np.eye(6), C, 0.1 * np.ones(2))
     feas = classify(p)
-    state = run(p.projected_operator(), feas.b0, 5, norm_scale=1.0)
+    state = run(p.A, feas.b0, 5, p.P, norm_scale=1.0)
     # the invariant subspace is 1-D; roundoff may defer the exact
     # breakdown by one step
     assert state.broke_down and state.k <= 2

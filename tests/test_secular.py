@@ -80,8 +80,7 @@ def test_rlgopt_scalar_case():
 
 def test_rlgopt_matches_dense_case_analysis(small_example):
     feas = classify(small_example)
-    state = run(small_example.projected_operator(), feas.b0, 2,
-                norm_scale=small_example.norm_a)
+    state = run(small_example.A, feas.b0, 2, small_example.P, norm_scale=small_example.norm_a)
     a, b = state.tridiagonal()
     red = solve_rlgopt(a, b, state.beta[0], feas.gamma)
     # independent route: full eigen-decomposition + bisection
