@@ -15,8 +15,20 @@ labeled entries and the volume-balance row transfer exactly.  The graph
 stores each neighbour pair's weight once, and A is applied from that
 store; its spectrum lies in [0, 2], so ||A|| <= 2 is the norm the driver
 uses for its scales on these problems.
+
+Every raster product W @ x (the Laplacian's apply, the degrees and the
+cut) goes through ``apply_weights``, which splits the rows into
+contiguous row blocks, one per core the process may run on and none
+shorter than ``MIN_BLOCK_ROWS``.  A row block is a range [r0, r1) of rows
+of y, computed by ``apply_weight_rows`` from the whole of x.  Inside a
+block each row's terms are still added in ascending column order, so the
+product is bit-identical to the sorted CSR one however the rows are
+split.  scipy's compiled DIA kernel releases the GIL, so the blocks run
+in parallel on plain threads; the BLAS thread count does not govern them.
 """
 
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -28,6 +40,16 @@ from .driver import QEPMIN, SolveOptions, solve
 from .errors import EmptySideError, IsolatedPixelError, NotConvergedError
 from .operators import SymmetricOperator
 from .problem import CrqProblem
+
+# Fewest rows a block of ``apply_weights`` may have.  On a 2-core host
+# (r = 5 rasters, best of 5), one apply split into two blocks ran at
+# 0.20x the speed of one block at n = 1024, 0.30x at 4096, 0.53x at 16384,
+# 0.74x at 25600, 1.12x at 36864, 1.24x at 50176 and 1.38x at 65536: two
+# blocks break even near 16384 rows each, and twice that leaves a margin
+# for hosts where a thread costs more.  Rasters below 256x256 run as one.
+MIN_BLOCK_ROWS = 32768
+# the one offset of a diagonal passed as its own slice
+_MAIN_DIAGONAL = np.zeros(1, dtype=np.intp)
 
 
 @dataclass
@@ -141,27 +163,75 @@ def build_graph(image, delta, r):
     return ImageGraph(width, height, weights, shifts, degrees)
 
 
+def apply_blocks(n):
+    """Number of row blocks ``apply_weights`` splits an n-row product
+    into: one per core in the process's affinity, but none shorter than
+    ``MIN_BLOCK_ROWS`` rows, and at least one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, max(1, n // MIN_BLOCK_ROWS))
+
+
+def apply_weight_rows(weights, shifts, x, y, r0, r1):
+    """Add the rows [r0, r1) of W @ x into y[r0:r1], for the half store of
+    ``build_graph``.
+
+    The symmetric W has the diagonals -s and +s for each stored shift s,
+    and W[p + s, p] = W[p, p + s] = weights[d, p + s], so row i takes
+    ``weights[d, i] * x[i - s]`` from diagonal -s (for i >= s) and
+    ``weights[d, i + s] * x[i + s]`` from diagonal +s (for i + s < n).  The
+    lower diagonals come first, in descending shift, one call of scipy's
+    compiled DIA kernel each on the rows they reach; then all upper
+    diagonals in one call, which reads the flat store from r0 with stride
+    n.  So each row's terms are added in ascending column order, whatever
+    the row range: the rows are bit-identical to the sorted CSR product.
+    """
+    n = x.size
+    for d in range(shifts.size - 1, -1, -1):
+        s = int(shifts[d])
+        a = max(r0, s)
+        if a < r1:
+            dia_matvec(r1 - a, r1 - a, 1, r1 - a, _MAIN_DIAGONAL,
+                       weights[d, a:r1], x[a - s:r1 - s], y[a:r1])
+    dia_matvec(r1 - r0, n - r0, shifts.size, n, shifts,
+               weights.reshape(-1)[r0:], x[r0:], y[r0:r1])
+
+
 def apply_weights(weights, shifts, x):
     """W @ x for the half store of ``build_graph``.
 
-    The symmetric W has the diagonals -s and +s for each stored shift s,
-    and W[p + s, p] = W[p, p + s] = weights[d, p + s], so diagonal -s is
-    ``y[s:] += weights[d, s:] * x[:n - s]`` and diagonal +s is
-    ``y[:n - s] += weights[d, s:] * x[s:]``.  The diagonals are visited in
-    ascending order, so each row's terms are added in ascending column
-    order: the product is bit-identical to the sorted CSR one.  Each
-    diagonal is one fused pass of scipy's compiled DIA kernel, which
-    accumulates into y: the lower ones one at a time from the shifted row
-    ``weights[d, s:]``, the upper ones together from the store as it is.
+    The rows are split into ``apply_blocks(n)`` contiguous row blocks of
+    near-equal size, and ``apply_weight_rows`` computes each.  The calling
+    thread runs block 0 and one thread each further block; scipy's DIA
+    kernel releases the GIL, so the blocks run on separate cores.  Each
+    row's terms are added in ascending column order inside its block, so
+    the product is bit-identical to the sorted CSR one for any split.  An
+    exception in any block is raised here once every block has finished.
     """
     x = np.ascontiguousarray(x, dtype=float)
     n = x.size
     y = np.zeros(n)
-    lower = -shifts
-    for d in range(shifts.size - 1, -1, -1):
-        s = int(shifts[d])
-        dia_matvec(n, n, 1, n - s, lower[d:d + 1], weights[d, s:], x, y)
-    dia_matvec(n, n, shifts.size, n, shifts, weights, x, y)
+    blocks = apply_blocks(n)
+    bounds = [n * b // blocks for b in range(blocks + 1)]
+    errors = [None] * blocks
+
+    def run(b):
+        try:
+            apply_weight_rows(weights, shifts, x, y, bounds[b], bounds[b + 1])
+        except BaseException as err:  # raised in the caller below
+            errors[b] = err
+
+    workers = [threading.Thread(target=run, args=(b,)) for b in range(1, blocks)]
+    for worker in workers:
+        worker.start()
+    run(0)
+    for worker in workers:
+        worker.join()
+    for err in errors:
+        if err is not None:
+            raise err
     return y
 
 
@@ -309,6 +379,7 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
         "c_minus": constraints.c_hat[1],
         "converged": failure is None,
         "graph_mb": graph.weights.nbytes / 2**20,
+        "apply_blocks": apply_blocks(graph.n),
     }
     if failure is not None:
         failure.partial = (mask, heat, stats)

@@ -137,6 +137,8 @@ def test_segment_cli_reports_graph_memory(tmp_path):
     # r = 3 reaches 2 pixels: 12 of the 24 offsets have a positive shift,
     # each a row of 64 doubles
     assert float(stats["graph_mb"]) == 12 * 64 * 8 / 2**20
+    # 64 rows are far below MIN_BLOCK_ROWS: the product runs as one block
+    assert int(stats["apply_blocks"]) == 1
 
 
 def test_segment_cli_rejects_zero_maxit(tmp_path, capsys):

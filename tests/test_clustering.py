@@ -1,14 +1,21 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crqopt
-from crqopt.clustering import (LabelSet, NormalizedLaplacianOperator, apply_weights,
-                               build_graph, default_segment_options, encode_constraints,
-                               ncut_value, segment, to_crqopt)
+from crqopt import clustering
+from crqopt.clustering import (MIN_BLOCK_ROWS, LabelSet, NormalizedLaplacianOperator,
+                               apply_blocks, apply_weight_rows, apply_weights, build_graph,
+                               default_segment_options, encode_constraints, ncut_value,
+                               segment, to_crqopt)
 from crqopt.errors import EmptySideError, IsolatedPixelError
 from oracles import graph_matrix
 
@@ -81,32 +88,103 @@ def test_build_graph_matches_all_pairs_oracle(shape, r, constant):
     assert np.allclose(graph.degrees, oracle.sum(axis=1), rtol=1e-13)
 
 
-def _assert_products_match_sorted_csr(graph):
-    """The half-store kernel sums each row of W @ x in ascending column
-    order, bit for bit as the sorted CSR form does, and the degrees are
-    exactly W @ 1."""
+def _assert_products_match_sorted_csr(graph, blocks):
+    """Split into ``blocks`` row blocks, the half-store kernel sums each
+    row of W @ x in ascending column order, bit for bit as the sorted CSR
+    form does, and the degrees are exactly W @ 1."""
     def W(x):
         return apply_weights(graph.weights, graph.shifts, x)
 
     csr = graph_matrix(graph)
     rng = np.random.default_rng(3)
-    for _ in range(3):
-        x = rng.standard_normal(graph.n)
-        assert np.array_equal(W(x), csr @ x)
-    X = rng.standard_normal((graph.n, 2))
-    assert np.array_equal(np.column_stack([W(col) for col in X.T]), csr @ X)
-    assert np.array_equal(graph.degrees, W(np.ones(graph.n)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "apply_blocks", lambda n: blocks)
+        for _ in range(3):
+            x = rng.standard_normal(graph.n)
+            assert np.array_equal(W(x), csr @ x)
+        X = rng.standard_normal((graph.n, 2))
+        assert np.array_equal(np.column_stack([W(col) for col in X.T]), csr @ X)
+        assert np.array_equal(graph.degrees, W(np.ones(graph.n)))
+
+
+SPLITS = (1, 2, 3, 7)
 
 
 @pytest.mark.parametrize("shape", [(3, 20), (20, 3), (13, 17), (1, 9)])
 @pytest.mark.parametrize("r", [1.5, 2, 3.7, 6])
 @pytest.mark.parametrize("constant", [False, True])
 def test_graph_products_bitwise_equal_sorted_csr(shape, r, constant):
-    _assert_products_match_sorted_csr(build_graph(_oracle_image(shape, constant), 0.2, r))
+    graph = build_graph(_oracle_image(shape, constant), 0.2, r)
+    for blocks in SPLITS:
+        _assert_products_match_sorted_csr(graph, blocks)
 
 
 def test_raster_graph_products_bitwise_equal_sorted_csr():
-    _assert_products_match_sorted_csr(build_graph(_two_region_raster(128), 0.1, 5))
+    # the interpreter switches threads as often as it can, so blocks that
+    # wrote outside their rows or were lost would show in the product
+    graph = build_graph(_two_region_raster(128), 0.1, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for blocks in SPLITS:
+            _assert_products_match_sorted_csr(graph, blocks)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shape=st.sampled_from([(3, 20), (20, 3), (13, 17), (1, 9), (9, 9)]),
+       r=st.sampled_from([1.5, 2, 3.7, 6]), data=st.data())
+def test_any_row_split_assembles_the_sorted_csr_product(shape, r, data):
+    """Row blocks at any split points, empty ones and ones shorter than the
+    largest shift among them, add up to W @ x bit for bit."""
+    graph = build_graph(_oracle_image(shape, False), 0.2, r)
+    n = graph.n
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+    x = np.random.default_rng(len(cuts)).standard_normal(n)
+    y = np.zeros(n)
+    for r0, r1 in zip([0] + cuts, cuts + [n]):
+        apply_weight_rows(graph.weights, graph.shifts, x, y, r0, r1)
+    assert np.array_equal(y, graph_matrix(graph) @ x)
+
+
+def test_apply_blocks_bounds():
+    cpus = len(os.sched_getaffinity(0))
+    assert apply_blocks(1) == 1
+    assert apply_blocks(MIN_BLOCK_ROWS - 1) == 1
+    assert apply_blocks(2 * MIN_BLOCK_ROWS) == min(cpus, 2)
+    assert apply_blocks(10**9) == cpus
+
+
+def test_a_failing_block_fails_the_apply(monkeypatch):
+    # a worker's exception would otherwise go to threading.excepthook,
+    # leaving its rows of y at zero
+    graph = build_graph(_oracle_image((13, 17), False), 0.2, 3.7)
+    kernel = clustering.dia_matvec
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("block lost")
+        return kernel(*args)
+
+    monkeypatch.setattr(clustering, "apply_blocks", lambda n: 3)
+    monkeypatch.setattr(clustering, "dia_matvec", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="block lost"):
+        apply_weights(graph.weights, graph.shifts, np.ones(graph.n))
+    assert threading.active_count() == before
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    graph = build_graph(_oracle_image((13, 17), False), 0.2, 3.7)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-block apply started a thread")
+
+    monkeypatch.setattr(clustering, "apply_blocks", lambda n: 1)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    x = np.random.default_rng(5).standard_normal(graph.n)
+    assert np.array_equal(apply_weights(graph.weights, graph.shifts, x), graph_matrix(graph) @ x)
 
 
 def test_build_graph_peak_memory_is_the_weights():
