@@ -174,18 +174,15 @@ def cmd_segment(args):
     labels = LabelSet.from_pixels(image.shape, fg, bg)
     opts = _segment_options(args)
     os.makedirs(args.out, exist_ok=True)
-    code = EXIT_OK
-    try:
-        mask, heat, stats = segment(image, labels, delta=args.delta, r=args.r, opts=opts)
-    except NotConvergedError as err:
-        mask, heat, stats = err.partial
-        print("segmentation solve did not converge; writing partial maps", file=sys.stderr)
-        code = EXIT_NOT_CONVERGED
+    mask, heat, stats = segment(image, labels, delta=args.delta, r=args.r, opts=opts)
     cio.mask_to_pgm(os.path.join(args.out, "mask.pgm"), mask)
     cio.heat_to_pgm(os.path.join(args.out, "heat.pgm"), heat)
     cio.write_keyvalues(os.path.join(args.out, "stats.txt"), stats)
     print(f"ncut={stats['ncut']!r} steps={stats['steps']} runtime_s={stats['runtime_s']:.3f}")
-    return code
+    if not stats["converged"]:
+        print("segmentation solve did not converge; writing partial maps", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
+    return EXIT_OK
 
 
 def cmd_validate(args):

@@ -235,45 +235,39 @@ def apply_weights(weights, shifts, x):
     return y
 
 
-@dataclass
-class ConstraintSystem:
-    """Right-hand side of the label rows and the balance row d'x = 0."""
+def encode_constraints(degrees, labels):
+    """Label equalities plus the volume-balance row as ``(C, b)``, with
+    C'v = b on the degree-normalized indicator v = D^{1/2} x.
 
-    labels: LabelSet
-    rhs: np.ndarray
-    c_hat: tuple
-
-    @property
-    def m(self):
-        return self.labels.foreground.size + self.labels.background.size + 1
-
-
-def encode_constraints(graph, labels):
-    """Label equalities plus the volume-balance row as N'x = rhs.
-
-    The target values come from the volume estimates
+    Column j < m - 1 is e_i / sqrt(d_i) for the j-th label pixel i
+    (foreground first), so it reads x_i; the last column is sqrt(d), the
+    balance row d'x = 0.  The targets come from the volume estimates
     c+ = sqrt(vol(J) / (vol(I) vol(V))) and
-    c- = -sqrt(vol(I) / (vol(J) vol(V))) computed from the labeled sets.
-    Flat label indices must lie in [0, n).
+    c- = -sqrt(vol(I) / (vol(J) vol(V))) of the labeled sets I and J.
+    Flat label indices must lie in [0, n) with n = ``degrees.size``.
     """
-    d = graph.degrees
+    d = degrees
+    n = d.size
     flat = np.concatenate([labels.foreground, labels.background])
-    outside = flat[(flat < 0) | (flat >= graph.n)]
+    outside = flat[(flat < 0) | (flat >= n)]
     if outside.size:
-        raise ValueError(f"label index {outside[0]} outside [0, n) with n = {graph.n}")
+        raise ValueError(f"label index {outside[0]} outside [0, n) with n = {n}")
     vol_i = float(d[labels.foreground].sum())
     vol_j = float(d[labels.background].sum())
     vol_v = float(d.sum())
     c_plus = np.sqrt(vol_j / (vol_i * vol_v))
     c_minus = -np.sqrt(vol_i / (vol_j * vol_v))
-    rhs = np.concatenate(
+    b = np.concatenate(
         [
             np.full(labels.foreground.size, c_plus),
             np.full(labels.background.size, c_minus),
             [0.0],
         ]
     )
-    return ConstraintSystem(labels, rhs, (float(c_plus), float(c_minus)))
+    C = np.zeros((n, flat.size + 1))
+    C[flat, np.arange(flat.size)] = 1.0 / np.sqrt(d[flat])
+    C[:, -1] = np.sqrt(d)
+    return C, b
 
 
 class NormalizedLaplacianOperator(SymmetricOperator):
@@ -296,28 +290,11 @@ class NormalizedLaplacianOperator(SymmetricOperator):
         return x - self.dinv_sqrt * apply_weights(self.weights, self.shifts, y)
 
 
-def to_crqopt(graph, constraints):
-    """Assemble the degree-normalized problem solved by the driver.
-
-    The constraint columns are rescaled by D^{-1/2} so that C'v = b is
-    exactly equivalent to N'x = rhs under v = D^{1/2} x (the labeled
-    rows read off x_i directly, the balance column becomes sqrt(d)).
-    """
-    d = graph.degrees
-    dsqrt = np.sqrt(d)
-    n = graph.n
-    m = constraints.m
-    C = np.zeros((n, m))
-    j = 0
-    for i in constraints.labels.foreground:
-        C[i, j] = 1.0 / dsqrt[i]
-        j += 1
-    for i in constraints.labels.background:
-        C[i, j] = 1.0 / dsqrt[i]
-        j += 1
-    C[:, m - 1] = dsqrt
-    A = NormalizedLaplacianOperator(graph)
-    return CrqProblem(A, C, constraints.rhs.copy())
+def to_crqopt(graph, labels):
+    """The degree-normalized problem solved by the driver: the graph's
+    normalized Laplacian and the label constraints of ``encode_constraints``."""
+    return CrqProblem(NormalizedLaplacianOperator(graph),
+                      *encode_constraints(graph.degrees, labels))
 
 
 def ncut_value(graph, mask):
@@ -346,42 +323,34 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
 
     Returns ``(mask, heat, stats)`` with the binary mask from the sign
     of the relaxed indicator, the indicator rescaled to [0, 1] as a heat
-    map, and run statistics.  A non-converged solve raises
-    ``NotConvergedError`` with the partial outputs attached as
-    ``err.partial``.
+    map, and run statistics.  It returns whether or not the solve
+    converged: ``stats["converged"]`` is the solution's ``converged``, and
+    a solve that stops at ``maxit`` yields the maps of its last iterate.
     """
     t0 = time.perf_counter()
     graph = build_graph(image, delta, r)
-    constraints = encode_constraints(graph, labels)
-    problem = to_crqopt(graph, constraints)
+    problem = to_crqopt(graph, labels)
     if opts is None:
         opts = default_segment_options()
-    failure = None
     try:
         sol = solve(problem, opts)
     except NotConvergedError as err:
-        failure = err
         sol = err.solution
 
-    dinv_sqrt = 1.0 / np.sqrt(graph.degrees)
-    x = dinv_sqrt * sol.v
+    x = problem.A.dinv_sqrt * sol.v
     mask = (x > 0.0).reshape(image.shape)
     span = x.max() - x.min()
     heat = ((x - x.min()) / span if span > 0 else np.zeros_like(x)).reshape(image.shape)
-    stats = {
+    return mask, heat, {
         "steps": sol.k,
         "reorth_steps": sol.reorth_steps,
         "runtime_s": time.perf_counter() - t0,
         "ncut": ncut_value(graph, mask),
         "objective": sol.objective,
         "constraint_residual": float(np.linalg.norm(problem.C.T @ sol.v - problem.b)),
-        "c_plus": constraints.c_hat[0],
-        "c_minus": constraints.c_hat[1],
-        "converged": failure is None,
+        "c_plus": float(problem.b[0]),
+        "c_minus": float(problem.b[labels.foreground.size]),
+        "converged": bool(sol.converged),
         "graph_mb": graph.weights.nbytes / 2**20,
         "apply_blocks": apply_blocks(graph.n),
     }
-    if failure is not None:
-        failure.partial = (mask, heat, stats)
-        raise failure
-    return mask, heat, stats

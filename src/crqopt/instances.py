@@ -82,20 +82,12 @@ class GroundTruth:
 
     @property
     def S1(self):
-        """Orthonormal basis of null(C'), n x (n-m); formed in O(n^2 m) per read."""
-        return _orthogonal_factor(self.qr, self.tau)[:, self.tau.size:]
-
-
-def _orthogonal_factor(qr, tau):
-    """The full n x n Q = [S2 S1] of ``sla.qr(C)``, formed from its reflectors."""
-    n, m = qr.shape
-    Q = np.empty((n, n), order="F")
-    Q[:, :m] = qr
-    lwork = int(lapack.dorgqr(Q, tau, lwork=-1)[1][0])
-    Q, _, info = lapack.dorgqr(Q, tau, lwork=lwork, overwrite_a=1)
-    if info != 0:
-        raise ValueError(f"dorgqr failed with info = {info}")
-    return Q
+        """Orthonormal basis of null(C'), n x (n-m): the WY apply of S to
+        [0; I], formed in O(n^2 m) per read."""
+        n, m = self.qr.shape
+        E = np.zeros((n, n - m))
+        E[m:] = np.eye(n - m)
+        return _wy_apply(self.qr, _wy_t_inv(self.qr, self.tau), E, 0)
 
 
 def _wy_t_inv(v, tau):
@@ -142,11 +134,11 @@ class EmbeddedOperator(SymmetricOperator):
     S = [S2 S1] is the orthogonal factor of ``sla.qr(C)``; its first m
     columns S2 span range(C) and the rest S1 span null(C').  The operator
     holds S in compact WY form S = I - V T V': ``v`` is the ``geqrf``
-    output ``qr`` itself, made unit lower trapezoidal in place (``dorgqr``
-    never reads that triangle), and ``t_inv`` is the m x m upper triangle
-    T^{-1}, formed once.  An apply to a vector is four GEMVs with V, two
-    m x m triangular solves and K in O(n); an n x k block takes GEMMs
-    instead.  No array larger than n x m is held.
+    output ``qr`` itself, made unit lower trapezoidal in place (its upper
+    triangle held R, which the reflectors do not use), and ``t_inv`` is
+    the m x m upper triangle T^{-1}, formed once.  An apply to a vector
+    is four GEMVs with V, two m x m triangular solves and K in O(n); an
+    n x k block takes GEMMs instead.  No array larger than n x m is held.
     """
 
     def __init__(self, qr, tau, h, g0, a, eta):

@@ -3,8 +3,8 @@ import pytest
 
 import crqopt
 from crqopt import io as cio
-from crqopt.cli import (BENCH_SPEC, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _gen_spec, _options,
-                        _segment_options, build_parser, main)
+from crqopt.cli import (BENCH_SPEC, EXIT_INFEASIBLE, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE,
+                        _gen_spec, _options, _segment_options, build_parser, main)
 from crqopt.clustering import default_segment_options
 from oracles import write_labels
 
@@ -50,6 +50,18 @@ def test_solve_roundtrip_matches_truth(tmp_path):
     history = (sol_dir / "history.csv").read_text().splitlines()
     assert history[0] == "k,mu,delta,objective"
     assert len(history) == checks + 1
+
+
+def test_solve_not_converged_exit_code_writes_the_solution(tmp_path, capsys):
+    outdir = _gen(tmp_path)
+    sol_dir = tmp_path / "sol"
+    code = main(["solve", "--manifest", str(outdir / "problem.manifest"),
+                 "--out", str(sol_dir), "--maxit", "1"])
+    assert code == EXIT_NOT_CONVERGED
+    assert "not converged after 1 steps" in capsys.readouterr().err
+    summary = cio.read_keyvalues(sol_dir / "summary.txt")
+    assert summary["converged"] == "False" and summary["k"] == "1"
+    assert cio.read_vector(sol_dir / "solution.txt").shape == (40,)
 
 
 def test_solve_unique_point_fixture(tmp_path):
@@ -139,6 +151,27 @@ def test_segment_cli_reports_graph_memory(tmp_path):
     assert float(stats["graph_mb"]) == 12 * 64 * 8 / 2**20
     # 64 rows are far below MIN_BLOCK_ROWS: the product runs as one block
     assert int(stats["apply_blocks"]) == 1
+
+
+def test_segment_cli_not_converged_exit_code_writes_the_maps(tmp_path, capsys):
+    img = np.zeros((8, 8))
+    img[:, 4:] = 200
+    img_path = tmp_path / "img.pgm"
+    cio.write_pgm(img_path, img, maxval=255)
+    labels_path = tmp_path / "labels.txt"
+    write_labels(labels_path, [(4, 1)], [(4, 6)])
+    out = tmp_path / "seg"
+    code = main([
+        "segment", "--image", str(img_path), "--labels", str(labels_path),
+        "--r", "2", "--out", str(out), "--maxit", "2",
+    ])
+    assert code == EXIT_NOT_CONVERGED
+    assert "did not converge; writing partial maps" in capsys.readouterr().err
+    mask, _ = cio.read_pgm(out / "mask.pgm")
+    heat, _ = cio.read_pgm(out / "heat.pgm")
+    assert mask.shape == heat.shape == (8, 8)
+    stats = cio.read_keyvalues(out / "stats.txt")
+    assert stats["converged"] == "False" and stats["steps"] == "2"
 
 
 def test_segment_cli_rejects_zero_maxit(tmp_path, capsys):

@@ -2,6 +2,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from crqopt.clustering import (MIN_BLOCK_ROWS, LabelSet, NormalizedLaplacianOper
                                apply_blocks, apply_weight_rows, apply_weights, build_graph,
                                default_segment_options, encode_constraints, ncut_value,
                                segment, to_crqopt)
-from crqopt.errors import EmptySideError, IsolatedPixelError
+from crqopt.errors import EmptySideError, IsolatedPixelError, NotConvergedError
 from oracles import graph_matrix
 
 
@@ -224,8 +225,8 @@ def test_balanced_labels_symmetric_targets():
     graph = build_graph(img, delta=0.1, r=2)
     # one label per block, mirrored positions: equal label volumes
     labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
-    cons = encode_constraints(graph, labels)
-    c_plus, c_minus = cons.c_hat
+    _, b = encode_constraints(graph.degrees, labels)
+    c_plus, c_minus = b[0], b[1]
     assert c_plus == pytest.approx(-c_minus, rel=1e-12)
     assert c_plus == pytest.approx(1.0 / np.sqrt(graph.degrees.sum()), rel=1e-12)
     assert c_plus > 0 > c_minus
@@ -235,8 +236,7 @@ def test_constraint_matrix_full_rank():
     img = two_block_image(8)
     graph = build_graph(img, delta=0.1, r=2)
     labels = LabelSet.from_pixels(img.shape, [(4, 1), (2, 2)], [(4, 6)])
-    cons = encode_constraints(graph, labels)
-    C = to_crqopt(graph, cons).C
+    C = to_crqopt(graph, labels).C
     assert C.shape == (64, 4)
     assert np.linalg.matrix_rank(C) == 4
 
@@ -266,7 +266,7 @@ def test_normalized_laplacian_annihilates_sqrt_degrees():
     img = two_block_image(8)
     graph = build_graph(img, delta=0.1, r=2)
     labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
-    problem = to_crqopt(graph, encode_constraints(graph, labels))
+    problem = to_crqopt(graph, labels)
     null_vec = np.sqrt(graph.degrees)
     assert np.linalg.norm(problem.A.matvec(null_vec)) <= 1e-10 * np.linalg.norm(null_vec)
 
@@ -275,7 +275,7 @@ def test_normalized_laplacian_positive_semidefinite():
     img = two_block_image(8)
     graph = build_graph(img, delta=0.1, r=2)
     labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
-    problem = to_crqopt(graph, encode_constraints(graph, labels))
+    problem = to_crqopt(graph, labels)
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = rng.standard_normal(graph.n)
@@ -286,14 +286,13 @@ def test_pipeline_feasibility_and_normalization():
     img = two_block_image(8)
     graph = build_graph(img, delta=0.1, r=2)
     labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
-    cons = encode_constraints(graph, labels)
-    problem = to_crqopt(graph, cons)
+    problem = to_crqopt(graph, labels)
     opts = crqopt.SolveOptions(tol=1e-12, maxit=60, detect_hard=False)
     sol = crqopt.solve(problem, opts)
     assert np.linalg.norm(problem.C.T @ sol.v - problem.b) <= 1e-8
     x = sol.v / np.sqrt(graph.degrees)
     # labeled entries hit their targets, balance row is satisfied
-    c_plus, c_minus = cons.c_hat
+    c_plus, c_minus = problem.b[0], problem.b[1]
     assert abs(x[labels.foreground[0]] - c_plus) <= 1e-6 * (abs(c_plus) + abs(c_minus))
     assert abs(x[labels.background[0]] - c_minus) <= 1e-6 * (abs(c_plus) + abs(c_minus))
     assert abs(graph.degrees @ x) <= 1e-6 * np.sqrt(graph.degrees.sum())
@@ -365,6 +364,60 @@ def test_labels_outside_the_raster_rejected_by_index(flat):
         segment(img, labels, delta=0.1, r=2)
 
 
+def test_encode_constraints_names_a_label_index_past_the_degrees():
+    # the check reads n from the degree vector alone
+    with pytest.raises(ValueError, match=r"label index 64 outside \[0, n\) with n = 64"):
+        encode_constraints(np.ones(64), LabelSet([64], [0]))
+
+
+def test_encode_constraints_reads_only_the_degrees():
+    # a textured raster, so that the label pixels' degrees all differ
+    img = _two_region_raster(16)
+    graph = build_graph(img, delta=0.1, r=2)
+    labels = LabelSet.from_pixels(img.shape, [(8, 1), (3, 5)], [(8, 14)])
+    assert np.unique(graph.degrees[[*labels.foreground, *labels.background]]).size == 3
+    C, b = encode_constraints(graph.degrees.copy(), labels)
+    # label column j reads x_i = v_i / sqrt(d_i) for label pixel i; the last is sqrt(d)
+    dsqrt = np.sqrt(graph.degrees)
+    reference = np.zeros((graph.n, 4))
+    for j, i in enumerate([*labels.foreground, *labels.background]):
+        reference[i, j] = 1.0 / dsqrt[i]
+    reference[:, 3] = dsqrt
+    assert np.array_equal(C, reference)
+    assert b[0] == b[1] > 0 > b[2] and b[3] == 0.0
+    problem = to_crqopt(graph, labels)
+    assert np.array_equal(C, problem.C) and np.array_equal(b, problem.b)
+
+
+def test_segment_returns_a_non_converged_solve():
+    img = _two_region_raster(32)
+    labels = LabelSet.from_pixels(img.shape, [(16, 3)], [(16, 28)])
+    opts = replace(default_segment_options(), maxit=2)
+    mask, heat, stats = segment(img, labels, delta=0.1, r=5, opts=opts)
+    assert stats["converged"] is False and stats["steps"] == 2
+    # the maps are those of the solve's last iterate
+    graph = build_graph(img, 0.1, 5)
+    with pytest.raises(NotConvergedError) as err:
+        crqopt.solve(to_crqopt(graph, labels), opts)
+    x = (1.0 / np.sqrt(graph.degrees)) * err.value.solution.v
+    assert np.array_equal(mask, (x > 0.0).reshape(img.shape))
+    assert np.array_equal(heat, ((x - x.min()) / (x.max() - x.min())).reshape(img.shape))
+
+
+def test_segment_reports_a_returned_non_converged_solution(monkeypatch):
+    # the hard branch of ``solve`` returns converged=False without raising
+    real_solve = clustering.solve
+
+    def returns_unconverged(problem, opts):
+        return replace(real_solve(problem, opts), converged=False)
+
+    monkeypatch.setattr(clustering, "solve", returns_unconverged)
+    img = two_block_image(8)
+    labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
+    _, _, stats = segment(img, labels, delta=0.1, r=2)
+    assert stats["converged"] is False
+
+
 def test_raster_problem_takes_the_laplacian_norm_bound(monkeypatch):
     def no_estimate(op):
         raise AssertionError("the normalized Laplacian needs no norm estimate")
@@ -373,7 +426,7 @@ def test_raster_problem_takes_the_laplacian_norm_bound(monkeypatch):
     image = _two_region_raster(32)
     graph = build_graph(image, 0.1, 5)
     labels = LabelSet.from_pixels(image.shape, [(16, 3)], [(16, 28)])
-    assert to_crqopt(graph, encode_constraints(graph, labels)).norm_a == 2.0
+    assert to_crqopt(graph, labels).norm_a == 2.0
 
 
 def test_segment_solve_applies_a_once_per_step_plus_two(monkeypatch):

@@ -11,7 +11,7 @@ from oracles import apply_M, dense_projector
 
 import crqopt
 from crqopt import classify
-from crqopt.clustering import LabelSet, build_graph, encode_constraints, to_crqopt
+from crqopt.clustering import LabelSet, build_graph, to_crqopt
 from crqopt.errors import ZeroStartError
 from crqopt.driver import DetectionRun
 from crqopt.lanczos import (BROKE_DOWN, LanczosState, bottom_eigenpair, lanczos_pair_step,
@@ -220,7 +220,7 @@ def _raster(seed, size=64):
     image += 10.0 * np.sin(yy / 9.0 + phase[0]) + 6.0 * np.cos(xx / 7.0 + phase[1])
     graph = build_graph(image, 0.1, 5)
     labels = LabelSet.from_pixels(image.shape, [(32, 8)], [(32, 55)])
-    return to_crqopt(graph, encode_constraints(graph, labels))
+    return to_crqopt(graph, labels)
 
 
 FAMILIES = {

@@ -192,6 +192,27 @@ def test_dual_check_small_example(small_example):
     assert gap <= 1e-6 * (1.0 + abs(f_star))
 
 
+def test_dual_check_gives_up_on_a_monotone_dual_within_its_budget(small_example, monkeypatch):
+    # trace(L + tE) is affine in t, so no interior maximizer exists; the
+    # bracket expands 60 times (3 + 60 evaluations of f) and then raises
+    calls = []
+
+    class AffineSubsetEigvalsh:
+        def __getattr__(self, name):
+            return getattr(sla, name)
+
+        def eigvalsh(self, X, subset_by_index=None):
+            if subset_by_index is None:
+                return sla.eigvalsh(X)
+            calls.append(1)
+            return np.array([np.trace(X)])
+
+    monkeypatch.setattr(crqopt.reference, "sla", AffineSubsetEigvalsh())
+    with pytest.raises(crqopt.BracketFailureError, match="no interior dual maximizer"):
+        dual_check(small_example)
+    assert 3 < len(calls) <= 100
+
+
 def test_dual_check_near_unique_instance():
     # ||n0|| close to 1: thin feasible sphere
     rng = np.random.default_rng(57)
