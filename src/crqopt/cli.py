@@ -8,9 +8,9 @@ Subcommands:
     segment   PGM image + labels -> mask, heat map, stats
     validate  dense problem -> reference validator report
 
-Exit codes: 0 success, 2 not converged, 3 infeasible, 1 usage/IO or
-failed validation.  All numeric output is deterministic for a fixed
-``--seed``.
+Exit codes: 0 success, 2 not converged (any tolerance missed), 3 infeasible,
+1 usage/IO or failed validation.  All numeric output is deterministic for
+a fixed ``--seed``.
 """
 
 import argparse
@@ -27,7 +27,7 @@ from .driver import LGOPT, QEPMIN, SolveOptions, rebuild_history, solve
 from .errors import CrqError, InfeasibleError, NotConvergedError
 from .instances import (CHEBYSHEV_EXTREME, CHEBYSHEV_PLUS_ISOLATED, GEOMETRIC, ONES,
                         InstanceSpec, generate, reference_solution, verify_roundtrip)
-from .problem import classify
+from .problem import INTERIOR, classify
 from .reference import build_reduction, direct_solve, dual_check, equivalence_maps, hard_case_predicate
 
 EXIT_OK = 0
@@ -83,14 +83,14 @@ def _gen_spec(args):
                         **{f.name: getattr(args, f.name) for f in _INSTANCE_FIELDS})
 
 
-def _write_solution(outdir, sol):
+def _write_solution(outdir, sol, converged):
     os.makedirs(outdir, exist_ok=True)
     cio.write_vector(os.path.join(outdir, "solution.txt"), sol.v)
     cio.write_keyvalues(
         os.path.join(outdir, "summary.txt"),
         {
             "mu": float(sol.mu), "k": sol.k, "objective": float(sol.objective),
-            "case": sol.case, "converged": sol.converged,
+            "case": sol.case, "converged": converged,
             "residual": float(sol.residual), "checks": len(sol.history),
         },
     )
@@ -102,10 +102,10 @@ def cmd_solve(args):
     try:
         sol = solve(problem, _options(args))
     except NotConvergedError as err:
-        _write_solution(args.out, err.solution)
+        _write_solution(args.out, err.solution, False)
         print(f"not converged after {err.solution.k} steps", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    _write_solution(args.out, sol)
+    _write_solution(args.out, sol, True)
     print(f"case={sol.case} k={sol.k} mu={sol.mu!r} objective={sol.objective!r}")
     return EXIT_OK
 
@@ -191,7 +191,7 @@ def cmd_validate(args):
     checks = []
 
     ref = direct_solve(problem)
-    if feas.tag == "interior":
+    if feas.tag == INTERIOR:
         red = build_reduction(problem)
         scale = (problem.norm_a + abs(ref.mu)) * feas.gamma + np.linalg.norm(feas.b0)
         lag = ref.residual / scale

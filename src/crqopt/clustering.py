@@ -324,8 +324,8 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
     Returns ``(mask, heat, stats)`` with the binary mask from the sign
     of the relaxed indicator, the indicator rescaled to [0, 1] as a heat
     map, and run statistics.  It returns whether or not the solve
-    converged: ``stats["converged"]`` is the solution's ``converged``, and
-    a solve that stops at ``maxit`` yields the maps of its last iterate.
+    converged: ``stats["converged"]`` is False exactly when the solve
+    raised ``NotConvergedError``, whose answer then gives the maps.
     """
     t0 = time.perf_counter()
     graph = build_graph(image, delta, r)
@@ -333,9 +333,9 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
     if opts is None:
         opts = default_segment_options()
     try:
-        sol = solve(problem, opts)
+        sol, converged = solve(problem, opts), True
     except NotConvergedError as err:
-        sol = err.solution
+        sol, converged = err.solution, False
 
     x = problem.A.dinv_sqrt * sol.v
     mask = (x > 0.0).reshape(image.shape)
@@ -350,7 +350,7 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
         "constraint_residual": float(np.linalg.norm(problem.C.T @ sol.v - problem.b)),
         "c_plus": float(problem.b[0]),
         "c_minus": float(problem.b[labels.foreground.size]),
-        "converged": bool(sol.converged),
+        "converged": converged,
         "graph_mb": graph.weights.nbytes / 2**20,
         "apply_blocks": apply_blocks(graph.n),
     }

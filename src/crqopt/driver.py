@@ -16,7 +16,8 @@ random-start bound of detection (``_kw_steps``).
 The loop stops when ``delta`` drops below the tolerance, on breakdown
 (which makes the reduced solve exact), or at the iteration cap.  The
 minimizer is recovered as v = n0 + Q_k x, and the one exact residual
-||P(Av) - mu (v - n0)|| is taken at the v the solve returns.
+||P(Av) - mu (v - n0)|| is taken at the v the solve returns.  An
+answer that missed its tolerance is raised on ``NotConvergedError``.
 
 When it checks: only where the loop can stop.  A check runs at the
 first step, on breakdown and at the cap; between checks a ``DeltaProxy``
@@ -223,9 +224,10 @@ class HardCaseReport:
 
 @dataclass
 class CrqSolution:
-    """The returned v with its multiplier and objective.  ``residual`` is
-    the exact multiplier-equation residual ||P(Av) - mu (v - n0)|| at v,
-    unscaled; it is NaN at the unique point, which has no multiplier.
+    """The returned v, which met its tolerance, with its multiplier and
+    objective (one that missed it is ``NotConvergedError.solution``).
+    ``residual`` is the exact multiplier-equation residual
+    ||P(Av) - mu (v - n0)|| at v, unscaled; it is NaN at the unique point.
     ``history`` holds the checks that ran, in step order.  With
     ``return_basis=True``, ``krylov`` holds the ``KrylovRecord`` of the
     main run, from which ``rebuild_history`` replays every step's check.
@@ -242,7 +244,6 @@ class CrqSolution:
     case: str
     objective: float
     krylov: KrylovRecord = None
-    converged: bool = True
     residual: float = None
     reorth_steps: int = 0
     detection: HardCaseReport = None
@@ -518,9 +519,9 @@ def resolve_b0_zero(problem, feas, rng=None):
     P A P restricted to the null space of C'.  A ``DetectionRun`` from
     ``rng`` forms it: judged at an infinite threshold, the run stops at
     the first Ritz pair that meets ``EIG_TOL``, or after ``EIG_MAXIT``
-    steps (at most n) with ``converged=False``.  Returns ``None`` when
-    ``||b0||`` is above the zero threshold, so the caller proceeds to the
-    main Lanczos loop.
+    steps (at most n), and then raises ``NotConvergedError`` carrying the
+    solution at the last pair.  Returns ``None`` when ``||b0||`` is above
+    the zero threshold, so the caller proceeds to the main Lanczos loop.
     """
     if feas.tag != INTERIOR:
         raise ValueError("resolve_b0_zero expects an interior instance")
@@ -530,8 +531,12 @@ def resolve_b0_zero(problem, feas, rng=None):
     ritz, _ = run.finish(math.inf)
     z = ritz.vector()
     v = feas.n0 + feas.gamma * z / np.linalg.norm(z)
-    return crq_solution(problem, v, ritz.theta, B0_ZERO, feas.n0, k=ritz.k,
-                        converged=ritz.converged, reorth_steps=run.state.reorth_steps)
+    solution = crq_solution(problem, v, ritz.theta, B0_ZERO, feas.n0, k=ritz.k,
+                            reorth_steps=run.state.reorth_steps)
+    if not ritz.converged:
+        raise NotConvergedError(f"b0 = 0 eigenpair: Ritz residual {ritz.resid:.3e} above "
+                                f"EIG_TOL after {ritz.k} steps", solution=solution)
+    return solution
 
 
 def detect_hard_case(run, reduced_mu):
@@ -596,9 +601,10 @@ def _pad(state, ritz, feas):
 def solve(problem, opts=None):
     """Solve the constrained Rayleigh-quotient problem.
 
-    Raises ``InfeasibleError`` when no feasible point exists and
-    ``NotConvergedError`` (carrying the best iterate) when the residual
-    tolerance is not met within ``opts.maxit`` Lanczos steps.
+    Raises ``InfeasibleError`` when no feasible point exists, and
+    ``NotConvergedError`` carrying the answer when it missed its tolerance:
+    ``opts.tol`` within ``opts.maxit`` Lanczos steps, or ``EIG_TOL`` for the
+    Ritz pair of a hard decision or of b0 = 0.
     """
     if opts is None:
         opts = SolveOptions()
@@ -650,7 +656,8 @@ def solve(problem, opts=None):
                            max(CHECK_MARGIN * opts.tol, delta / CHECK_DROP))
 
     last = history[-1]
-    converged = broke or last.delta <= opts.tol
+    miss = None if broke or last.delta <= opts.tol else (
+        f"residual bound {last.delta:.3e} above tol {opts.tol:.3e} after {last.k} Lanczos steps")
     v = feas.n0 + state.basis(last.k) @ last.x
     mu, case, report = last.mu, EASY, None
     if opts.detect_hard:
@@ -660,7 +667,9 @@ def solve(problem, opts=None):
             mu, case = report.lambda_min, HARD
             # the repaired v no longer depends on the main loop's residual,
             # but on the padding eigenvector meeting EIG_TOL
-            converged = report.eig_converged
+            miss = None if report.eig_converged else (
+                f"hard-case padding pair: Ritz residual {detection.ritz.resid:.3e} above "
+                f"EIG_TOL after {report.steps} detection steps")
 
     krylov = None
     if opts.return_basis:
@@ -668,12 +677,8 @@ def solve(problem, opts=None):
                               norm_a, gamma, feas.n0An0, feas.n0, state.basis(last.k).copy())
     solution = crq_solution(
         problem, v, mu, case, feas.n0, k=last.k, history=history, krylov=krylov,
-        converged=converged, reorth_steps=state.reorth_steps, detection=report,
+        reorth_steps=state.reorth_steps, detection=report,
     )
-    if case == EASY and not converged:
-        raise NotConvergedError(
-            f"residual bound {last.delta:.3e} above tol {opts.tol:.3e} "
-            f"after {last.k} Lanczos steps",
-            solution=solution,
-        )
+    if miss is not None:
+        raise NotConvergedError(miss, solution=solution)
     return solution

@@ -34,7 +34,7 @@ class EigFailureError(CrqError):
 
 
 class NotConvergedError(CrqError):
-    """Main Lanczos loop hit maxit; carries the best iterate found."""
+    """Any answer that missed its tolerance; ``solution`` carries it."""
 
     def __init__(self, message, solution=None):
         super().__init__(message)

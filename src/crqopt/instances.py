@@ -75,8 +75,7 @@ class GroundTruth:
     kappa: float
     kappa_plus: float
     case_tag: str
-    qr: np.ndarray         # Householder vectors V of the QR of C (n x m, unit lower trapezoidal)
-    tau: np.ndarray        # their scalar factors
+    operator: "EmbeddedOperator"  # A; S1 and reference_solution apply S via its v, t_inv
     a: np.ndarray
     eta_coupling: float
 
@@ -84,10 +83,10 @@ class GroundTruth:
     def S1(self):
         """Orthonormal basis of null(C'), n x (n-m): the WY apply of S to
         [0; I], formed in O(n^2 m) per read."""
-        n, m = self.qr.shape
+        n, m = self.operator.v.shape
         E = np.zeros((n, n - m))
         E[m:] = np.eye(n - m)
-        return _wy_apply(self.qr, _wy_t_inv(self.qr, self.tau), E, 0)
+        return _wy_apply(self.operator.v, self.operator.t_inv, E, 0)
 
 
 def _wy_t_inv(v, tau):
@@ -174,9 +173,8 @@ def embed(h_diag, g0, zeta, m, rng):
     reduction of the assembled problem is exactly (h, g0) with
     gamma = sqrt(1 - zeta^2).  C is factored once by Householder QR and the
     orthogonal factor is never formed: the operator holds the n x m
-    Householder vectors (the ``geqrf`` output, shared with the returned
-    ``GroundTruth``) and an m x m triangle, so it costs O(nm) memory and
-    O(nm) flops per vector apply.
+    Householder vectors (the ``geqrf`` output) and an m x m triangle, so it
+    costs O(nm) memory and O(nm) flops per vector apply.
     """
     h_diag = np.asarray(h_diag, dtype=float)
     g0 = np.asarray(g0, dtype=float)
@@ -206,7 +204,7 @@ def embed(h_diag, g0, zeta, m, rng):
         h_diag=h_diag, g0=g0, zeta=float(zeta), gamma=gamma,
         theta=theta, xi=xi, lambda_star=float(lam),
         kappa=float(kappa), kappa_plus=float(kappa_plus), case_tag=tag,
-        qr=qr, tau=tau, a=a, eta_coupling=eta,
+        operator=A, a=a, eta_coupling=eta,
     )
     return problem, truth
 
@@ -239,10 +237,9 @@ def reference_solution(problem, truth):
     feas = classify(problem)
     order = np.argsort(truth.h_diag, kind="stable")
     lam, y_sorted, tag = solve_plgopt_spectral(truth.theta, truth.xi, truth.gamma)
-    m = truth.tau.size
     z = np.zeros(problem.n)
-    z[m + order] = y_sorted
-    s1y = _wy_apply(truth.qr, _wy_t_inv(truth.qr, truth.tau), z, 0)
+    z[problem.m + order] = y_sorted
+    s1y = _wy_apply(truth.operator.v, truth.operator.t_inv, z, 0)
     return crq_solution(problem, feas.n0 + s1y, lam,
                         EASY if tag == EASY_TAG else HARD, feas.n0)
 

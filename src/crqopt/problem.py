@@ -16,6 +16,8 @@ v = n0 + Pv, which classifies the instance by ||n0||:
                    shifted gradient b0 = P A n0.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -108,22 +110,16 @@ class ProjectedOperator:
         return self._Q @ z
 
 
+@dataclass
 class Feasibility:
     """Outcome of the feasible-set trichotomy.  An interior instance also
     carries gamma, b0 = P A n0 and n0'A n0, the last two from one A-apply."""
 
-    __slots__ = ("tag", "n0", "gamma", "b0", "n0An0")
-
-    def __init__(self, tag, n0, gamma=None, b0=None, n0An0=None):
-        self.tag = tag
-        self.n0 = n0
-        self.gamma = gamma
-        self.b0 = b0
-        self.n0An0 = n0An0
-
-    def __repr__(self):
-        extra = "" if self.gamma is None else f", gamma={self.gamma:.6g}"
-        return f"Feasibility({self.tag}{extra})"
+    tag: str
+    n0: np.ndarray
+    gamma: float = None
+    b0: np.ndarray = None
+    n0An0: float = None
 
 
 def compute_n0(problem):

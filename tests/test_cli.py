@@ -7,6 +7,7 @@ from crqopt.cli import (BENCH_SPEC, EXIT_INFEASIBLE, EXIT_NOT_CONVERGED, EXIT_OK
                         _gen_spec, _options, _segment_options, build_parser, main)
 from crqopt.clustering import default_segment_options
 from oracles import write_labels
+from test_driver import _hard_instance
 
 
 def _gen(tmp_path, seed=3, out="inst"):
@@ -62,6 +63,23 @@ def test_solve_not_converged_exit_code_writes_the_solution(tmp_path, capsys):
     summary = cio.read_keyvalues(sol_dir / "summary.txt")
     assert summary["converged"] == "False" and summary["k"] == "1"
     assert cio.read_vector(sol_dir / "solution.txt").shape == (40,)
+
+
+@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
+def test_solve_exits_2_on_an_unconverged_hard_case_padding(tmp_path, monkeypatch):
+    # interlacing proves "hard" before step 12, but the padding eigenvector is
+    # still short of EIG_TOL there: the answer is written and the exit says so
+    prob, _ = _hard_instance(41)
+    fixture = tmp_path / "fixture"
+    cio.write_problem(str(fixture), prob.A.apply(np.eye(prob.n)), prob.C, prob.b)
+    monkeypatch.setattr(crqopt.driver, "EIG_MAXIT", 12)
+    out = tmp_path / "out"
+    code = main(["solve", "--manifest", str(fixture / "problem.manifest"), "--out", str(out),
+                 "--tol", "1e-14", "--maxit", str(prob.n), "--seed", "5"])
+    assert code == EXIT_NOT_CONVERGED
+    summary = cio.read_keyvalues(out / "summary.txt")
+    assert summary["case"] == "hard_detected" and summary["converged"] == "False"
+    assert cio.read_vector(out / "solution.txt").shape == (prob.n,)
 
 
 def test_solve_unique_point_fixture(tmp_path):

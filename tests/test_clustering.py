@@ -404,14 +404,15 @@ def test_segment_returns_a_non_converged_solve():
     assert np.array_equal(heat, ((x - x.min()) / (x.max() - x.min())).reshape(img.shape))
 
 
-def test_segment_reports_a_returned_non_converged_solution(monkeypatch):
-    # the hard branch of ``solve`` returns converged=False without raising
+def test_segment_reports_any_raised_non_converged_solution(monkeypatch):
+    # a miss of any tolerance (here a converged answer raised as one, as a
+    # hard-case padding miss would be) reads as not converged
     real_solve = clustering.solve
 
-    def returns_unconverged(problem, opts):
-        return replace(real_solve(problem, opts), converged=False)
+    def raises_unconverged(problem, opts):
+        raise NotConvergedError("forced", solution=real_solve(problem, opts))
 
-    monkeypatch.setattr(clustering, "solve", returns_unconverged)
+    monkeypatch.setattr(clustering, "solve", raises_unconverged)
     img = two_block_image(8)
     labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
     _, _, stats = segment(img, labels, delta=0.1, r=2)

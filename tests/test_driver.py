@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import fields, replace
 
@@ -113,7 +114,7 @@ def test_not_converged_payload():
     with pytest.raises(NotConvergedError) as err:
         solve(p, SolveOptions(tol=1e-16, maxit=3, detect_hard=False))
     best = err.value.solution
-    assert best is not None and best.k == 3 and not best.converged
+    assert best is not None and best.k == 3
 
 
 def _clustered_instance(values, repeats, m, seed, g0_scale=None):
@@ -458,7 +459,7 @@ def test_hard_instances_certified_by_interlacing(seed):
     sol = solve(prob, SolveOptions(tol=1e-14, maxit=prob.n, rng_seed=5))
     assert sol.case == crqopt.HARD
     assert sol.detection.certificate == "interlacing"
-    assert sol.detection.eig_converged and sol.converged
+    assert sol.detection.eig_converged
 
 
 @pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
@@ -467,12 +468,13 @@ def test_unconverged_padding_is_reported(monkeypatch):
     # still short of EIG_TOL there
     monkeypatch.setattr(crqopt.driver, "EIG_MAXIT", 12)
     prob, _ = _hard_instance(41)
-    sol = solve(prob, SolveOptions(tol=1e-14, maxit=prob.n, rng_seed=5))
+    with pytest.raises(NotConvergedError, match="EIG_TOL") as err:
+        solve(prob, SolveOptions(tol=1e-14, maxit=prob.n, rng_seed=5))
+    sol = err.value.solution
     assert sol.case == crqopt.HARD
     assert sol.detection.certificate == "interlacing"
     assert sol.detection.steps == 12
     assert not sol.detection.eig_converged
-    assert not sol.converged
 
 
 def test_detection_is_reported_only_where_it_ran():
@@ -543,6 +545,41 @@ def test_detection_decision_matches_predicate(kind, seed, nm, m):
     if sol.detection.certificate == "random_start_bound":
         true_gap = red.theta[0] - sol.mu
         assert sol.detection.gap >= true_gap - 1e-10 * (1.0 + abs(sol.mu))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["easy", "near", "hard", "b0_zero"]),
+       seed=st.integers(0, 2**16), nm=st.integers(12, 120), m=st.integers(1, 5),
+       eig_maxit=st.integers(2, 40), data=st.data())
+@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
+@pytest.mark.filterwarnings("ignore:hard-case detection")
+def test_solve_returns_exactly_the_answers_that_met_their_tolerance(kind, seed, nm, m,
+                                                                     eig_maxit, data):
+    if kind == "b0_zero":
+        prob, _ = crqopt.embed(np.linspace(1.0, 10.0, nm), np.zeros(nm), 0.9, m,
+                               np.random.default_rng(seed))
+    else:
+        prob, _ = _detection_instance(kind, seed, nm, m)
+    maxit = data.draw(st.integers(1, prob.n), label="maxit")
+    opts = SolveOptions(tol=1e-13, maxit=maxit, rng_seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crqopt.driver, "EIG_MAXIT", eig_maxit)
+        try:
+            sol, raised = solve(prob, opts), None
+        except NotConvergedError as err:
+            sol, raised = err.solution, err
+        assert sol is not None
+        if sol.case == crqopt.B0_ZERO:
+            # the shortcut's Ritz pair, formed again from the solve's seed
+            run = crqopt.driver.DetectionRun(prob, np.random.default_rng(seed))
+            met = run.finish(math.inf)[0].converged
+    if sol.case == crqopt.HARD:
+        met = sol.detection.eig_converged
+    elif sol.case == crqopt.EASY:
+        met = sol.history[-1].delta <= opts.tol or sol.k < maxit
+    assert (raised is None) == met, (sol.case, raised)
+    if raised is not None:
+        assert ("EIG_TOL" in str(raised)) == (sol.case != crqopt.EASY)
 
 
 def test_paused_detection_is_judged_at_the_final_threshold():

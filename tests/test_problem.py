@@ -231,10 +231,11 @@ def test_b0_zero_reports_unconverged_eigensolve(monkeypatch):
                         np.random.default_rng(0))
     with monkeypatch.context() as patch:
         patch.setattr(crqopt.driver, "EIG_MAXIT", 3)
-        capped = crqopt.solve(p, crqopt.SolveOptions())
-    assert capped.case == crqopt.B0_ZERO and not capped.converged
+        with pytest.raises(crqopt.NotConvergedError, match="EIG_TOL") as err:
+            crqopt.solve(p, crqopt.SolveOptions())
+    assert err.value.solution.case == crqopt.B0_ZERO and err.value.solution.k == 3
     full = crqopt.solve(p, crqopt.SolveOptions())
-    assert full.case == crqopt.B0_ZERO and full.converged
+    assert full.case == crqopt.B0_ZERO
     assert abs(full.mu - 1.0) <= 1e-8
     # v = n0 + gamma z/||z||, with z's Ritz residual below EIG_TOL ||A||
     assert full.residual <= 1e-8 * p.norm_a
