@@ -123,13 +123,14 @@ def refined_convergence_bounds(inp, k):
     return _envelopes(inp, inp.kappa_plus, k - 1, rho)
 
 
-def error_history(solution, ref):
+def error_history(solution, ref, records=None):
     """Per-step relative errors against a reference solution.
 
     Needs a solve with ``return_basis=True``: each step's record, from the
     first check to the stop, is rebuilt after the solve from the returned
-    tridiagonal (``driver.rebuild_history``), whether or not the loop
-    checked at that step, and its iterate from the returned basis.  Rows
+    tridiagonal (``driver.rebuild_history``, replayed here unless the
+    caller passes its ``records``), whether or not the loop checked at
+    that step, and its iterate from the returned basis.  Rows
     carry ``err1 = |h(v_k) - h(v*)| / |h(v*)|``, ``err2 = ||v_k - v*||``
     and ``err3 = |mu_k - lambda*| / |lambda*|``.
     """
@@ -138,8 +139,10 @@ def error_history(solution, ref):
         raise ValueError("error_history needs a solution with return_basis=True")
     h_ref = ref.objective
     mu_ref = ref.mu
+    if records is None:
+        records = rebuild_history(solution)
     rows = []
-    for rec in rebuild_history(solution):
+    for rec in records:
         v_k = run.n0 + run.basis[:, : rec.k] @ rec.x
         rows.append(
             {
@@ -152,9 +155,9 @@ def error_history(solution, ref):
     return rows
 
 
-def history_table(solution, ref, inp):
+def history_table(solution, ref, inp, records=None):
     """Error history joined with both bound families (CSV-ready rows)."""
-    rows = error_history(solution, ref)
+    rows = error_history(solution, ref, records)
     for row in rows:
         b1, b2, b3 = convergence_bounds(inp, row["k"])
         b1p, b2p, b3p = refined_convergence_bounds(inp, row["k"])

@@ -28,7 +28,8 @@ from .errors import CrqError, InfeasibleError, NotConvergedError
 from .instances import (CHEBYSHEV_EXTREME, CHEBYSHEV_PLUS_ISOLATED, GEOMETRIC, ONES,
                         InstanceSpec, generate, reference_solution, verify_roundtrip)
 from .problem import INTERIOR, classify
-from .reference import build_reduction, direct_solve, dual_check, equivalence_maps, hard_case_predicate
+from .reference import (build_reduction, dense_matrix, direct_solve, dual_check, equivalence_maps,
+                        hard_case_predicate)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,7 +104,7 @@ def cmd_solve(args):
         sol = solve(problem, _options(args))
     except NotConvergedError as err:
         _write_solution(args.out, err.solution, False)
-        print(f"not converged after {err.solution.k} steps", file=sys.stderr)
+        print(f"not converged after {err.solution.k} steps: {err}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     _write_solution(args.out, sol, True)
     print(f"case={sol.case} k={sol.k} mu={sol.mu!r} objective={sol.objective!r}")
@@ -115,8 +116,7 @@ def cmd_gen(args):
     problem, truth = generate(spec)
     verify_roundtrip(problem, truth)
     os.makedirs(args.out, exist_ok=True)
-    A_dense = problem.A.apply(np.eye(problem.n))
-    cio.write_problem(args.out, A_dense, problem.C, problem.b)
+    cio.write_problem(args.out, dense_matrix(problem), problem.C, problem.b)
     cio.write_instance_spec(os.path.join(args.out, "instance.spec"), spec)
     cio.write_keyvalues(
         os.path.join(args.out, "truth.txt"),
@@ -143,12 +143,11 @@ def _bench_one(spec, args, outdir):
     except NotConvergedError as err:
         failure = err
         sol = err.solution
-    inp = BoundInputs.from_truth(truth)
-    rows = history_table(sol, ref, inp)
+    records = rebuild_history(sol)
+    rows = history_table(sol, ref, BoundInputs.from_truth(truth), records)
     os.makedirs(outdir, exist_ok=True)
     cio.bench_csv(os.path.join(outdir, f"bench_seed{spec.rng_seed}.csv"), rows)
-    cio.history_csv(os.path.join(outdir, f"history_seed{spec.rng_seed}.csv"),
-                    rebuild_history(sol))
+    cio.history_csv(os.path.join(outdir, f"history_seed{spec.rng_seed}.csv"), records)
     last = rows[-1]
     print(
         f"seed={spec.rng_seed} k={sol.k} mu={float(sol.mu)!r} "

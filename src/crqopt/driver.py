@@ -14,10 +14,10 @@ or certifies on is written once, in this module: the two certificates,
 ``DeltaProxy`` (``_lgopt_bound`` at a fixed multiplier) and the
 random-start bound of detection (``_kw_steps``).
 The loop stops when ``delta`` drops below the tolerance, on breakdown
-(which makes the reduced solve exact), or at the iteration cap.  The
-minimizer is recovered as v = n0 + Q_k x, and the one exact residual
-||P(Av) - mu (v - n0)|| is taken at the v the solve returns.  An
-answer that missed its tolerance is raised on ``NotConvergedError``.
+(which certifies nothing), or at the iteration cap.  The minimizer is
+recovered as v = n0 + Q_k x, and the one exact residual
+||P(Av) - mu (v - n0)|| is taken at the v the solve returns.  An answer
+whose last ``delta`` missed its tolerance is raised on ``NotConvergedError``.
 
 When it checks: only where the loop can stop.  A check runs at the
 first step, on breakdown and at the cap; between checks a ``DeltaProxy``
@@ -52,7 +52,7 @@ also settles b0 = 0.  It decides at the first of four exits:
    The bound needs sigma >= lambda_max(P A P); a top Ritz value above
    sigma disproves that, and the exit is then refused with a warning.
 3. "converged": the Ritz residual met ``EIG_TOL``; decide by comparison.
-4. ``EIG_MAXIT`` reached: decide by comparison, uncertified, and warn.
+4. ``EIG_MAXIT`` or a breakdown: decide by comparison, uncertified, and warn.
 
 When detection steps: the detection run starts before the main loop
 and advances with it in lockstep.  Each paired step applies A once to
@@ -87,8 +87,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import EigFailureError, InfeasibleError, NotConvergedError
-from .lanczos import (BROKE_DOWN, LanczosState, bottom_ritz_pair, lanczos_pair_step, lanczos_step,
-                      top_eigenvalue)
+from .lanczos import LanczosState, bottom_ritz_pair, lanczos_pair_step, lanczos_step, top_eigenvalue
 from .problem import INFEASIBLE, INTERIOR, UNIQUE_POINT, b0_zero_threshold, classify
 # benchmarks/tracing.py wraps driver.solve_reduced_qep by name, so the
 # name stays bound here; the driver never calls it
@@ -163,17 +162,16 @@ class KrylovRecord:
     (``rebuild_history``).
 
     ``alpha`` holds alpha_1..alpha_K and ``beta`` beta_1 = ||b0||, ...,
-    beta_{K+1}, as ``LanczosState.alpha``/``beta`` do after K steps;
-    ``broke_down`` says whether step K broke down.  ``method``, ``norm_a``,
-    ``gamma`` and ``n0An0`` are the scalars of the route's bound and of
-    the objective identity, and ``n0 + basis[:, :k] @ x`` is the iterate
-    of a step-k check.  It answers ``k``, ``beta``, ``broke_down`` and
-    ``tridiagonal()`` as a ``LanczosState`` does, so a check reads either.
+    beta_{K+1}, as ``LanczosState.alpha``/``beta`` do after K steps, a
+    breakdown step included.  ``method``, ``norm_a``, ``gamma`` and
+    ``n0An0`` are the scalars of the route's bound and of the objective
+    identity, and ``n0 + basis[:, :k] @ x`` is the iterate of a step-k
+    check.  It answers ``k``, ``beta`` and ``tridiagonal()`` as a
+    ``LanczosState`` does, so a check reads either.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
-    broke_down: bool
     method: str
     norm_a: float
     gamma: float
@@ -190,8 +188,7 @@ class KrylovRecord:
 
     def prefix(self, k):
         """The record as it stood after step k."""
-        return replace(self, alpha=self.alpha[:k], beta=self.beta[:k + 1],
-                       broke_down=self.broke_down and k == self.k)
+        return replace(self, alpha=self.alpha[:k], beta=self.beta[:k + 1])
 
 
 @dataclass
@@ -280,11 +277,8 @@ def qep_residual_bound(state, red, norm_a, gamma, beta1):
     tag and (theta_1 - mu) w = 0 on a boundary tag.  The bound reads only
     the trailing components of (y, w) and beta_{k+1}, so it costs O(1)
     and applies no operator; the exact normalized residual, which would
-    need M = P A P applied to q_{k+1}, never exceeds it.  After breakdown
-    it is zero.
+    need M = P A P applied to q_{k+1}, never exceeds it, after a breakdown too.
     """
-    if state.broke_down:
-        return 0.0
     shift = norm_a + abs(red.mu)
     denom = (shift**2 + (beta1 / gamma) ** 2) * np.linalg.norm(red.w)
     beta_next = state.beta[state.k]
@@ -488,10 +482,10 @@ class DetectionRun:
         stepping alone with a test every step until an exit fires.
 
         Returns the last Ritz pair and the certificate, None when
-        ``EIG_MAXIT`` ran out first.  On a paused run the first test
-        reuses the paused step's pair: O(1) for the random-start bound and
-        one comparison for a converged pair.  Raises ``EigFailureError``
-        when the run yields no finite Ritz value.
+        ``EIG_MAXIT`` ran out or the run broke down first.  On a paused
+        run the first test reuses the paused step's pair: O(1) for the
+        random-start bound and one comparison for a converged pair.
+        Raises ``EigFailureError`` when the run yields no finite Ritz value.
         """
         state = self.state
         interlacing = False
@@ -505,7 +499,7 @@ class DetectionRun:
                     return ritz, INTERLACING if interlacing else CONVERGED
                 if not interlacing and self.kw_certifies(ritz, threshold):
                     return ritz, RANDOM_START_BOUND
-                if state.k == state.maxit:
+                if state.broke_down or state.k == state.maxit:
                     return ritz, INTERLACING if interlacing else None
             lanczos_step(state)
         raise EigFailureError("projected eigensolve produced no finite Ritz value")
@@ -552,16 +546,17 @@ def detect_hard_case(run, reduced_mu):
     "random_start_bound" declares "easy" once the Kuczynski-Wozniakowski
     bound puts the chance of a hard instance below ``KW_DELTA`` (refused,
     with a warning, when a Ritz value above sigma shows that the bound's
-    premise fails); "converged" and ``EIG_MAXIT`` decide by comparing the
-    last Ritz value with the threshold, and the latter warns.  On a
-    "random_start_bound" exit the reported ``gap`` is an upper bound on
-    the true gap.
+    premise fails); "converged", ``EIG_MAXIT`` and a breakdown decide by
+    comparing the last Ritz value with the threshold, and the latter two
+    warn.  On a "random_start_bound" exit the reported ``gap`` is an upper
+    bound on the true gap.
     """
     threshold = _threshold(reduced_mu)
     ritz, certificate = run.finish(threshold)
     if certificate is None:
+        stop = "broke down" if run.state.broke_down else "reached EIG_MAXIT (at most n)"
         warnings.warn(
-            f"hard-case detection ran {run.state.maxit} steps (EIG_MAXIT, at most n) "
+            f"hard-case detection {stop} after {ritz.k} steps "
             f"without a certificate (Ritz residual {ritz.resid:.3e}); decided by comparison",
             RuntimeWarning, stacklevel=2,
         )
@@ -603,8 +598,9 @@ def solve(problem, opts=None):
 
     Raises ``InfeasibleError`` when no feasible point exists, and
     ``NotConvergedError`` carrying the answer when it missed its tolerance:
-    ``opts.tol`` within ``opts.maxit`` Lanczos steps, or ``EIG_TOL`` for the
-    Ritz pair of a hard decision or of b0 = 0.
+    ``opts.tol`` at the last check (at ``opts.maxit`` steps or a breakdown,
+    which the message names), or ``EIG_TOL`` for the Ritz pair of a hard
+    decision or of b0 = 0.
     """
     if opts is None:
         opts = SolveOptions()
@@ -631,16 +627,14 @@ def solve(problem, opts=None):
 
     history = []
     proxy = None
-    broke = False
     while state.k < state.maxit:
         if detection is not None and detection.stepping:
-            outcome, _ = lanczos_pair_step(state, detection.state)
+            lanczos_pair_step(state, detection.state)
             detection.paired_steps += 1
         else:
-            outcome = lanczos_step(state)
+            lanczos_step(state)
         k = state.k
-        broke = outcome == BROKE_DOWN
-        if proxy is not None and not broke and k < state.maxit:
+        if proxy is not None and not state.broke_down and k < state.maxit:
             proxy.advance(state.alpha[k - 1], state.beta[k - 1])
             if not proxy.due(state.beta[k]):
                 if detection is not None:
@@ -650,14 +644,17 @@ def solve(problem, opts=None):
         history.append(_check_record(k, red, delta, gamma, beta1, feas.n0An0))
         if detection is not None:
             detection.observe(red.mu)
-        if delta <= opts.tol or broke:
+        if delta <= opts.tol or state.broke_down:
             break
         proxy = DeltaProxy(*state.tridiagonal(), beta1, red.mu, norm_a, gamma,
                            max(CHECK_MARGIN * opts.tol, delta / CHECK_DROP))
 
     last = history[-1]
-    miss = None if broke or last.delta <= opts.tol else (
+    miss = None if last.delta <= opts.tol else (
         f"residual bound {last.delta:.3e} above tol {opts.tol:.3e} after {last.k} Lanczos steps")
+    if miss is not None and state.broke_down:
+        miss += (f": the Lanczos process broke down at step {last.k} with "
+                 f"beta_{{k+1}}/||A|| = {state.beta[last.k] / norm_a:.3e}")
     v = feas.n0 + state.basis(last.k) @ last.x
     mu, case, report = last.mu, EASY, None
     if opts.detect_hard:
@@ -673,8 +670,8 @@ def solve(problem, opts=None):
 
     krylov = None
     if opts.return_basis:
-        krylov = KrylovRecord(state.alpha.copy(), state.beta.copy(), state.broke_down, opts.method,
-                              norm_a, gamma, feas.n0An0, feas.n0, state.basis(last.k).copy())
+        krylov = KrylovRecord(state.alpha.copy(), state.beta.copy(), opts.method, norm_a, gamma,
+                              feas.n0An0, feas.n0, state.basis(last.k).copy())
     solution = crq_solution(
         problem, v, mu, case, feas.n0, k=last.k, history=history, krylov=krylov,
         reorth_steps=state.reorth_steps, detection=report,

@@ -29,7 +29,8 @@ to P, as one n x 2 block.  After k clean steps the compact relation
     M Q_k = Q_k T_k + beta_{k+1} q_{k+1} e_k'
 
 holds with T_k tridiagonal; beta_{k+1} = 0 means the Krylov subspace is
-invariant (breakdown) and the reduced solves become exact.
+invariant.  A run stops once beta_{k+1} falls to its breakdown threshold
+(``broke_down``), where rounding can leave it far above zero.
 
 ``bottom_ritz_pair`` reads a run's smallest Ritz pair off T_k.  The one
 loop that forms such pairs of P A P is the driver's ``DetectionRun``,
@@ -42,9 +43,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import EigFailureError, ZeroStartError
-
-CONTINUED = "continued"
-BROKE_DOWN = "broke_down"
 
 _EPS = np.finfo(float).eps
 _SQRT_EPS = np.sqrt(_EPS)
@@ -235,13 +233,13 @@ def _finish(state, w, a_k):
     state._k = k
     if b_next <= state.breakdown_tol:
         state.broke_down = True
-        return BROKE_DOWN
-    np.divide(w, b_next, out=state._Q[k])
-    return CONTINUED
+    else:
+        np.divide(w, b_next, out=state._Q[k])
 
 
 def lanczos_step(state):
-    """One three-term recurrence step; returns CONTINUED or BROKE_DOWN.
+    """One three-term recurrence step; one that breaks down sets
+    ``state.broke_down``, and the run takes no step after it.
 
     The step applies A to q_k, subtracts beta_k q_{k-1} and alpha_k q_k,
     and projects the result with P, the one projection of the step; since
@@ -275,7 +273,7 @@ def lanczos_pair_step(first, second):
     one A-apply and one projection of a two-column block instead of two of
     each.  Everything else (the recurrence, the omega update, a
     Gram-Schmidt pass where it is due, the breakdown test) is each run's
-    own, as in ``lanczos_step``.  Returns the two outcomes.
+    own, as in ``lanczos_step``.
     """
     if first.A is not second.A or first.P is not second.P:
         raise ValueError("paired Lanczos runs must share A and P")
@@ -288,15 +286,15 @@ def lanczos_pair_step(first, second):
     W = np.asfortranarray(first.A.apply(X))
     a = [_recur(state, W[:, j]) for j, state in enumerate(states)]
     W = np.asfortranarray(_project(first.P, W))
-    return tuple(_finish(state, W[:, j], a_j) for j, (state, a_j) in enumerate(zip(states, a)))
+    for j, state in enumerate(states):
+        _finish(state, W[:, j], a[j])
 
 
 def run(A, b0, steps, P=None, norm_scale=1.0):
     """Run up to ``steps`` Lanczos steps; stops early on breakdown."""
     state = LanczosState(A, b0, P, norm_scale=norm_scale, maxit=steps)
-    for _ in range(state.maxit):
-        if lanczos_step(state) == BROKE_DOWN:
-            break
+    while state.k < state.maxit and not state.broke_down:
+        lanczos_step(state)
     return state
 
 
@@ -354,12 +352,12 @@ class RitzStep:
 def bottom_ritz_pair(state, tol, norm_scale=1.0):
     """The smallest eigenvalue ``theta`` of the run's current T_k, its
     eigenvector ``s``, the Ritz residual ``beta_{k+1} |s_k|`` and whether
-    that residual is below ``tol * max(norm_scale, |theta|)``.  Breakdown
-    makes the pair exact (residual 0).
+    that residual is below ``tol * max(norm_scale, |theta|)``.  After a
+    breakdown the residual is read at the stored beta_{k+1} as before one.
     """
     k = state.k
     theta, s = bottom_eigenpair(state.alpha, state._beta[1:k])
-    resid = 0.0 if state.broke_down else float(state.beta[k] * abs(s[-1]))
+    resid = float(state.beta[k] * abs(s[-1]))
     converged = resid <= tol * max(norm_scale, abs(theta), 1e-300)
     return RitzStep(state, k, theta, s, resid, converged)
 

@@ -24,8 +24,8 @@ def small_example():
 def qep_residuals(monkeypatch):
     """One entry per reduced solve of the solves a test runs: ``(exact
     residual, delta)`` of the qepmin check it served, the exact one taken
-    while the check's Lanczos state is live, or None if no QEP bound was
-    read from it."""
+    while the check's Lanczos state is live (NaN after a breakdown, where
+    it cannot be formed), or None if no QEP bound was read from it."""
     records = []
     reduced = crqopt.driver.solve_rlgopt
     bound = crqopt.driver.qep_residual_bound
@@ -90,3 +90,24 @@ class BlockRecordingOperator(crqopt.SymmetricOperator):
     def matmat(self, X):
         self.blocks.append(X.shape)
         return self.op.matmat(X)
+
+
+def breakdown_probe(seed, spread, n=200, m=4):
+    """An instance whose Krylov space closes at rounding level near step 11.
+
+    A = Q diag(d) Q' with d taking the values 1, 2 and 5 (66, 66 and 68
+    times) plus ``spread`` N(0, 1), Q orthogonal and C, b random.  Over
+    seeds 0-5 and spreads 0, 1e-14 and 1e-13 the main run mostly breaks
+    down at step 11 with beta_{k+1}/||A|| between 1e-12 and 3.1e-11:
+    below the breakdown threshold eps^(2/3), and far above the default
+    tol.  b0 is orthogonal to every eigenvector of A in null(C'), so the
+    instance is a hard case, which detection decides at that step.
+    """
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = np.repeat([1.0, 2.0, 5.0], [66, 66, 68]) + spread * rng.standard_normal(n)
+    A = Q @ np.diag(d) @ Q.T
+    A = 0.5 * (A + A.T)
+    C = rng.standard_normal((n, m))
+    b = 0.1 * rng.standard_normal(m)
+    return CrqProblem(A, C, b)

@@ -149,10 +149,12 @@ def exact_qep_residual(state, red, norm_a, gamma, beta1):
     beta_{k+1} (y_k q_{k+1} + w_k (M - mu I) q_{k+1}); it needs one
     application of M = P A P to q_{k+1}.  y = (T_k - mu I) w is x on the
     easy tag and 0 on a boundary tag, where mu is the bottom eigenvalue
-    of T_k and w its eigenvector.  Zero after breakdown.
+    of T_k and w its eigenvector.  It cannot be formed after breakdown,
+    since the run never writes q_{k+1} there: it is NaN, which compares
+    false with every bound.
     """
     if state.broke_down:
-        return 0.0
+        return np.nan
     k = red.w.size
     mu = red.mu
     y_k = red.x[-1] if red.tag == EASY_TAG else 0.0

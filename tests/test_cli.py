@@ -6,6 +6,7 @@ from crqopt import io as cio
 from crqopt.cli import (BENCH_SPEC, EXIT_INFEASIBLE, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE,
                         _gen_spec, _options, _segment_options, build_parser, main)
 from crqopt.clustering import default_segment_options
+from conftest import breakdown_probe
 from oracles import write_labels
 from test_driver import _hard_instance
 
@@ -80,6 +81,53 @@ def test_solve_exits_2_on_an_unconverged_hard_case_padding(tmp_path, monkeypatch
     summary = cio.read_keyvalues(out / "summary.txt")
     assert summary["case"] == "hard_detected" and summary["converged"] == "False"
     assert cio.read_vector(out / "solution.txt").shape == (prob.n,)
+
+
+@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
+def test_solve_exits_2_when_the_run_breaks_down_above_tol(tmp_path, capsys):
+    # the Krylov space closes at rounding level: the breakdown stops the run
+    # with its residual bound far above the default tol, so it is no success.
+    # b0 is orthogonal to every eigenvector of A in null(C'), so detection
+    # would decide "hard" and return the padded answer; it is left off
+    prob = breakdown_probe(1, 0.0)
+    fixture = tmp_path / "fixture"
+    cio.write_problem(str(fixture), prob.A.apply(np.eye(prob.n)), prob.C, prob.b)
+    out = tmp_path / "out"
+    code = main(["solve", "--manifest", str(fixture / "problem.manifest"), "--out", str(out),
+                 "--no-detect-hard"])
+    assert code == EXIT_NOT_CONVERGED
+    assert "the Lanczos process broke down at step" in capsys.readouterr().err
+    summary = cio.read_keyvalues(out / "summary.txt")
+    assert summary["converged"] == "False" and summary["case"] == "easy"
+    assert cio.read_vector(out / "solution.txt").shape == (prob.n,)
+
+
+def test_bench_replays_each_step_once(tmp_path, monkeypatch):
+    # the solve's checks and one replayed reduced solve per step, from
+    # which both the bench CSV and the history CSV are written
+    calls = []
+    reduced, solving = crqopt.driver.solve_rlgopt, crqopt.cli.solve
+
+    def counting(*args):
+        calls.append(None)
+        return reduced(*args)
+
+    def solve_and_mark(problem, opts):
+        try:
+            return solving(problem, opts)
+        finally:
+            checks.append(len(calls))
+
+    checks = []
+    monkeypatch.setattr(crqopt.driver, "solve_rlgopt", counting)
+    monkeypatch.setattr(crqopt.cli, "solve", solve_and_mark)
+    out = tmp_path / "bench"
+    assert main(["bench", "--n", "60", "--m", "6", "--alpha", "1", "--beta", "20",
+                 "--zeta", "0.9", "--seed", "5", "--maxit", "54", "--out", str(out)]) == EXIT_OK
+    bench = (out / "bench_seed5.csv").read_text().splitlines()[1:]
+    history = (out / "history_seed5.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in bench] == [row.split(",")[0] for row in history]
+    assert len(calls) - checks[0] == len(history) == int(history[-1].split(",")[0])
 
 
 def test_solve_unique_point_fixture(tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from conftest import BlockRecordingOperator, degenerate_problem, random_interior_problem
+from conftest import (BlockRecordingOperator, breakdown_probe, degenerate_problem,
+                      random_interior_problem)
 from oracles import dense_projector, finite_step_check, krylov_slice_minimum
 
 import crqopt
@@ -303,9 +304,9 @@ def test_scheduled_checks_stop_where_checking_every_step_would(method):
     for prob, kwargs in _replay_cases():
         opts = SolveOptions(method=method, return_basis=True, **kwargs)
         try:
-            sol = solve(prob, opts)
+            sol, raised = solve(prob, opts), False
         except NotConvergedError as err:
-            sol = err.solution
+            sol, raised = err.solution, True
         rebuilt = {rec.k: rec for rec in crqopt.rebuild_history(sol)}
         # the first check runs at the first step
         assert min(rebuilt) == sol.history[0].k == 1 and max(rebuilt) == sol.k
@@ -313,7 +314,10 @@ def test_scheduled_checks_stop_where_checking_every_step_would(method):
         if stops:
             assert sol.k == stops[0]
         else:
-            assert sol.krylov.broke_down or sol.k == min(opts.maxit, prob.n)
+            # no step met tol: the run stopped at maxit or on breakdown, and raised
+            breakdown_tol = np.finfo(float).eps ** (2.0 / 3.0) * max(prob.norm_a, 1.0)
+            assert raised
+            assert sol.k == min(opts.maxit, prob.n) or sol.krylov.beta[-1] <= breakdown_tol
         assert sol.history[-1].k == sol.k
         for rec in sol.history:
             assert _record_bits(rec) == _record_bits(rebuilt[rec.k])
@@ -576,10 +580,56 @@ def test_solve_returns_exactly_the_answers_that_met_their_tolerance(kind, seed, 
     if sol.case == crqopt.HARD:
         met = sol.detection.eig_converged
     elif sol.case == crqopt.EASY:
-        met = sol.history[-1].delta <= opts.tol or sol.k < maxit
+        met = sol.history[-1].delta <= opts.tol
     assert (raised is None) == met, (sol.case, raised)
     if raised is not None:
         assert ("EIG_TOL" in str(raised)) == (sol.case != crqopt.EASY)
+
+
+@pytest.mark.parametrize("method", [crqopt.LGOPT, crqopt.QEPMIN])
+@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
+def test_a_breakdown_returns_only_an_answer_that_met_tol(method):
+    # the probe runs break down with beta_{k+1} far above rounding, so a
+    # breakdown certifies nothing: solve returns exactly where the last
+    # check's delta met tol, each returned answer's exact residual is within
+    # 1.2 tol, and each raise names the breakdown step and beta_{k+1}/||A||
+    returned = raised_at_breakdown = 0
+    for seed in range(6):
+        for spread in (0.0, 1e-14, 1e-13):
+            prob = breakdown_probe(seed, spread)
+            feas = classify(prob)
+            for tol in (1e-15, 1e-13):
+                opts = SolveOptions(method=method, tol=tol, detect_hard=False, return_basis=True)
+                try:
+                    sol, raised = solve(prob, opts), None
+                except NotConvergedError as err:
+                    sol, raised = err.solution, err
+                assert (raised is None) == (sol.history[-1].delta <= tol)
+                if raised is None:
+                    scale = (prob.norm_a + abs(sol.mu)) * feas.gamma + np.linalg.norm(feas.b0)
+                    assert sol.residual / scale <= 1.2 * tol
+                    returned += 1
+                    continue
+                assert sol.k < opts.maxit
+                ratio = sol.krylov.beta[sol.k] / prob.norm_a
+                named = f"broke down at step {sol.k} with beta_{{k+1}}/||A|| = {ratio:.3e}"
+                assert named in str(raised)
+                raised_at_breakdown += 1
+    assert returned and raised_at_breakdown and returned + raised_at_breakdown == 36
+
+
+def test_a_broken_down_detection_run_decides_uncertified(monkeypatch):
+    # with EIG_TOL = 0 no Ritz pair converges, and at this gap the
+    # random-start bound needs about 30 steps, so the run steps until it
+    # breaks down; it stops there and decides by comparison, with a warning,
+    # as at EIG_MAXIT
+    monkeypatch.setattr(crqopt.driver, "EIG_TOL", 0.0)
+    run = crqopt.driver.DetectionRun(breakdown_probe(1, 0.0), np.random.default_rng(0))
+    with pytest.warns(RuntimeWarning, match="broke down after"):
+        report = crqopt.detect_hard_case(run, 0.0)
+    assert run.state.broke_down and report.steps == run.state.k < run.state.maxit
+    assert report.certificate is None and not report.is_hard and not report.eig_converged
+    assert run.ritz.resid == run.state.beta[run.ritz.k] * abs(run.ritz.s[-1]) > 0.0
 
 
 def test_paused_detection_is_judged_at_the_final_threshold():

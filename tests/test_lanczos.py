@@ -14,8 +14,7 @@ from crqopt import classify
 from crqopt.clustering import LabelSet, build_graph, to_crqopt
 from crqopt.errors import ZeroStartError
 from crqopt.driver import DetectionRun
-from crqopt.lanczos import (BROKE_DOWN, LanczosState, bottom_eigenpair, lanczos_pair_step,
-                            lanczos_step, run)
+from crqopt.lanczos import LanczosState, bottom_eigenpair, lanczos_pair_step, lanczos_step, run
 
 
 def test_init_unit_start():
@@ -55,7 +54,8 @@ def test_identity_breaks_down_immediately():
     p = crqopt.CrqProblem(np.eye(6), C, 0.1 * np.ones(2))
     b0 = p.P.apply_P(rng.standard_normal(6))
     state = LanczosState(p.A, b0, p.P, norm_scale=1.0)
-    assert lanczos_step(state) == BROKE_DOWN
+    lanczos_step(state)
+    assert state.broke_down
     assert state.alpha[0] == pytest.approx(1.0)
     assert state.beta[1] <= state.breakdown_tol
 
@@ -150,7 +150,8 @@ def test_basis_store_is_row_per_vector_and_preallocated():
     assert store.shape == (maxit + 1, 40)
     assert omega.shape == (2, maxit + 1)
     for _ in range(maxit):
-        assert lanczos_step(state) != BROKE_DOWN
+        lanczos_step(state)
+        assert not state.broke_down
         assert state._Q is store and state._omega is omega
     assert state.k == maxit
     for j in range(1, maxit + 2):
@@ -242,7 +243,10 @@ def test_basis_stays_semiorthogonal_under_the_omega_estimate(family, seed):
     prob = FAMILIES[family](seed)
     feas = classify(prob)
     state = LanczosState(prob.A, feas.b0, prob.P, norm_scale=prob.norm_a, maxit=300)
-    while state.k < state.maxit and lanczos_step(state) != BROKE_DOWN:
+    while state.k < state.maxit:
+        lanczos_step(state)
+        if state.broke_down:
+            break
         k = state.k
         loss = np.max(np.abs(state.basis(k).T @ state.q(k + 1)))
         assert loss <= SQRT_EPS

@@ -12,6 +12,7 @@ import crqopt
 from crqopt import classify, qep_residual_bound, solve_reduced_qep, solve_rlgopt
 from crqopt.lanczos import run, tridiagonal_dense
 from crqopt.reference import solve_qep_linearization
+from crqopt.secular import EASY_TAG
 
 
 def test_scalar_case():
@@ -118,7 +119,9 @@ def test_leftmost_real_exists_random():
         assert abs(sol.mu - reals.min()) <= 1e-10 * (1.0 + abs(sol.mu))
 
 
-def test_residual_bound_breakdown_is_zero():
+def test_residual_bound_after_breakdown_reads_the_stored_beta():
+    # a breakdown certifies nothing: the bound keeps its formula at the
+    # beta_{k+1} the breakdown step stored
     rng = np.random.default_rng(11)
     C = rng.standard_normal((6, 2))
     p = crqopt.CrqProblem(np.eye(6), C, 0.1 * np.ones(2))
@@ -128,8 +131,15 @@ def test_residual_bound_breakdown_is_zero():
     # breakdown by one step
     assert state.broke_down and state.k <= 2
     a, b = state.tridiagonal()
-    red = solve_rlgopt(a, b, state.beta[0], feas.gamma)
-    assert qep_residual_bound(state, red, p.norm_a, feas.gamma, state.beta[0]) == 0.0
+    beta1, k = state.beta[0], state.k
+    red = solve_rlgopt(a, b, beta1, feas.gamma)
+    shift = p.norm_a + abs(red.mu)
+    y_last = red.x[-1] if red.tag == EASY_TAG else 0.0
+    expected = (state.beta[k] * (abs(y_last) + shift * abs(red.w[-1]))
+                / ((shift**2 + (beta1 / feas.gamma) ** 2) * np.linalg.norm(red.w)))
+    assert 0.0 < state.beta[k] <= state.breakdown_tol
+    assert qep_residual_bound(state, red, p.norm_a, feas.gamma, beta1) == pytest.approx(
+        expected, rel=1e-15, abs=0.0)
 
 
 def test_residual_bound_vs_direct_evaluation(small_example):
