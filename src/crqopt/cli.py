@@ -163,8 +163,14 @@ def cmd_bench(args):
     else:
         base = _gen_spec(args)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [base.rng_seed]
-    failures = [_bench_one(replace(base, rng_seed=seed), args, args.out) for seed in seeds]
-    return EXIT_NOT_CONVERGED if any(f is not None for f in failures) else EXIT_OK
+    missed = False
+    for seed in seeds:
+        failure = _bench_one(replace(base, rng_seed=seed), args, args.out)
+        if failure is not None:
+            print(f"seed={seed} not converged after {failure.solution.k} steps: {failure}",
+                  file=sys.stderr)
+            missed = True
+    return EXIT_NOT_CONVERGED if missed else EXIT_OK
 
 
 def cmd_segment(args):
@@ -179,7 +185,8 @@ def cmd_segment(args):
     cio.write_keyvalues(os.path.join(args.out, "stats.txt"), stats)
     print(f"ncut={stats['ncut']!r} steps={stats['steps']} runtime_s={stats['runtime_s']:.3f}")
     if not stats["converged"]:
-        print("segmentation solve did not converge; writing partial maps", file=sys.stderr)
+        print(f"segmentation solve did not converge; writing partial maps: {stats['miss']}",
+              file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 

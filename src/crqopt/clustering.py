@@ -16,15 +16,25 @@ stores each neighbour pair's weight once, and A is applied from that
 store; its spectrum lies in [0, 2], so ||A|| <= 2 is the norm the driver
 uses for its scales on these problems.
 
-Every raster product W @ x (the Laplacian's apply, the degrees and the
-cut) goes through ``apply_weights``, which splits the rows into
-contiguous row blocks, one per core the process may run on and none
+The store holds float64 or float32 weights.  The A-apply is bound by
+the bandwidth of streaming the store, so a float32 store makes it about
+3x faster and halves the graph, at a rounding of float32 eps = 1.19e-7
+per apply.  ``segment`` derives the precision from what its solve must
+certify (``store_dtype``): float32 when ``opts.tol`` is at or above
+the float32 floor of ``driver.tol_floor`` (1.19e-6) and no hard-case
+detection runs, else float64.  Either way the degrees and the cut are
+summed in float64, and the Laplacian scales in float64.
+
+Both raster products W @ x (the Laplacian's apply and the degrees) go
+through ``apply_weights``, in the store's dtype, which splits the rows
+into contiguous row blocks, one per core the process may run on and none
 shorter than ``MIN_BLOCK_ROWS``.  A row block is a range [r0, r1) of rows
 of y, computed by ``apply_weight_rows`` from the whole of x.  Inside a
 block each row's terms are still added in ascending column order, so the
-product is bit-identical to the sorted CSR one however the rows are
-split.  scipy's compiled DIA kernel releases the GIL, so the blocks run
-in parallel on plain threads; the BLAS thread count does not govern them.
+product is bit-identical to the sorted CSR one of the store's dtype
+however the rows are split.  scipy's compiled DIA kernel releases the
+GIL, so the blocks run in parallel on plain threads; the BLAS thread
+count does not govern them.
 """
 
 import os
@@ -36,7 +46,7 @@ import numpy as np
 # the compiled kernel behind ``dia_matrix @ x``: y += (diagonals) @ x in place
 from scipy.sparse._sparsetools import dia_matvec
 
-from .driver import QEPMIN, SolveOptions, solve
+from .driver import QEPMIN, SolveOptions, solve, tol_floor
 from .errors import EmptySideError, IsolatedPixelError, NotConvergedError
 from .operators import SymmetricOperator
 from .problem import CrqProblem
@@ -47,6 +57,14 @@ from .problem import CrqProblem
 # 0.74x at 25600, 1.12x at 36864, 1.24x at 50176 and 1.38x at 65536: two
 # blocks break even near 16384 rows each, and twice that leaves a margin
 # for hosts where a thread costs more.  Rasters below 256x256 run as one.
+# A float32 store (best of 7, 20 applies each) gains from two blocks
+# 0.47x at 128x128 (1.2 MiB of store per block), 0.55x at 181x181
+# (2.5 MiB), 1.11x at 256x256 (5 MiB) and 1.23x at 362x362 (10 MiB),
+# against 0.76x, 1.00x, 2.25x and 2.02x for float64: the break-even sits
+# near 4-5 MiB of store per block.  End to end, the 256x256
+# ``segment_raster`` solve on a float32 store took 0.333 s (median of 12)
+# on two blocks and 0.348 s on one, faster in 9 of 12 alternating pairs,
+# so the constant stays.
 MIN_BLOCK_ROWS = 32768
 # the one offset of a diagonal passed as its own slice
 _MAIN_DIAGONAL = np.zeros(1, dtype=np.intp)
@@ -56,9 +74,10 @@ _MAIN_DIAGONAL = np.zeros(1, dtype=np.intp)
 class ImageGraph:
     width: int
     height: int
-    weights: np.ndarray  # (len(shifts), n): W[q - s, q] at column q, zeros off the raster
+    # (len(shifts), n), float64 or float32: W[q - s, q] at column q, zeros off the raster
+    weights: np.ndarray
     shifts: np.ndarray   # the positive flat neighbour shifts, ascending
-    degrees: np.ndarray
+    degrees: np.ndarray  # float64 W @ 1 from the store's own kernel
 
     @property
     def n(self):
@@ -108,7 +127,7 @@ class LabelSet:
         return cls(np.array(fg), np.array(bg))
 
 
-def build_graph(image, delta, r):
+def build_graph(image, delta, r, dtype=np.float64):
     """Affinity graph of a grayscale raster.
 
     Pixels i, j are connected when ||X(i) - X(j)||_inf < r, with weight
@@ -118,6 +137,11 @@ def build_graph(image, delta, r):
     ``weights`` holds W[q - s, q] at column q for the positive flat shift
     s = ``shifts[d]``, shifts strictly ascending; entries that fall off
     the raster are zeros.  ``apply_weights`` applies the symmetric W.
+
+    The store has ``dtype``, float64 or float32: each offset's weights are
+    computed in float64 and rounded into their row, so no full float64
+    copy is ever held.  The degrees are the store kernel's W @ 1, in
+    float64.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
@@ -145,7 +169,7 @@ def build_graph(image, delta, r):
     forward = offsets[len(offsets) // 2:]
     shifts = np.array(sorted({dy * width + dx for dy, dx in forward}), dtype=np.intp)
     row = {s: d for d, s in enumerate(shifts.tolist())}
-    weights = np.zeros((shifts.size, height, width))
+    weights = np.zeros((shifts.size, height, width), dtype=dtype)
     for dy, dx in forward:
         # q = (y, x) runs over the pixels whose partner q - (dy, dx) is on the raster
         y0, x0 = max(0, dy), max(0, dx)
@@ -157,7 +181,7 @@ def build_graph(image, delta, r):
             w = np.exp(-(diff * diff) / delta_f)
         weights[row[dy * width + dx], y0:y1, x0:x1] = w
     weights = weights.reshape(shifts.size, n)
-    degrees = apply_weights(weights, shifts, np.ones(n))
+    degrees = apply_weights(weights, shifts, np.ones(n)).astype(float, copy=False)
     if np.any(degrees <= 0.0):
         raise IsolatedPixelError("graph has an isolated pixel (zero degree)")
     return ImageGraph(width, height, weights, shifts, degrees)
@@ -200,19 +224,22 @@ def apply_weight_rows(weights, shifts, x, y, r0, r1):
 
 
 def apply_weights(weights, shifts, x):
-    """W @ x for the half store of ``build_graph``.
+    """W @ x for the half store of ``build_graph``, in the store's dtype.
 
-    The rows are split into ``apply_blocks(n)`` contiguous row blocks of
-    near-equal size, and ``apply_weight_rows`` computes each.  The calling
-    thread runs block 0 and one thread each further block; scipy's DIA
-    kernel releases the GIL, so the blocks run on separate cores.  Each
-    row's terms are added in ascending column order inside its block, so
-    the product is bit-identical to the sorted CSR one for any split.  An
-    exception in any block is raised here once every block has finished.
+    x is rounded to the store's dtype, and the product is summed and
+    returned in it: a float32 store reads and writes half the bytes of a
+    float64 one.  The rows are split into ``apply_blocks(n)`` contiguous
+    row blocks of near-equal size, and ``apply_weight_rows`` computes
+    each.  The calling thread runs block 0 and one thread each further
+    block; scipy's DIA kernel releases the GIL, so the blocks run on
+    separate cores.  Each row's terms are added in ascending column order
+    inside its block, so the product is bit-identical to the sorted CSR
+    one of the same dtype for any split.  An exception in any block is
+    raised here once every block has finished.
     """
-    x = np.ascontiguousarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=weights.dtype)
     n = x.size
-    y = np.zeros(n)
+    y = np.zeros(n, dtype=weights.dtype)
     blocks = apply_blocks(n)
     bounds = [n * b // blocks for b in range(blocks + 1)]
     errors = [None] * blocks
@@ -274,7 +301,11 @@ class NormalizedLaplacianOperator(SymmetricOperator):
     """v -> D^{-1/2} (D - W) D^{-1/2} v, applied from the graph's half store.
 
     Its spectrum lies in [0, 2] (Chung, Spectral Graph Theory, 1997), so
-    ``norm_bound`` is 2 and no norm estimate is run.
+    ``norm_bound`` is 2 and no norm estimate is run.  The product
+    D^{-1/2} x is formed in float64 and rounded once into the store's
+    dtype, and W's product comes back through the float64 scaling, so a
+    float32 store costs no separate casts; its operator declares
+    ``unit_roundoff`` float32 eps.
     """
 
     norm_bound = 2.0
@@ -284,9 +315,11 @@ class NormalizedLaplacianOperator(SymmetricOperator):
         self.weights = graph.weights
         self.shifts = graph.shifts
         self.dinv_sqrt = 1.0 / np.sqrt(graph.degrees)
+        self.unit_roundoff = float(np.finfo(graph.weights.dtype).eps)
 
     def matvec(self, x):
-        y = self.dinv_sqrt * x
+        y = np.multiply(self.dinv_sqrt, x, out=np.empty(self.n, dtype=self.weights.dtype),
+                        casting="same_kind")
         return x - self.dinv_sqrt * apply_weights(self.weights, self.shifts, y)
 
 
@@ -298,13 +331,17 @@ def to_crqopt(graph, labels):
 
 
 def ncut_value(graph, mask):
-    """Normalized cut of the bipartition given by a boolean mask."""
+    """Normalized cut of the bipartition given by a boolean mask.
+
+    The cut sums, in float64, the stored weight of every pair (q - s, q)
+    whose ends lie on opposite sides, one shift row at a time.
+    """
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     if mask.all() or not mask.any():
         return float("inf")
-    ind_a = mask.astype(float)
-    ind_b = 1.0 - ind_a
-    cut = float(ind_a @ apply_weights(graph.weights, graph.shifts, ind_b))
+    cut = 0.0
+    for s, row in zip(graph.shifts, graph.weights):
+        cut += float(np.sum(row[s:], where=mask[s:] != mask[:-s], dtype=float))
     vol_a = float(graph.degrees[mask].sum())
     vol_b = float(graph.degrees[~mask].sum())
     return cut / vol_a + cut / vol_b
@@ -318,24 +355,35 @@ def default_segment_options():
     return SolveOptions(method=QEPMIN, tol=8e-5, maxit=300, detect_hard=False)
 
 
+def store_dtype(opts):
+    """The weight store a solve with ``opts`` can use: float32 when its
+    tol is at or above the float32 floor (``driver.tol_floor``) and it
+    runs no hard-case detection, else float64."""
+    if opts.tol >= tol_floor(float(np.finfo(np.float32).eps)) and not opts.detect_hard:
+        return np.float32
+    return np.float64
+
+
 def segment(image, labels, delta=0.1, r=5, opts=None):
     """Full pipeline: graph, constraints, solve, threshold.
 
     Returns ``(mask, heat, stats)`` with the binary mask from the sign
     of the relaxed indicator, the indicator rescaled to [0, 1] as a heat
-    map, and run statistics.  It returns whether or not the solve
+    map, and run statistics.  The graph's store precision follows from
+    ``opts`` (``store_dtype``).  It returns whether or not the solve
     converged: ``stats["converged"]`` is False exactly when the solve
-    raised ``NotConvergedError``, whose answer then gives the maps.
+    raised ``NotConvergedError``, whose answer then gives the maps and
+    whose message is ``stats["miss"]`` (None on a converged solve).
     """
     t0 = time.perf_counter()
-    graph = build_graph(image, delta, r)
-    problem = to_crqopt(graph, labels)
     if opts is None:
         opts = default_segment_options()
+    graph = build_graph(image, delta, r, dtype=store_dtype(opts))
+    problem = to_crqopt(graph, labels)
     try:
-        sol, converged = solve(problem, opts), True
+        sol, miss = solve(problem, opts), None
     except NotConvergedError as err:
-        sol, converged = err.solution, False
+        sol, miss = err.solution, str(err)
 
     x = problem.A.dinv_sqrt * sol.v
     mask = (x > 0.0).reshape(image.shape)
@@ -350,7 +398,9 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
         "constraint_residual": float(np.linalg.norm(problem.C.T @ sol.v - problem.b)),
         "c_plus": float(problem.b[0]),
         "c_minus": float(problem.b[labels.foreground.size]),
-        "converged": converged,
+        "converged": miss is None,
+        "miss": miss,
         "graph_mb": graph.weights.nbytes / 2**20,
+        "graph_dtype": graph.weights.dtype.name,
         "apply_blocks": apply_blocks(graph.n),
     }

@@ -14,7 +14,9 @@ or certifies on is written once, in this module: the two certificates,
 ``DeltaProxy`` (``_lgopt_bound`` at a fixed multiplier) and the
 random-start bound of detection (``_kw_steps``).
 The loop stops when ``delta`` drops below the tolerance, on breakdown
-(which certifies nothing), or at the iteration cap.  The minimizer is
+(which certifies nothing), or at the iteration cap.  An operator that
+rounds coarser than float64 cannot certify a tolerance below its
+``tol_floor``, and ``solve`` refuses one.  The minimizer is
 recovered as v = n0 + Q_k x, and the one exact residual
 ||P(Av) - mu (v - n0)|| is taken at the v the solve returns.  An answer
 whose last ``delta`` missed its tolerance is raised on ``NotConvergedError``.
@@ -122,6 +124,20 @@ NORM_MARGIN = 1.05
 # CHECK_MARGIN of tol, or CHECK_DROP below the last check's delta
 CHECK_MARGIN = 10.0
 CHECK_DROP = 100.0
+# The lowest tol a solve accepts on an operator that rounds coarser than
+# float64 is TOL_FLOOR times its unit roundoff u.  On float32 raster stores
+# (8x8, 64^2 and 256^2, four texture phases, both routes) the exact
+# residual, normalized like delta, sat at 0.1-0.4 u whatever the tol, so
+# below about u a returned delta says nothing; at tol = 10 u it was at
+# most 0.88 tol, and at most 1.001 delta.
+TOL_FLOOR = 10.0
+_EPS = float(np.finfo(float).eps)
+
+
+def tol_floor(unit_roundoff):
+    """The lowest tol ``solve`` accepts on an operator with this unit
+    roundoff: 0 at float64 eps, else ``TOL_FLOOR`` times it."""
+    return 0.0 if unit_roundoff <= _EPS else TOL_FLOOR * unit_roundoff
 
 
 @dataclass
@@ -601,9 +617,21 @@ def solve(problem, opts=None):
     ``opts.tol`` at the last check (at ``opts.maxit`` steps or a breakdown,
     which the message names), or ``EIG_TOL`` for the Ritz pair of a hard
     decision or of b0 = 0.
+
+    An operator that rounds coarser than float64 (``unit_roundoff`` above
+    float64 eps, as a float32 raster store) cannot certify a residual
+    below its own rounding: ``ValueError``, naming the floor, refuses an
+    ``opts.tol`` below ``tol_floor``, and ``detect_hard`` where
+    ``EIG_TOL`` lies below it (as it does for float32).
     """
     if opts is None:
         opts = SolveOptions()
+    floor = tol_floor(problem.A.unit_roundoff)
+    if opts.tol < floor or (opts.detect_hard and EIG_TOL < floor):
+        what = (f"tol {opts.tol:.3g} is" if opts.tol < floor
+                else f"hard-case detection needs EIG_TOL = {EIG_TOL:g},")
+        raise ValueError(f"{what} below the floor {floor:.3g} of an operator with unit roundoff "
+                         f"{problem.A.unit_roundoff:.3g} (TOL_FLOOR = {TOL_FLOOR:g} times it)")
     feas = classify(problem)
     if feas.tag == INFEASIBLE:
         raise InfeasibleError(

@@ -7,13 +7,15 @@ at its start vector with an estimate of ||A|| from which it derives its
 breakdown threshold and the rounding noise of its orthogonality
 estimates, and advanced by ``lanczos_step``.
 
-The basis is kept semiorthogonal, |q_j' q_{k+1}| <= sqrt(eps), not
+The basis is kept semiorthogonal, |q_j' q_{k+1}| <= sqrt(u), not
 orthogonal: that keeps T_k the projection of M onto the Krylov space to
 working accuracy (Simon, Linear Algebra Appl. 61, 1984), which is all the
 reduced solves need.  Simon's omega recurrence (Math. Comp. 42, 1984)
 estimates the loss in O(k) per step, and a Gram-Schmidt pass against the
-basis runs only on the steps where the estimate passes sqrt(eps) and on
-the step after each.
+basis runs only on the steps where the estimate passes sqrt(u) and on
+the step after each.  Here u is A's ``unit_roundoff``: float64 eps, or
+float32 eps for an operator that applies a float32 store, whose rounding
+then drives the loss (Paige, J. Inst. Math. Appl. 18, 1976).
 
 The recurrence is started at the shifted gradient b0 (which lies in the
 null space of C'), so every basis vector stays in that null space and
@@ -45,7 +47,6 @@ from scipy.linalg import lapack
 from .errors import EigFailureError, ZeroStartError
 
 _EPS = np.finfo(float).eps
-_SQRT_EPS = np.sqrt(_EPS)
 
 
 def tridiagonal_dense(alpha, beta):
@@ -78,9 +79,18 @@ class LanczosState:
     invariant-subspace closures are never detected and the process
     wanders into noise-seeded ghost directions; eps^(2/3) * ||A|| separates
     the two regimes by several orders of magnitude on every instance
-    family exercised by the tests.  The rounding of one step, the term
-    psi of the omega recurrence (``noise``), is taken as
-    eps * sqrt(n) * ||A||.
+    family exercised by the tests.
+
+    The orthogonality control reads u = ``A.unit_roundoff``, the rounding
+    of one apply.  The rounding of one step, the term psi of the omega
+    recurrence (``noise``), is max(u, eps * sqrt(n)) * ||A||: the apply's
+    own error where it computes in a lower precision, else the float64
+    rounding of the step's n-term products.  The semiorthogonality
+    threshold ``semiorth_tol`` is sqrt(u), and a Gram-Schmidt pass resets
+    the estimates to u.  For a float64 operator u = eps, and the three are
+    eps * sqrt(n) * ||A||, sqrt(eps) and eps.  For a float32 store psi
+    must be the apply's u ||A||: with eps * sqrt(n) * ||A|| the estimate
+    stays under sqrt(eps) while the measured loss passes it.
 
     The basis is stored one vector per contiguous row of a store
     preallocated for ``min(maxit, n)`` steps, so reading q_j, writing
@@ -101,7 +111,8 @@ class LanczosState:
         self.n = r0.shape[0]
         self.broke_down = False
         self.breakdown_tol = _EPS ** (2.0 / 3.0) * max(norm_scale, 1.0)
-        self.noise = _EPS * np.sqrt(self.n) * norm_scale
+        self.noise = max(A.unit_roundoff, _EPS * np.sqrt(self.n)) * norm_scale
+        self.semiorth_tol = np.sqrt(A.unit_roundoff)
         self.reorth_steps = 0
         self.maxit = self.n if maxit is None else min(maxit, self.n)
         self._k = 0
@@ -219,13 +230,13 @@ def _finish(state, w, a_k):
     # a Gram-Schmidt pass only shrinks w, so at or below the breakdown
     # threshold the step breaks down either way
     if b_next > state.breakdown_tol and (
-            state._advance_omega(b_next) > _SQRT_EPS or state._force_reorth):
+            state._advance_omega(b_next) > state.semiorth_tol or state._force_reorth):
         Q_r = state._Q[:k]
         w -= (Q_r @ w) @ Q_r
         w = _project(state.P, w)
         b_next = float(np.linalg.norm(w))
         omega = state._omega[state._cur]
-        omega[:k - 1] = _EPS
+        omega[:k - 1] = state.A.unit_roundoff
         omega[k - 1] = state.noise / b_next
         state._force_reorth = not state._force_reorth
         state.reorth_steps += 1
@@ -245,14 +256,15 @@ def lanczos_step(state):
     and projects the result with P, the one projection of the step; since
     q_k lies in null(C'), the alpha_k it takes from A equals q_k' M q_k.
     After the recurrence and the projection the step advances the omega
-    estimates of q_j' q_{k+1}.  When their largest passes sqrt(eps) it
+    estimates of q_j' q_{k+1}.  When their largest passes sqrt(u) it
     runs one classical Gram-Schmidt pass of the new vector against the
     basis and projects again; the next step does the same, since q_k
     passes its loss on to q_{k+2} through the recurrence.  A pass resets
-    the estimates of the new vector to eps (psi / beta_{k+1} against
+    the estimates of the new vector to u (psi / beta_{k+1} against
     q_k), so after the second pass both rows are at that level.  Near a
-    breakdown beta_{k+1} is small, so the estimate passes sqrt(eps) and
-    the pass runs before the breakdown test.
+    breakdown beta_{k+1} is small, so the estimate passes sqrt(u) and
+    the pass runs before the breakdown test.  u is A's ``unit_roundoff``
+    (see ``LanczosState``).
     """
     _check_room(state)
     q_k = state.q(state.k + 1)

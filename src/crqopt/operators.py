@@ -24,9 +24,17 @@ class SymmetricOperator:
     A subclass is symmetric by contract, and nothing checks it.
     A subclass whose norm has a known rigorous bound sets ``norm_bound``;
     ``CrqProblem.norm_a`` then takes it instead of an estimate.
+
+    ``unit_roundoff`` is the relative rounding u of one apply: the
+    computed A x is A x + e with ||e|| of order u ||A|| ||x||.  It is
+    float64 eps unless the subclass computes in a lower precision, as the
+    raster Laplacian on a float32 weight store does (float32 eps).  The
+    Lanczos run sizes its orthogonality control by it, and ``solve``
+    refuses a tolerance below the floor ``driver.tol_floor`` it sets.
     """
 
     norm_bound = None
+    unit_roundoff = float(np.finfo(float).eps)
 
     def __init__(self, n):
         self.n = int(n)

@@ -102,6 +102,16 @@ def test_solve_exits_2_when_the_run_breaks_down_above_tol(tmp_path, capsys):
     assert cio.read_vector(out / "solution.txt").shape == (prob.n,)
 
 
+def test_bench_says_why_it_exits_2(tmp_path, capsys):
+    # the stderr line names the seed and the missed tolerance, as solve's does
+    code = main(["bench", "--n", "40", "--m", "4", "--alpha", "1", "--beta", "20",
+                 "--zeta", "0.9", "--seed", "3", "--maxit", "2", "--out", str(tmp_path / "b")])
+    assert code == EXIT_NOT_CONVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("seed=3 not converged after 2 steps: residual bound ")
+    assert "above tol 1.000e-15 after 2 Lanczos steps" in err
+
+
 def test_bench_replays_each_step_once(tmp_path, monkeypatch):
     # the solve's checks and one replayed reduced solve per step, from
     # which both the bench CSV and the history CSV are written
@@ -213,8 +223,10 @@ def test_segment_cli_reports_graph_memory(tmp_path):
     assert code == EXIT_OK
     stats = cio.read_keyvalues(out / "stats.txt")
     # r = 3 reaches 2 pixels: 12 of the 24 offsets have a positive shift,
-    # each a row of 64 doubles
-    assert float(stats["graph_mb"]) == 12 * 64 * 8 / 2**20
+    # each a row of 64 weights; the default tol is above the float32 floor,
+    # so the store holds float32
+    assert float(stats["graph_mb"]) == 12 * 64 * 4 / 2**20
+    assert stats["graph_dtype"] == "float32"
     # 64 rows are far below MIN_BLOCK_ROWS: the product runs as one block
     assert int(stats["apply_blocks"]) == 1
 
@@ -238,6 +250,24 @@ def test_segment_cli_not_converged_exit_code_writes_the_maps(tmp_path, capsys):
     assert mask.shape == heat.shape == (8, 8)
     stats = cio.read_keyvalues(out / "stats.txt")
     assert stats["converged"] == "False" and stats["steps"] == "2"
+
+
+def test_segment_cli_says_why_it_exits_2(tmp_path, capsys):
+    img = np.zeros((8, 8))
+    img[:, 4:] = 200
+    img_path = tmp_path / "img.pgm"
+    cio.write_pgm(img_path, img, maxval=255)
+    labels_path = tmp_path / "labels.txt"
+    write_labels(labels_path, [(4, 1)], [(4, 6)])
+    out = tmp_path / "seg"
+    code = main([
+        "segment", "--image", str(img_path), "--labels", str(labels_path),
+        "--r", "2", "--out", str(out), "--maxit", "2",
+    ])
+    assert code == EXIT_NOT_CONVERGED
+    stats = cio.read_keyvalues(out / "stats.txt")
+    assert stats["miss"].endswith("above tol 8.000e-05 after 2 Lanczos steps")
+    assert f"writing partial maps: {stats['miss']}" in capsys.readouterr().err
 
 
 def test_segment_cli_rejects_zero_maxit(tmp_path, capsys):

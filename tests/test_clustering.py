@@ -395,8 +395,9 @@ def test_segment_returns_a_non_converged_solve():
     opts = replace(default_segment_options(), maxit=2)
     mask, heat, stats = segment(img, labels, delta=0.1, r=5, opts=opts)
     assert stats["converged"] is False and stats["steps"] == 2
-    # the maps are those of the solve's last iterate
-    graph = build_graph(img, 0.1, 5)
+    # the maps are those of the solve's last iterate, on the graph segment
+    # builds (float32 at this tol)
+    graph = build_graph(img, 0.1, 5, dtype=clustering.store_dtype(opts))
     with pytest.raises(NotConvergedError) as err:
         crqopt.solve(to_crqopt(graph, labels), opts)
     x = (1.0 / np.sqrt(graph.degrees)) * err.value.solution.v
@@ -471,3 +472,148 @@ def test_default_options_stop_the_raster_on_tol(phase):
     assert stats["converged"] and stats["steps"] <= 80
     assert mask[128, 30] and not mask[128, 220]
     assert np.array_equal(mask, np.mgrid[0:256, 0:256][1] < 128)
+
+
+# ---------------------------------------------------------------------------
+# float32 weight store
+
+U32 = float(np.finfo(np.float32).eps)
+FLOOR32 = crqopt.driver.tol_floor(U32)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shape=st.sampled_from([(3, 20), (20, 3), (13, 17), (1, 9), (9, 9)]),
+       r=st.sampled_from([1.5, 2, 3.7, 6]), data=st.data())
+def test_any_row_split_assembles_the_float32_sorted_csr_product(shape, r, data):
+    """On a float32 store, row blocks at any split points add up to the
+    float32 sorted CSR product bit for bit."""
+    graph = build_graph(_oracle_image(shape, False), 0.2, r, dtype=np.float32)
+    n = graph.n
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+    x = np.random.default_rng(len(cuts)).standard_normal(n).astype(np.float32)
+    y = np.zeros(n, dtype=np.float32)
+    for r0, r1 in zip([0] + cuts, cuts + [n]):
+        apply_weight_rows(graph.weights, graph.shifts, x, y, r0, r1)
+    csr = graph_matrix(graph)
+    assert csr.dtype == np.float32
+    assert np.array_equal(y, csr @ x)
+
+
+@pytest.mark.parametrize("shape", [(3, 20), (13, 17), (1, 9), (128, 128)])
+@pytest.mark.parametrize("r", [1.5, 3.7, 6])
+def test_float32_product_is_within_the_floor_of_the_float64_one(shape, r):
+    # row by row, |W32 x - W64 x| <= TOL_FLOOR u32 (|W| |x|); measured up to 1.9 u32
+    image = _two_region_raster(128) if shape == (128, 128) else _oracle_image(shape, False)
+    g32 = build_graph(image, 0.2, r, dtype=np.float32)
+    g64 = build_graph(image, 0.2, r)
+    assert g32.weights.dtype == np.float32 and g32.degrees.dtype == np.float64
+    x = np.random.default_rng(1).standard_normal(g64.n)
+    y32 = apply_weights(g32.weights, g32.shifts, x)
+    assert y32.dtype == np.float32
+    y64 = apply_weights(g64.weights, g64.shifts, x)
+    scale = apply_weights(g64.weights, g64.shifts, np.abs(x))
+    assert np.all(np.abs(y32 - y64) <= FLOOR32 * scale)
+
+
+@pytest.mark.parametrize("image", [two_block_image(8), _two_region_raster(64)],
+                         ids=["two_block_8", "raster_64"])
+def test_float32_degrees_are_the_store_kernels_row_sums(image):
+    graph = build_graph(image, 0.1, 2 if image.shape == (8, 8) else 5, dtype=np.float32)
+    assert graph.degrees.dtype == np.float64
+    assert np.array_equal(graph.degrees, apply_weights(graph.weights, graph.shifts,
+                                                       np.ones(graph.n)))
+    # so D^{-1/2} sqrt(d) rounds to 1 in float32, and A sqrt(d) vanishes to
+    # float64 roundoff although A applies a float32 store
+    A = NormalizedLaplacianOperator(graph)
+    null_vec = np.sqrt(graph.degrees)
+    assert np.linalg.norm(A.matvec(null_vec)) <= 1e-10 * np.linalg.norm(null_vec)
+
+
+@pytest.mark.parametrize("shape", [(3, 20), (20, 3), (13, 17), (1, 9)])
+@pytest.mark.parametrize("r", [1.5, 2, 3.7, 6])
+def test_float32_laplacian_is_symmetric_with_spectrum_in_0_2(shape, r):
+    # both to the floor: measured 0.48 u32 of asymmetry and 0.23 u32 outside [0, 2]
+    graph = build_graph(_oracle_image(shape, False), 0.2, r, dtype=np.float32)
+    op = NormalizedLaplacianOperator(graph)
+    assert op.unit_roundoff == U32
+    dense = op.apply(np.eye(graph.n))
+    assert np.abs(dense - dense.T).max() <= FLOOR32 * np.abs(dense).max()
+    eigs = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    assert eigs[0] >= -FLOOR32
+    assert eigs[-1] <= NormalizedLaplacianOperator.norm_bound + FLOOR32
+
+
+def _exact_residual(graph, problem, sol):
+    """||P(Av) - mu (v - n0)||, normalized like lgopt's delta, with A the
+    store's own matrix applied in float64 (the store widened, its degrees)."""
+    wide = clustering.ImageGraph(graph.width, graph.height, graph.weights.astype(float),
+                                 graph.shifts, graph.degrees)
+    feas = crqopt.classify(problem)
+    r = problem.P.apply_P(NormalizedLaplacianOperator(wide).matvec(sol.v)) - sol.mu * (
+        sol.v - feas.n0)
+    scale = (problem.norm_a + abs(sol.mu)) * feas.gamma + np.linalg.norm(feas.b0)
+    return float(np.linalg.norm(r) / scale)
+
+
+def test_a_float32_store_never_yields_a_false_certificate():
+    # 8x8 two-block raster: on a float32 store, tol 1e-10 was met by a
+    # delta of 6.2e-11 at k = 23 while the exact residual stayed at the
+    # store's rounding, 1.2e-8; solve now refuses a tol below the floor
+    img = two_block_image(8)
+    labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
+    opts = crqopt.SolveOptions(method=crqopt.QEPMIN, tol=1e-10, maxit=60, detect_hard=False)
+    g32 = build_graph(img, 0.1, 2, dtype=np.float32)
+    with pytest.raises(ValueError, match=r"tol 1e-10 is below the floor 1\.19e-06 of an "
+                                         r"operator with unit roundoff 1\.19e-07"):
+        crqopt.solve(to_crqopt(g32, labels), opts)
+    with pytest.raises(ValueError, match="hard-case detection needs EIG_TOL = 1e-08, below "
+                                         r"the floor 1\.19e-06"):
+        crqopt.solve(to_crqopt(g32, labels), replace(opts, tol=FLOOR32, detect_hard=True))
+    # the float64 store meets 1e-10 exactly
+    g64 = build_graph(img, 0.1, 2)
+    problem = to_crqopt(g64, labels)
+    assert _exact_residual(g64, problem, crqopt.solve(problem, opts)) <= 1e-10
+
+
+@pytest.mark.parametrize("method", [crqopt.LGOPT, crqopt.QEPMIN])
+@pytest.mark.parametrize("size", [8, 64])
+def test_a_float32_store_meets_a_tol_at_its_floor(method, size):
+    # measured exact / tol: at most 0.84 on 8x8 and 0.88 on 64^2 and 256^2
+    if size == 8:
+        img, r = two_block_image(8), 2
+        labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
+    else:
+        img, r = _two_region_raster(size), 5
+        labels = LabelSet.from_pixels(img.shape, [(32, 8)], [(32, 55)])
+    graph = build_graph(img, 0.1, r, dtype=np.float32)
+    problem = to_crqopt(graph, labels)
+    opts = crqopt.SolveOptions(method=method, tol=FLOOR32, maxit=200, detect_hard=False)
+    sol = crqopt.solve(problem, opts)
+    assert _exact_residual(graph, problem, sol) <= FLOOR32
+
+
+@pytest.mark.parametrize("tol, detect_hard, dtype", [
+    (8e-5, False, "float32"), (FLOOR32, False, "float32"),
+    (0.99 * FLOOR32, False, "float64"), (8e-5, True, "float64")])
+def test_segment_stores_float32_where_the_solve_can_certify_it(tol, detect_hard, dtype):
+    img = two_block_image(8)
+    labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
+    opts = replace(default_segment_options(), tol=tol, detect_hard=detect_hard)
+    mask, _, stats = segment(img, labels, delta=0.1, r=2, opts=opts)
+    assert stats["converged"] and stats["miss"] is None
+    assert stats["graph_dtype"] == dtype
+    assert np.array_equal(mask, img < 0.5)
+
+
+def test_float32_build_never_holds_a_float64_store():
+    """The float32 store is filled offset by offset: the build peaks within
+    25% of its 10 MiB, below the 20 MiB a float64 copy would take."""
+    image = _two_region_raster(256)
+    tracemalloc.start()
+    try:
+        graph = build_graph(image, 0.1, 5, dtype=np.float32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.weights.dtype == np.float32 and graph.weights.nbytes == 10 * 2**20
+    assert peak <= 1.25 * graph.weights.nbytes

@@ -288,19 +288,25 @@ def _record_bits(rec):
 
 def _replay_cases():
     """The criterion-5 draws and the n = 1100 worst cases at beta 10, 300
-    and 1000."""
+    and 1000, then three of them again with maxit below their stop step."""
     rng = np.random.default_rng(55)
     for _ in range(50):
         n = int(rng.integers(20, 61))
         m = int(rng.integers(1, 9))
         yield random_interior_problem(rng, n, m), {"tol": 1e-14, "maxit": n, "detect_hard": False}
+    worst = {}
     for beta in (10.0, 300.0, 1000.0):
         spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=beta, zeta=0.9, rng_seed=1)
-        yield crqopt.generate(spec)[0], {}
+        worst[beta] = crqopt.generate(spec)[0]
+        yield worst[beta], {}
+    yield random_interior_problem(rng, 40, 4), {"tol": 1e-14, "maxit": 3, "detect_hard": False}
+    yield worst[10.0], {"maxit": 4}
+    yield worst[1000.0], {"maxit": 30, "detect_hard": False}
 
 
 @pytest.mark.parametrize("method", [crqopt.LGOPT, crqopt.QEPMIN])
 def test_scheduled_checks_stop_where_checking_every_step_would(method):
+    no_stop = 0
     for prob, kwargs in _replay_cases():
         opts = SolveOptions(method=method, return_basis=True, **kwargs)
         try:
@@ -318,9 +324,12 @@ def test_scheduled_checks_stop_where_checking_every_step_would(method):
             breakdown_tol = np.finfo(float).eps ** (2.0 / 3.0) * max(prob.norm_a, 1.0)
             assert raised
             assert sol.k == min(opts.maxit, prob.n) or sol.krylov.beta[-1] <= breakdown_tol
+            no_stop += 1
         assert sol.history[-1].k == sol.k
         for rec in sol.history:
             assert _record_bits(rec) == _record_bits(rebuilt[rec.k])
+    # the three capped cases, on either route
+    assert no_stop == 3
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
