@@ -60,25 +60,14 @@ When detection steps: the detection run starts before the main loop
 and advances with it in lockstep.  Each paired step applies A once to
 the two runs' current vectors as an n x 2 block, and projects the two
 recurrence residuals as one block; the rest of each step is the run's
-own.  The run stops stepping (pauses) once it has a converged Ritz pair
-or a provisional pass of the random-start bound, and after the main
-loop it goes on alone if it has not paused or its pause does not hold.
-
-When it tests: a Ritz pair costs a small tridiagonal eigensolve, so the
-run forms one only where an exit can fire.  While the main loop runs,
-the threshold is the last check's mu_k + eps.  At or below it the
-run tests every step until the pair meets ``EIG_TOL``; above it, the
-next test is the first step at which the random-start bound could pass
-given the current theta_j, since theta only falls.
-
-Why a certificate is judged only at the final threshold: mu_k moves
-from check to check, so a provisional pass at mu_k says nothing about
-mu + eps.  The provisional tests only decide when the run pauses.
-After the loop the paused step is judged again at mu + eps (O(1) for
-the bound, one comparison for a converged pair), and every step after
-it is tested there too.  Every certificate therefore rests on bounds at
-one threshold, at most one per step, and the union bound of
-``KW_DELTA`` over ``EIG_MAXIT`` steps is unchanged.
+own.  The run stops stepping only at ``EIG_MAXIT`` or on its own
+breakdown, and forms no Ritz pair while the main loop runs: the
+threshold mu + eps is known only once the loop has stopped.  Then the
+run is judged once, at that threshold: its current step is tested, and
+if no exit fires it goes on alone with a test every step.  Every
+certificate therefore rests on bounds at one threshold, at most one per
+step, and the union bound of ``KW_DELTA`` over ``EIG_MAXIT`` steps
+holds.
 """
 
 import math
@@ -86,10 +75,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .errors import EigFailureError, InfeasibleError, NotConvergedError
-from .lanczos import LanczosState, bottom_ritz_pair, lanczos_pair_step, lanczos_step, top_eigenvalue
+from .lanczos import LanczosState, bottom_ritz_pair, lanczos_pair_step, lanczos_step
 from .problem import INFEASIBLE, INTERIOR, UNIQUE_POINT, b0_zero_threshold, classify
 # benchmarks/tracing.py wraps driver.solve_reduced_qep by name, so the
 # name stays bound here; the driver never calls it
@@ -140,6 +129,15 @@ def tol_floor(unit_roundoff):
     return 0.0 if unit_roundoff <= _EPS else TOL_FLOOR * unit_roundoff
 
 
+def _refuse_below_floor(problem, tol, what):
+    """Raise ``ValueError`` where ``tol``, which ``what`` needs, lies below
+    the ``tol_floor`` of ``problem``'s operator; the message names both."""
+    u = problem.A.unit_roundoff
+    if tol < tol_floor(u):
+        raise ValueError(f"{what} below the floor {tol_floor(u):.3g} of an operator with unit "
+                         f"roundoff {u:.3g} (TOL_FLOOR = {TOL_FLOOR:g} times it)")
+
+
 @dataclass
 class SolveOptions:
     method: str = LGOPT
@@ -154,6 +152,8 @@ class SolveOptions:
             raise ValueError(f"method must be '{LGOPT}' or '{QEPMIN}'")
         if self.maxit < 1:
             raise ValueError("maxit must be >= 1")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, not {self.tol}")
 
 
 @dataclass
@@ -405,23 +405,15 @@ def _kw_steps(e, dim):
     return math.floor((math.log(1.648 * math.sqrt(dim) / KW_DELTA) / math.sqrt(e) + 1.0) / 2.0) + 1
 
 
-def _threshold(reduced_mu):
-    """reduced_mu + eps_hard, with eps_hard = 1e-8 (1 + |reduced_mu|)."""
-    return reduced_mu + 1e-8 * (1.0 + abs(reduced_mu))
-
-
 class DetectionRun:
     """The Lanczos run on P A P from a random projected start (one ``rng``
     draw) that forms its bottom Ritz pairs, with the tests of the exits
     of hard-case detection.
 
     ``solve`` advances the run with ``lanczos_pair_step`` while it is
-    ``stepping`` and calls ``observe`` at each step of its main loop from
-    the first check on;
-    ``finish`` judges the run at the final threshold.  The module
-    docstring says when the run steps and tests.  ``resolve_b0_zero``
-    calls ``finish`` at an infinite threshold, where only the eigenpair
-    exits fire.
+    ``stepping``, and ``finish`` judges it once, at the final threshold.
+    ``resolve_b0_zero`` calls ``finish`` at an infinite threshold, where
+    only the eigenpair exits fire.
     """
 
     def __init__(self, problem, rng):
@@ -432,33 +424,15 @@ class DetectionRun:
         self.sigma = NORM_MARGIN * problem.norm_a
         self.dim = problem.n - problem.m
         self.paired_steps = 0
-        self.paused = False
         self.sigma_refuted = False
-        # the last Ritz pair formed; after ``finish``, the pair it returned,
-        # whose vector pads the minimizer on a hard decision
+        # after ``finish``, the Ritz pair it returned, whose vector pads the
+        # minimizer on a hard decision
         self.ritz = None
 
     @property
     def stepping(self):
         state = self.state
-        return not (self.paused or state.broke_down or state.k == state.maxit)
-
-    def ritz_pair(self):
-        """The bottom Ritz pair at the current step, formed once per step."""
-        if self.ritz is None or self.ritz.k != self.state.k:
-            self.ritz = bottom_ritz_pair(self.state, EIG_TOL, self.norm_scale)
-        return self.ritz
-
-    def _next_test(self, threshold):
-        """First step at which an exit can fire at ``threshold``, given
-        the last Ritz pair formed."""
-        ritz = self.ritz
-        if ritz is None:
-            return 1
-        if self.sigma_refuted or not threshold < ritz.theta or not threshold < self.sigma:
-            return ritz.k + 1
-        e = min((ritz.theta - threshold) / (self.sigma - threshold), 1.0)
-        return max(ritz.k + 1, _kw_steps(e, self.dim))
+        return not (state.broke_down or state.k == state.maxit)
 
     def kw_certifies(self, ritz, threshold):
         """Whether the random-start bound puts P(lambda_min < threshold)
@@ -473,7 +447,9 @@ class DetectionRun:
             return False
         if ritz.k < _kw_steps((ritz.theta - threshold) / (self.sigma - threshold), self.dim):
             return False
-        top = top_eigenvalue(*self.state.tridiagonal(ritz.k))
+        k = ritz.k
+        top = float(eigvalsh_tridiagonal(*self.state.tridiagonal(k), select="i",
+                                         select_range=(k - 1, k - 1))[0])
         if top > self.sigma:
             self.sigma_refuted = True
             warnings.warn(
@@ -484,30 +460,19 @@ class DetectionRun:
             return False
         return True
 
-    def observe(self, reduced_mu):
-        """Provisional test at a main-loop step, with the last check's
-        multiplier ``reduced_mu``."""
-        threshold = _threshold(reduced_mu)
-        if not self.stepping or self.state.k < self._next_test(threshold):
-            return
-        ritz = self.ritz_pair()
-        self.paused = ritz.converged or self.kw_certifies(ritz, threshold)
-
     def finish(self, threshold):
         """Judge the run at ``threshold`` from its current step on,
         stepping alone with a test every step until an exit fires.
 
         Returns the last Ritz pair and the certificate, None when
-        ``EIG_MAXIT`` ran out or the run broke down first.  On a paused
-        run the first test reuses the paused step's pair: O(1) for the
-        random-start bound and one comparison for a converged pair.
+        ``EIG_MAXIT`` ran out or the run broke down first.
         Raises ``EigFailureError`` when the run yields no finite Ritz value.
         """
         state = self.state
         interlacing = False
         while True:
             if state.k:
-                ritz = self.ritz_pair()
+                ritz = self.ritz = bottom_ritz_pair(state, EIG_TOL, self.norm_scale)
                 if not np.isfinite(ritz.theta):
                     break
                 interlacing = interlacing or ritz.theta <= threshold
@@ -532,11 +497,14 @@ def resolve_b0_zero(problem, feas, rng=None):
     steps (at most n), and then raises ``NotConvergedError`` carrying the
     solution at the last pair.  Returns ``None`` when ``||b0||`` is above
     the zero threshold, so the caller proceeds to the main Lanczos loop.
+    An operator whose ``tol_floor`` lies above ``EIG_TOL`` (a float32
+    store) cannot certify that pair: ``ValueError`` names the floor.
     """
     if feas.tag != INTERIOR:
         raise ValueError("resolve_b0_zero expects an interior instance")
     if np.linalg.norm(feas.b0) > b0_zero_threshold(problem, feas):
         return None
+    _refuse_below_floor(problem, EIG_TOL, f"the b0 = 0 eigenpair needs EIG_TOL = {EIG_TOL:g},")
     run = DetectionRun(problem, np.random.default_rng(rng))
     ritz, _ = run.finish(math.inf)
     z = ritz.vector()
@@ -554,9 +522,9 @@ def detect_hard_case(run, reduced_mu):
     with eps_hard = 1e-8 (1 + |reduced_mu|)?
 
     ``run`` is the ``DetectionRun`` that ``solve`` advanced in lockstep
-    with its main loop.  It is judged at the final threshold alone,
-    whatever it was paused on, and goes on by itself, with a test every
-    step, until one of four exits (see the module docstring):
+    with its main loop.  It is judged once, at the final threshold, from
+    its current step on, and goes on by itself, with a test every step,
+    until one of four exits (see the module docstring):
     "interlacing" proves "hard" once the smallest Ritz value drops to the
     threshold, and then runs on to ``EIG_TOL`` for the eigenvector;
     "random_start_bound" declares "easy" once the Kuczynski-Wozniakowski
@@ -567,7 +535,7 @@ def detect_hard_case(run, reduced_mu):
     warn.  On a "random_start_bound" exit the reported ``gap`` is an upper
     bound on the true gap.
     """
-    threshold = _threshold(reduced_mu)
+    threshold = reduced_mu + 1e-8 * (1.0 + abs(reduced_mu))
     ritz, certificate = run.finish(threshold)
     if certificate is None:
         stop = "broke down" if run.state.broke_down else "reached EIG_MAXIT (at most n)"
@@ -621,17 +589,14 @@ def solve(problem, opts=None):
     An operator that rounds coarser than float64 (``unit_roundoff`` above
     float64 eps, as a float32 raster store) cannot certify a residual
     below its own rounding: ``ValueError``, naming the floor, refuses an
-    ``opts.tol`` below ``tol_floor``, and ``detect_hard`` where
-    ``EIG_TOL`` lies below it (as it does for float32).
+    ``opts.tol`` below ``tol_floor``, and ``detect_hard`` or a b0 = 0
+    instance where ``EIG_TOL`` lies below it (as it does for float32).
     """
     if opts is None:
         opts = SolveOptions()
-    floor = tol_floor(problem.A.unit_roundoff)
-    if opts.tol < floor or (opts.detect_hard and EIG_TOL < floor):
-        what = (f"tol {opts.tol:.3g} is" if opts.tol < floor
-                else f"hard-case detection needs EIG_TOL = {EIG_TOL:g},")
-        raise ValueError(f"{what} below the floor {floor:.3g} of an operator with unit roundoff "
-                         f"{problem.A.unit_roundoff:.3g} (TOL_FLOOR = {TOL_FLOOR:g} times it)")
+    _refuse_below_floor(problem, opts.tol, f"tol {opts.tol:.3g} is")
+    if opts.detect_hard:
+        _refuse_below_floor(problem, EIG_TOL, f"hard-case detection needs EIG_TOL = {EIG_TOL:g},")
     feas = classify(problem)
     if feas.tag == INFEASIBLE:
         raise InfeasibleError(
@@ -665,13 +630,9 @@ def solve(problem, opts=None):
         if proxy is not None and not state.broke_down and k < state.maxit:
             proxy.advance(state.alpha[k - 1], state.beta[k - 1])
             if not proxy.due(state.beta[k]):
-                if detection is not None:
-                    detection.observe(proxy.mu)
                 continue
         red, delta = _reduced_solve(state, opts.method, beta1, gamma, norm_a)
         history.append(_check_record(k, red, delta, gamma, beta1, feas.n0An0))
-        if detection is not None:
-            detection.observe(red.mu)
         if delta <= opts.tol or state.broke_down:
             break
         proxy = DeltaProxy(*state.tridiagonal(), beta1, red.mu, norm_a, gamma,

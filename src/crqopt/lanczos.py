@@ -332,19 +332,6 @@ def bottom_eigenpair(alpha, beta):
     return float(w[0]), z[:, 0]
 
 
-def top_eigenvalue(alpha, beta):
-    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
-    ``alpha`` and off-diagonal ``beta``: one LAPACK ``dstebz`` bisection
-    (range I, il = iu = k, tolerance 0)."""
-    k = alpha.size
-    if k == 1:
-        return float(alpha[0])
-    _, w, _, _, info = lapack.dstebz(alpha, beta, 2, 0.0, 1.0, k, k, 0.0, "B")
-    if info != 0:
-        raise EigFailureError(f"dstebz failed with info = {info}")
-    return float(w[0])
-
-
 @dataclass
 class RitzStep:
     """Bottom Ritz pair of a Lanczos run after its step ``k``."""

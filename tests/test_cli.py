@@ -286,6 +286,27 @@ def test_segment_cli_rejects_zero_maxit(tmp_path, capsys):
     assert "maxit" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_a_tol_that_is_not_finite_and_nonnegative_is_a_usage_error(tmp_path, capsys, tol):
+    # a NaN tol fails every comparison, so a solve would run to maxit and
+    # miss it; an infinite one would accept the first step's answer
+    inst = _gen(tmp_path)
+    img_path = tmp_path / "img.pgm"
+    cio.write_pgm(img_path, np.zeros((8, 8)), maxval=255)
+    labels_path = tmp_path / "labels.txt"
+    write_labels(labels_path, [(4, 1)], [(4, 6)])
+    commands = [
+        ["solve", "--manifest", str(inst / "problem.manifest"), "--out", str(tmp_path / "sol")],
+        ["bench", "--n", "40", "--m", "4", "--out", str(tmp_path / "bench")],
+        ["segment", "--image", str(img_path), "--labels", str(labels_path), "--r", "2",
+         "--out", str(tmp_path / "seg")],
+    ]
+    for command in commands:
+        assert main(command + ["--tol", tol]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "tol must be finite and >= 0" in err and "Traceback" not in err
+
+
 def test_segment_cli_rejects_no_detect_hard(tmp_path):
     # segment never runs hard-case detection, so it offers no flag to skip it
     img_path = tmp_path / "img.pgm"

@@ -575,6 +575,24 @@ def test_a_float32_store_never_yields_a_false_certificate():
     assert _exact_residual(g64, problem, crqopt.solve(problem, opts)) <= 1e-10
 
 
+def test_a_float32_store_refuses_the_b0_zero_eigenpair():
+    # C = sqrt(d), b = 0 makes b0 = 0, which the bottom eigenpair settles
+    # at EIG_TOL.  A float32 store cannot certify that: the pair's residual
+    # against the widened store sits near 8e-8, 4x the EIG_TOL bound
+    graphs = [build_graph(_two_region_raster(32), 0.1, 5, dtype=dtype)
+              for dtype in (np.float32, np.float64)]
+    opts = crqopt.SolveOptions(tol=1e-5, detect_hard=False)
+    problems = [crqopt.CrqProblem(NormalizedLaplacianOperator(g), np.sqrt(g.degrees)[:, None],
+                                  [0.0]) for g in graphs]
+    with pytest.raises(ValueError, match=r"the b0 = 0 eigenpair needs EIG_TOL = 1e-08, below "
+                                         r"the floor 1\.19e-06"):
+        crqopt.solve(problems[0], opts)
+    # the float64 store meets EIG_TOL max(||A||, |theta|) = 2e-8 (1.2e-8 measured)
+    sol = crqopt.solve(problems[1], opts)
+    assert sol.case == crqopt.B0_ZERO
+    assert sol.residual <= 2e-8
+
+
 @pytest.mark.parametrize("method", [crqopt.LGOPT, crqopt.QEPMIN])
 @pytest.mark.parametrize("size", [8, 64])
 def test_a_float32_store_meets_a_tol_at_its_floor(method, size):

@@ -27,6 +27,14 @@ def test_options_validated(kwargs):
         SolveOptions(**kwargs)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300])
+def test_options_reject_a_tol_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        SolveOptions(tol=tol)
+    # tol = 0 asks for the exact answer, and stays valid
+    assert SolveOptions(tol=0.0).tol == 0.0
+
+
 def test_unique_point_short_circuit():
     p = CrqProblem(np.diag([3.0, 1.0]), np.array([[1.0], [0.0]]), [1.0])
     sol = solve(p)
@@ -367,36 +375,45 @@ def test_delta_proxy_follows_the_factorization(seed, k, start, gap):
 
 
 class _CountingOperator(crqopt.SymmetricOperator):
-    """Counts A-applies; the detection run's count is the difference
+    """Counts A-applies by column (``applies``) and by call (``calls``, a
+    block apply being one); the detection run's columns are the difference
     between solves with and without detection."""
 
     def __init__(self, op):
         super().__init__(op.n)
         self.op = op
-        self.applies = 0
+        self.applies = self.calls = 0
 
     def matvec(self, x):
         self.applies += 1
+        self.calls += 1
         return self.op.matvec(x)
+
+    def matmat(self, X):
+        self.applies += X.shape[1]
+        self.calls += 1
+        return self.op.matmat(X)
 
 
 def _count_a_applies(prob, opts):
     counter = _CountingOperator(prob.A)
     sol = solve(CrqProblem(counter, prob.C, prob.b), opts)
-    return sol, counter.applies
+    return sol, counter
 
 
 def test_detection_on_worst_case_certifies_easy_early():
+    # the detection run steps beside every main-loop step, in the main
+    # loop's A-apply calls, and certifies at the loop's stop: it costs
+    # columns, not calls
     spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
     prob, truth = crqopt.generate(spec)
     sol, with_detect = _count_a_applies(prob, SolveOptions())
     _, without = _count_a_applies(prob, SolveOptions(detect_hard=False))
-    detect_applies = with_detect - without
     assert sol.case == crqopt.EASY
     assert sol.detection.certificate == "random_start_bound"
-    assert detect_applies == sol.detection.steps
-    # at least 4.5x fewer than the full eig_maxit = 500 steps
-    assert detect_applies <= 110
+    assert with_detect.applies - without.applies == sol.detection.steps
+    assert with_detect.calls == without.calls == 139
+    assert sol.detection.steps == sol.detection.paired_steps == sol.k
     # the last Ritz value only bounds the spectrum bottom from above
     assert sol.detection.gap >= truth.theta[0] - truth.lambda_star - 1e-12
 
@@ -407,9 +424,9 @@ def test_qepmin_checks_apply_no_a():
     # (objective and residual): none per check and none at construction
     spec = crqopt.InstanceSpec(n=1100, m=100, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
     prob, _ = crqopt.generate(spec)
-    sol, applies = _count_a_applies(prob, SolveOptions(method=crqopt.QEPMIN))
+    sol, counter = _count_a_applies(prob, SolveOptions(method=crqopt.QEPMIN))
     assert sol.history[-1].k == sol.k
-    assert applies == sol.k + sol.detection.steps + 20 + 1 + 1
+    assert counter.applies == sol.k + sol.detection.steps + 20 + 1 + 1
 
 
 def test_lanczos_steps_project_once(monkeypatch):
@@ -438,10 +455,10 @@ def test_lanczos_steps_project_once(monkeypatch):
 
 
 def test_paired_steps_apply_a_to_one_block(monkeypatch):
-    # detection steps beside the main loop, one (n, 2) block per paired
-    # step, and pauses on the random-start bound before the loop ends.
-    # It forms a Ritz pair only where the bound can pass: a handful of
-    # times, not once per step
+    # detection steps beside every step of the main loop, one (n, 2)
+    # block per paired step, and forms no Ritz pair while the loop runs.
+    # Judged after it, the random-start bound passes at the loop's stop:
+    # one Ritz pair per solve, not one per step
     ritz_solves = []
     bottom_eigenpair = crqopt.lanczos.bottom_eigenpair
 
@@ -459,10 +476,9 @@ def test_paired_steps_apply_a_to_one_block(monkeypatch):
     sol = solve(problem, SolveOptions())
     paired = sol.detection.paired_steps
     assert recorder.blocks.count((prob.n, 2)) == paired == sol.detection.steps
-    assert sol.detection.steps <= 103
+    assert sol.detection.steps == sol.k
     assert sol.detection.certificate == "random_start_bound"
-    assert 1 <= len(ritz_solves) <= 10
-    assert ritz_solves[-1] == sol.detection.steps
+    assert ritz_solves == [sol.k]
 
 
 @pytest.mark.parametrize("seed", [41, 900, 905, 909])
@@ -641,25 +657,24 @@ def test_a_broken_down_detection_run_decides_uncertified(monkeypatch):
     assert run.ritz.resid == run.state.beta[run.ritz.k] * abs(run.ritz.s[-1]) > 0.0
 
 
-def test_paused_detection_is_judged_at_the_final_threshold():
-    # a provisional pass of the random-start bound at a lower multiplier
-    # only pauses the run; at the final threshold the run goes on alone and
-    # certifies at the step where a run that never paused certifies
+@pytest.mark.parametrize("steps", [1, 68, 136, 137, 142, 167, 200])
+def test_a_stepped_detection_run_is_judged_from_its_current_step(steps):
+    # however far the run stepped before it is judged, finish tests that
+    # step first and then every later one: it certifies where a fresh run
+    # does (step 137 here), or at once where it has stepped past that
     spec = crqopt.InstanceSpec(n=400, m=40, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=1)
     prob, truth = crqopt.generate(spec)
     mu = truth.lambda_star
     threshold = mu + 1e-8 * (1.0 + abs(mu))
-    paused = crqopt.driver.DetectionRun(prob, np.random.default_rng(3))
-    while paused.stepping:
-        crqopt.lanczos.lanczos_step(paused.state)
-        paused.observe(mu - (truth.theta[0] - mu))
-    assert paused.paused
-    k_paused = paused.state.k
-    ritz, certificate = paused.finish(threshold)
     fresh = crqopt.driver.DetectionRun(prob, np.random.default_rng(3))
     fresh_ritz, fresh_certificate = fresh.finish(threshold)
-    assert certificate == fresh_certificate == "random_start_bound"
-    assert ritz.k == fresh_ritz.k > k_paused
+    assert fresh_certificate == "random_start_bound" and fresh_ritz.k == 137
+    stepped = crqopt.driver.DetectionRun(prob, np.random.default_rng(3))
+    for _ in range(steps):
+        crqopt.lanczos.lanczos_step(stepped.state)
+    ritz, certificate = stepped.finish(threshold)
+    assert certificate == "random_start_bound"
+    assert ritz.k == max(steps, fresh_ritz.k)
 
 
 def _solution(prob, opts):
