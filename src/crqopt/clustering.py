@@ -23,7 +23,9 @@ per apply.  ``segment`` derives the precision from what its solve must
 certify (``store_dtype``): float32 when ``opts.tol`` is at or above
 the float32 floor of ``driver.tol_floor`` (1.19e-6) and no hard-case
 detection runs, else float64.  Either way the degrees and the cut are
-summed in float64, and the Laplacian scales in float64.
+summed in float64, and the Laplacian scales in float64.  The Lanczos
+basis of a float32 operator is stored in float32 as well
+(``lanczos.basis_dtype``), which halves the solve's largest array.
 
 Both raster products W @ x (the Laplacian's apply and the degrees) go
 through ``apply_weights``, in the store's dtype, which splits the rows
@@ -48,6 +50,7 @@ from scipy.sparse._sparsetools import dia_matvec
 
 from .driver import QEPMIN, SolveOptions, solve, tol_floor
 from .errors import EmptySideError, IsolatedPixelError, NotConvergedError
+from .lanczos import basis_dtype
 from .operators import SymmetricOperator
 from .problem import CrqProblem
 
@@ -374,6 +377,9 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
     converged: ``stats["converged"]`` is False exactly when the solve
     raised ``NotConvergedError``, whose answer then gives the maps and
     whose message is ``stats["miss"]`` (None on a converged solve).
+    ``graph_mb`` and ``basis_mb`` give the MiB of the weight store and of
+    the k + 1 Lanczos basis rows the solve wrote, and ``graph_dtype`` and
+    ``basis_dtype`` their precisions.
     """
     t0 = time.perf_counter()
     if opts is None:
@@ -385,6 +391,7 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
     except NotConvergedError as err:
         sol, miss = err.solution, str(err)
 
+    row_dtype = basis_dtype(problem.A.unit_roundoff)
     x = problem.A.dinv_sqrt * sol.v
     mask = (x > 0.0).reshape(image.shape)
     span = x.max() - x.min()
@@ -402,5 +409,7 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
         "miss": miss,
         "graph_mb": graph.weights.nbytes / 2**20,
         "graph_dtype": graph.weights.dtype.name,
+        "basis_mb": (sol.k + 1) * graph.n * row_dtype.itemsize / 2**20,
+        "basis_dtype": row_dtype.name,
         "apply_blocks": apply_blocks(graph.n),
     }

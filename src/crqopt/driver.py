@@ -17,7 +17,7 @@ The loop stops when ``delta`` drops below the tolerance, on breakdown
 (which certifies nothing), or at the iteration cap.  An operator that
 rounds coarser than float64 cannot certify a tolerance below its
 ``tol_floor``, and ``solve`` refuses one.  The minimizer is
-recovered as v = n0 + Q_k x, and the one exact residual
+recovered as v = n0 + Q_k x (``_iterate``), and the one exact residual
 ||P(Av) - mu (v - n0)|| is taken at the v the solve returns.  An answer
 whose last ``delta`` missed its tolerance is raised on ``NotConvergedError``.
 
@@ -182,8 +182,11 @@ class KrylovRecord:
     breakdown step included.  ``method``, ``norm_a``, ``gamma`` and
     ``n0An0`` are the scalars of the route's bound and of the objective
     identity, and ``n0 + basis[:, :k] @ x`` is the iterate of a step-k
-    check.  It answers ``k``, ``beta`` and ``tridiagonal()`` as a
-    ``LanczosState`` does, so a check reads either.
+    check.  ``basis`` is a copy of the run's (n, K) basis in the store's
+    dtype and layout, so on a float64 store ``n0 + basis @ x`` repeats
+    the v of an easy solve, which stops at K, bit for bit.  It answers
+    ``k``, ``beta`` and ``tridiagonal()`` as a ``LanczosState`` does, so a
+    check reads either.
     """
 
     alpha: np.ndarray
@@ -566,7 +569,7 @@ def _pad(state, ritz, feas):
     rhs = np.zeros(k + 1)
     rhs[0] = -state.beta[0]
     y_tilde, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-    x_tilde = state.basis(k) @ y_tilde
+    x_tilde = state.basis_product(y_tilde, k)
     z = ritz.vector()
     z = z / np.linalg.norm(z)
     # the padding needs x_tilde orthogonal to z; rounding in the basis and
@@ -575,6 +578,24 @@ def _pad(state, ritz, feas):
     x_tilde = x_tilde - float(z @ x_tilde) * z
     radicand = max(feas.gamma**2 - float(x_tilde @ x_tilde), 0.0)
     return feas.n0 + x_tilde + np.sqrt(radicand) * z
+
+
+def _iterate(state, x, feas):
+    """The iterate v = n0 + Q_k x of a check's reduced solution x, with
+    ||x|| = gamma.
+
+    On a float64 store that is the plain sum, bit for bit.  A store that
+    rounds coarser than float64 (float32, see ``lanczos.basis_dtype``)
+    holds rows orthonormal only to about its u, so Q_k x is off the
+    sphere ||Q_k x|| = gamma and off null(C') by as much.  There the
+    iterate is y = P(Q_k x) scaled to gamma, v = n0 + gamma y / ||y||, so
+    C'v = b and ||v|| = 1 hold to float64 rounding.
+    """
+    y = state.basis_product(x, x.size)
+    if state.dtype == np.float64:
+        return feas.n0 + y
+    y = state.P.apply_P(y)
+    return feas.n0 + feas.gamma / np.linalg.norm(y) * y
 
 
 def solve(problem, opts=None):
@@ -644,7 +665,7 @@ def solve(problem, opts=None):
     if miss is not None and state.broke_down:
         miss += (f": the Lanczos process broke down at step {last.k} with "
                  f"beta_{{k+1}}/||A|| = {state.beta[last.k] / norm_a:.3e}")
-    v = feas.n0 + state.basis(last.k) @ last.x
+    v = _iterate(state, last.x, feas)
     mu, case, report = last.mu, EASY, None
     if opts.detect_hard:
         report = detect_hard_case(detection, last.mu)
@@ -660,7 +681,7 @@ def solve(problem, opts=None):
     krylov = None
     if opts.return_basis:
         krylov = KrylovRecord(state.alpha.copy(), state.beta.copy(), opts.method, norm_a, gamma,
-                              feas.n0An0, feas.n0, state.basis(last.k).copy())
+                              feas.n0An0, feas.n0, state.basis(last.k).copy(order="K"))
     solution = crq_solution(
         problem, v, mu, case, feas.n0, k=last.k, history=history, krylov=krylov,
         reorth_steps=state.reorth_steps, detection=report,

@@ -17,6 +17,18 @@ the step after each.  Here u is A's ``unit_roundoff``: float64 eps, or
 float32 eps for an operator that applies a float32 store, whose rounding
 then drives the loss (Paige, J. Inst. Math. Appl. 18, 1976).
 
+The basis rows are stored in the precision the operator rounds at
+(``basis_dtype``): float32 where u is float32 eps, else float64.  A
+semiorthogonal basis of such a run is accurate only to about u, so the
+digits below it are not worth storing, and the store is the one memory
+term that grows with both n and the steps.  Every step computes in
+float64 and rounds only q_{k+1} = w / beta_{k+1}, once, into its row.
+Every product with the basis - the Gram-Schmidt pass, a Ritz vector,
+the driver's iterate - goes through ``LanczosState.basis_product``,
+which never forms a k x n float64 copy of the rows: on a float32 store
+it sums a pass's coefficients Q_k' w in float64 and forms Q_k x in
+float32.
+
 The recurrence is started at the shifted gradient b0 (which lies in the
 null space of C'), so every basis vector stays in that null space and
 only one projection per step is needed: P fixes q_k and q_{k-1}, so
@@ -47,6 +59,13 @@ from scipy.linalg import lapack
 from .errors import EigFailureError, ZeroStartError
 
 _EPS = np.finfo(float).eps
+
+
+def basis_dtype(unit_roundoff):
+    """The dtype of the basis rows of a run on an operator with this unit
+    roundoff: float32 where it rounds at float32 eps or coarser, else
+    float64."""
+    return np.dtype(np.float32 if unit_roundoff >= np.finfo(np.float32).eps else np.float64)
 
 
 def tridiagonal_dense(alpha, beta):
@@ -96,9 +115,12 @@ class LanczosState:
     preallocated for ``min(maxit, n)`` steps, so reading q_j, writing
     q_{k+1} and the reorthogonalization products all stream through
     contiguous memory.  Rows never written are never touched, so the
-    resident memory grows with the steps actually taken.  The
-    coefficients and the two rows of omega estimates (see
-    ``lanczos_step``) live in arrays preallocated to the same cap.
+    resident memory grows with the steps actually taken.  The store's
+    ``dtype`` is ``basis_dtype(u)``: float32 for a float32 operator,
+    which halves the store, else float64.  The coefficients and the two
+    rows of omega estimates (see ``lanczos_step``) live in float64 arrays
+    preallocated to the same cap.  ``basis_product`` is the one way the
+    basis enters a product.
     """
 
     def __init__(self, A, b0, P=None, norm_scale=1.0, maxit=None):
@@ -116,7 +138,7 @@ class LanczosState:
         self.reorth_steps = 0
         self.maxit = self.n if maxit is None else min(maxit, self.n)
         self._k = 0
-        self._Q = np.empty((self.maxit + 1, self.n))
+        self._Q = np.empty((self.maxit + 1, self.n), dtype=basis_dtype(A.unit_roundoff))
         self._Q[0] = r0 / beta1
         self._alpha = np.empty(self.maxit)
         self._beta = np.empty(self.maxit + 1)
@@ -133,6 +155,11 @@ class LanczosState:
         return self._k
 
     @property
+    def dtype(self):
+        """The dtype of the basis rows (see ``basis_dtype``)."""
+        return self._Q.dtype
+
+    @property
     def alpha(self):
         return self._alpha[:self._k]
 
@@ -141,10 +168,32 @@ class LanczosState:
         return self._beta[:self._k + 1]
 
     def basis(self, k=None):
-        """First k basis vectors as an (n, k) view."""
+        """First k basis vectors as an (n, k) view, in the store's dtype."""
         if k is None:
             k = self.k
         return self._Q[:k].T
+
+    def basis_product(self, x, k=None, transpose=False):
+        """Q_k x for a k-vector x, or Q_k' x for an n-vector x with
+        ``transpose``, returned in float64 and with no k x n float64 copy
+        of the rows, which numpy's mixed-dtype matmul would make.
+
+        On a float64 store both are the plain products, ``basis(k) @ x``
+        bit for bit.  On a float32 store Q_k x runs in float32, with x
+        rounded into it, and Q_k' x sums in float64, ``einsum`` widening
+        the rows a buffer at a time.  Q_k' w gives a Gram-Schmidt pass its
+        coefficients, and their accuracy sets the orthogonality the pass
+        leaves: summed in float32 they left losses of several u against
+        the reset's u, and the omega estimate's lead over the measured
+        loss fell 2-3x.  The error of Q_k x scales with x, which is small
+        in that pass, and the driver projects and rescales its iterate.
+        """
+        rows = self._Q[:self.k if k is None else k]
+        if transpose and rows.dtype != np.float64:
+            return np.einsum("ij,j->i", rows, x)
+        x = np.asarray(x).astype(rows.dtype, copy=False)
+        y = rows @ x if transpose else x @ rows
+        return y.astype(float, copy=False)
 
     def q(self, j):
         """Basis vector q_j (1-based)."""
@@ -208,11 +257,11 @@ def _project(P, w):
     return w if P is None else P.apply_P(w)
 
 
-def _recur(state, w):
-    """Subtract beta_k q_{k-1} and alpha_k q_k from w = A q_k in place;
-    returns alpha_k."""
+def _recur(state, w, q_k):
+    """Subtract beta_k q_{k-1} and alpha_k q_k from w = A q_k in place, in
+    float64 whatever the store's dtype; ``q_k`` is the float64 vector the
+    caller applied A to.  Returns alpha_k."""
     k = state.k + 1
-    q_k = state.q(k)
     if k >= 2:
         w -= state._beta[k - 1] * state.q(k - 1)
     a_k = float(q_k @ w)
@@ -231,8 +280,7 @@ def _finish(state, w, a_k):
     # threshold the step breaks down either way
     if b_next > state.breakdown_tol and (
             state._advance_omega(b_next) > state.semiorth_tol or state._force_reorth):
-        Q_r = state._Q[:k]
-        w -= (Q_r @ w) @ Q_r
+        w -= state.basis_product(state.basis_product(w, k, transpose=True), k)
         w = _project(state.P, w)
         b_next = float(np.linalg.norm(w))
         omega = state._omega[state._cur]
@@ -267,9 +315,9 @@ def lanczos_step(state):
     (see ``LanczosState``).
     """
     _check_room(state)
-    q_k = state.q(state.k + 1)
+    q_k = state.q(state.k + 1).astype(float, copy=False)
     w = state.A.matvec(q_k)
-    a_k = _recur(state, w)
+    a_k = _recur(state, w, q_k)
     # the step's one projection, which also pins the basis to null(C'):
     # without it roundoff leaks components into range(C), where M has
     # spurious zero eigenvalues that long runs (inner eigensolves in
@@ -296,7 +344,7 @@ def lanczos_pair_step(first, second):
     for j, state in enumerate(states):
         X[:, j] = state.q(state.k + 1)
     W = np.asfortranarray(first.A.apply(X))
-    a = [_recur(state, W[:, j]) for j, state in enumerate(states)]
+    a = [_recur(state, W[:, j], X[:, j]) for j, state in enumerate(states)]
     W = np.asfortranarray(_project(first.P, W))
     for j, state in enumerate(states):
         _finish(state, W[:, j], a[j])
@@ -345,7 +393,7 @@ class RitzStep:
 
     def vector(self):
         """Ritz vector Q_k s (unit norm up to roundoff)."""
-        return self.state.basis(self.k) @ self.s
+        return self.state.basis_product(self.s, self.k)
 
 
 def bottom_ritz_pair(state, tol, norm_scale=1.0):

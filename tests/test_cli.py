@@ -227,6 +227,9 @@ def test_segment_cli_reports_graph_memory(tmp_path):
     # so the store holds float32
     assert float(stats["graph_mb"]) == 12 * 64 * 4 / 2**20
     assert stats["graph_dtype"] == "float32"
+    # the solve wrote k + 1 Lanczos rows of 64 entries, in the store's precision
+    assert float(stats["basis_mb"]) == (int(stats["steps"]) + 1) * 64 * 4 / 2**20
+    assert stats["basis_dtype"] == "float32"
     # 64 rows are far below MIN_BLOCK_ROWS: the product runs as one block
     assert int(stats["apply_blocks"]) == 1
 

@@ -18,6 +18,7 @@ from crqopt.clustering import (MIN_BLOCK_ROWS, LabelSet, NormalizedLaplacianOper
                                default_segment_options, encode_constraints, ncut_value,
                                segment, to_crqopt)
 from crqopt.errors import EmptySideError, IsolatedPixelError, NotConvergedError
+from crqopt.lanczos import LanczosState
 from oracles import graph_matrix
 
 
@@ -620,6 +621,9 @@ def test_segment_stores_float32_where_the_solve_can_certify_it(tol, detect_hard,
     mask, _, stats = segment(img, labels, delta=0.1, r=2, opts=opts)
     assert stats["converged"] and stats["miss"] is None
     assert stats["graph_dtype"] == dtype
+    # the Lanczos rows follow the operator's precision, which the store's sets
+    assert stats["basis_dtype"] == dtype
+    assert stats["basis_mb"] == (stats["steps"] + 1) * img.size * np.dtype(dtype).itemsize / 2**20
     assert np.array_equal(mask, img < 0.5)
 
 
@@ -635,3 +639,53 @@ def test_float32_build_never_holds_a_float64_store():
         tracemalloc.stop()
     assert graph.weights.dtype == np.float32 and graph.weights.nbytes == 10 * 2**20
     assert peak <= 1.25 * graph.weights.nbytes
+
+
+@pytest.mark.parametrize("size, seed", [(64, 0), (64, 1), (64, 2), (256, 3)])
+def test_a_float32_basis_returns_v_on_the_sphere_and_the_constraints(size, seed):
+    # the rows of a float32 basis are orthonormal only to about float32
+    # eps, which left n0 + Q_k x off the unit sphere by up to 3e-7; the
+    # iterate is P(Q_k x) scaled to gamma, exact to float64 rounding
+    phase = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 2)
+    image = _two_region_raster(size, phase)
+    labels = LabelSet.from_pixels(image.shape, [(size // 2, size // 8)],
+                                  [(size // 2, size - size // 8)])
+    problem = to_crqopt(build_graph(image, 0.1, 5, dtype=np.float32), labels)
+    sol = crqopt.solve(problem, default_segment_options())
+    assert abs(np.linalg.norm(sol.v) - 1.0) <= 1e-12
+    assert np.linalg.norm(problem.C.T @ sol.v - problem.b) <= 1e-12 * (1.0 + np.linalg.norm(problem.b))
+
+
+@pytest.mark.parametrize("return_basis", [False, True])
+def test_a_float32_solve_holds_no_float64_copy_of_its_basis(monkeypatch, return_basis):
+    """Beyond its float32 row store (and the record's float32 copy of the
+    rows), the solve of a 128x128 raster peaks at about 7.2 n doubles.  A
+    k x n float64 copy of the basis, made by a mixed-dtype product in a
+    Gram-Schmidt pass, in forming v or in the ``KrylovRecord``, would add
+    41 n."""
+    image = _two_region_raster(128)
+    labels = LabelSet.from_pixels(image.shape, [(64, 15)], [(64, 110)])
+    problem = to_crqopt(build_graph(image, 0.1, 5, dtype=np.float32), labels)
+    opts = replace(default_segment_options(), return_basis=return_basis)
+    states = []
+
+    class Recording(LanczosState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    monkeypatch.setattr(crqopt.driver, "LanczosState", Recording)
+    tracemalloc.start()
+    try:
+        sol = crqopt.solve(problem, opts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [state] = states
+    assert state.dtype == np.float32
+    assert sol.k == 41 and sol.reorth_steps > 0
+    held = state._Q.nbytes
+    if return_basis:
+        assert sol.krylov.basis.dtype == np.float32
+        held += sol.krylov.basis.nbytes
+    assert peak - held <= 12 * problem.n * 8

@@ -714,6 +714,19 @@ def test_lockstep_detection_leaves_the_main_run_alone(kind, seed, nm, m):
     assert np.linalg.norm(paired.v - alone.v) <= tol
 
 
+@pytest.mark.parametrize("method", [crqopt.LGOPT, crqopt.QEPMIN])
+@pytest.mark.parametrize("seed", [3, 7])
+def test_the_returned_basis_repeats_v_bit_for_bit(seed, method):
+    # a float64 operator keeps float64 rows, and v = n0 + Q_k x is the
+    # plain product, which the returned basis repeats
+    spec = crqopt.InstanceSpec(n=400, m=40, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=seed)
+    prob, _ = crqopt.generate(spec)
+    sol = solve(prob, SolveOptions(method=method, maxit=prob.n, return_basis=True))
+    assert sol.case == crqopt.EASY
+    assert sol.krylov.basis.dtype == np.float64
+    assert np.array_equal(sol.v, sol.krylov.n0 + sol.krylov.basis @ sol.history[-1].x)
+
+
 def test_sigma_below_the_spectrum_refuses_the_random_start_bound():
     # with norm_bound half of ||A||, sigma = 1.05 norm_bound lies below
     # lambda_max(P A P); the run's top Ritz value shows it, the

@@ -163,6 +163,40 @@ def test_basis_store_is_row_per_vector_and_preallocated():
         lanczos_step(state)
 
 
+def test_basis_store_dtype_follows_the_unit_roundoff():
+    # the twin of the test above on a float32 raster: the rows are stored
+    # in the precision the operator rounds at, float64 for a dense problem
+    rng = np.random.default_rng(6)
+    p = random_interior_problem(rng, 40, 3)
+    assert LanczosState(p.A, classify(p).b0, p.P, norm_scale=p.norm_a).dtype == np.float64
+    prob = _raster(0, dtype=np.float32)
+    feas = classify(prob)
+    maxit = 9
+    state = LanczosState(prob.A, feas.b0, prob.P, norm_scale=prob.norm_a, maxit=maxit)
+    store, omega = state._Q, state._omega
+    assert state.dtype == np.float32 and store.dtype == np.float32
+    assert store.shape == (maxit + 1, prob.n)
+    assert omega.shape == (2, maxit + 1) and omega.dtype == np.float64
+    for _ in range(maxit):
+        lanczos_step(state)
+        assert not state.broke_down
+        assert state._Q is store and state._omega is omega
+    for j in range(1, maxit + 2):
+        assert state.q(j).flags.c_contiguous
+        assert np.shares_memory(state.q(j), store)
+    Q = state.basis(maxit)
+    assert Q.shape == (prob.n, maxit) and np.shares_memory(Q, store)
+    # products with the rows come back in float64: Q_k x at float32
+    # accuracy, the Gram-Schmidt coefficients Q_k' w summed in float64
+    x, w = rng.standard_normal(maxit), rng.standard_normal(prob.n)
+    Qx, Qw = state.basis_product(x), state.basis_product(w, transpose=True)
+    assert Qx.dtype == Qw.dtype == np.float64
+    assert np.linalg.norm(Qx - Q.astype(float) @ x) <= 1e-6 * np.linalg.norm(x)
+    assert np.linalg.norm(Qw - Q.T.astype(float) @ w) <= 1e-12 * np.linalg.norm(w)
+    with pytest.raises(RuntimeError, match="maxit=9"):
+        lanczos_step(state)
+
+
 def test_basis_store_capped_at_dimension():
     rng = np.random.default_rng(7)
     p = random_interior_problem(rng, 10, 2)
@@ -248,7 +282,8 @@ def test_basis_stays_semiorthogonal_under_the_omega_estimate(family, seed):
         if state.broke_down:
             break
         k = state.k
-        loss = np.max(np.abs(state.basis(k).T @ state.q(k + 1)))
+        # in float64: a float32 product of float32 rows would blur the loss
+        loss = np.max(np.abs(state.basis(k).T.astype(float) @ state.q(k + 1).astype(float)))
         assert loss <= sqrt_u
         assert np.max(np.abs(state.omega())) >= loss
     if family in ("degenerate", "raster_64", "raster_64_float32"):
