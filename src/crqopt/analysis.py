@@ -130,9 +130,10 @@ def error_history(solution, ref, records=None):
     first check to the stop, is rebuilt after the solve from the returned
     tridiagonal (``driver.rebuild_history``, replayed here unless the
     caller passes its ``records``), whether or not the loop checked at
-    that step, and its iterate from the returned basis.  Rows
-    carry ``err1 = |h(v_k) - h(v*)| / |h(v*)|``, ``err2 = ||v_k - v*||``
-    and ``err3 = |mu_k - lambda*| / |lambda*|``.
+    that step, and its iterate from the returned basis as the solve forms
+    v (``KrylovRecord.iterate``).  Rows carry
+    ``err1 = |h(v_k) - h(v*)| / |h(v*)|``, ``err2 = ||v_k - v*||`` and
+    ``err3 = |mu_k - lambda*| / |lambda*|``.
     """
     run = solution.krylov
     if run is None:
@@ -143,7 +144,7 @@ def error_history(solution, ref, records=None):
         records = rebuild_history(solution)
     rows = []
     for rec in records:
-        v_k = run.n0 + run.basis[:, : rec.k] @ rec.x
+        v_k = run.iterate(rec.x)
         rows.append(
             {
                 "k": rec.k,

@@ -28,19 +28,11 @@ basis of a float32 operator is stored in float32 as well
 (``lanczos.basis_dtype``), which halves the solve's largest array.
 
 Both raster products W @ x (the Laplacian's apply and the degrees) go
-through ``apply_weights``, in the store's dtype, which splits the rows
-into contiguous row blocks, one per core the process may run on and none
-shorter than ``MIN_BLOCK_ROWS``.  A row block is a range [r0, r1) of rows
-of y, computed by ``apply_weight_rows`` from the whole of x.  Inside a
-block each row's terms are still added in ascending column order, so the
-product is bit-identical to the sorted CSR one of the store's dtype
-however the rows are split.  scipy's compiled DIA kernel releases the
-GIL, so the blocks run in parallel on plain threads; the BLAS thread
-count does not govern them.
+through ``apply_weights``, in the store's dtype, on the calling thread.
+Each row's terms are added in ascending column order, so the product is
+bit-identical to the sorted CSR one of the store's dtype.
 """
 
-import os
-import threading
 import time
 from dataclasses import dataclass
 
@@ -54,21 +46,6 @@ from .lanczos import basis_dtype
 from .operators import SymmetricOperator
 from .problem import CrqProblem
 
-# Fewest rows a block of ``apply_weights`` may have.  On a 2-core host
-# (r = 5 rasters, best of 5), one apply split into two blocks ran at
-# 0.20x the speed of one block at n = 1024, 0.30x at 4096, 0.53x at 16384,
-# 0.74x at 25600, 1.12x at 36864, 1.24x at 50176 and 1.38x at 65536: two
-# blocks break even near 16384 rows each, and twice that leaves a margin
-# for hosts where a thread costs more.  Rasters below 256x256 run as one.
-# A float32 store (best of 7, 20 applies each) gains from two blocks
-# 0.47x at 128x128 (1.2 MiB of store per block), 0.55x at 181x181
-# (2.5 MiB), 1.11x at 256x256 (5 MiB) and 1.23x at 362x362 (10 MiB),
-# against 0.76x, 1.00x, 2.25x and 2.02x for float64: the break-even sits
-# near 4-5 MiB of store per block.  End to end, the 256x256
-# ``segment_raster`` solve on a float32 store took 0.333 s (median of 12)
-# on two blocks and 0.348 s on one, faster in 9 of 12 alternating pairs,
-# so the constant stays.
-MIN_BLOCK_ROWS = 32768
 # the one offset of a diagonal passed as its own slice
 _MAIN_DIAGONAL = np.zeros(1, dtype=np.intp)
 
@@ -190,78 +167,29 @@ def build_graph(image, delta, r, dtype=np.float64):
     return ImageGraph(width, height, weights, shifts, degrees)
 
 
-def apply_blocks(n):
-    """Number of row blocks ``apply_weights`` splits an n-row product
-    into: one per core in the process's affinity, but none shorter than
-    ``MIN_BLOCK_ROWS`` rows, and at least one."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, max(1, n // MIN_BLOCK_ROWS))
-
-
-def apply_weight_rows(weights, shifts, x, y, r0, r1):
-    """Add the rows [r0, r1) of W @ x into y[r0:r1], for the half store of
-    ``build_graph``.
-
-    The symmetric W has the diagonals -s and +s for each stored shift s,
-    and W[p + s, p] = W[p, p + s] = weights[d, p + s], so row i takes
-    ``weights[d, i] * x[i - s]`` from diagonal -s (for i >= s) and
-    ``weights[d, i + s] * x[i + s]`` from diagonal +s (for i + s < n).  The
-    lower diagonals come first, in descending shift, one call of scipy's
-    compiled DIA kernel each on the rows they reach; then all upper
-    diagonals in one call, which reads the flat store from r0 with stride
-    n.  So each row's terms are added in ascending column order, whatever
-    the row range: the rows are bit-identical to the sorted CSR product.
-    """
-    n = x.size
-    for d in range(shifts.size - 1, -1, -1):
-        s = int(shifts[d])
-        a = max(r0, s)
-        if a < r1:
-            dia_matvec(r1 - a, r1 - a, 1, r1 - a, _MAIN_DIAGONAL,
-                       weights[d, a:r1], x[a - s:r1 - s], y[a:r1])
-    dia_matvec(r1 - r0, n - r0, shifts.size, n, shifts,
-               weights.reshape(-1)[r0:], x[r0:], y[r0:r1])
-
-
 def apply_weights(weights, shifts, x):
     """W @ x for the half store of ``build_graph``, in the store's dtype.
 
     x is rounded to the store's dtype, and the product is summed and
     returned in it: a float32 store reads and writes half the bytes of a
-    float64 one.  The rows are split into ``apply_blocks(n)`` contiguous
-    row blocks of near-equal size, and ``apply_weight_rows`` computes
-    each.  The calling thread runs block 0 and one thread each further
-    block; scipy's DIA kernel releases the GIL, so the blocks run on
-    separate cores.  Each row's terms are added in ascending column order
-    inside its block, so the product is bit-identical to the sorted CSR
-    one of the same dtype for any split.  An exception in any block is
-    raised here once every block has finished.
+    float64 one.  The symmetric W has the diagonals -s and +s for each
+    stored shift s, and W[p + s, p] = W[p, p + s] = weights[d, p + s], so
+    row i takes ``weights[d, i] * x[i - s]`` from diagonal -s (for i >= s)
+    and ``weights[d, i + s] * x[i + s]`` from diagonal +s (for i + s < n).
+    The lower diagonals come first, in descending shift, one call of
+    scipy's compiled DIA kernel each on the rows they reach; then all
+    upper diagonals in one call, which reads the flat store with stride n.
+    So each row's terms are added in ascending column order: the product
+    is bit-identical to the sorted CSR one of the same dtype.  It runs on
+    the calling thread.
     """
     x = np.ascontiguousarray(x, dtype=weights.dtype)
     n = x.size
     y = np.zeros(n, dtype=weights.dtype)
-    blocks = apply_blocks(n)
-    bounds = [n * b // blocks for b in range(blocks + 1)]
-    errors = [None] * blocks
-
-    def run(b):
-        try:
-            apply_weight_rows(weights, shifts, x, y, bounds[b], bounds[b + 1])
-        except BaseException as err:  # raised in the caller below
-            errors[b] = err
-
-    workers = [threading.Thread(target=run, args=(b,)) for b in range(1, blocks)]
-    for worker in workers:
-        worker.start()
-    run(0)
-    for worker in workers:
-        worker.join()
-    for err in errors:
-        if err is not None:
-            raise err
+    for d in range(shifts.size - 1, -1, -1):
+        s = int(shifts[d])
+        dia_matvec(n - s, n - s, 1, n - s, _MAIN_DIAGONAL, weights[d, s:], x[:n - s], y[s:])
+    dia_matvec(n, n, shifts.size, n, shifts, weights.reshape(-1), x, y)
     return y
 
 
@@ -411,5 +339,4 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
         "graph_dtype": graph.weights.dtype.name,
         "basis_mb": (sol.k + 1) * graph.n * row_dtype.itemsize / 2**20,
         "basis_dtype": row_dtype.name,
-        "apply_blocks": apply_blocks(graph.n),
     }

@@ -78,8 +78,10 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .errors import EigFailureError, InfeasibleError, NotConvergedError
-from .lanczos import LanczosState, bottom_ritz_pair, lanczos_pair_step, lanczos_step
-from .problem import INFEASIBLE, INTERIOR, UNIQUE_POINT, b0_zero_threshold, classify
+from .lanczos import (LanczosState, basis_product, bottom_ritz_pair, lanczos_pair_step,
+                      lanczos_step)
+from .problem import (INFEASIBLE, INTERIOR, UNIQUE_POINT, ProjectedOperator, b0_zero_threshold,
+                      classify)
 # benchmarks/tracing.py wraps driver.solve_reduced_qep by name, so the
 # name stays bound here; the driver never calls it
 from .qepmin import solve_reduced_qep
@@ -181,12 +183,14 @@ class KrylovRecord:
     beta_{K+1}, as ``LanczosState.alpha``/``beta`` do after K steps, a
     breakdown step included.  ``method``, ``norm_a``, ``gamma`` and
     ``n0An0`` are the scalars of the route's bound and of the objective
-    identity, and ``n0 + basis[:, :k] @ x`` is the iterate of a step-k
-    check.  ``basis`` is a copy of the run's (n, K) basis in the store's
-    dtype and layout, so on a float64 store ``n0 + basis @ x`` repeats
-    the v of an easy solve, which stops at K, bit for bit.  It answers
-    ``k``, ``beta`` and ``tridiagonal()`` as a ``LanczosState`` does, so a
-    check reads either.
+    identity.  ``basis`` is a copy of the run's (n, K) basis in the
+    store's dtype and layout, and ``P`` the problem's projector.
+    ``iterate(x)`` forms the iterate of a step-k check as the solve forms
+    v (``_iterate``): n0 + Q_k x on float64 rows, so it repeats the v of
+    an easy solve, which stops at K, bit for bit, and that sum projected
+    and rescaled to the sphere on float32 rows.  It answers ``k``,
+    ``beta``, ``dtype``, ``basis_product`` and ``tridiagonal()`` as a
+    ``LanczosState`` does, so a check and an iterate read either.
     """
 
     alpha: np.ndarray
@@ -197,10 +201,21 @@ class KrylovRecord:
     n0An0: float
     n0: np.ndarray
     basis: np.ndarray
+    P: ProjectedOperator
 
     @property
     def k(self):
         return self.alpha.size
+
+    @property
+    def dtype(self):
+        return self.basis.dtype
+
+    def basis_product(self, x, k):
+        return basis_product(self.basis[:, :k].T, x)
+
+    def iterate(self, x):
+        return _iterate(self, x, self.n0, self.gamma)
 
     def tridiagonal(self):
         return self.alpha.copy(), self.beta[1:self.k].copy()
@@ -580,9 +595,10 @@ def _pad(state, ritz, feas):
     return feas.n0 + x_tilde + np.sqrt(radicand) * z
 
 
-def _iterate(state, x, feas):
+def _iterate(run, x, n0, gamma):
     """The iterate v = n0 + Q_k x of a check's reduced solution x, with
-    ||x|| = gamma.
+    ||x|| = gamma, from the rows of ``run``: the solve's ``LanczosState``
+    or, replayed after it, its ``KrylovRecord``.
 
     On a float64 store that is the plain sum, bit for bit.  A store that
     rounds coarser than float64 (float32, see ``lanczos.basis_dtype``)
@@ -591,11 +607,11 @@ def _iterate(state, x, feas):
     iterate is y = P(Q_k x) scaled to gamma, v = n0 + gamma y / ||y||, so
     C'v = b and ||v|| = 1 hold to float64 rounding.
     """
-    y = state.basis_product(x, x.size)
-    if state.dtype == np.float64:
-        return feas.n0 + y
-    y = state.P.apply_P(y)
-    return feas.n0 + feas.gamma / np.linalg.norm(y) * y
+    y = run.basis_product(x, x.size)
+    if run.dtype == np.float64:
+        return n0 + y
+    y = run.P.apply_P(y)
+    return n0 + gamma / np.linalg.norm(y) * y
 
 
 def solve(problem, opts=None):
@@ -665,7 +681,7 @@ def solve(problem, opts=None):
     if miss is not None and state.broke_down:
         miss += (f": the Lanczos process broke down at step {last.k} with "
                  f"beta_{{k+1}}/||A|| = {state.beta[last.k] / norm_a:.3e}")
-    v = _iterate(state, last.x, feas)
+    v = _iterate(state, last.x, feas.n0, feas.gamma)
     mu, case, report = last.mu, EASY, None
     if opts.detect_hard:
         report = detect_hard_case(detection, last.mu)
@@ -681,7 +697,8 @@ def solve(problem, opts=None):
     krylov = None
     if opts.return_basis:
         krylov = KrylovRecord(state.alpha.copy(), state.beta.copy(), opts.method, norm_a, gamma,
-                              feas.n0An0, feas.n0, state.basis(last.k).copy(order="K"))
+                              feas.n0An0, feas.n0, state.basis(last.k).copy(order="K"),
+                              problem.P)
     solution = crq_solution(
         problem, v, mu, case, feas.n0, k=last.k, history=history, krylov=krylov,
         reorth_steps=state.reorth_steps, detection=report,

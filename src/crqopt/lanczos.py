@@ -24,10 +24,10 @@ digits below it are not worth storing, and the store is the one memory
 term that grows with both n and the steps.  Every step computes in
 float64 and rounds only q_{k+1} = w / beta_{k+1}, once, into its row.
 Every product with the basis - the Gram-Schmidt pass, a Ritz vector,
-the driver's iterate - goes through ``LanczosState.basis_product``,
-which never forms a k x n float64 copy of the rows: on a float32 store
-it sums a pass's coefficients Q_k' w in float64 and forms Q_k x in
-float32.
+the driver's iterate and its replay from a ``KrylovRecord`` - goes
+through ``basis_product``, which never forms a k x n float64 copy of the
+rows: on a float32 store it sums a pass's coefficients Q_k' w in float64
+and forms Q_k x in float32.
 
 The recurrence is started at the shifted gradient b0 (which lies in the
 null space of C'), so every basis vector stays in that null space and
@@ -75,6 +75,29 @@ def tridiagonal_dense(alpha, beta):
     if len(beta):
         T += np.diag(beta, 1) + np.diag(beta, -1)
     return T
+
+
+def basis_product(rows, x, transpose=False):
+    """Q_k x for a k-vector x, or Q_k' x for an n-vector x with
+    ``transpose``, where ``rows`` holds q_1..q_k as a (k, n) array of
+    contiguous rows.  Returned in float64 and with no k x n float64 copy
+    of the rows, which numpy's mixed-dtype matmul would make.
+
+    On float64 rows both are the plain products, ``x @ rows`` and
+    ``rows @ x`` bit for bit.  On float32 rows Q_k x runs in float32, with
+    x rounded into it, and Q_k' x sums in float64, ``einsum`` widening the
+    rows a buffer at a time.  Q_k' w gives a Gram-Schmidt pass its
+    coefficients, and their accuracy sets the orthogonality the pass
+    leaves: summed in float32 they left losses of several u against the
+    reset's u, and the omega estimate's lead over the measured loss fell
+    2-3x.  The error of Q_k x scales with x, which is small in that pass,
+    and the driver projects and rescales its iterate.
+    """
+    if transpose and rows.dtype != np.float64:
+        return np.einsum("ij,j->i", rows, x)
+    x = np.asarray(x).astype(rows.dtype, copy=False)
+    y = rows @ x if transpose else x @ rows
+    return y.astype(float, copy=False)
 
 
 class LanczosState:
@@ -174,26 +197,8 @@ class LanczosState:
         return self._Q[:k].T
 
     def basis_product(self, x, k=None, transpose=False):
-        """Q_k x for a k-vector x, or Q_k' x for an n-vector x with
-        ``transpose``, returned in float64 and with no k x n float64 copy
-        of the rows, which numpy's mixed-dtype matmul would make.
-
-        On a float64 store both are the plain products, ``basis(k) @ x``
-        bit for bit.  On a float32 store Q_k x runs in float32, with x
-        rounded into it, and Q_k' x sums in float64, ``einsum`` widening
-        the rows a buffer at a time.  Q_k' w gives a Gram-Schmidt pass its
-        coefficients, and their accuracy sets the orthogonality the pass
-        leaves: summed in float32 they left losses of several u against
-        the reset's u, and the omega estimate's lead over the measured
-        loss fell 2-3x.  The error of Q_k x scales with x, which is small
-        in that pass, and the driver projects and rescales its iterate.
-        """
-        rows = self._Q[:self.k if k is None else k]
-        if transpose and rows.dtype != np.float64:
-            return np.einsum("ij,j->i", rows, x)
-        x = np.asarray(x).astype(rows.dtype, copy=False)
-        y = rows @ x if transpose else x @ rows
-        return y.astype(float, copy=False)
+        """``basis_product`` of the first k rows (all k steps' by default)."""
+        return basis_product(self._Q[:self.k if k is None else k], x, transpose)
 
     def q(self, j):
         """Basis vector q_j (1-based)."""

@@ -1,5 +1,3 @@
-import os
-import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -10,12 +8,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import crqopt
 from crqopt import clustering
-from crqopt.clustering import (MIN_BLOCK_ROWS, LabelSet, NormalizedLaplacianOperator,
-                               apply_blocks, apply_weight_rows, apply_weights, build_graph,
-                               default_segment_options, encode_constraints, ncut_value,
+from crqopt.clustering import (LabelSet, NormalizedLaplacianOperator, apply_weights,
+                               build_graph, default_segment_options, encode_constraints, ncut_value,
                                segment, to_crqopt)
 from crqopt.errors import EmptySideError, IsolatedPixelError, NotConvergedError
 from crqopt.lanczos import LanczosState
@@ -90,102 +88,60 @@ def test_build_graph_matches_all_pairs_oracle(shape, r, constant):
     assert np.allclose(graph.degrees, oracle.sum(axis=1), rtol=1e-13)
 
 
-def _assert_products_match_sorted_csr(graph, blocks):
-    """Split into ``blocks`` row blocks, the half-store kernel sums each
-    row of W @ x in ascending column order, bit for bit as the sorted CSR
-    form does, and the degrees are exactly W @ 1."""
+def _assert_products_match_sorted_csr(graph):
+    """The half-store kernel sums each row of W @ x in ascending column
+    order, bit for bit as the sorted CSR form does, and the degrees are
+    exactly W @ 1."""
     def W(x):
         return apply_weights(graph.weights, graph.shifts, x)
 
     csr = graph_matrix(graph)
     rng = np.random.default_rng(3)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clustering, "apply_blocks", lambda n: blocks)
-        for _ in range(3):
-            x = rng.standard_normal(graph.n)
-            assert np.array_equal(W(x), csr @ x)
-        X = rng.standard_normal((graph.n, 2))
-        assert np.array_equal(np.column_stack([W(col) for col in X.T]), csr @ X)
-        assert np.array_equal(graph.degrees, W(np.ones(graph.n)))
-
-
-SPLITS = (1, 2, 3, 7)
+    for _ in range(3):
+        x = rng.standard_normal(graph.n)
+        assert np.array_equal(W(x), csr @ x)
+    X = rng.standard_normal((graph.n, 2))
+    assert np.array_equal(np.column_stack([W(col) for col in X.T]), csr @ X)
+    assert np.array_equal(graph.degrees, W(np.ones(graph.n)))
 
 
 @pytest.mark.parametrize("shape", [(3, 20), (20, 3), (13, 17), (1, 9)])
 @pytest.mark.parametrize("r", [1.5, 2, 3.7, 6])
 @pytest.mark.parametrize("constant", [False, True])
 def test_graph_products_bitwise_equal_sorted_csr(shape, r, constant):
-    graph = build_graph(_oracle_image(shape, constant), 0.2, r)
-    for blocks in SPLITS:
-        _assert_products_match_sorted_csr(graph, blocks)
+    _assert_products_match_sorted_csr(build_graph(_oracle_image(shape, constant), 0.2, r))
 
 
 def test_raster_graph_products_bitwise_equal_sorted_csr():
-    # the interpreter switches threads as often as it can, so blocks that
-    # wrote outside their rows or were lost would show in the product
-    graph = build_graph(_two_region_raster(128), 0.1, 5)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for blocks in SPLITS:
-            _assert_products_match_sorted_csr(graph, blocks)
-    finally:
-        sys.setswitchinterval(interval)
+    _assert_products_match_sorted_csr(build_graph(_two_region_raster(128), 0.1, 5))
+
+
+def _any_x(data, n, dtype):
+    """A drawn x of n finite entries of magnitude at most 1e3, zeros and
+    subnormals among them."""
+    width = np.finfo(dtype).bits
+    return data.draw(arrays(dtype, n, elements=st.floats(-1e3, 1e3, width=width)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(shape=st.sampled_from([(3, 20), (20, 3), (13, 17), (1, 9), (9, 9)]),
        r=st.sampled_from([1.5, 2, 3.7, 6]), data=st.data())
 def test_any_row_split_assembles_the_sorted_csr_product(shape, r, data):
-    """Row blocks at any split points, empty ones and ones shorter than the
-    largest shift among them, add up to W @ x bit for bit."""
+    """Every row of W @ x, for any x, is the sorted CSR row bit for bit."""
     graph = build_graph(_oracle_image(shape, False), 0.2, r)
-    n = graph.n
-    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
-    x = np.random.default_rng(len(cuts)).standard_normal(n)
-    y = np.zeros(n)
-    for r0, r1 in zip([0] + cuts, cuts + [n]):
-        apply_weight_rows(graph.weights, graph.shifts, x, y, r0, r1)
-    assert np.array_equal(y, graph_matrix(graph) @ x)
+    x = _any_x(data, graph.n, np.float64)
+    assert np.array_equal(apply_weights(graph.weights, graph.shifts, x), graph_matrix(graph) @ x)
 
 
-def test_apply_blocks_bounds():
-    cpus = len(os.sched_getaffinity(0))
-    assert apply_blocks(1) == 1
-    assert apply_blocks(MIN_BLOCK_ROWS - 1) == 1
-    assert apply_blocks(2 * MIN_BLOCK_ROWS) == min(cpus, 2)
-    assert apply_blocks(10**9) == cpus
-
-
-def test_a_failing_block_fails_the_apply(monkeypatch):
-    # a worker's exception would otherwise go to threading.excepthook,
-    # leaving its rows of y at zero
-    graph = build_graph(_oracle_image((13, 17), False), 0.2, 3.7)
-    kernel = clustering.dia_matvec
-
-    def failing(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("block lost")
-        return kernel(*args)
-
-    monkeypatch.setattr(clustering, "apply_blocks", lambda n: 3)
-    monkeypatch.setattr(clustering, "dia_matvec", failing)
-    before = threading.active_count()
-    with pytest.raises(MemoryError, match="block lost"):
-        apply_weights(graph.weights, graph.shifts, np.ones(graph.n))
-    assert threading.active_count() == before
-
-
-def test_one_block_starts_no_thread(monkeypatch):
-    graph = build_graph(_oracle_image((13, 17), False), 0.2, 3.7)
-
+def test_the_product_starts_no_thread(monkeypatch):
+    """A 256x256 raster, the benchmark's size, is built and applied on the
+    calling thread alone."""
     def no_thread(*args, **kwargs):
-        raise AssertionError("a one-block apply started a thread")
+        raise AssertionError("the raster product started a thread")
 
-    monkeypatch.setattr(clustering, "apply_blocks", lambda n: 1)
     monkeypatch.setattr(threading, "Thread", no_thread)
-    x = np.random.default_rng(5).standard_normal(graph.n)
+    graph = build_graph(_two_region_raster(256), 0.1, 2, dtype=np.float32)
+    x = np.random.default_rng(5).standard_normal(graph.n).astype(np.float32)
     assert np.array_equal(apply_weights(graph.weights, graph.shifts, x), graph_matrix(graph) @ x)
 
 
@@ -486,18 +442,13 @@ FLOOR32 = crqopt.driver.tol_floor(U32)
 @given(shape=st.sampled_from([(3, 20), (20, 3), (13, 17), (1, 9), (9, 9)]),
        r=st.sampled_from([1.5, 2, 3.7, 6]), data=st.data())
 def test_any_row_split_assembles_the_float32_sorted_csr_product(shape, r, data):
-    """On a float32 store, row blocks at any split points add up to the
-    float32 sorted CSR product bit for bit."""
+    """On a float32 store, every row of W @ x, for any float32 x, is the
+    float32 sorted CSR row bit for bit."""
     graph = build_graph(_oracle_image(shape, False), 0.2, r, dtype=np.float32)
-    n = graph.n
-    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
-    x = np.random.default_rng(len(cuts)).standard_normal(n).astype(np.float32)
-    y = np.zeros(n, dtype=np.float32)
-    for r0, r1 in zip([0] + cuts, cuts + [n]):
-        apply_weight_rows(graph.weights, graph.shifts, x, y, r0, r1)
+    x = _any_x(data, graph.n, np.float32)
     csr = graph_matrix(graph)
     assert csr.dtype == np.float32
-    assert np.array_equal(y, csr @ x)
+    assert np.array_equal(apply_weights(graph.weights, graph.shifts, x), csr @ x)
 
 
 @pytest.mark.parametrize("shape", [(3, 20), (13, 17), (1, 9), (128, 128)])
@@ -689,3 +640,24 @@ def test_a_float32_solve_holds_no_float64_copy_of_its_basis(monkeypatch, return_
         assert sol.krylov.basis.dtype == np.float32
         held += sol.krylov.basis.nbytes
     assert peak - held <= 12 * problem.n * 8
+
+
+def test_a_float32_replay_forms_each_iterate_as_the_solve_does():
+    """``error_history`` replays a float32 record's iterates as the solve
+    forms v: at the stop step it reads v itself, where the plain sum
+    n0 + Q_k x read err2 = 1.9e-7.  It holds no k x n float64 copy of the
+    rows, which would take 41 n doubles (5.1 MiB)."""
+    image = _two_region_raster(128)
+    labels = LabelSet.from_pixels(image.shape, [(64, 15)], [(64, 110)])
+    problem = to_crqopt(build_graph(image, 0.1, 5, dtype=np.float32), labels)
+    sol = crqopt.solve(problem, replace(default_segment_options(), return_basis=True))
+    assert sol.k == 41 and sol.krylov.dtype == np.float32
+    tracemalloc.start()
+    try:
+        rows = crqopt.error_history(sol, sol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows[-1]["k"] == sol.k
+    assert rows[-1]["err2"] <= 1e-12
+    assert peak < 2.5 * 2**20
