@@ -46,14 +46,10 @@ print(f"detection certificate: {solution.detection.certificate} "
 
 # same spectrum, but a whisper of gradient weight on the bottom
 # eigenvector: no longer degenerate, yet numerically close to it
-import warnings
-
 g0_near = g0_hard.copy()
 g0_near[0] = 1e-5
 problem2, truth2 = crqopt.embed(h, g0_near, zeta, m, np.random.default_rng(4))
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    solution2 = crqopt.solve(problem2, crqopt.SolveOptions(tol=1e-13, maxit=problem2.n))
+solution2 = crqopt.solve(problem2, crqopt.SolveOptions(tol=1e-13, maxit=problem2.n))
 print(f"\nnear-degenerate run: case = {solution2.case}, "
       f"multiplier = {solution2.mu:.8f}")
 print(f"diagnostic gap to the spectrum bottom: {solution2.detection.gap:.6f} "

@@ -161,8 +161,9 @@ class SolveOptions:
 @dataclass
 class CheckRecord:
     """One check of the main loop.  ``solver`` names the reduced solver
-    that ran (``"newton"`` or ``"eig"``, see ``secular.solve_rlgopt``) and
-    ``solver_iterations`` its LDL' factorizations (0 on ``"eig"``)."""
+    that ran (``"newton"`` or ``"hard_step"``, see
+    ``secular.solve_rlgopt``) and ``solver_iterations`` its LDL'
+    factorizations."""
 
     k: int
     mu: float

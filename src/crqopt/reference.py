@@ -7,10 +7,11 @@ g0 = S1' b0, and solve the reduced multiplier problem through its full
 eigen-decomposition and case analysis (secular root strictly below the
 spectrum in the generic case, boundary multiplier with optional
 eigenvector padding in the degenerate ones).  The case analysis itself
-lives in ``secular`` (the driver falls back to it) and is re-exported
-here with its tags.  The dense 2k x 2k linearization of the quadratic
-eigenproblem, ``solve_qep_linearization``, is kept only here, as the
-oracle for the QEP pair that ``qepmin`` derives from the secular solve.
+lives in ``secular`` (the instance generator uses it too; the driver's
+reduced solves do not) and is re-exported here with its tags.  The
+dense 2k x 2k linearization of the quadratic eigenproblem,
+``solve_qep_linearization``, is kept only here, as the oracle for the
+QEP pair that ``qepmin`` derives from the secular solve.
 
 Everything here is O(n^3) and capped; the point is exactness, not
 scale.  The rest of the package is tested against these routines.

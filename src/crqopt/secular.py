@@ -23,23 +23,26 @@ factorization also gives w = (T_k - mu I)^{-1} x, the eigenvector of the
 reduced QEP, so this one solve serves both residual certificates, the
 ``lgopt`` and the ``qepmin`` one.
 
-A nearly degenerate leading weight (which warns), one with
-|zeta_1|/gamma below the float spacing at theta_1, and a Newton run that
-does not settle (which warns) go to the eigen-decomposition and the
-boundary-aware case analysis of ``solve_plgopt_spectral``, the same one
-the dense oracle runs.  Its
-secular root finder ``smallest_root`` fits the rational model
-g(lam) = -b + a/(lam - pole)^2  to chi and chi' at the current point
-(a two-point Pade-type step that converges much faster than Newton on
-functions with double poles), and falls back to bisection whenever the
-model is unusable or steps out of the current root bracket.
+A leading weight below ``TINY_LEADING_WEIGHT`` beta_1, one with
+|zeta_1|/gamma below the float spacing at theta_1, and a last
+factorization that fails take ``hard_step``, the More-Sorensen hard-case
+step on T_k, also O(k): the weight counts as zero, the stationary point
+orthogonal to the bottom eigenvector decides between a secular root, the
+exact boundary and the padded boundary, as in ``solve_plgopt_spectral``.
+
+``solve_plgopt_spectral`` is that case analysis in eigen-coordinates, for
+the dense oracle and the instance generator; no reduced solve of the
+driver calls it.  Its secular root finder ``smallest_root`` fits the
+rational model g(lam) = -b + a/(lam - pole)^2  to chi and chi' at the
+current point (a two-point Pade-type step that converges much faster
+than Newton on functions with double poles), and falls back to
+bisection whenever the model is unusable or steps out of the current
+root bracket.
 """
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import MaxIterError, NoRootError
@@ -54,7 +57,7 @@ HARD_PADDED_TAG = "hard_boundary_padded"
 
 # which reduced solver produced a ReducedLgSolution
 NEWTON = "newton"
-EIG = "eig"
+HARD_STEP = "hard_step"
 # factorizations before newton_root gives up; it takes 6 on the n = 1100
 # worst-case instances and at most 14 over 4000 random tridiagonals
 NEWTON_MAXIT = 50
@@ -217,50 +220,45 @@ class ReducedLgSolution(NamedTuple):
 
     ``tag`` is ``EASY_TAG`` when mu lies strictly left of the spectrum
     of T_k, and the boundary tag of ``solve_plgopt_spectral`` otherwise.
-    ``solver`` names the path that produced it: ``NEWTON`` (then
-    ``iterations`` counts LDL' factorizations) or ``EIG`` (the case
-    analysis on the eigen-decomposition, which makes none, so 0).
-    ``w`` is the reduced QEP eigenvector: (T_k - mu I)^{-1} x on the easy
-    tag, and the bottom eigenvector of T_k on a boundary tag.
+    ``solver`` names the path that produced it: ``NEWTON`` or
+    ``HARD_STEP`` (the hard-case step of ``solve_rlgopt``); ``iterations``
+    counts its LDL' factorizations.  ``w`` is the reduced QEP
+    eigenvector: (T_k - mu I)^{-1} x on the easy tag, and the bottom
+    eigenvector of T_k on a boundary tag.
     """
 
     mu: float
     x: np.ndarray
     iterations: int
     tag: str = EASY_TAG
-    solver: str = EIG
+    solver: str = NEWTON
     w: np.ndarray = None
 
 
-def newton_root(alpha, beta, beta1, gamma, theta1, zeta1):
+def newton_root(alpha, beta, rhs, beta1, gamma, theta1, lam):
     """Secular root by safeguarded Newton on phi(lam) = 1/||x(lam)|| - 1/gamma.
 
-    x(lam) = -beta1 (T_k - lam I)^{-1} e_1.  Each iteration factors
-    T_k - lam I = L D L' (``dpttrf``; a nonzero ``info`` means lam is at or
-    right of theta_1) and makes two O(k) solves, for x and for
+    x(lam) = (T_k - lam I)^{-1} rhs, with ||rhs|| <= beta1.  Each iteration
+    factors T_k - lam I = L D L' (``dpttrf``; a nonzero ``info`` means lam
+    is at or right of theta_1) and makes two O(k) solves, for x and for
     w = (T_k - lam I)^{-1} x; the Newton step on phi is
 
         lam <- lam + (||x||^2 / x'w) (gamma - ||x||) / gamma.
 
-    phi is concave and decreasing, so from the start theta_1 -
-    |zeta_1|/gamma, which lies right of the root, the iterates fall
-    monotonically.  The root stays bracketed in [theta_1 - beta1/gamma,
-    theta_1), and a step that leaves the bracket becomes a bisection.
-    Once a step is at most STEP_TOL (1 + |theta_1| + beta1/gamma), one
-    more factorization gives mu, x and w together.  Returns the
-    ``ReducedLgSolution``, or None when the start does not lie below
-    theta_1 in floating point, the last factorization fails, or
-    ``NEWTON_MAXIT`` runs out.
+    phi is concave and decreasing, so from a start right of the root the
+    iterates fall monotonically (and from one left of it, the first step
+    lands right of it).  The root stays bracketed in [theta_1 -
+    beta1/gamma, theta_1), and a step that leaves the bracket becomes a
+    bisection.  Once a step is at most STEP_TOL (1 + |theta_1| +
+    beta1/gamma), one more factorization gives mu, x and w together.
+    Returns the ``ReducedLgSolution``, or None when the start ``lam`` does
+    not lie below theta_1 in floating point or the last factorization
+    fails; raises ``MaxIterError`` when ``NEWTON_MAXIT`` runs out.
     """
     lo, hi = theta1 - beta1 / gamma, theta1
-    lam = theta1 - abs(zeta1) / gamma
     if not lo <= lam < hi:
         return None
     eps = STEP_TOL * (1.0 + abs(theta1) + beta1 / gamma)
-    rhs = np.zeros(alpha.size)
-    rhs[0] = -beta1
-    # the f2py wrappers reject an empty off-diagonal, which k = 1 has
-    beta = beta if beta.size else np.zeros(1)
     settled = False
     for it in range(1, NEWTON_MAXIT + 1):
         d, e, info = lapack.dpttrf(alpha - lam, beta)
@@ -285,7 +283,48 @@ def newton_root(alpha, beta, beta1, gamma, theta1, zeta1):
                 cand = 0.5 * (lo + hi)
         settled = abs(cand - lam) <= eps
         lam = cand
-    return None
+    raise MaxIterError(f"Newton iteration did not settle within {NEWTON_MAXIT} factorizations")
+
+
+def hard_step(alpha, beta, beta1, gamma, theta1, s1, zeta1):
+    """The reduced solve with the leading weight zeta_1 counted as zero.
+
+    The More-Sorensen hard-case step on T_k: drop zeta_1 s_1 from
+    -beta1 e_1, leaving g, and solve (T_k - theta_1 I) x = g for the x
+    orthogonal to s_1.  The solves factor T_k - (theta_1 - sigma) I = M
+    once, just left of theta_1: sigma starts at Newton's step tolerance
+    STEP_TOL (1 + |theta_1| + beta1/gamma) and grows 16-fold while M does
+    not factor (theta_1 - sigma still rounds into the spectrum).  They
+    iterate x <- M^{-1} (g + sigma x) with s_1 projected off; each sweep
+    shrinks the error by sigma / (theta_2 - theta_1 + sigma), so a small
+    sigma also serves a theta_2 close to theta_1.  Then ||x|| against
+    gamma decides, as in ``solve_plgopt_spectral``: above gamma, the
+    secular root of g by ``newton_root`` from theta_1 - sigma (kept in its
+    bracket); at gamma, the exact boundary mu = theta_1; below it, the
+    padded boundary x + tau s_1, tau of the sign opposite zeta_1, which
+    gives the smaller reduced objective.  O(k) throughout.
+    """
+    g = zeta1 * s1
+    g[0] -= beta1
+    sigma, it = STEP_TOL * (1.0 + abs(theta1) + beta1 / gamma), 1
+    d, e, info = lapack.dpttrf(alpha - (theta1 - sigma), beta)
+    while info:
+        sigma, it = 16.0 * sigma, it + 1
+        d, e, info = lapack.dpttrf(alpha - (theta1 - sigma), beta)
+    x = np.zeros_like(g)
+    for _ in range(3):
+        x, _ = lapack.dpttrs(d, e, g + sigma * x)
+        x -= (s1 @ x) * s1
+    nx = float(np.linalg.norm(x))
+    if nx > gamma * (1.0 + 1e-12):
+        start = max(theta1 - sigma, theta1 - beta1 / gamma)
+        root = newton_root(alpha, beta, g, beta1, gamma, theta1, start)
+        if root is not None:
+            return root._replace(iterations=root.iterations + it, solver=HARD_STEP)
+    if nx >= gamma * (1.0 - 1e-12):
+        return ReducedLgSolution(theta1, x, it, HARD_EXACT_TAG, HARD_STEP, s1)
+    tau = np.copysign(np.sqrt(gamma**2 - nx**2), -zeta1)
+    return ReducedLgSolution(theta1, x + tau * s1, it, HARD_PADDED_TAG, HARD_STEP, s1)
 
 
 def solve_rlgopt(alpha, beta, beta1, gamma):
@@ -303,11 +342,13 @@ def solve_rlgopt(alpha, beta, beta1, gamma):
     spectrum of an irreducible T_k.
 
     The bottom eigenpair alone gives theta_1 and zeta_1, and
-    ``newton_root`` finds mu, x and w in O(k) per iteration.  A leading
-    weight below ``TINY_LEADING_WEIGHT * beta1`` (which warns) or with
-    |zeta_1|/gamma below the float spacing at theta_1, and a Newton run
-    that does not settle (which warns), send the solve to
-    ``solve_plgopt_spectral`` on the full eigen-decomposition.
+    ``newton_root`` finds mu, x and w in O(k) per iteration from the
+    one-pole bound theta_1 - |zeta_1|/gamma.  A leading weight below
+    ``TINY_LEADING_WEIGHT * beta1``, a start that does not lie below
+    theta_1 in floating point (|zeta_1|/gamma below the float spacing
+    there) and a failed last factorization take ``hard_step`` instead,
+    also O(k).  A Newton run that reaches ``NEWTON_MAXIT`` raises
+    ``MaxIterError``, as ``smallest_root`` does at its cap.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -317,24 +358,12 @@ def solve_rlgopt(alpha, beta, beta1, gamma):
         raise ValueError("off-diagonal must have length k-1")
     theta1, s1 = bottom_eigenpair(alpha, beta)
     zeta1 = beta1 * s1[0]
-    # a weight with |zeta_1|/gamma below the float spacing at theta_1
-    # counts as zero, as in solve_plgopt_spectral, which decides that case
-    if abs(zeta1) >= TINY_LEADING_WEIGHT * abs(beta1) and theta1 - abs(zeta1) / gamma < theta1:
-        root = newton_root(alpha, beta, beta1, gamma, theta1, zeta1)
+    # the f2py wrappers reject an empty off-diagonal, which k = 1 has
+    beta = beta if beta.size else np.zeros(1)
+    if abs(zeta1) >= TINY_LEADING_WEIGHT * abs(beta1):
+        rhs = np.zeros(alpha.size)
+        rhs[0] = -beta1
+        root = newton_root(alpha, beta, rhs, beta1, gamma, theta1, theta1 - abs(zeta1) / gamma)
         if root is not None:
             return root
-        warnings.warn("Newton iteration on T_k - lambda I did not settle; solving "
-                      "on the eigen-decomposition", RuntimeWarning, stacklevel=2)
-
-    theta, Y = sla.eigh_tridiagonal(alpha, beta)
-    zeta = beta1 * Y[0, :]
-    if abs(zeta[0]) < TINY_LEADING_WEIGHT * abs(beta1):
-        warnings.warn(
-            "nearly degenerate reduced problem: leading secular weight "
-            f"{zeta[0]:.3e} is tiny relative to ||b0||",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    lam, y_hat, tag = solve_plgopt_spectral(theta, zeta, gamma)
-    w = Y @ (y_hat / (theta - lam)) if tag == EASY_TAG else Y[:, 0]
-    return ReducedLgSolution(lam, Y @ y_hat, 0, tag, EIG, w)
+    return hard_step(alpha, beta, beta1, gamma, theta1, s1, zeta1)

@@ -398,7 +398,6 @@ def _hard_instance(seed, fill, nm=26, m=3, zeta=0.9):
     return crqopt.embed(h, g0, zeta, m, rng)
 
 
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_criterion_9_hard_case():
     bad = []
     for trial in range(10):

@@ -66,7 +66,6 @@ def test_solve_not_converged_exit_code_writes_the_solution(tmp_path, capsys):
     assert cio.read_vector(sol_dir / "solution.txt").shape == (40,)
 
 
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_solve_exits_2_on_an_unconverged_hard_case_padding(tmp_path, monkeypatch):
     # interlacing proves "hard" before step 12, but the padding eigenvector is
     # still short of EIG_TOL there: the answer is written and the exit says so
@@ -83,7 +82,6 @@ def test_solve_exits_2_on_an_unconverged_hard_case_padding(tmp_path, monkeypatch
     assert cio.read_vector(out / "solution.txt").shape == (prob.n,)
 
 
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_solve_exits_2_when_the_run_breaks_down_above_tol(tmp_path, capsys):
     # the Krylov space closes at rounding level: the breakdown stops the run
     # with its residual bound far above the default tol, so it is no success.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from conftest import (BlockRecordingOperator, breakdown_probe, degenerate_problem,
@@ -17,6 +18,7 @@ from crqopt import (CrqProblem, SolveOptions, build_reduction, classify,
                     direct_solve, hard_case_predicate, solve)
 from crqopt.driver import DeltaProxy
 from crqopt.errors import InfeasibleError, NotConvergedError
+from crqopt.secular import HARD_STEP, NEWTON
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -178,7 +180,6 @@ def _hard_instance(seed, fill=0.5, nm=24, m=3, zeta=0.9, w0=0.0):
     return crqopt.embed(h, g0, zeta, m, rng)
 
 
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_hard_case_detected_and_repaired():
     prob, truth = _hard_instance(41)
     assert truth.case_tag == "hard_boundary_padded"
@@ -198,7 +199,6 @@ def degenerate_1100():
     return prob, direct_solve(prob)
 
 
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 @pytest.mark.parametrize("maxit", [200, 205, 209, 212, 214, 220, 230])
 def test_hard_case_repair_lands_on_the_sphere(degenerate_1100, maxit):
     # past k = 200 the least-squares padding base x_tilde picks up a
@@ -225,7 +225,6 @@ def test_reorthogonalized_easy_solve_matches_reference(seed, n, m):
     assert abs(sol.objective - ref.objective) <= 1e-10 * (1.0 + abs(ref.objective))
 
 
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_near_degenerate_reports_gap_but_stays_easy():
     # tiny but nonzero weight on the bottom eigenvector: genuinely easy,
     # with the multiplier close below the spectrum
@@ -250,29 +249,34 @@ def test_checks_report_the_newton_solver():
         assert all(1 <= rec.solver_iterations <= 20 for rec in sol.history)
 
 
-def test_degenerate_check_reports_the_eigen_solver(monkeypatch):
+@pytest.mark.parametrize("detect", [True, False])
+def test_degenerate_checks_need_no_full_eigendecomposition(monkeypatch, detect):
     # the criterion-9 pattern with a bottom-eigenvector gradient weight of
     # 1e-12: late checks see a nearly degenerate leading weight by
-    # construction.  With an exactly zero weight, whether a check warns
-    # depends on rounding in the operator (an exact invariant subspace
-    # ends the run cleanly by breakdown).
-    warned = []
+    # construction and take the hard-case step, which is O(k) like Newton
+    full = []
+    eigh_tridiagonal = sla.eigh_tridiagonal
 
-    def recording(*args):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            red = crqopt.secular.solve_rlgopt(*args)
-        warned.append(any("nearly degenerate" in str(w.message) for w in caught))
-        return red
+    def counting(d, e, *args, **kwargs):
+        if kwargs.get("select", "a") == "a":
+            full.append(d.size)
+        return eigh_tridiagonal(d, e, *args, **kwargs)
 
-    monkeypatch.setattr(crqopt.driver, "solve_rlgopt", recording)
+    monkeypatch.setattr(sla, "eigh_tridiagonal", counting)
     prob, _ = _hard_instance(900, w0=1e-12)
-    sol = solve(prob, SolveOptions(tol=1e-13, maxit=prob.n, rng_seed=0))
-    assert sol.case == crqopt.HARD
-    assert any(warned)
-    for rec, flag in zip(sol.history, warned):
-        if flag:
-            assert rec.solver == "eig"
+    opts = SolveOptions(tol=1e-13, maxit=prob.n, rng_seed=0, detect_hard=detect)
+    if detect:
+        sol = solve(prob, opts)
+        assert sol.case == crqopt.HARD
+    else:
+        # the run breaks down at k = 24 with its Lagrange bound above tol
+        with pytest.raises(NotConvergedError) as err:
+            solve(prob, opts)
+        sol = err.value.solution
+    assert full == []
+    solvers = [rec.solver for rec in sol.history]
+    assert set(solvers) == {NEWTON, HARD_STEP}
+    assert all(rec.solver_iterations >= 1 for rec in sol.history)
 
 
 def test_detect_hard_easy_instance_reports_large_gap():
@@ -482,7 +486,6 @@ def test_paired_steps_apply_a_to_one_block(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [41, 900, 905, 909])
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_hard_instances_certified_by_interlacing(seed):
     prob, _ = _hard_instance(seed)
     sol = solve(prob, SolveOptions(tol=1e-14, maxit=prob.n, rng_seed=5))
@@ -491,7 +494,6 @@ def test_hard_instances_certified_by_interlacing(seed):
     assert sol.detection.eig_converged
 
 
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_unconverged_padding_is_reported(monkeypatch):
     # interlacing proves "hard" before step 12, but the eigenvector is
     # still short of EIG_TOL there
@@ -521,7 +523,6 @@ def test_detection_is_reported_only_where_it_ran():
     assert sol.case == crqopt.B0_ZERO and sol.detection is None
 
 
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_detection_report_holds_only_scalars():
     # the report keeps no reference to the detection run's Lanczos basis
     easy, _ = crqopt.generate(crqopt.InstanceSpec(n=120, m=10, alpha=1.0, beta=100.0, zeta=0.9,
@@ -564,7 +565,6 @@ def _detection_instance(kind, seed, nm, m):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["easy", "near", "hard"]),
        seed=st.integers(0, 2**16), nm=st.integers(12, 120), m=st.integers(1, 5))
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_detection_decision_matches_predicate(kind, seed, nm, m):
     prob, truth = _detection_instance(kind, seed, nm, m)
     red = build_reduction(prob)
@@ -580,7 +580,6 @@ def test_detection_decision_matches_predicate(kind, seed, nm, m):
 @given(kind=st.sampled_from(["easy", "near", "hard", "b0_zero"]),
        seed=st.integers(0, 2**16), nm=st.integers(12, 120), m=st.integers(1, 5),
        eig_maxit=st.integers(2, 40), data=st.data())
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 @pytest.mark.filterwarnings("ignore:hard-case detection")
 def test_solve_returns_exactly_the_answers_that_met_their_tolerance(kind, seed, nm, m,
                                                                      eig_maxit, data):
@@ -612,7 +611,6 @@ def test_solve_returns_exactly_the_answers_that_met_their_tolerance(kind, seed, 
 
 
 @pytest.mark.parametrize("method", [crqopt.LGOPT, crqopt.QEPMIN])
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_a_breakdown_returns_only_an_answer_that_met_tol(method):
     # the probe runs break down with beta_{k+1} far above rounding, so a
     # breakdown certifies nothing: solve returns exactly where the last
@@ -687,7 +685,6 @@ def _solution(prob, opts):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["easy", "near", "hard"]),
        seed=st.integers(0, 2**16), nm=st.integers(12, 120), m=st.integers(1, 5))
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_lockstep_detection_leaves_the_main_run_alone(kind, seed, nm, m):
     # paired steps apply A and P to two-column blocks, which round
     # differently from the vector applies of a solve without detection.

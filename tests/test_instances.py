@@ -131,7 +131,6 @@ def instance_specs(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(spec=instance_specs())
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_reflector_operator_matches_dense_oracle(spec):
     prob, truth = generate(spec)
     Q, _ = sla.qr(prob.C)

@@ -88,7 +88,6 @@ def test_direct_solve_multiplier_equations_random():
     assert resid <= 1e-10 * scale
 
 
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_hard_case_predicate_cases():
     rng = np.random.default_rng(51)
     # generic weight on the bottom eigenvector: not degenerate

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from oracles import bisection_secular_root, secular_derivative
 
 import crqopt
-from crqopt import classify, make_spec, secular_value, smallest_root, solve_rlgopt
-from crqopt.errors import NoRootError
+from crqopt import (classify, make_spec, secular_value, smallest_root, solve_plgopt_spectral,
+                    solve_rlgopt)
+from crqopt.errors import MaxIterError, NoRootError
 from crqopt.instances import chebyshev_extreme_nodes
 from crqopt.lanczos import run, tridiagonal_dense
-from crqopt.secular import EIG, NEWTON, TINY_LEADING_WEIGHT
+from crqopt.secular import EASY_TAG, HARD_STEP, NEWTON, TINY_LEADING_WEIGHT
 
 
 def test_single_pole():
@@ -93,8 +94,8 @@ def test_rlgopt_matches_dense_case_analysis(small_example):
 
 def test_rlgopt_residual_and_leftness():
     # long random tridiagonals can carry exponentially small leading
-    # eigenvector weights (the flagged nearly degenerate case), so the
-    # draws are filtered to the solver's non-degenerate domain
+    # eigenvector weights (the nearly degenerate case, which the hard-case
+    # step solves), so the draws are filtered to the easy domain
     rng = np.random.default_rng(2)
     done = 0
     while done < 10:
@@ -119,10 +120,40 @@ def test_rlgopt_residual_and_leftness():
         done += 1
 
 
-def test_nearly_degenerate_warns():
+def _assert_matches_the_spectral_oracle(red, a, b, beta1, gamma):
+    """The hard-case step against the case analysis on the full
+    eigen-decomposition of the same T_k: same tag, mu, ||x|| = gamma, the
+    residual of (T - mu I) x = -beta1 e_1 up to the dropped weight, and a
+    reduced objective gamma^2 mu + beta1 x_1 no larger than the oracle's.
+    The objective is compared on the size of its two terms, which can
+    cancel; the oracle pads along its eigenvector's arbitrary sign."""
+    theta, Y = sla.eigh_tridiagonal(a, b)
+    lam, y_hat, tag = solve_plgopt_spectral(theta, beta1 * Y[0, :], gamma)
+    x = Y @ y_hat
+    assert red.solver == HARD_STEP
+    assert red.tag == tag
+    assert abs(red.mu - lam) <= 1e-12 * (1.0 + abs(lam))
+    assert np.linalg.norm(red.x) == pytest.approx(gamma, rel=1e-10)
+    rhs = np.zeros(a.size)
+    rhs[0] = beta1
+    resid = (tridiagonal_dense(a, b) - red.mu * np.eye(a.size)) @ red.x + rhs
+    assert np.linalg.norm(resid) <= 1e-9 * beta1
+    objective = gamma**2 * red.mu + beta1 * red.x[0]
+    oracle = gamma**2 * lam + beta1 * x[0]
+    assert objective <= oracle + 1e-12 * (gamma**2 * abs(lam) + beta1 * abs(x[0]))
+
+
+def test_nearly_degenerate_takes_the_hard_step():
     # smallest eigenvalue's eigenvector nearly orthogonal to e_1
-    with pytest.warns(RuntimeWarning):
-        solve_rlgopt([1.0, 0.0], [1e-13], 1.0, 0.5)
+    a, b = np.array([1.0, 0.0]), np.array([1e-13])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        red = solve_rlgopt(a, b, 1.0, 0.5)
+    _assert_matches_the_spectral_oracle(red, a, b, 1.0, 0.5)
+    # ||x|| > gamma at theta_1: a secular root of the masked weights, after
+    # the step's own factorization
+    assert red.tag == EASY_TAG
+    assert red.iterations >= 2
 
 
 def test_smallest_root_stays_off_the_pole():
@@ -137,7 +168,6 @@ def test_smallest_root_stays_off_the_pole():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(k=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
        family=st.sampled_from(["uniform", "scaled_normal"]))
-@pytest.mark.filterwarnings("ignore:nearly degenerate reduced problem")
 def test_newton_path_matches_eigendecomposition(k, seed, family):
     rng = np.random.default_rng(seed)
     if family == "uniform":
@@ -149,8 +179,8 @@ def test_newton_path_matches_eigendecomposition(k, seed, family):
     zeta = beta1 * Y[0, :]
     red = solve_rlgopt(a, b, beta1, gamma)
     if abs(zeta[0]) < TINY_LEADING_WEIGHT * beta1:
-        # the nearly degenerate weight goes to the eigen-decomposition
-        assert red.solver == EIG
+        # the nearly degenerate weight goes to the hard-case step
+        _assert_matches_the_spectral_oracle(red, a, b, beta1, gamma)
         return
     assert red.solver == NEWTON
     oracle = bisection_secular_root(theta, zeta, gamma)
@@ -162,44 +192,60 @@ def test_newton_path_matches_eigendecomposition(k, seed, family):
         assert np.linalg.norm(red.x - x) <= 1e-10 * gamma
 
 
-def test_newton_failure_warns_and_takes_the_eigen_path(monkeypatch):
-    monkeypatch.setattr(crqopt.secular, "NEWTON_MAXIT", 1)
+def test_newton_cap_raises(monkeypatch):
     a, b = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5])
     beta1, gamma = 1.0, 0.5
-    with pytest.warns(RuntimeWarning, match="did not settle"):
-        red = solve_rlgopt(a, b, beta1, gamma)
-    assert red.solver == EIG
-    assert red.iterations == 0
+    red = solve_rlgopt(a, b, beta1, gamma)
+    assert red.solver == NEWTON
+    assert red.iterations > 1
     theta, Y = sla.eigh_tridiagonal(a, b)
     oracle = bisection_secular_root(theta, beta1 * Y[0, :], gamma)
     assert abs(red.mu - oracle) <= 1e-12 * (1.0 + abs(red.mu))
+    monkeypatch.setattr(crqopt.secular, "NEWTON_MAXIT", 1)
+    with pytest.raises(MaxIterError):
+        solve_rlgopt(a, b, beta1, gamma)
 
 
 def test_nearly_degenerate_draws_stay_on_the_sphere():
     # a leading weight below TINY_LEADING_WEIGHT puts a root that uses it
-    # within rounding of theta_1; the case analysis drops the weight, so x
+    # within rounding of theta_1; the hard-case step drops the weight, so x
     # stays on the sphere and solves (T - mu I) x = -beta1 e_1 up to it
     rng = np.random.default_rng(0)
-    warned = 0
+    tags = []
     for _ in range(3000):
         k = int(rng.integers(2, 40))
         a = rng.standard_normal(k) * rng.uniform(0.1, 10.0)
         b = rng.uniform(0.05, 2.0, k - 1)
         beta1, gamma = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 2.0))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            red = solve_rlgopt(a, b, beta1, gamma)
-        assert all("nearly degenerate" in str(w.message) for w in caught)
-        if not caught:
+        red = solve_rlgopt(a, b, beta1, gamma)
+        if red.solver == NEWTON:
             continue
-        warned += 1
-        assert red.solver == EIG
-        assert np.linalg.norm(red.x) == pytest.approx(gamma, rel=1e-10)
-        rhs = np.zeros(k)
-        rhs[0] = beta1
-        resid = (tridiagonal_dense(a, b) - red.mu * np.eye(k)) @ red.x + rhs
-        assert np.linalg.norm(resid) <= 1e-9 * beta1
-    assert warned >= 1000
+        _assert_matches_the_spectral_oracle(red, a, b, beta1, gamma)
+        tags.append(red.tag)
+    # both outcomes of the step: a secular root of the masked weights, and
+    # the padded boundary
+    assert len(tags) >= 1000
+    assert set(tags) == {EASY_TAG, "hard_boundary_padded"}
+
+
+@pytest.mark.parametrize("big", [1e4, 1e6, 1e8])
+def test_hard_step_shift_moves_left_of_a_rounded_theta1(big):
+    # ||T|| >> |theta_1|: theta_1 carries an error of order eps ||T||, far
+    # above the first shift, so T - (theta_1 - sigma) I does not factor
+    # until sigma has grown; the answer still matches the oracle
+    a, b = np.array([big, 2.0 * big, 1e-3]), np.array([0.3 * big, 1e-13])
+    beta1, gamma = 1.0, 0.5
+    red = solve_rlgopt(a, b, beta1, gamma)
+    theta, Y = sla.eigh_tridiagonal(a, b)
+    lam, y_hat, tag = solve_plgopt_spectral(theta, beta1 * Y[0, :], gamma)
+    x = Y @ y_hat
+    assert red.solver == HARD_STEP
+    assert red.iterations > 1
+    assert red.tag == tag
+    assert abs(red.mu - lam) <= 4 * np.finfo(float).eps * 2.3 * big
+    assert np.linalg.norm(red.x) == pytest.approx(gamma, rel=1e-10)
+    # the padding along s_1 ~ e_3 up to the oracle's sign
+    assert np.abs(red.x - [x[0], x[1], np.copysign(x[2], red.x[2])]).max() <= 1e-10 * gamma
 
 
 def test_scalar_case_takes_the_newton_path():
