@@ -11,7 +11,11 @@ Rayleigh-quotient problem solved by the driver:
                                      A = D^{-1/2} (D - W) D^{-1/2},
 
 and each linear condition g'x = c becoming (D^{-1/2} g)' v = c, so the
-labeled entries and the volume-balance row transfer exactly.  The graph
+labeled entries and the volume-balance row transfer exactly.  The
+constraint matrix is sparse (CSC): one coordinate column per label pixel
+and the balance column sqrt(d), so ``ProjectedOperator`` projects by
+zeroing the label rows and one n-vector's fit, however many labels
+there are.  The graph
 stores each neighbour pair's weight once, and A is applied from that
 store; its spectrum lies in [0, 2], so ||A|| <= 2 is the norm the driver
 uses for its scales on these problems.
@@ -37,6 +41,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 # the compiled kernel behind ``dia_matrix @ x``: y += (diagonals) @ x in place
 from scipy.sparse._sparsetools import dia_matvec
 
@@ -197,10 +202,12 @@ def encode_constraints(degrees, labels):
     """Label equalities plus the volume-balance row as ``(C, b)``, with
     C'v = b on the degree-normalized indicator v = D^{1/2} x.
 
-    Column j < m - 1 is e_i / sqrt(d_i) for the j-th label pixel i
-    (foreground first), so it reads x_i; the last column is sqrt(d), the
-    balance row d'x = 0.  The targets come from the volume estimates
-    c+ = sqrt(vol(J) / (vol(I) vol(V))) and
+    C is an n x m CSC matrix.  Column j < m - 1 is e_i / sqrt(d_i) for
+    the j-th label pixel i (foreground first), so it reads x_i; the last
+    column is sqrt(d), the balance row d'x = 0.  So C holds
+    m - 1 + n nonzeros, and its label columns are the coordinate columns
+    that ``ProjectedOperator`` applies by zeroing rows.  The targets come
+    from the volume estimates c+ = sqrt(vol(J) / (vol(I) vol(V))) and
     c- = -sqrt(vol(I) / (vol(J) vol(V))) of the labeled sets I and J.
     Flat label indices must lie in [0, n) with n = ``degrees.size``.
     """
@@ -222,9 +229,12 @@ def encode_constraints(degrees, labels):
             [0.0],
         ]
     )
-    C = np.zeros((n, flat.size + 1))
-    C[flat, np.arange(flat.size)] = 1.0 / np.sqrt(d[flat])
-    C[:, -1] = np.sqrt(d)
+    dsqrt = np.sqrt(d)
+    data = np.concatenate([1.0 / dsqrt[flat], dsqrt])
+    index = np.int32 if flat.size + n <= np.iinfo(np.int32).max else np.int64
+    indices = np.concatenate([flat, np.arange(n)]).astype(index)
+    indptr = np.append(np.arange(flat.size + 1), flat.size + n).astype(index)
+    C = sp.csc_array((data, indices, indptr), shape=(n, flat.size + 1))
     return C, b
 
 
@@ -307,7 +317,8 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
     whose message is ``stats["miss"]`` (None on a converged solve).
     ``graph_mb`` and ``basis_mb`` give the MiB of the weight store and of
     the k + 1 Lanczos basis rows the solve wrote, and ``graph_dtype`` and
-    ``basis_dtype`` their precisions.
+    ``basis_dtype`` their precisions; ``constraints_mb`` gives the MiB
+    held by the sparse C and its projector (``CrqProblem.constraints_nbytes``).
     """
     t0 = time.perf_counter()
     if opts is None:
@@ -339,4 +350,5 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
         "graph_dtype": graph.weights.dtype.name,
         "basis_mb": (sol.k + 1) * graph.n * row_dtype.itemsize / 2**20,
         "basis_dtype": row_dtype.name,
+        "constraints_mb": problem.constraints_nbytes / 2**20,
     }

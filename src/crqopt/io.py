@@ -81,7 +81,7 @@ def load_problem(manifest_path):
     for key in ("A", "C", "b"):
         if key not in entries:
             raise ValueError(f"manifest is missing the {key!r} entry")
-    # CrqProblem converts A to an operator and C to a dense array
+    # CrqProblem converts A to an operator and keeps a coordinate-format C sparse (CSC)
     A = sio.mmread(os.path.join(base, entries["A"]))
     C = sio.mmread(os.path.join(base, entries["C"]))
     b = read_vector(os.path.join(base, entries["b"]))

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .driver import EASY, HARD, crq_solution, unique_point_solution
 from .errors import BracketFailureError, InfeasibleError, NoRealEigenvalueError, TooLargeError
@@ -54,7 +55,8 @@ def build_reduction(problem):
     n, m = problem.n, problem.m
     if n > DENSE_CAP:
         raise TooLargeError(f"n = {n} exceeds the dense cap {DENSE_CAP}")
-    Q, _ = sla.qr(problem.C)
+    C = problem.C.toarray() if sp.issparse(problem.C) else problem.C
+    Q, _ = sla.qr(C)
     S1 = Q[:, m:]
     H = S1.T @ problem.A.apply(S1)
     H = 0.5 * (H + H.T)

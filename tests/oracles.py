@@ -3,16 +3,20 @@
 Everything here deliberately avoids the code paths under test: dense
 pseudoinverses instead of QR solves, bisection instead of the rational
 secular iteration, grid search on the feasible circle instead of any
-multiplier machinery.  ``finite_step_check`` is the exception: it runs
+multiplier machinery.  ``DenseQrProjector`` factors the whole of C,
+where the projector under test splits off its coordinate columns.
+``finite_step_check`` is the exception: it runs
 the Lanczos solve itself and checks its exact termination against the
 dense direct solver.  ``write_labels`` writes the label files that
 ``crqopt.io.read_labels`` reads, which only the tests need.
 """
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from crqopt import CrqError, NotConvergedError, SolveOptions, classify, direct_solve, solve
+from crqopt import (CrqError, NotConvergedError, RankDeficientError, SolveOptions, classify,
+                    direct_solve, solve)
 from crqopt.secular import EASY_TAG
 
 
@@ -23,6 +27,26 @@ class DegenerateEigenvectorError(CrqError):
 def pinv_min_norm(C, b):
     """Minimum-norm solution of C'v = b by explicit pseudoinverse."""
     return np.linalg.pinv(C.T) @ np.asarray(b, dtype=float)
+
+
+class DenseQrProjector:
+    """P and n0 from one column-pivoted QR of the whole of ``C.toarray()``:
+    the arithmetic ``ProjectedOperator`` runs on a C with no coordinate
+    column, with its rank test."""
+
+    def __init__(self, C):
+        C = C.toarray() if sp.issparse(C) else np.asarray(C, dtype=float)
+        n, m = C.shape
+        self.Q, self.R, self.piv = sla.qr(C, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(self.R))
+        if np.any(diag <= max(n, m) * np.finfo(float).eps * diag.max()):
+            raise RankDeficientError(f"C has numerical rank < m = {m}")
+
+    def apply_P(self, c):
+        return c - self.Q @ (self.Q.T @ c)
+
+    def min_norm(self, b):
+        return self.Q @ sla.solve_triangular(self.R, b[self.piv], trans="T", lower=False)
 
 
 def dense_projector(C):

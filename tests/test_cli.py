@@ -228,6 +228,8 @@ def test_segment_cli_reports_graph_memory(tmp_path):
     # the solve wrote k + 1 Lanczos rows of 64 entries, in the store's precision
     assert float(stats["basis_mb"]) == (int(stats["steps"]) + 1) * 64 * 4 / 2**20
     assert stats["basis_dtype"] == "float32"
+    # the sparse C and its projector hold under 3 n doubles
+    assert 0.0 < float(stats["constraints_mb"]) * 2**20 < 3 * 64 * 8
 
 
 def test_segment_cli_not_converged_exit_code_writes_the_maps(tmp_path, capsys):

@@ -193,7 +193,7 @@ def test_constraint_matrix_full_rank():
     img = two_block_image(8)
     graph = build_graph(img, delta=0.1, r=2)
     labels = LabelSet.from_pixels(img.shape, [(4, 1), (2, 2)], [(4, 6)])
-    C = to_crqopt(graph, labels).C
+    C = to_crqopt(graph, labels).C.toarray()
     assert C.shape == (64, 4)
     assert np.linalg.matrix_rank(C) == 4
 
@@ -340,10 +340,10 @@ def test_encode_constraints_reads_only_the_degrees():
     for j, i in enumerate([*labels.foreground, *labels.background]):
         reference[i, j] = 1.0 / dsqrt[i]
     reference[:, 3] = dsqrt
-    assert np.array_equal(C, reference)
+    assert np.array_equal(C.toarray(), reference)
     assert b[0] == b[1] > 0 > b[2] and b[3] == 0.0
     problem = to_crqopt(graph, labels)
-    assert np.array_equal(C, problem.C) and np.array_equal(b, problem.b)
+    assert np.array_equal(C.toarray(), problem.C.toarray()) and np.array_equal(b, problem.b)
 
 
 def test_segment_returns_a_non_converged_solve():
@@ -560,6 +560,21 @@ def test_a_float32_store_meets_a_tol_at_its_floor(method, size):
     opts = crqopt.SolveOptions(method=method, tol=FLOOR32, maxit=200, detect_hard=False)
     sol = crqopt.solve(problem, opts)
     assert _exact_residual(graph, problem, sol) <= FLOOR32
+
+
+def test_segment_holds_many_label_constraints_in_o_n():
+    # 200 labels: C keeps 201 + n nonzeros and its projector one n-vector,
+    # where a dense C and its Q held 2 (m + 1) n doubles
+    image = _two_region_raster(64)
+    rng = np.random.default_rng(4)
+    left = rng.choice(64 * 32, 100, replace=False)
+    right = rng.choice(64 * 32, 100, replace=False)
+    labels = LabelSet(left // 32 * 64 + left % 32, right // 32 * 64 + 32 + right % 32)
+    mask, _, stats = segment(image, labels)
+    assert stats["converged"]
+    assert mask.flat[labels.foreground].all() and not mask.flat[labels.background].any()
+    assert stats["constraint_residual"] <= 1e-12
+    assert 0.0 < stats["constraints_mb"] * 2**20 < 3 * image.size * 8
 
 
 @pytest.mark.parametrize("tol, detect_hard, dtype", [

@@ -40,7 +40,7 @@ def test_coordinate_and_array_constraints_load_alike(tmp_path):
     assert "coordinate" in (tmp_path / "coordinate" / "C.mtx").read_text().splitlines()[0]
     assert "array" in (tmp_path / "array" / "C.mtx").read_text().splitlines()[0]
     assert coordinate.C.dtype == array.C.dtype == np.float64
-    assert np.array_equal(coordinate.C, array.C)
+    assert np.array_equal(coordinate.C.toarray(), array.C)
     assert np.array_equal(array.C, C)
 
 

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_interior_problem
-from oracles import circle_min_objective, dense_projector, pinv_min_norm
+from oracles import DenseQrProjector, circle_min_objective, dense_projector, pinv_min_norm
 
 import crqopt
 from crqopt import CrqProblem, classify, compute_n0, resolve_b0_zero
+from crqopt.clustering import LabelSet, build_graph, encode_constraints
 from crqopt.errors import RankDeficientError
 from crqopt.problem import INFEASIBLE, INTERIOR, UNIQUE_POINT, b0_zero_threshold
 
@@ -254,3 +257,119 @@ def test_solver_outputs_feasible():
         assert abs(np.linalg.norm(sol.v) - 1.0) <= 1e-10
         scale = np.linalg.norm(p.C) + np.linalg.norm(p.b)
         assert np.linalg.norm(p.C.T @ sol.v - p.b) <= 1e-10 * scale
+
+
+def _assert_projector_agrees(problem, oracle, c, tol=1e-12):
+    """P c (for a vector and a block) and n0 of ``problem`` against the
+    dense QR ``oracle`` to ``tol`` relative, and C'Pc = 0 to ``tol``."""
+    C = problem.C.toarray() if sp.issparse(problem.C) else problem.C
+    norm_c = np.linalg.norm(C, 2)
+    for given_c in (c, np.column_stack([c, c[::-1]])):
+        Pc = problem.P.apply_P(given_c)
+        assert np.linalg.norm(Pc - oracle.apply_P(given_c)) <= tol * np.linalg.norm(given_c)
+        assert np.linalg.norm(C.T @ Pc) <= tol * norm_c * np.linalg.norm(given_c)
+    n0, reference = compute_n0(problem), oracle.min_norm(problem.b)
+    assert np.linalg.norm(n0 - reference) <= tol * np.linalg.norm(reference)
+
+
+@settings(max_examples=80, deadline=None)
+@given(side=st.integers(8, 32), foreground=st.integers(1, 40), background=st.integers(1, 40),
+       balance=st.booleans(), raster=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_split_projector_agrees_with_a_dense_qr_of_the_label_constraints(
+        side, foreground, background, balance, raster, seed):
+    # the label columns e_i / sqrt(d_i) are split off C; P and n0 from the
+    # split must be those of one pivoted QR of the whole dense C, whether C
+    # comes sparse or dense, with or without the balance column sqrt(d)
+    rng = np.random.default_rng(seed)
+    n = side * side
+    foreground, background = min(foreground, n // 4), min(background, n // 4)
+    if raster:
+        degrees = build_graph(rng.uniform(0.0, 255.0, (side, side)), 0.1, 2).degrees
+    else:
+        degrees = rng.uniform(0.05, 50.0, n)
+    pixels = rng.permutation(n)[:foreground + background]
+    C, b = encode_constraints(degrees, LabelSet(pixels[:foreground], pixels[foreground:]))
+    if not balance:
+        C, b = C[:, :-1], b[:-1]
+    oracle = DenseQrProjector(C)
+    c = rng.standard_normal(n)
+    for given_C in (C, C.toarray()):
+        problem = CrqProblem(sp.eye(n, format="csr"), given_C, b)
+        _assert_projector_agrees(problem, oracle, c)
+
+
+@pytest.mark.parametrize("n, m", [(6, 2), (40, 5), (300, 30)])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_a_c_without_coordinate_columns_runs_a_qr_of_the_whole_c(n, m, sparse):
+    # no column of a Gaussian C has a single nonzero, so nothing is split
+    # off and P and n0 are the dense pivoted QR's to the bit; a sparse C
+    # (here with a third of its entries zero) factors its dense copy
+    rng = np.random.default_rng(n + m)
+    C = rng.standard_normal((n, m))
+    if sparse:
+        C[rng.uniform(size=C.shape) < 1.0 / 3.0] = 0.0
+        assert np.all(np.count_nonzero(C, axis=0) > 1)
+        C = sp.csr_matrix(C)
+    b = 0.1 * rng.standard_normal(m)
+    problem, oracle = CrqProblem(np.eye(n), C, b), DenseQrProjector(C)
+    for c in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+        assert np.array_equal(problem.P.apply_P(c), oracle.apply_P(c))
+    assert np.array_equal(compute_n0(problem), oracle.min_norm(b))
+
+
+def test_coordinate_columns_beside_several_dense_columns():
+    # g = 3 dense columns beside 5 coordinate columns, one of them a
+    # repeated row that stays with the dense ones
+    rng = np.random.default_rng(5)
+    n = 50
+    rows = [3, 17, 30, 41, 8]
+    C = np.zeros((n, 9))
+    C[:, [1, 4, 7]] = rng.standard_normal((n, 3))
+    for j, i in zip([0, 2, 3, 5, 6], rows):
+        C[i, j] = rng.uniform(0.5, 2.0)
+    C[30, 8] = 1.5
+    C[12, 8] = -0.5
+    problem = CrqProblem(np.eye(n), C, 0.05 * rng.standard_normal(9))
+    assert problem.P._rows.tolist() == rows and problem.P._Q.shape == (n, 4)
+    _assert_projector_agrees(problem, DenseQrProjector(C), rng.standard_normal(n))
+
+
+def _label_columns_and(extra):
+    """Two label columns (rows 3 and 10), the balance column and ``extra``."""
+    n = 64
+    d = np.linspace(1.0, 4.0, n)
+    C = np.zeros((n, 4))
+    C[3, 0], C[10, 1] = 1.0 / np.sqrt(d[3]), 1.0 / np.sqrt(d[10])
+    C[:, 2] = np.sqrt(d)
+    C[:, 3] = extra
+    return C
+
+
+@pytest.mark.parametrize("case", ["two_on_one_row", "tiny_entry", "labelled_rows_only"])
+def test_split_rejects_what_the_dense_qr_rejects(case):
+    extra = np.zeros(64)
+    if case == "two_on_one_row":
+        extra[3] = 2.0
+    elif case == "tiny_entry":
+        extra[20] = 1e-20
+    else:
+        extra[[3, 10]] = 1.0
+    C = _label_columns_and(extra)
+    with pytest.raises(RankDeficientError):
+        DenseQrProjector(C)
+    for given in (C, sp.csc_array(C)):
+        with pytest.raises(RankDeficientError):
+            CrqProblem(np.eye(64), given, np.zeros(4))
+
+
+def test_a_sparse_c_stays_sparse():
+    # a label problem holds C as CSC and factors one n-vector beside it
+    degrees = np.random.default_rng(1).uniform(1.0, 8.0, 400)
+    C, b = encode_constraints(degrees, LabelSet(np.arange(0, 40), np.arange(200, 240)))
+    problem = CrqProblem(sp.eye(400, format="csr"), C, b)
+    assert sp.issparse(problem.C) and problem.C.format == "csc" and problem.C.nnz == 480
+    assert problem.P._Q.shape == (400, 1)
+    # C: 480 values and row indices, 82 column pointers; the projector:
+    # its n-vector Q, and for each of the 80 label columns its index, row,
+    # entry and the balance column's entry on that row
+    assert problem.constraints_nbytes <= 480 * 12 + 82 * 4 + 400 * 8 + 80 * 32 + 32
