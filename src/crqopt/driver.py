@@ -28,7 +28,8 @@ multiplier, and a check runs where the estimate comes within
 ``CHECK_MARGIN`` of the tolerance, falls ``CHECK_DROP`` below the last
 check's ``delta`` (which refreshes a stale multiplier), or cannot be
 formed.  No stop is decided on the estimate, and both routes follow the
-same schedule.  ``solution.history`` holds the checks that ran; with
+same schedule.  ``solution.history`` holds the checks that ran, each
+with the LDL' factorization count of its reduced solve; with
 ``return_basis=True`` the solution carries the run's tridiagonal and
 basis (``KrylovRecord``), from which ``rebuild_history`` replays the
 check of every step after the solve.
@@ -160,17 +161,14 @@ class SolveOptions:
 
 @dataclass
 class CheckRecord:
-    """One check of the main loop.  ``solver`` names the reduced solver
-    that ran (``"newton"`` or ``"hard_step"``, see
-    ``secular.solve_rlgopt``) and ``solver_iterations`` its LDL'
-    factorizations."""
+    """One check of the main loop.  ``solver_iterations`` counts the LDL'
+    factorizations of its reduced solve (``secular.solve_rlgopt``)."""
 
     k: int
     mu: float
     delta: float
     objective: float
     x: np.ndarray
-    solver: str = None
     solver_iterations: int = 0
 
 
@@ -339,8 +337,7 @@ def _reduced_solve(state, method, beta1, gamma, norm_a):
 def _check_record(k, red, delta, gamma, beta1, n0An0):
     # cheap exact identity: h(v) = gamma^2 mu + ||b0|| x_1 + n0'An0
     objective = float(gamma**2 * red.mu + beta1 * red.x[0] + n0An0)
-    return CheckRecord(k, float(red.mu), float(delta), objective, red.x.copy(),
-                       red.solver, red.iterations)
+    return CheckRecord(k, float(red.mu), float(delta), objective, red.x.copy(), red.iterations)
 
 
 def rebuild_history(solution):

@@ -59,6 +59,8 @@ from scipy.linalg import lapack
 from .errors import EigFailureError, ZeroStartError
 
 _EPS = np.finfo(float).eps
+# dstebz's absolute tolerance for a bottom eigenvalue to relative accuracy
+BISECTION_ABSTOL = 2.0 * np.finfo(float).tiny
 
 
 def basis_dtype(unit_roundoff):
@@ -367,16 +369,20 @@ def bottom_eigenpair(alpha, beta):
     """Smallest eigenvalue and its unit eigenvector of the symmetric
     tridiagonal matrix with diagonal ``alpha`` and off-diagonal ``beta``.
 
-    LAPACK ``dstebz`` (bisection for the first eigenvalue, tolerance 0,
-    block order) and ``dstein`` (inverse iteration), as
-    ``scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0))``
-    calls them, without that wrapper's argument checks; k = 1 is closed
-    form.  Returns ``(theta, s)``; a nonzero ``info`` raises
+    LAPACK ``dstebz`` (bisection for the first eigenvalue, block order)
+    and ``dstein`` (inverse iteration), as
+    ``scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0),
+    tol=BISECTION_ABSTOL)`` calls them, without that wrapper's argument
+    checks; k = 1 is closed form.  That tolerance makes the bisection run
+    to relative accuracy, where tolerance 0 stops at an absolute
+    eps ||T||; the reduced solve's mu = theta_1 - t inherits theta's
+    error.  Returns ``(theta, s)``; a nonzero ``info`` raises
     ``EigFailureError``.
     """
     if alpha.size == 1:
         return float(alpha[0]), np.ones(1)
-    _, w, iblock, isplit, info = lapack.dstebz(alpha, beta, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    _, w, iblock, isplit, info = lapack.dstebz(alpha, beta, 2, 0.0, 1.0, 1, 1,
+                                               BISECTION_ABSTOL, "B")
     if info != 0:
         raise EigFailureError(f"dstebz failed with info = {info}")
     z, info = lapack.dstein(alpha, beta, w[:1], iblock, isplit)

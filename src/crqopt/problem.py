@@ -138,10 +138,11 @@ class ProjectedOperator:
     is at most max(n, m) eps times the largest of them: a column of G
     supported on L alone, or two coordinate columns on one row, leave
     G~ a zero column.  P c is c - Q(Q'c) with its L rows zeroed, for a
-    vector or an n x k block.  A C with no coordinate column has G~ = C,
-    so P c is c - Q(Q'c) of C's own pivoted QR.  A label C (one
-    coordinate column per label pixel and the balance column sqrt(d))
-    has g = 1: its P-apply costs O(n) and its factor one n-vector.
+    vector or an n x k block.  A C with no coordinate column has L empty
+    and G~ = C, and runs the same code: P c is c - Q(Q'c) of C's own
+    pivoted QR.  A label C (one coordinate column per label pixel and
+    the balance column sqrt(d)) has g = 1: its P-apply costs O(n) and
+    its factor one n-vector.
     The Lanczos runs on M = P A P apply A and then P themselves, so M is
     never applied as a whole.
     """
@@ -152,15 +153,14 @@ class ProjectedOperator:
         rest = np.setdiff1d(np.arange(m), cols)
         G = _dense_columns(C, rest)
         G_L = G[rows]
-        if rows.size:
-            # n - |L| > m - |L| = g rows remain, since m < n
-            off = np.ones(n, dtype=bool)
-            off[rows] = False
-            Q_off, R, piv = sla.qr(G[off], mode="economic", pivoting=True)
-            Q = np.zeros((n, rest.size))
-            Q[off] = Q_off
-        else:
-            Q, R, piv = sla.qr(G, mode="economic", pivoting=True)
+        # n - |L| > m - |L| = g rows remain, since m < n
+        off = np.ones(n, dtype=bool)
+        off[rows] = False
+        Q_off, R, piv = sla.qr(G[off], mode="economic", pivoting=True)
+        # Fortran order, as LAPACK returns Q: the products with it keep
+        # their BLAS layout whether or not C has coordinate columns
+        Q = np.zeros((n, rest.size), order="F")
+        Q[off] = Q_off
         diag = np.concatenate([np.abs(np.diag(R)), np.abs(entries)])
         tol = max(n, m) * np.finfo(float).eps * diag.max()
         if np.any(diag <= tol):

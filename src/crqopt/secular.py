@@ -11,24 +11,28 @@ the optimal multiplier of the reduced problem
 
     min lam  s.t.  (T_k - lam I) x = -||b0|| e_1,  ||x|| = gamma.
 
-``solve_rlgopt`` finds it in O(k) per iteration, without the
-eigen-decomposition of T_k: one selected eigenpair (``bottom_eigenpair``)
-gives theta_1 and the leading weight zeta_1, and a safeguarded Newton
-iteration in the style of More & Sorensen (SIAM J. Sci. Stat. Comput. 4,
-1983) solves 1/||x(lam)|| = 1/gamma on the LDL' factorization of
-T_k - lam I (LAPACK ``dpttrf``/``dpttrs``).  Started at the one-pole bound
-theta_1 - |zeta_1|/gamma, right of the root, the iterates fall
-monotonically; bisection in the root bracket is the safeguard.  The last
-factorization also gives w = (T_k - mu I)^{-1} x, the eigenvector of the
-reduced QEP, so this one solve serves both residual certificates, the
-``lgopt`` and the ``qepmin`` one.
+``solve_rlgopt`` finds it with one iteration, O(k) per step, without
+the eigen-decomposition of T_k: one selected eigenpair
+(``bottom_eigenpair``) gives theta_1 and the leading weight zeta_1, and a
+safeguarded Newton iteration in the style of More & Sorensen (SIAM J.
+Sci. Stat. Comput. 4, 1983) solves 1/||x|| = 1/gamma in
+t = theta_1 - mu >= 0, on LDL' factorizations of T_k - mu I (LAPACK
+``dpttrf``/``dpttrs``).  The s_1-coefficient of x is set to the exact
+-zeta_1/t, so a root close to theta_1 keeps ||x|| = gamma to full
+relative accuracy.  Started at the one-pole bound t = |zeta_1|/gamma, left
+of the root, the iterates rise monotonically; bisection in the root
+bracket is the safeguard.  The last factorization also gives
+w = (T_k - mu I)^{-1} x, the eigenvector of the reduced QEP, so this one
+solve serves both residual certificates, the ``lgopt`` and the
+``qepmin`` one.
 
-A leading weight below ``TINY_LEADING_WEIGHT`` beta_1, one with
-|zeta_1|/gamma below the float spacing at theta_1, and a last
-factorization that fails take ``hard_step``, the More-Sorensen hard-case
-step on T_k, also O(k): the weight counts as zero, the stationary point
-orthogonal to the bottom eigenvector decides between a secular root, the
-exact boundary and the padded boundary, as in ``solve_plgopt_spectral``.
+Three outcomes are read off the final t, as ``solve_plgopt_spectral``
+tells them apart: mu = theta_1 - t below theta_1 in floating point is a
+secular root; otherwise mu = theta_1, and x off the bottom eigenvector
+is on the sphere (the exact boundary) or is padded to it along that
+eigenvector.  A leading weight below ``TINY_LEADING_WEIGHT`` beta_1
+counts as zero, and the iteration then starts at t = 0, the More-Sorensen
+hard case.
 
 ``solve_plgopt_spectral`` is that case analysis in eigen-coordinates, for
 the dense oracle and the instance generator; no reduced solve of the
@@ -40,6 +44,7 @@ bisection whenever the model is unusable or steps out of the current
 root bracket.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -55,16 +60,18 @@ EASY_TAG = "easy"
 HARD_EXACT_TAG = "hard_boundary_exact"
 HARD_PADDED_TAG = "hard_boundary_padded"
 
-# which reduced solver produced a ReducedLgSolution
-NEWTON = "newton"
-HARD_STEP = "hard_step"
-# factorizations before newton_root gives up; it takes 6 on the n = 1100
-# worst-case instances and at most 14 over 4000 random tridiagonals
+# Newton steps before solve_rlgopt gives up; a solve makes 6 LDL'
+# factorizations on the n = 1100 worst-case tridiagonals and at most 14
+# on the 3000 near-degenerate draws of the tests
 NEWTON_MAXIT = 50
+# solve_rlgopt stops on a step in t = theta_1 - mu, or a root bracket, of
+# at most T_RTOL t
+T_RTOL = 1e-12
 # steps before smallest_root gives up on its safeguarded rational iteration
 SECULAR_MAXIT = 200
-# both root finders stop on a step in lambda of at most
-# STEP_TOL (1 + |theta_1| + ||weights|| / gamma)
+# smallest_root stops on a step in lambda of at most
+# STEP_TOL (1 + |theta_1| + ||weights|| / gamma); solve_rlgopt's first
+# shift off theta_1 is STEP_TOL (1 + |theta_1| + beta1 / gamma)
 STEP_TOL = 1e-14
 
 
@@ -216,115 +223,54 @@ def solve_plgopt_spectral(theta, xi, gamma):
 
 
 class ReducedLgSolution(NamedTuple):
-    """Multiplier, minimizer and iterations of a reduced solve.
+    """Multiplier, minimizer and LDL' factorizations of a reduced solve.
 
     ``tag`` is ``EASY_TAG`` when mu lies strictly left of the spectrum
-    of T_k, and the boundary tag of ``solve_plgopt_spectral`` otherwise.
-    ``solver`` names the path that produced it: ``NEWTON`` or
-    ``HARD_STEP`` (the hard-case step of ``solve_rlgopt``); ``iterations``
-    counts its LDL' factorizations.  ``w`` is the reduced QEP
-    eigenvector: (T_k - mu I)^{-1} x on the easy tag, and the bottom
-    eigenvector of T_k on a boundary tag.
+    of T_k in floating point, and otherwise the boundary tag of
+    ``solve_plgopt_spectral``: ``HARD_EXACT_TAG`` or ``HARD_PADDED_TAG``.
+    ``iterations`` counts the LDL' factorizations the solve made.  ``w``
+    is the reduced QEP eigenvector: (T_k - mu I)^{-1} x on the easy tag,
+    and the bottom eigenvector of T_k on a boundary tag.
     """
 
     mu: float
     x: np.ndarray
     iterations: int
     tag: str = EASY_TAG
-    solver: str = NEWTON
     w: np.ndarray = None
 
 
-def newton_root(alpha, beta, rhs, beta1, gamma, theta1, lam):
-    """Secular root by safeguarded Newton on phi(lam) = 1/||x(lam)|| - 1/gamma.
+def _solves_off_s1(alpha, beta, theta1, s1, t, shift0, rhs):
+    """y = (T_k - (theta_1 - t) I)^{-1} rhs off s_1, z = (T_k - (theta_1 -
+    t) I)^{-1} y up to its s_1 part, for t >= 0, and the number of LDL'
+    factorizations made.
 
-    x(lam) = (T_k - lam I)^{-1} rhs, with ||rhs|| <= beta1.  Each iteration
-    factors T_k - lam I = L D L' (``dpttrf``; a nonzero ``info`` means lam
-    is at or right of theta_1) and makes two O(k) solves, for x and for
-    w = (T_k - lam I)^{-1} x; the Newton step on phi is
-
-        lam <- lam + (||x||^2 / x'w) (gamma - ||x||) / gamma.
-
-    phi is concave and decreasing, so from a start right of the root the
-    iterates fall monotonically (and from one left of it, the first step
-    lands right of it).  The root stays bracketed in [theta_1 -
-    beta1/gamma, theta_1), and a step that leaves the bracket becomes a
-    bisection.  Once a step is at most STEP_TOL (1 + |theta_1| +
-    beta1/gamma), one more factorization gives mu, x and w together.
-    Returns the ``ReducedLgSolution``, or None when the start ``lam`` does
-    not lie below theta_1 in floating point or the last factorization
-    fails; raises ``MaxIterError`` when ``NEWTON_MAXIT`` runs out.
+    The solves factor M = T_k - (theta_1 - shift) I at shift =
+    max(t, shift0), growing the shift 16-fold while M does not factor
+    (theta_1 - shift still rounds into the spectrum).  At shift = t one
+    solve each gives y and z; otherwise each makes three sweeps
+    y <- M^{-1} (rhs + (shift - t) y) with s_1 projected off between
+    them, each of which shrinks the error by
+    (shift - t) / (theta_i - theta_1 + shift).  Near theta_1 the rounded
+    shift carries a large relative error in t, which s_1 parts inherit,
+    so the caller sets them exactly.
     """
-    lo, hi = theta1 - beta1 / gamma, theta1
-    if not lo <= lam < hi:
-        return None
-    eps = STEP_TOL * (1.0 + abs(theta1) + beta1 / gamma)
-    settled = False
-    for it in range(1, NEWTON_MAXIT + 1):
-        d, e, info = lapack.dpttrf(alpha - lam, beta)
-        if info != 0:
-            if settled:
-                return None
-            hi = lam
-            cand = 0.5 * (lo + hi)
-        else:
-            x, _ = lapack.dpttrs(d, e, rhs)
-            w, _ = lapack.dpttrs(d, e, x)
-            if settled:
-                return ReducedLgSolution(float(lam), x, it, solver=NEWTON, w=w)
-            nx = float(np.linalg.norm(x))
-            if nx > gamma:
-                hi = lam
-            else:
-                lo = lam
-            cand = lam + (nx * nx / float(x @ w)) * (gamma - nx) / gamma
-            # closed at hi: a step that rounds to zero leaves lam = hi
-            if not lo <= cand <= hi:
-                cand = 0.5 * (lo + hi)
-        settled = abs(cand - lam) <= eps
-        lam = cand
-    raise MaxIterError(f"Newton iteration did not settle within {NEWTON_MAXIT} factorizations")
-
-
-def hard_step(alpha, beta, beta1, gamma, theta1, s1, zeta1):
-    """The reduced solve with the leading weight zeta_1 counted as zero.
-
-    The More-Sorensen hard-case step on T_k: drop zeta_1 s_1 from
-    -beta1 e_1, leaving g, and solve (T_k - theta_1 I) x = g for the x
-    orthogonal to s_1.  The solves factor T_k - (theta_1 - sigma) I = M
-    once, just left of theta_1: sigma starts at Newton's step tolerance
-    STEP_TOL (1 + |theta_1| + beta1/gamma) and grows 16-fold while M does
-    not factor (theta_1 - sigma still rounds into the spectrum).  They
-    iterate x <- M^{-1} (g + sigma x) with s_1 projected off; each sweep
-    shrinks the error by sigma / (theta_2 - theta_1 + sigma), so a small
-    sigma also serves a theta_2 close to theta_1.  Then ||x|| against
-    gamma decides, as in ``solve_plgopt_spectral``: above gamma, the
-    secular root of g by ``newton_root`` from theta_1 - sigma (kept in its
-    bracket); at gamma, the exact boundary mu = theta_1; below it, the
-    padded boundary x + tau s_1, tau of the sign opposite zeta_1, which
-    gives the smaller reduced objective.  O(k) throughout.
-    """
-    g = zeta1 * s1
-    g[0] -= beta1
-    sigma, it = STEP_TOL * (1.0 + abs(theta1) + beta1 / gamma), 1
-    d, e, info = lapack.dpttrf(alpha - (theta1 - sigma), beta)
+    shift, made = max(t, shift0), 1
+    d, e, info = lapack.dpttrf(alpha - (theta1 - shift), beta)
     while info:
-        sigma, it = 16.0 * sigma, it + 1
-        d, e, info = lapack.dpttrf(alpha - (theta1 - sigma), beta)
-    x = np.zeros_like(g)
-    for _ in range(3):
-        x, _ = lapack.dpttrs(d, e, g + sigma * x)
-        x -= (s1 @ x) * s1
-    nx = float(np.linalg.norm(x))
-    if nx > gamma * (1.0 + 1e-12):
-        start = max(theta1 - sigma, theta1 - beta1 / gamma)
-        root = newton_root(alpha, beta, g, beta1, gamma, theta1, start)
-        if root is not None:
-            return root._replace(iterations=root.iterations + it, solver=HARD_STEP)
-    if nx >= gamma * (1.0 - 1e-12):
-        return ReducedLgSolution(theta1, x, it, HARD_EXACT_TAG, HARD_STEP, s1)
-    tau = np.copysign(np.sqrt(gamma**2 - nx**2), -zeta1)
-    return ReducedLgSolution(theta1, x + tau * s1, it, HARD_PADDED_TAG, HARD_STEP, s1)
+        shift, made = 16.0 * shift, made + 1
+        d, e, info = lapack.dpttrf(alpha - (theta1 - shift), beta)
+
+    def solve(rhs):
+        y, _ = lapack.dpttrs(d, e, rhs)
+        for _ in range(0 if shift == t else 2):
+            y -= (s1 @ y) * s1
+            y, _ = lapack.dpttrs(d, e, rhs + (shift - t) * y)
+        return y
+
+    y = solve(rhs)
+    y -= (s1 @ y) * s1
+    return y, solve(y), made
 
 
 def solve_rlgopt(alpha, beta, beta1, gamma):
@@ -341,14 +287,30 @@ def solve_rlgopt(alpha, beta, beta1, gamma):
     which is positive definite because mu lies strictly left of the
     spectrum of an irreducible T_k.
 
-    The bottom eigenpair alone gives theta_1 and zeta_1, and
-    ``newton_root`` finds mu, x and w in O(k) per iteration from the
-    one-pole bound theta_1 - |zeta_1|/gamma.  A leading weight below
-    ``TINY_LEADING_WEIGHT * beta1``, a start that does not lie below
-    theta_1 in floating point (|zeta_1|/gamma below the float spacing
-    there) and a failed last factorization take ``hard_step`` instead,
-    also O(k).  A Newton run that reaches ``NEWTON_MAXIT`` raises
-    ``MaxIterError``, as ``smallest_root`` does at its cap.
+    The bottom eigenpair (theta_1, s_1) gives the leading weight
+    zeta_1 = beta1 s_1[0], and one safeguarded Newton iteration solves
+    phi(t) = 1/||x(t)|| - 1/gamma = 0 in t = theta_1 - mu >= 0, with
+    x(t) = y - (zeta_1/t) s_1 and w(t) = (T_k - mu I)^{-1} x(t) =
+    z - (zeta_1/t^2) s_1, where y and z, off s_1, come from
+    ``_solves_off_s1`` on the right-hand side -beta1 e_1 + zeta_1 s_1:
+
+        t <- t + (||x|| - gamma) ||x||^2 / (gamma x'w).
+
+    phi is increasing and concave, so from the one-pole bound
+    t_0 = |zeta_1|/gamma, left of the root, the iterates rise
+    monotonically; the root lies in [0, beta1/gamma], and a step that
+    leaves the current bracket becomes a bisection.  The iteration stops
+    when a step is at most ``T_RTOL`` t (after one more evaluation) or
+    the bracket is that narrow.  A weight below ``TINY_LEADING_WEIGHT``
+    beta1 counts as zero, as in ``solve_plgopt_spectral``; the iteration
+    then starts at t = 0.  The outcome is read off t: mu = theta_1 - t
+    below theta_1 in floating point is the easy tag; otherwise mu is
+    theta_1 and x off s_1 decides, against gamma, between the exact and
+    the padded boundary x + tau s_1, tau of the sign opposite zeta_1
+    (kept also where the weight counts as zero), which gives the smaller
+    reduced objective.  O(k) per iteration; a run that reaches
+    ``NEWTON_MAXIT`` raises ``MaxIterError``, as ``smallest_root`` does
+    at its cap.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -358,12 +320,40 @@ def solve_rlgopt(alpha, beta, beta1, gamma):
         raise ValueError("off-diagonal must have length k-1")
     theta1, s1 = bottom_eigenpair(alpha, beta)
     zeta1 = beta1 * s1[0]
+    zeta = zeta1 if abs(zeta1) >= TINY_LEADING_WEIGHT * abs(beta1) else 0.0
     # the f2py wrappers reject an empty off-diagonal, which k = 1 has
     beta = beta if beta.size else np.zeros(1)
-    if abs(zeta1) >= TINY_LEADING_WEIGHT * abs(beta1):
-        rhs = np.zeros(alpha.size)
-        rhs[0] = -beta1
-        root = newton_root(alpha, beta, rhs, beta1, gamma, theta1, theta1 - abs(zeta1) / gamma)
-        if root is not None:
-            return root
-    return hard_step(alpha, beta, beta1, gamma, theta1, s1, zeta1)
+    g = zeta1 * s1
+    g[0] -= beta1
+    shift0 = STEP_TOL * (1.0 + abs(theta1) + beta1 / gamma)
+    lo, hi = 0.0, beta1 / gamma
+    t, factorizations, settled = abs(zeta) / gamma, 0, False
+    for _ in range(NEWTON_MAXIT):
+        y, z, made = _solves_off_s1(alpha, beta, theta1, s1, t, shift0, g)
+        factorizations += made
+        # the s_1-coefficients of x and w, exactly; t >= |zeta| / gamma > 0
+        c, dc = (-zeta / t, -zeta / t**2) if zeta else (0.0, 0.0)
+        if settled:
+            break
+        nx = math.sqrt(y @ y + c * c)
+        if nx > gamma:
+            lo = t
+        else:
+            hi = t
+        if hi - lo <= T_RTOL * t:
+            break
+        cand = t + (nx - gamma) * nx * nx / (gamma * float(y @ z + c * dc))
+        if not lo <= cand <= hi:
+            cand = 0.5 * (lo + hi)
+        settled = abs(cand - t) <= T_RTOL * t
+        t = cand
+    else:
+        raise MaxIterError(f"Newton iteration did not settle within {NEWTON_MAXIT} steps")
+    if theta1 - t < theta1:
+        w = z + (dc - s1 @ z) * s1
+        return ReducedLgSolution(theta1 - t, y + c * s1, factorizations, EASY_TAG, w)
+    ny = float(np.linalg.norm(y))
+    if ny >= gamma * (1.0 - 1e-12):
+        return ReducedLgSolution(theta1, y, factorizations, HARD_EXACT_TAG, s1)
+    tau = np.copysign(np.sqrt(gamma**2 - ny**2), -zeta1)
+    return ReducedLgSolution(theta1, y + tau * s1, factorizations, HARD_PADDED_TAG, s1)

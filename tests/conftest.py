@@ -60,10 +60,11 @@ def random_interior_problem(rng, n, m, target_n0=0.6, spread=1.0):
     return CrqProblem(A, C, b)
 
 
-def degenerate_problem(seed, n, m, zeta=0.9):
+def degenerate_problem(seed, n, m, zeta=0.9, w0=0.0):
     """The degenerate benchmark pattern: bottom eigenvalue 1 with zero
     gradient weight, tail linspace(3, 100), and the stationary point at
-    a random fill in [0.3, 0.7] of the feasible radius."""
+    a random fill in [0.3, 0.7] of the feasible radius.  A nonzero ``w0``
+    gives the bottom eigenvector that much gradient weight."""
     rng = np.random.default_rng(seed)
     nm = n - m
     h = np.concatenate([[1.0], np.linspace(3.0, 100.0, nm - 1)])
@@ -71,7 +72,7 @@ def degenerate_problem(seed, n, m, zeta=0.9):
     fill = rng.uniform(0.3, 0.7)
     g_tail = rng.uniform(0.5, 1.5, nm - 1)
     w_norm = np.linalg.norm(g_tail / (h[1:] - 1.0))
-    g0 = np.concatenate([[0.0], g_tail * (fill * gamma / w_norm)])
+    g0 = np.concatenate([[w0], g_tail * (fill * gamma / w_norm)])
     return crqopt.embed(h, g0, zeta, m, rng)[0]
 
 

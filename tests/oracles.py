@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: dense
 pseudoinverses instead of QR solves, bisection instead of the rational
 secular iteration, grid search on the feasible circle instead of any
-multiplier machinery.  ``DenseQrProjector`` factors the whole of C,
+multiplier machinery, 60-digit ``mpmath`` arithmetic where float
+rounding is the question.  ``DenseQrProjector`` factors the whole of C,
 where the projector under test splits off its coordinate columns.
 ``finite_step_check`` is the exception: it runs
 the Lanczos solve itself and checks its exact termination against the
@@ -11,6 +12,7 @@ dense direct solver.  ``write_labels`` writes the label files that
 ``crqopt.io.read_labels`` reads, which only the tests need.
 """
 
+import mpmath
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -81,6 +83,44 @@ def bisection_secular_root(theta, xi, gamma, iters=200):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def mpmath_secular_root(alpha, beta, beta1, gamma, dps=60):
+    """Reduced multiplier mu and minimizer x of the tridiagonal T_k with
+    diagonal ``alpha`` and off-diagonal ``beta``, in ``dps``-digit
+    arithmetic: the full eigen-decomposition of T_k (``mpmath.eigsy``)
+    and bisection on the secular equation sum xi_i^2 / (theta_i - mu)^2 =
+    gamma^2 in t = theta_1 - mu over (0, beta1/gamma].  Every weight counts,
+    so the root lies strictly left of theta_1.  Returns float ``(mu, x)``.
+    """
+    with mpmath.workdps(dps):
+        k = len(alpha)
+        T = mpmath.matrix(k, k)
+        for i in range(k):
+            T[i, i] = mpmath.mpf(float(alpha[i]))
+        for i in range(k - 1):
+            T[i, i + 1] = T[i + 1, i] = mpmath.mpf(float(beta[i]))
+        theta, Y = mpmath.eigsy(T)
+        order = sorted(range(k), key=lambda i: theta[i])
+        theta = [theta[i] for i in order]
+        xi = [mpmath.mpf(beta1) * Y[0, i] for i in order]
+        gamma = mpmath.mpf(gamma)
+
+        def norm2(t):
+            return mpmath.fsum((w / (th - theta[0] + t)) ** 2 for w, th in zip(xi, theta))
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(beta1) / gamma
+        for _ in range(4 * dps):
+            mid = (lo + hi) / 2
+            if norm2(mid) > gamma**2:
+                lo = mid
+            else:
+                hi = mid
+        t = (lo + hi) / 2
+        mu = theta[0] - t
+        y = [-w / (th - mu) for w, th in zip(xi, theta)]
+        x = [mpmath.fsum(Y[r, i] * y[j] for j, i in enumerate(order)) for r in range(k)]
+        return float(mu), np.array([float(v) for v in x])
 
 
 def circle_min_objective(A, n0, gamma, S1, grid=20000, refine=60):

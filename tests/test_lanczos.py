@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,7 +15,8 @@ from crqopt import classify
 from crqopt.clustering import LabelSet, build_graph, to_crqopt
 from crqopt.errors import ZeroStartError
 from crqopt.driver import DetectionRun
-from crqopt.lanczos import LanczosState, bottom_eigenpair, lanczos_pair_step, lanczos_step, run
+from crqopt.lanczos import (BISECTION_ABSTOL, LanczosState, bottom_eigenpair, lanczos_pair_step,
+                            lanczos_step, run, tridiagonal_dense)
 
 
 def test_init_unit_start():
@@ -312,9 +314,21 @@ def tridiagonals(draw):
 def test_bottom_eigenpair_is_eigh_tridiagonal_bit_for_bit(tri):
     alpha, beta = tri
     theta, s = bottom_eigenpair(alpha, beta)
-    vals, vecs = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+    vals, vecs = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0),
+                                      tol=BISECTION_ABSTOL)
     assert theta == vals[0]
     assert np.array_equal(s, vecs[:, 0])
+
+
+def test_bottom_eigenpair_has_relative_accuracy():
+    # ||T|| / theta_1 = 2e9: a bisection to absolute accuracy eps ||T||
+    # returns theta_1 = 1e-3 + 1.02e-10
+    alpha, beta = np.array([1e6, 2e6, 1e-3]), np.array([3e5, 1e-13])
+    with mpmath.workdps(40):
+        T = mpmath.matrix(tridiagonal_dense(alpha, beta).tolist())
+        exact = float(min(mpmath.eigsy(T, eigvals_only=True)))
+    theta, _ = bottom_eigenpair(alpha, beta)
+    assert abs(theta - exact) <= 2 * np.finfo(float).eps * abs(exact)
 
 
 def test_bottom_eigenpair_scalar():

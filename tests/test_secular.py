@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bisection_secular_root, secular_derivative
+from oracles import bisection_secular_root, mpmath_secular_root, secular_derivative
 
 import crqopt
 from crqopt import (classify, make_spec, secular_value, smallest_root, solve_plgopt_spectral,
@@ -14,7 +14,7 @@ from crqopt import (classify, make_spec, secular_value, smallest_root, solve_plg
 from crqopt.errors import MaxIterError, NoRootError
 from crqopt.instances import chebyshev_extreme_nodes
 from crqopt.lanczos import run, tridiagonal_dense
-from crqopt.secular import EASY_TAG, HARD_STEP, NEWTON, TINY_LEADING_WEIGHT
+from crqopt.secular import EASY_TAG, TINY_LEADING_WEIGHT
 
 
 def test_single_pole():
@@ -94,8 +94,8 @@ def test_rlgopt_matches_dense_case_analysis(small_example):
 
 def test_rlgopt_residual_and_leftness():
     # long random tridiagonals can carry exponentially small leading
-    # eigenvector weights (the nearly degenerate case, which the hard-case
-    # step solves), so the draws are filtered to the easy domain
+    # eigenvector weights (the nearly degenerate case, whose weight counts
+    # as zero), so the draws are filtered to the easy domain
     rng = np.random.default_rng(2)
     done = 0
     while done < 10:
@@ -121,7 +121,7 @@ def test_rlgopt_residual_and_leftness():
 
 
 def _assert_matches_the_spectral_oracle(red, a, b, beta1, gamma):
-    """The hard-case step against the case analysis on the full
+    """A reduced solve against the case analysis on the full
     eigen-decomposition of the same T_k: same tag, mu, ||x|| = gamma, the
     residual of (T - mu I) x = -beta1 e_1 up to the dropped weight, and a
     reduced objective gamma^2 mu + beta1 x_1 no larger than the oracle's.
@@ -130,7 +130,6 @@ def _assert_matches_the_spectral_oracle(red, a, b, beta1, gamma):
     theta, Y = sla.eigh_tridiagonal(a, b)
     lam, y_hat, tag = solve_plgopt_spectral(theta, beta1 * Y[0, :], gamma)
     x = Y @ y_hat
-    assert red.solver == HARD_STEP
     assert red.tag == tag
     assert abs(red.mu - lam) <= 1e-12 * (1.0 + abs(lam))
     assert np.linalg.norm(red.x) == pytest.approx(gamma, rel=1e-10)
@@ -151,7 +150,7 @@ def test_nearly_degenerate_takes_the_hard_step():
         red = solve_rlgopt(a, b, 1.0, 0.5)
     _assert_matches_the_spectral_oracle(red, a, b, 1.0, 0.5)
     # ||x|| > gamma at theta_1: a secular root of the masked weights, after
-    # the step's own factorization
+    # the factorization at t = 0
     assert red.tag == EASY_TAG
     assert red.iterations >= 2
 
@@ -179,10 +178,9 @@ def test_newton_path_matches_eigendecomposition(k, seed, family):
     zeta = beta1 * Y[0, :]
     red = solve_rlgopt(a, b, beta1, gamma)
     if abs(zeta[0]) < TINY_LEADING_WEIGHT * beta1:
-        # the nearly degenerate weight goes to the hard-case step
+        # the nearly degenerate weight counts as zero, as in the oracle
         _assert_matches_the_spectral_oracle(red, a, b, beta1, gamma)
         return
-    assert red.solver == NEWTON
     oracle = bisection_secular_root(theta, zeta, gamma)
     assert abs(red.mu - oracle) <= 1e-13 * (1.0 + abs(red.mu))
     if abs(Y[0, 0]) >= 0.1:
@@ -196,7 +194,6 @@ def test_newton_cap_raises(monkeypatch):
     a, b = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5])
     beta1, gamma = 1.0, 0.5
     red = solve_rlgopt(a, b, beta1, gamma)
-    assert red.solver == NEWTON
     assert red.iterations > 1
     theta, Y = sla.eigh_tridiagonal(a, b)
     oracle = bisection_secular_root(theta, beta1 * Y[0, :], gamma)
@@ -207,9 +204,10 @@ def test_newton_cap_raises(monkeypatch):
 
 
 def test_nearly_degenerate_draws_stay_on_the_sphere():
-    # a leading weight below TINY_LEADING_WEIGHT puts a root that uses it
-    # within rounding of theta_1; the hard-case step drops the weight, so x
-    # stays on the sphere and solves (T - mu I) x = -beta1 e_1 up to it
+    # long random tridiagonals carry leading weights from O(1) down to far
+    # below TINY_LEADING_WEIGHT; a root near theta_1 makes ||x|| ~ |zeta_1|/t
+    # sensitive to the relative error in t = theta_1 - mu.  Every draw keeps
+    # ||x|| = gamma and solves (T - mu I) x = -beta1 e_1 up to a dropped weight
     rng = np.random.default_rng(0)
     tags = []
     for _ in range(3000):
@@ -218,28 +216,27 @@ def test_nearly_degenerate_draws_stay_on_the_sphere():
         b = rng.uniform(0.05, 2.0, k - 1)
         beta1, gamma = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 2.0))
         red = solve_rlgopt(a, b, beta1, gamma)
-        if red.solver == NEWTON:
-            continue
         _assert_matches_the_spectral_oracle(red, a, b, beta1, gamma)
         tags.append(red.tag)
-    # both outcomes of the step: a secular root of the masked weights, and
-    # the padded boundary
-    assert len(tags) >= 1000
+    # both outcomes: a secular root, and the padded boundary of a weight
+    # that counts as zero
+    assert tags.count("hard_boundary_padded") >= 900
     assert set(tags) == {EASY_TAG, "hard_boundary_padded"}
 
 
 @pytest.mark.parametrize("big", [1e4, 1e6, 1e8])
-def test_hard_step_shift_moves_left_of_a_rounded_theta1(big):
-    # ||T|| >> |theta_1|: theta_1 carries an error of order eps ||T||, far
-    # above the first shift, so T - (theta_1 - sigma) I does not factor
-    # until sigma has grown; the answer still matches the oracle
+def test_hard_step_shift_moves_left_of_a_rounded_theta1(big, monkeypatch):
+    # ||T|| >> |theta_1|: bisection to an absolute tolerance (dstebz's
+    # tolerance 0) leaves theta_1 an error of order eps ||T||, far above the
+    # first shift, so T - (theta_1 - sigma) I does not factor until sigma
+    # has grown; the answer still matches the oracle
+    monkeypatch.setattr(crqopt.lanczos, "BISECTION_ABSTOL", 0.0)
     a, b = np.array([big, 2.0 * big, 1e-3]), np.array([0.3 * big, 1e-13])
     beta1, gamma = 1.0, 0.5
     red = solve_rlgopt(a, b, beta1, gamma)
     theta, Y = sla.eigh_tridiagonal(a, b)
     lam, y_hat, tag = solve_plgopt_spectral(theta, beta1 * Y[0, :], gamma)
     x = Y @ y_hat
-    assert red.solver == HARD_STEP
     assert red.iterations > 1
     assert red.tag == tag
     assert abs(red.mu - lam) <= 4 * np.finfo(float).eps * 2.3 * big
@@ -248,9 +245,25 @@ def test_hard_step_shift_moves_left_of_a_rounded_theta1(big):
     assert np.abs(red.x - [x[0], x[1], np.copysign(x[2], red.x[2])]).max() <= 1e-10 * gamma
 
 
+@pytest.mark.parametrize("beta1", [1.0, 1e-12])
+@pytest.mark.parametrize("big", [1e4, 1e6, 1e8])
+def test_ill_scaled_root_matches_extended_precision(big, beta1):
+    # T = [[b+1, b], [b, b+1]]: theta_1 = 1 sits eps ||T|| = 2 eps b below
+    # the rounding level of an absolute-accuracy bisection, and at
+    # beta1 = 1e-12 the root lies 1.4e-12 left of it, where ||x|| ~ zeta_1/t
+    a, b = np.array([big + 1.0, big + 1.0]), np.array([big])
+    gamma = 0.5
+    mu, x = mpmath_secular_root(a, b, beta1, gamma)
+    red = solve_rlgopt(a, b, beta1, gamma)
+    assert red.tag == EASY_TAG
+    assert abs(red.mu - mu) <= 1e-15 * (1.0 + abs(mu))
+    assert np.linalg.norm(red.x) == pytest.approx(gamma, rel=1e-12)
+    assert np.abs(red.x - x).max() <= 1e-12 * gamma
+
+
 def test_scalar_case_takes_the_newton_path():
     red = solve_rlgopt([2.0], [], 1.0, 0.5)
-    assert red.solver == NEWTON
+    assert red.tag == EASY_TAG
     assert red.mu == 0.0
     assert red.x[0] == pytest.approx(-0.5, rel=1e-15)
 
