@@ -30,9 +30,9 @@ check's ``delta`` (which refreshes a stale multiplier), or cannot be
 formed.  No stop is decided on the estimate, and both routes follow the
 same schedule.  ``solution.history`` holds the checks that ran, each
 with the LDL' factorization count of its reduced solve; with
-``return_basis=True`` the solution carries the run's tridiagonal and
-basis (``KrylovRecord``), from which ``rebuild_history`` replays the
-check of every step after the solve.
+``return_basis=True`` the solution carries the main run itself
+(``KrylovRecord``), from which ``rebuild_history`` replays the check of
+every step after the solve.
 
 Degenerate instances - where the optimal multiplier coincides with the
 bottom of the projected spectrum and the Krylov space is blind to the
@@ -73,16 +73,14 @@ holds.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .errors import EigFailureError, InfeasibleError, NotConvergedError
-from .lanczos import (LanczosState, basis_product, bottom_ritz_pair, lanczos_pair_step,
-                      lanczos_step)
-from .problem import (INFEASIBLE, INTERIOR, UNIQUE_POINT, ProjectedOperator, b0_zero_threshold,
-                      classify)
+from .lanczos import LanczosState, bottom_ritz_pair, lanczos_pair_step, lanczos_step
+from .problem import INFEASIBLE, INTERIOR, UNIQUE_POINT, b0_zero_threshold, classify
 # benchmarks/tracing.py wraps driver.solve_reduced_qep by name, so the
 # name stays bound here; the driver never calls it
 from .qepmin import solve_reduced_qep
@@ -174,54 +172,29 @@ class CheckRecord:
 
 @dataclass
 class KrylovRecord:
-    """What the checks of a solve read of its main Lanczos run, kept so
-    that the check of any step can be replayed after the solve
-    (``rebuild_history``).
+    """The main Lanczos run of a solve, kept so that the check of any
+    step can be replayed after the solve (``rebuild_history``).
 
-    ``alpha`` holds alpha_1..alpha_K and ``beta`` beta_1 = ||b0||, ...,
-    beta_{K+1}, as ``LanczosState.alpha``/``beta`` do after K steps, a
-    breakdown step included.  ``method``, ``norm_a``, ``gamma`` and
-    ``n0An0`` are the scalars of the route's bound and of the objective
-    identity.  ``basis`` is a copy of the run's (n, K) basis in the
-    store's dtype and layout, and ``P`` the problem's projector.
-    ``iterate(x)`` forms the iterate of a step-k check as the solve forms
-    v (``_iterate``): n0 + Q_k x on float64 rows, so it repeats the v of
-    an easy solve, which stops at K, bit for bit, and that sum projected
-    and rescaled to the sphere on float32 rows.  It answers ``k``,
-    ``beta``, ``dtype``, ``basis_product`` and ``tridiagonal()`` as a
-    ``LanczosState`` does, so a check and an iterate read either.
+    ``run`` is the solve's ``LanczosState`` as it stood at the stop, after
+    K = ``run.k`` steps, a breakdown step included; it holds T_K, beta_1 =
+    ||b0|| ... beta_{K+1} and the basis, in the store's dtype.  ``method``,
+    ``norm_a``, ``gamma`` and ``n0An0`` are the scalars of the route's
+    bound and of the objective identity.  ``iterate(x)`` forms the
+    iterate of a step-k check as the solve forms v (``_iterate``):
+    n0 + Q_k x on float64 rows, so it repeats the v of an easy solve,
+    which stops at K, bit for bit, and that sum projected and rescaled to
+    the sphere on float32 rows.
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
+    run: LanczosState
     method: str
     norm_a: float
     gamma: float
     n0An0: float
     n0: np.ndarray
-    basis: np.ndarray
-    P: ProjectedOperator
-
-    @property
-    def k(self):
-        return self.alpha.size
-
-    @property
-    def dtype(self):
-        return self.basis.dtype
-
-    def basis_product(self, x, k):
-        return basis_product(self.basis[:, :k].T, x)
 
     def iterate(self, x):
-        return _iterate(self, x, self.n0, self.gamma)
-
-    def tridiagonal(self):
-        return self.alpha.copy(), self.beta[1:self.k].copy()
-
-    def prefix(self, k):
-        """The record as it stood after step k."""
-        return replace(self, alpha=self.alpha[:k], beta=self.beta[:k + 1])
+        return _iterate(self.run, x, self.n0, self.gamma)
 
 
 @dataclass
@@ -308,29 +281,30 @@ def qep_residual_bound(state, red, norm_a, gamma, beta1):
 
     The pair is (mu, w) with y = (T_k - mu I) w, which is x on the easy
     tag and (theta_1 - mu) w = 0 on a boundary tag.  The bound reads only
-    the trailing components of (y, w) and beta_{k+1}, so it costs O(1)
+    the trailing components of (y, w) and beta_{k+1} of ``state``, with k
+    the size of the reduced solve, so it costs O(1)
     and applies no operator; the exact normalized residual, which would
     need M = P A P applied to q_{k+1}, never exceeds it, after a breakdown too.
     """
     shift = norm_a + abs(red.mu)
     denom = (shift**2 + (beta1 / gamma) ** 2) * np.linalg.norm(red.w)
-    beta_next = state.beta[state.k]
+    beta_next = state.beta[red.x.size]
     y_last = red.x[-1] if red.tag == EASY_TAG else 0.0
     return float(abs(beta_next) * (abs(y_last) + shift * abs(red.w[-1])) / denom)
 
 
-def _reduced_solve(state, method, beta1, gamma, norm_a):
-    """The one reduced solve at the current step of ``state`` (a
-    ``LanczosState`` or a ``KrylovRecord``), and the route's bound.
+def _reduced_solve(state, k, method, beta1, gamma, norm_a):
+    """The one reduced solve at step k of the ``LanczosState`` ``state``,
+    and the route's bound.
 
     Returns ``(red, delta)``: the ``ReducedLgSolution`` and the residual
     bound read from it, of the Lagrange equations (``lgopt``) or of the
     reduced QEP (``qepmin``).
     """
-    red = solve_rlgopt(*state.tridiagonal(), beta1, gamma)
+    red = solve_rlgopt(*state.tridiagonal(k), beta1, gamma)
     if method == QEPMIN:
         return red, qep_residual_bound(state, red, norm_a, gamma, beta1)
-    return red, _lgopt_bound(abs(state.beta[state.k]), abs(red.x[-1]), np.linalg.norm(red.x),
+    return red, _lgopt_bound(abs(state.beta[k]), abs(red.x[-1]), np.linalg.norm(red.x),
                              red.mu, norm_a, beta1)
 
 
@@ -347,14 +321,14 @@ def rebuild_history(solution):
     Each record is, bit for bit, the ``CheckRecord`` that a check at that
     step makes; the checks in ``solution.history`` are among them.
     """
-    run = solution.krylov
-    if run is None:
+    rec = solution.krylov
+    if rec is None:
         raise ValueError("rebuild_history needs a solution with return_basis=True")
-    beta1 = run.beta[0]
+    beta1 = rec.run.beta[0]
     records = []
-    for k in range(solution.history[0].k, run.k + 1):
-        red, delta = _reduced_solve(run.prefix(k), run.method, beta1, run.gamma, run.norm_a)
-        records.append(_check_record(k, red, delta, run.gamma, beta1, run.n0An0))
+    for k in range(solution.history[0].k, rec.run.k + 1):
+        red, delta = _reduced_solve(rec.run, k, rec.method, beta1, rec.gamma, rec.norm_a)
+        records.append(_check_record(k, red, delta, rec.gamma, beta1, rec.n0An0))
     return records
 
 
@@ -595,8 +569,8 @@ def _pad(state, ritz, feas):
 
 def _iterate(run, x, n0, gamma):
     """The iterate v = n0 + Q_k x of a check's reduced solution x, with
-    ||x|| = gamma, from the rows of ``run``: the solve's ``LanczosState``
-    or, replayed after it, its ``KrylovRecord``.
+    ||x|| = gamma, from the rows of the solve's ``LanczosState`` ``run``,
+    during the solve or, replayed after it, from its ``KrylovRecord``.
 
     On a float64 store that is the plain sum, bit for bit.  A store that
     rounds coarser than float64 (float32, see ``lanczos.basis_dtype``)
@@ -666,7 +640,7 @@ def solve(problem, opts=None):
             proxy.advance(state.alpha[k - 1], state.beta[k - 1])
             if not proxy.due(state.beta[k]):
                 continue
-        red, delta = _reduced_solve(state, opts.method, beta1, gamma, norm_a)
+        red, delta = _reduced_solve(state, k, opts.method, beta1, gamma, norm_a)
         history.append(_check_record(k, red, delta, gamma, beta1, feas.n0An0))
         if delta <= opts.tol or state.broke_down:
             break
@@ -694,9 +668,7 @@ def solve(problem, opts=None):
 
     krylov = None
     if opts.return_basis:
-        krylov = KrylovRecord(state.alpha.copy(), state.beta.copy(), opts.method, norm_a, gamma,
-                              feas.n0An0, feas.n0, state.basis(last.k).copy(order="K"),
-                              problem.P)
+        krylov = KrylovRecord(state, opts.method, norm_a, gamma, feas.n0An0, feas.n0)
     solution = crq_solution(
         problem, v, mu, case, feas.n0, k=last.k, history=history, krylov=krylov,
         reorth_steps=state.reorth_steps, detection=report,

@@ -27,8 +27,7 @@ from .driver import EASY, HARD, crq_solution, unique_point_solution
 from .errors import BracketFailureError, InfeasibleError, NoRealEigenvalueError, TooLargeError
 from .problem import INFEASIBLE, INTERIOR, classify, compute_n0
 # the case tags and solve_plgopt_spectral are re-exported with the reference
-from .secular import (EASY_TAG, HARD_EXACT_TAG, HARD_PADDED_TAG, ORTHO_TOL,
-                      _bottom_cluster, solve_plgopt_spectral)
+from .secular import EASY_TAG, HARD_EXACT_TAG, HARD_PADDED_TAG, solve_plgopt_spectral
 
 DENSE_CAP = 5000
 PINV_TRUNC = 1e-12
@@ -101,18 +100,12 @@ def pinv_shift_apply(red, lam, vec):
 
 
 def hard_case_predicate(red, gamma):
-    """True iff the instance is degenerate: the reduced gradient is
-    orthogonal to the bottom eigenspace of H and the minimum-norm
-    stationary point fits within the radius gamma."""
-    xi = red.Y.T @ red.g0
-    cluster = _bottom_cluster(red.theta)
-    norm_g = np.linalg.norm(red.g0)
-    if norm_g == 0.0:
-        return True
-    if np.linalg.norm(xi[cluster]) > ORTHO_TOL * norm_g:
-        return False
-    w = pinv_shift_apply(red, red.theta[0], -red.g0)
-    return np.linalg.norm(w) <= gamma * (1.0 + 1e-10)
+    """True iff the instance is degenerate: the case analysis of
+    ``solve_plgopt_dense`` puts the multiplier on the bottom of the
+    spectrum of H (the reduced gradient is orthogonal to its bottom
+    eigenspace and the minimum-norm stationary point fits within the
+    radius gamma)."""
+    return solve_plgopt_dense(red, gamma)[2] != EASY_TAG
 
 
 def solve_qep_linearization(T, coupling):

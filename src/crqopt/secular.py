@@ -36,12 +36,16 @@ hard case.
 
 ``solve_plgopt_spectral`` is that case analysis in eigen-coordinates, for
 the dense oracle and the instance generator; no reduced solve of the
-driver calls it.  Its secular root finder ``smallest_root`` fits the
-rational model g(lam) = -b + a/(lam - pole)^2  to chi and chi' at the
-current point (a two-point Pade-type step that converges much faster
-than Newton on functions with double poles), and falls back to
-bisection whenever the model is unusable or steps out of the current
-root bracket.
+driver calls it.  Its secular root finder ``smallest_root`` is the same
+safeguarded Newton iteration on 1/||x(t)|| = 1/gamma (the secular form of
+Gander, Golub & von Matt, Linear Algebra Appl. 114/115, 1989), on a
+diagonal: x(t) = -xi / (d + t) with the pole offsets d = theta - theta_1,
+formed once, and only the poles that carry weight.  It starts at the
+one-pole bound, left of the root, and keeps the bracket
+[that bound, ||xi|| / gamma]; the case analysis forms its minimizer
+from t, so a root close to a large theta_1 stays on the sphere.  The
+oracle shares the method with ``solve_rlgopt`` but no code: it works on
+an eigen-decomposition, the driver on LDL' factorizations.
 """
 
 import math
@@ -53,8 +57,8 @@ from scipy.linalg import lapack
 from .errors import MaxIterError, NoRootError
 from .lanczos import bottom_eigenpair
 
+# a weight below TINY_LEADING_WEIGHT times the gradient norm counts as zero
 TINY_LEADING_WEIGHT = 1e-10
-ORTHO_TOL = 1e-10
 
 EASY_TAG = "easy"
 HARD_EXACT_TAG = "hard_boundary_exact"
@@ -64,14 +68,13 @@ HARD_PADDED_TAG = "hard_boundary_padded"
 # factorizations on the n = 1100 worst-case tridiagonals and at most 14
 # on the 3000 near-degenerate draws of the tests
 NEWTON_MAXIT = 50
-# solve_rlgopt stops on a step in t = theta_1 - mu, or a root bracket, of
-# at most T_RTOL t
+# solve_rlgopt and smallest_root stop on a step in t = theta_1 - mu, or a
+# root bracket, of at most T_RTOL t
 T_RTOL = 1e-12
-# steps before smallest_root gives up on its safeguarded rational iteration
+# steps before smallest_root gives up on its safeguarded Newton iteration
 SECULAR_MAXIT = 200
-# smallest_root stops on a step in lambda of at most
-# STEP_TOL (1 + |theta_1| + ||weights|| / gamma); solve_rlgopt's first
-# shift off theta_1 is STEP_TOL (1 + |theta_1| + beta1 / gamma)
+# solve_rlgopt's first shift off theta_1 is STEP_TOL (1 + |theta_1| +
+# beta1 / gamma): below it, theta_1 - shift may round into the spectrum
 STEP_TOL = 1e-14
 
 
@@ -99,6 +102,40 @@ def secular_value(spec, lam):
     return float(np.sum(spec.xi**2 / (lam - spec.theta) ** 2) - spec.gamma**2)
 
 
+def _secular_t(d, xi, gamma):
+    """The root t = theta_1 - lambda >= 0 of ``smallest_root``, given the
+    pole offsets d = theta - theta_1, and the iteration count.
+
+    Only the poles that carry weight enter the iteration.
+    """
+    nz = np.flatnonzero(xi)
+    if nz.size == 0:
+        raise NoRootError("all secular weights vanish")
+    dn, xn = d[nz], xi[nz]
+    if dn[0] > 0.0 and np.sum((xn / dn) ** 2) <= gamma**2:
+        # no pole at theta_1: a root below the spectrum needs ||xi/d|| > gamma
+        raise NoRootError("secular function has no root left of theta_1")
+    # the one-pole bound lies left of the root, ||xi|| / gamma right of it
+    lo, hi = max(abs(xn[0]) / gamma - dn[0], 0.0), float(np.linalg.norm(xn)) / gamma
+    t = lo
+    for it in range(1, SECULAR_MAXIT + 1):
+        r = xn / (dn + t)
+        nx = math.sqrt(r @ r)
+        if nx > gamma:
+            lo = t
+        else:
+            hi = t
+        if hi - lo <= T_RTOL * t:
+            return t, it
+        cand = t + (nx - gamma) * nx * nx / (gamma * float(r @ (r / (dn + t))))
+        if not lo <= cand <= hi:
+            cand = 0.5 * (lo + hi)
+        step, t = abs(cand - t), cand
+        if step <= T_RTOL * t:
+            return t, it
+    raise MaxIterError(f"secular iteration did not settle within {SECULAR_MAXIT} steps")
+
+
 def smallest_root(spec):
     """Unique root of the secular function left of its smallest pole.
 
@@ -109,61 +146,8 @@ def smallest_root(spec):
     where its case analysis has placed a root below theta_1.
     """
     theta, xi, gamma = spec
-    nz = np.flatnonzero(xi)
-    if nz.size == 0:
-        raise NoRootError("all secular weights vanish")
-    j0 = nz[0]
-    t1 = theta[0]
-    tj = theta[j0]
-    delta0 = float(np.sqrt(np.sum(xi**2)) / gamma)
-    eps = STEP_TOL * (1.0 + abs(t1) + delta0)
-
-    if tj > t1:
-        # no pole at theta_1: a root below the spectrum needs chi(theta_1-) > 0
-        # (zero-weight poles at theta_1 do not contribute to the limit)
-        limit = np.sum(xi[nz] ** 2 / (t1 - theta[nz]) ** 2) - gamma**2
-        if limit <= 0.0:
-            raise NoRootError("secular function has no root left of theta_1")
-
-    lo, hi = t1 - delta0, t1
-
-    # initial guess: solve the one-pole model with the tail frozen at lo
-    mask = np.arange(theta.size) > j0
-    tail = np.sum(xi[mask] ** 2 / ((tj - delta0) - theta[mask]) ** 2)
-    eta = gamma**2 - tail
-    if eta > 0.0:
-        lam = tj - abs(xi[j0]) / np.sqrt(eta)
-    else:
-        lam = tj - delta0 / 2.0
-    # the lower bracket end can be the root itself (single-pole bound is
-    # tight), so acceptance is closed on the left
-    if not (lo <= lam < hi):
-        lam = 0.5 * (lo + hi)
-
-    for it in range(1, SECULAR_MAXIT + 1):
-        if lam >= hi:
-            # the bracket midpoint rounded onto hi: lo and hi are equal or
-            # adjacent floats, and hi may be the pole theta_1 itself
-            return float(lo), it
-        chi = secular_value(spec, lam)
-        if chi > 0.0:
-            hi = lam
-        else:
-            lo = lam
-        s3 = float(np.sum(xi**2 / (lam - theta) ** 3))
-        a = (lam - tj) ** 3 * s3
-        b = (lam - tj) * s3 - chi
-        if b > 0.0:
-            cand = tj - np.sqrt(a / b)
-            if not (lo <= cand < hi):
-                cand = 0.5 * (lo + hi)
-        else:
-            cand = 0.5 * (lo + hi)
-        step = abs(cand - lam)
-        lam = cand
-        if step < eps:
-            return float(lam), it
-    raise MaxIterError(f"secular iteration did not settle within {SECULAR_MAXIT} steps")
+    t, it = _secular_t(theta - theta[0], xi, gamma)
+    return float(theta[0] - t), it
 
 
 def _bottom_cluster(theta):
@@ -183,43 +167,42 @@ def solve_plgopt_spectral(theta, xi, gamma):
     strictly below theta_1; otherwise the minimum-norm stationary point
     w = -(H - theta_1)^+ g0 decides between a secular root (||w|| >
     gamma), the exact boundary solution (||w|| = gamma) and boundary
-    plus eigenvector padding (||w|| < gamma).
+    plus eigenvector padding (||w|| < gamma).  A secular root is found
+    in t = theta_1 - lambda, and y_hat = -xi / (theta - theta_1 + t) is
+    formed from t, not from lambda, whose difference to theta_1 rounds.
     """
     theta = np.asarray(theta, dtype=float)
     xi = np.asarray(xi, dtype=float)
+    d = theta - theta[0]
     cluster = _bottom_cluster(theta)
     norm_g = np.linalg.norm(xi)
     weight_bottom = np.linalg.norm(xi[cluster])
 
     # a bottom weight with weight_bottom / gamma below the float spacing at
     # theta_1 counts as zero: a root that needs it (||w|| < gamma below)
-    # lies within rounding of theta_1, where -xi / (theta - lam) divides by 0
+    # lies within rounding of theta_1
     resolved = theta[0] - weight_bottom / gamma < theta[0]
-    if weight_bottom > ORTHO_TOL * norm_g and norm_g > 0.0 and resolved:
-        lam, _ = smallest_root(make_spec(theta, xi, gamma))
-        y_hat = -xi / (theta - lam)
-        return float(lam), y_hat, EASY_TAG
+    if weight_bottom > TINY_LEADING_WEIGHT * norm_g and resolved:
+        t, _ = _secular_t(d, xi, gamma)
+        return float(theta[0] - t), -xi / (d + t), EASY_TAG
 
     # bottom weight (numerically) zero: drop it and examine the boundary
-    xi_masked = xi.copy()
-    xi_masked[cluster] = 0.0
-    w_hat = np.zeros_like(xi)
+    xi = xi.copy()
+    xi[cluster] = 0.0
     outside = np.ones(theta.size, dtype=bool)
     outside[cluster] = False
-    w_hat[outside] = -xi_masked[outside] / (theta[outside] - theta[0])
+    w_hat = np.zeros_like(xi)
+    w_hat[outside] = -xi[outside] / d[outside]
     nw = np.linalg.norm(w_hat)
 
     if nw > gamma * (1.0 + 1e-12):
-        lam, _ = smallest_root(make_spec(theta, xi_masked, gamma))
-        y_hat = np.zeros_like(xi)
-        y_hat[outside] = -xi_masked[outside] / (theta[outside] - lam)
-        return float(lam), y_hat, EASY_TAG
+        t, _ = _secular_t(d, xi, gamma)
+        return float(theta[0] - t), -xi / (d + t), EASY_TAG
     if abs(nw - gamma) <= 1e-12 * gamma:
         return float(theta[0]), w_hat, HARD_EXACT_TAG
     pad = np.sqrt(max(gamma**2 - nw**2, 0.0))
-    y_hat = w_hat.copy()
-    y_hat[cluster[0]] += pad
-    return float(theta[0]), y_hat, HARD_PADDED_TAG
+    w_hat[cluster[0]] += pad
+    return float(theta[0]), w_hat, HARD_PADDED_TAG
 
 
 class ReducedLgSolution(NamedTuple):

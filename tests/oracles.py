@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here deliberately avoids the code paths under test: dense
-pseudoinverses instead of QR solves, bisection instead of the rational
+pseudoinverses instead of QR solves, bisection instead of the Newton
 secular iteration, grid search on the feasible circle instead of any
 multiplier machinery, 60-digit ``mpmath`` arithmetic where float
 rounding is the question.  ``DenseQrProjector`` factors the whole of C,

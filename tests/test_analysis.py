@@ -100,7 +100,7 @@ def test_error_history_matches_direct_recomputation():
     assert [row["k"] for row in rows] == [rec.k for rec in records] == list(range(1, sol.k + 1))
     rec = records[len(records) // 2]
     row = rows[len(rows) // 2]
-    v_k = sol.krylov.n0 + sol.krylov.basis[:, : rec.k] @ rec.x
+    v_k = sol.krylov.n0 + sol.krylov.run.basis(rec.k) @ rec.x
     assert row["err2"] == pytest.approx(np.linalg.norm(v_k - ref.v), rel=1e-12)
     h_k = float(v_k @ prob.A.matvec(v_k))
     assert rec.objective == pytest.approx(h_k, abs=1e-10 * (1 + abs(h_k)))

@@ -624,11 +624,11 @@ def test_a_float32_basis_returns_v_on_the_sphere_and_the_constraints(size, seed)
 
 @pytest.mark.parametrize("return_basis", [False, True])
 def test_a_float32_solve_holds_no_float64_copy_of_its_basis(monkeypatch, return_basis):
-    """Beyond its float32 row store (and the record's float32 copy of the
-    rows), the solve of a 128x128 raster peaks at about 7.2 n doubles.  A
-    k x n float64 copy of the basis, made by a mixed-dtype product in a
-    Gram-Schmidt pass, in forming v or in the ``KrylovRecord``, would add
-    41 n."""
+    """Beyond its float32 row store, the solve of a 128x128 raster peaks
+    at about 7.2 n doubles, with or without a ``KrylovRecord``, which
+    holds the run itself.  A k x n float64 copy of the basis, made by a
+    mixed-dtype product in a Gram-Schmidt pass or in forming v, would
+    add 41 n."""
     image = _two_region_raster(128)
     labels = LabelSet.from_pixels(image.shape, [(64, 15)], [(64, 110)])
     problem = to_crqopt(build_graph(image, 0.1, 5, dtype=np.float32), labels)
@@ -650,11 +650,9 @@ def test_a_float32_solve_holds_no_float64_copy_of_its_basis(monkeypatch, return_
     [state] = states
     assert state.dtype == np.float32
     assert sol.k == 41 and sol.reorth_steps > 0
-    held = state._Q.nbytes
     if return_basis:
-        assert sol.krylov.basis.dtype == np.float32
-        held += sol.krylov.basis.nbytes
-    assert peak - held <= 12 * problem.n * 8
+        assert sol.krylov.run is state
+    assert peak - state._Q.nbytes <= 12 * problem.n * 8
 
 
 def test_a_float32_replay_forms_each_iterate_as_the_solve_does():
@@ -666,7 +664,7 @@ def test_a_float32_replay_forms_each_iterate_as_the_solve_does():
     labels = LabelSet.from_pixels(image.shape, [(64, 15)], [(64, 110)])
     problem = to_crqopt(build_graph(image, 0.1, 5, dtype=np.float32), labels)
     sol = crqopt.solve(problem, replace(default_segment_options(), return_basis=True))
-    assert sol.k == 41 and sol.krylov.dtype == np.float32
+    assert sol.k == 41 and sol.krylov.run.dtype == np.float32
     tracemalloc.start()
     try:
         rows = crqopt.error_history(sol, sol)

@@ -96,7 +96,7 @@ def test_iterate_is_krylov_slice_minimizer(small_example):
     records = crqopt.rebuild_history(sol)
     assert [rec.k for rec in records] == [1, 2, 3]
     for rec in records:
-        v_k = feas.n0 + sol.krylov.basis[:, : rec.k] @ rec.x
+        v_k = feas.n0 + sol.krylov.run.basis(rec.k) @ rec.x
         h_k = float(v_k @ A @ v_k)
         oracle = krylov_slice_minimum(A, P, feas.n0, feas.b0, feas.gamma, rec.k)
         assert h_k <= oracle + 1e-8
@@ -345,7 +345,7 @@ def test_scheduled_checks_stop_where_checking_every_step_would(method):
             # no step met tol: the run stopped at maxit or on breakdown, and raised
             breakdown_tol = np.finfo(float).eps ** (2.0 / 3.0) * max(prob.norm_a, 1.0)
             assert raised
-            assert sol.k == min(opts.maxit, prob.n) or sol.krylov.beta[-1] <= breakdown_tol
+            assert sol.k == min(opts.maxit, prob.n) or sol.krylov.run.beta[-1] <= breakdown_tol
             no_stop += 1
         assert sol.history[-1].k == sol.k
         for rec in sol.history:
@@ -644,7 +644,7 @@ def test_a_breakdown_returns_only_an_answer_that_met_tol(method):
                     returned += 1
                     continue
                 assert sol.k < opts.maxit
-                ratio = sol.krylov.beta[sol.k] / prob.norm_a
+                ratio = sol.krylov.run.beta[sol.k] / prob.norm_a
                 named = f"broke down at step {sol.k} with beta_{{k+1}}/||A|| = {ratio:.3e}"
                 assert named in str(raised)
                 raised_at_breakdown += 1
@@ -715,7 +715,8 @@ def test_lockstep_detection_leaves_the_main_run_alone(kind, seed, nm, m):
     alone = _solution(prob, replace(opts, detect_hard=False))
     assert paired.k == alone.k
     tol = max(1e-12, np.finfo(float).eps * prob.norm_a / (red.theta[0] - alone.mu))
-    iterates = [sol.krylov.n0 + sol.krylov.basis @ sol.history[-1].x for sol in (paired, alone)]
+    iterates = [sol.krylov.n0 + sol.krylov.run.basis() @ sol.history[-1].x
+                for sol in (paired, alone)]
     assert np.linalg.norm(iterates[0] - iterates[1]) <= tol
     assert paired.case == crqopt.EASY
     assert np.linalg.norm(paired.v - alone.v) <= tol
@@ -730,8 +731,8 @@ def test_the_returned_basis_repeats_v_bit_for_bit(seed, method):
     prob, _ = crqopt.generate(spec)
     sol = solve(prob, SolveOptions(method=method, maxit=prob.n, return_basis=True))
     assert sol.case == crqopt.EASY
-    assert sol.krylov.basis.dtype == np.float64
-    assert np.array_equal(sol.v, sol.krylov.n0 + sol.krylov.basis @ sol.history[-1].x)
+    assert sol.krylov.run.dtype == np.float64
+    assert np.array_equal(sol.v, sol.krylov.n0 + sol.krylov.run.basis() @ sol.history[-1].x)
 
 
 def test_sigma_below_the_spectrum_refuses_the_random_start_bound():

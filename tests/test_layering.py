@@ -171,6 +171,40 @@ def test_no_class_field_is_a_dict():
     assert not found, f"dict-valued class fields: {found}"
 
 
+# the dense oracle and the instance generator judge the driver's reduced
+# solves, so they share none of its code
+ORACLE_CODE = {"reference.py": None, "instances.py": None,
+               "secular.py": ("smallest_root", "_secular_t", "solve_plgopt_spectral")}
+DRIVER_SOLVE_NAMES = {"solve_rlgopt", "_solves_off_s1", "bottom_eigenpair"}
+
+
+def _referenced_names(node):
+    """Every name that ``node`` loads, imports or reads as an attribute."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in sub.names)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CODE))
+def test_the_oracle_shares_no_code_with_the_reduced_solve(name):
+    tree = _tree(PACKAGE / name)
+    functions = ORACLE_CODE[name]
+    if functions is None:
+        nodes = [tree]
+    else:
+        nodes = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in functions]
+        assert sorted(node.name for node in nodes) == sorted(functions)
+    used = set().union(*map(_referenced_names, nodes)) & DRIVER_SOLVE_NAMES
+    assert not used, f"{name} references the driver's reduced solve: {sorted(used)}"
+
+
 def test_detection_union_bound():
     # KW_DELTA bounds a false "easy" at one detection step; over the at
     # most EIG_MAXIT steps of a run the total stays at or below 5e-8.  The

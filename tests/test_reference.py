@@ -29,6 +29,18 @@ def test_projected_spectrum_is_reduced_spectrum_plus_zeros(small_example):
     assert np.allclose(eig_m, eig_expected, atol=1e-8)
 
 
+@pytest.mark.parametrize("shift", [1e3, 1e5, 1e6])
+def test_direct_solve_lands_on_the_sphere_under_a_large_shift(shift):
+    # A + shift I has the minimizer of A and |theta_1| ~ shift; the oracle's
+    # v must meet ||v|| = 1 as tightly as the solver it judges
+    worst = 0.0
+    for seed in range(40):
+        prob = random_interior_problem(np.random.default_rng(seed), 60, 3)
+        shifted = crqopt.CrqProblem(dense_matrix(prob) + shift * np.eye(prob.n), prob.C, prob.b)
+        worst = max(worst, abs(np.linalg.norm(direct_solve(shifted).v) - 1.0))
+    assert worst <= 1e-13
+
+
 def test_case_analysis_generic_matches_bisection():
     theta = np.array([1.0, 2.0])
     xi = np.array([1.0, 0.0])

@@ -57,6 +57,44 @@ def test_random_specs_fast_and_accurate(seed):
     assert abs(secular_value(make_spec(theta, xi, gamma), lam)) <= 1e-6 * gamma**2 + 1e-10
 
 
+def test_large_theta1_roots_stay_on_the_sphere():
+    # |theta_1| up to 1e7 next to offsets down to 0.01: a root found in
+    # lambda, with its minimizer formed from theta - lambda, misses
+    # ||y|| = gamma by 1.0e-5 relative on these draws; formed from
+    # t = theta_1 - lambda, it holds to rounding
+    rng = np.random.default_rng(35)
+    worst = 0.0
+    for _ in range(2000):
+        ell = int(rng.integers(2, 40))
+        theta1 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(5.0, 7.0)
+        theta = theta1 + np.concatenate([[0.0], np.sort(rng.uniform(0.01, 100.0, ell - 1))])
+        xi = rng.standard_normal(ell)
+        gamma = float(rng.uniform(0.05, 5.0))
+        _, y_hat, tag = solve_plgopt_spectral(theta, xi, gamma)
+        assert tag == EASY_TAG
+        worst = max(worst, abs(np.linalg.norm(y_hat) - gamma) / gamma)
+    assert worst <= 1e-14
+
+
+def test_criterion_7_family_settles_in_few_newton_steps():
+    # criterion 7's draws, ten times as many: the Newton iteration in t
+    # from the one-pole bound settles in at most 12 steps (a rational
+    # iteration in lambda took up to 70) and agrees with bisection
+    rng = np.random.default_rng(77)
+    worst_gap, worst_iters = 0.0, 0
+    for _ in range(2000):
+        ell = int(rng.integers(1, 51))
+        theta = np.sort(rng.standard_normal(ell) * rng.uniform(0.5, 5.0))
+        xi = rng.standard_normal(ell)
+        gamma = float(rng.uniform(0.2, 2.0))
+        lam, iters = smallest_root(make_spec(theta, xi, gamma))
+        oracle = bisection_secular_root(theta, xi, gamma, iters=200)
+        worst_gap = max(worst_gap, abs(lam - oracle) / (1.0 + abs(theta[0])))
+        worst_iters = max(worst_iters, iters)
+    assert worst_iters <= 12
+    assert worst_gap <= 1e-12
+
+
 def test_no_root_detected():
     # weight far from theta_1 and a huge radius: chi stays negative
     with pytest.raises(NoRootError):
