@@ -17,12 +17,11 @@ from .instances import (GroundTruth, InstanceSpec, chebyshev_extreme_nodes,
                         embed, generate, reference_solution, verify_roundtrip)
 from .operators import SymmetricOperator, as_operator, norm_estimate
 from .problem import CrqProblem, Feasibility, ProjectedOperator, classify, compute_n0
-from .qepmin import ReducedQepSolution, solve_reduced_qep
-from .reference import (DenseReduction, build_reduction, direct_solve,
-                        dual_check, equivalence_maps, hard_case_predicate,
-                        solve_plgopt_dense)
-from .secular import (SecularSpec, make_spec, secular_value, smallest_root,
-                      solve_plgopt_spectral, solve_rlgopt)
+from .reference import (DenseReduction, SecularSpec, build_reduction, direct_solve,
+                        dual_check, equivalence_maps, hard_case_predicate, make_spec,
+                        secular_value, smallest_root, solve_plgopt_dense,
+                        solve_plgopt_spectral)
+from .secular import ReducedQepSolution, solve_reduced_qep, solve_rlgopt
 
 __version__ = "0.1.0"
 

@@ -83,8 +83,7 @@ from .lanczos import LanczosState, bottom_ritz_pair, lanczos_pair_step, lanczos_
 from .problem import INFEASIBLE, INTERIOR, UNIQUE_POINT, b0_zero_threshold, classify
 # benchmarks/tracing.py wraps driver.solve_reduced_qep by name, so the
 # name stays bound here; the driver never calls it
-from .qepmin import solve_reduced_qep
-from .secular import EASY_TAG, solve_rlgopt
+from .secular import EASY_TAG, solve_reduced_qep, solve_rlgopt
 
 EASY = "easy"
 HARD = "hard_detected"

@@ -29,7 +29,8 @@ from .driver import EASY, HARD, crq_solution
 from .errors import SingularHError, VerificationError
 from .operators import SymmetricOperator
 from .problem import CrqProblem, classify
-from .secular import EASY_TAG, solve_plgopt_spectral
+from .reference import solve_plgopt_spectral
+from .secular import EASY_TAG
 
 ONES = "ones"
 GEOMETRIC = "geometric"

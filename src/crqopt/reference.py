@@ -1,22 +1,38 @@
-"""Dense direct solver and theory validators.
+"""Dense and spectral oracles: the reference the solver is tested against.
 
 This module does with explicit factorizations what the Lanczos driver
 does matrix-free: split R^n into null(C') and range(C) with a full
 orthogonal factorization, reduce A to H = S1' A S1 and b0 to
 g0 = S1' b0, and solve the reduced multiplier problem through its full
-eigen-decomposition and case analysis (secular root strictly below the
-spectrum in the generic case, boundary multiplier with optional
-eigenvector padding in the degenerate ones).  The case analysis itself
-lives in ``secular`` (the instance generator uses it too; the driver's
-reduced solves do not) and is re-exported here with its tags.  The
-dense 2k x 2k linearization of the quadratic eigenproblem,
-``solve_qep_linearization``, is kept only here, as the oracle for the
-QEP pair that ``qepmin`` derives from the secular solve.
+eigen-decomposition and the spectral case analysis
+``solve_plgopt_spectral`` (secular root strictly below the spectrum in
+the generic case, boundary multiplier with optional eigenvector padding
+in the degenerate ones).  The instance generator builds its reference
+points on the same case analysis; no reduced solve of the driver calls
+it.
 
-Everything here is O(n^3) and capped; the point is exactness, not
+The case analysis finds a secular root with ``smallest_root``'s
+safeguarded Newton iteration on 1/||x(t)|| = 1/gamma (the secular form
+of Gander, Golub & von Matt, Linear Algebra Appl. 114/115, 1989), on a
+diagonal: x(t) = -xi / (d + t) with the pole offsets d = theta - theta_1,
+formed once, and only the poles that carry weight.  It starts at the
+one-pole bound, left of the root, and keeps the bracket
+[that bound, ||xi|| / gamma]; the case analysis forms its minimizer from
+t = theta_1 - lambda, so a root close to a large theta_1 stays on the
+sphere.  The oracle shares the method with ``secular.solve_rlgopt`` but
+no code: it works on an eigen-decomposition, the driver on LDL'
+factorizations.
+
+The dense 2k x 2k linearization of the quadratic eigenproblem,
+``solve_qep_linearization``, is kept only here, as the oracle for the
+QEP pair that ``secular.solve_reduced_qep`` derives from the reduced
+solve.
+
+The dense routines are O(n^3) and capped; the point is exactness, not
 scale.  The rest of the package is tested against these routines.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -24,14 +40,147 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .driver import EASY, HARD, crq_solution, unique_point_solution
-from .errors import BracketFailureError, InfeasibleError, NoRealEigenvalueError, TooLargeError
+from .errors import (BracketFailureError, InfeasibleError, MaxIterError, NoRealEigenvalueError,
+                     NoRootError, TooLargeError)
 from .problem import INFEASIBLE, INTERIOR, classify, compute_n0
-# the case tags and solve_plgopt_spectral are re-exported with the reference
-from .secular import EASY_TAG, HARD_EXACT_TAG, HARD_PADDED_TAG, solve_plgopt_spectral
+from .secular import EASY_TAG, HARD_EXACT_TAG, HARD_PADDED_TAG, T_RTOL, TINY_LEADING_WEIGHT
 
 DENSE_CAP = 5000
 PINV_TRUNC = 1e-12
 REAL_CLASSIFY_TOL = 1e-8
+# steps before smallest_root gives up on its safeguarded Newton iteration
+SECULAR_MAXIT = 200
+
+
+class SecularSpec(NamedTuple):
+    """Poles (ascending), weights and the radius gamma of a secular function."""
+
+    theta: np.ndarray
+    xi: np.ndarray
+    gamma: float
+
+
+def make_spec(theta, xi, gamma):
+    """A checked ``SecularSpec``: finite ascending poles, finite weights
+    of the same nonzero length and a finite positive gamma, or
+    ``ValueError``."""
+    theta = np.asarray(theta, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    if theta.ndim != 1 or theta.size == 0 or theta.shape != xi.shape:
+        raise ValueError("theta and xi must be nonempty 1-D arrays of equal length")
+    if not (np.isfinite(theta).all() and np.isfinite(xi).all()):
+        raise ValueError("theta and xi must be finite")
+    if np.any(np.diff(theta) < 0):
+        raise ValueError("theta must be ascending")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be finite and positive")
+    return SecularSpec(theta, xi, float(gamma))
+
+
+def secular_value(spec, lam):
+    return float(np.sum(spec.xi**2 / (lam - spec.theta) ** 2) - spec.gamma**2)
+
+
+def _secular_t(d, xi, gamma):
+    """The root t = theta_1 - lambda >= 0 of ``smallest_root``, given the
+    pole offsets d = theta - theta_1, and the iteration count.
+
+    Only the poles that carry weight enter the iteration.
+    """
+    nz = np.flatnonzero(xi)
+    if nz.size == 0:
+        raise NoRootError("all secular weights vanish")
+    dn, xn = d[nz], xi[nz]
+    if dn[0] > 0.0 and np.sum((xn / dn) ** 2) <= gamma**2:
+        # no pole at theta_1: a root below the spectrum needs ||xi/d|| > gamma
+        raise NoRootError("secular function has no root left of theta_1")
+    # the one-pole bound lies left of the root, ||xi|| / gamma right of it
+    lo, hi = max(abs(xn[0]) / gamma - dn[0], 0.0), float(np.linalg.norm(xn)) / gamma
+    t = lo
+    for it in range(1, SECULAR_MAXIT + 1):
+        r = xn / (dn + t)
+        nx = math.sqrt(r @ r)
+        if nx > gamma:
+            lo = t
+        else:
+            hi = t
+        if hi - lo <= T_RTOL * t:
+            return t, it
+        cand = t + (nx - gamma) * nx * nx / (gamma * float(r @ (r / (dn + t))))
+        if not lo <= cand <= hi:
+            cand = 0.5 * (lo + hi)
+        step, t = abs(cand - t), cand
+        if step <= T_RTOL * t:
+            return t, it
+    raise MaxIterError(f"secular iteration did not settle within {SECULAR_MAXIT} steps")
+
+
+def smallest_root(spec):
+    """Unique root of the secular function left of its smallest pole.
+
+    Returns ``(lambda_star, iterations)``.  Requires either a pole at
+    theta_1 carrying weight, or a positive left limit of chi at theta_1;
+    otherwise there is no root below the spectrum and ``NoRootError`` is
+    raised.
+    """
+    theta, xi, gamma = spec
+    t, it = _secular_t(theta - theta[0], xi, gamma)
+    return float(theta[0] - t), it
+
+
+def _bottom_cluster(theta):
+    """Indices of eigenvalues tied with the smallest one."""
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(theta))))
+    return np.flatnonzero(theta <= theta[0] + tol)
+
+
+def solve_plgopt_spectral(theta, xi, gamma):
+    """Reduced multiplier problem in eigen-coordinates.
+
+    ``theta`` ascending eigenvalues, ``xi`` the coordinates of the
+    reduced gradient in the same eigenbasis.  Returns
+    ``(lambda_star, y_hat, tag)`` with ``y_hat`` in eigen-coordinates.
+
+    Case tree: weight on the bottom eigenspace forces a secular root
+    strictly below theta_1; otherwise the minimum-norm stationary point
+    w = -(H - theta_1)^+ g0 decides between a secular root (||w|| >
+    gamma), the exact boundary solution (||w|| = gamma) and boundary
+    plus eigenvector padding (||w|| < gamma).  A secular root is found
+    in t = theta_1 - lambda, and y_hat = -xi / (theta - theta_1 + t) is
+    formed from t, not from lambda, whose difference to theta_1 rounds.
+    The input is checked as ``make_spec`` checks it.
+    """
+    theta, xi, gamma = make_spec(theta, xi, gamma)
+    d = theta - theta[0]
+    cluster = _bottom_cluster(theta)
+    norm_g = np.linalg.norm(xi)
+    weight_bottom = np.linalg.norm(xi[cluster])
+
+    # a bottom weight with weight_bottom / gamma below the float spacing at
+    # theta_1 counts as zero: a root that needs it (||w|| < gamma below)
+    # lies within rounding of theta_1
+    resolved = theta[0] - weight_bottom / gamma < theta[0]
+    if weight_bottom > TINY_LEADING_WEIGHT * norm_g and resolved:
+        t, _ = _secular_t(d, xi, gamma)
+        return float(theta[0] - t), -xi / (d + t), EASY_TAG
+
+    # bottom weight (numerically) zero: drop it and examine the boundary
+    xi = xi.copy()
+    xi[cluster] = 0.0
+    outside = np.ones(theta.size, dtype=bool)
+    outside[cluster] = False
+    w_hat = np.zeros_like(xi)
+    w_hat[outside] = -xi[outside] / d[outside]
+    nw = np.linalg.norm(w_hat)
+
+    if nw > gamma * (1.0 + 1e-12):
+        t, _ = _secular_t(d, xi, gamma)
+        return float(theta[0] - t), -xi / (d + t), EASY_TAG
+    if abs(nw - gamma) <= 1e-12 * gamma:
+        return float(theta[0]), w_hat, HARD_EXACT_TAG
+    pad = np.sqrt(max(gamma**2 - nw**2, 0.0))
+    w_hat[cluster[0]] += pad
+    return float(theta[0]), w_hat, HARD_PADDED_TAG
 
 
 class DenseReduction(NamedTuple):

@@ -172,10 +172,13 @@ def test_no_class_field_is_a_dict():
 
 
 # the dense oracle and the instance generator judge the driver's reduced
-# solves, so they share none of its code
-ORACLE_CODE = {"reference.py": None, "instances.py": None,
-               "secular.py": ("smallest_root", "_secular_t", "solve_plgopt_spectral")}
+# solves, so they share none of its code; the oracle's secular case
+# analysis lives in reference.py, beside the dense routines, and the
+# reduced solve's module defines none of it
+ORACLE_MODULES = ("instances.py", "reference.py")
 DRIVER_SOLVE_NAMES = {"solve_rlgopt", "_solves_off_s1", "bottom_eigenpair"}
+ORACLE_NAMES = {"SecularSpec", "make_spec", "secular_value", "_secular_t", "smallest_root",
+                "_bottom_cluster", "solve_plgopt_spectral", "SECULAR_MAXIT"}
 
 
 def _referenced_names(node):
@@ -191,18 +194,23 @@ def _referenced_names(node):
     return found
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_CODE))
+def _defined_names(tree):
+    """Names that a module's top-level functions, classes and assignments define."""
+    return ({node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            | {t.id for node in tree.body if isinstance(node, ast.Assign)
+               for t in node.targets if isinstance(t, ast.Name)})
+
+
+@pytest.mark.parametrize("name", ORACLE_MODULES + ("secular.py",))
 def test_the_oracle_shares_no_code_with_the_reduced_solve(name):
-    tree = _tree(PACKAGE / name)
-    functions = ORACLE_CODE[name]
-    if functions is None:
-        nodes = [tree]
-    else:
-        nodes = [node for node in tree.body
-                 if isinstance(node, ast.FunctionDef) and node.name in functions]
-        assert sorted(node.name for node in nodes) == sorted(functions)
-    used = set().union(*map(_referenced_names, nodes)) & DRIVER_SOLVE_NAMES
+    path = PACKAGE / name
+    if name == "secular.py":
+        moved = _defined_names(_tree(path)) & ORACLE_NAMES
+        assert not moved, f"secular.py defines oracle code: {sorted(moved)}"
+        return
+    used = _referenced_names(_tree(path)) & DRIVER_SOLVE_NAMES
     assert not used, f"{name} references the driver's reduced solve: {sorted(used)}"
+    assert "lanczos" not in _package_imports(path), f"{name} imports lanczos"
 
 
 def test_detection_union_bound():

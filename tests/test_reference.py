@@ -7,7 +7,7 @@ from oracles import bisection_secular_root, dense_projector
 
 import crqopt
 from crqopt import (build_reduction, classify, direct_solve, dual_check,
-                    equivalence_maps, hard_case_predicate, solve_plgopt_spectral)
+                    equivalence_maps, hard_case_predicate, make_spec, solve_plgopt_spectral)
 from crqopt.reference import EASY_TAG, HARD_PADDED_TAG, dense_matrix, solve_pqepmin_dense
 
 
@@ -72,6 +72,26 @@ def test_case_analysis_boundary_secular_root():
     assert tag == EASY_TAG
     assert lam < 1.0
     assert np.linalg.norm(y_hat) == pytest.approx(gamma, rel=1e-8)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("entry", [make_spec, solve_plgopt_spectral], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("theta, xi, gamma", [
+    ([], [], 1.0),
+    ([0.0, NAN], [1.0, 1.0], 1.0),
+    ([0.0, INF], [1.0, 1.0], 1.0),
+    ([0.0, 1.0], [1.0, NAN], 1.0),
+    ([0.0, 1.0], [1.0, 1.0], INF),
+    ([0.0, 1.0], [1.0, 1.0], NAN),
+    ([0.0, 1.0], [1.0, 1.0], 0.0),
+], ids=["no_poles", "nan_pole", "inf_pole", "nan_weight", "inf_gamma", "nan_gamma", "zero_gamma"])
+def test_the_spectral_oracle_rejects_bad_input(entry, theta, xi, gamma):
+    # no poles, a non-finite pole or weight, or a gamma that is not finite
+    # and positive has no reduced problem to solve
+    with pytest.raises(ValueError):
+        entry(theta, xi, gamma)
 
 
 def test_direct_solve_unique_point():
