@@ -20,20 +20,21 @@ stores each neighbour pair's weight once, and A is applied from that
 store; its spectrum lies in [0, 2], so ||A|| <= 2 is the norm the driver
 uses for its scales on these problems.
 
-The store holds float64 or float32 weights.  The A-apply is bound by
-the bandwidth of streaming the store, so a float32 store makes it about
-3x faster and halves the graph, at a rounding of float32 eps = 1.19e-7
-per apply.  ``segment`` derives the precision from what its solve must
-certify (``store_dtype``): float32 when ``opts.tol`` is at or above
-the float32 floor of ``driver.tol_floor`` (1.19e-6) and no hard-case
-detection runs, else float64.  Either way the degrees and the cut are
-summed in float64, and the Laplacian scales in float64.  The Lanczos
-basis of a float32 operator is stored in float32 as well
+The store holds float64 or float32 weights.  A float32 store halves the
+graph and the bytes each A-apply streams, at a rounding of float32
+eps = 1.19e-7 per apply.  ``segment`` derives the precision from what
+its solve must certify (``store_dtype``): float32 when ``opts.tol`` is
+at or above the float32 floor of ``driver.tol_floor`` (1.19e-6) and no
+hard-case detection runs, else float64.  Either way the degrees and the
+cut are summed in float64, and the Laplacian scales in float64.  The
+Lanczos basis of a float32 operator is stored in float32 as well
 (``lanczos.basis_dtype``), which halves the solve's largest array.
 
 Both raster products W @ x (the Laplacian's apply and the degrees) go
-through ``apply_weights``, in the store's dtype, on the calling thread.
-Each row's terms are added in ascending column order, so the product is
+through ``apply_weights``, in the store's dtype, on the calling thread:
+the compiled kernel of ``raster_kernel``, built on the first product,
+or scipy's DIA kernel where it cannot be built.  Each row's terms are
+added in ascending column order on either path, so the product is
 bit-identical to the sorted CSR one of the store's dtype.
 """
 
@@ -42,9 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-# the compiled kernel behind ``dia_matrix @ x``: y += (diagonals) @ x in place
+# the compiled kernel behind ``dia_matrix @ x``: y += (diagonals) @ x in place;
+# raster products take it only where ``raster_kernel`` cannot be built
 from scipy.sparse._sparsetools import dia_matvec
 
+from . import raster_kernel
 from .driver import QEPMIN, SolveOptions, solve, tol_floor
 from .errors import EmptySideError, IsolatedPixelError, NotConvergedError
 from .lanczos import basis_dtype
@@ -181,15 +184,42 @@ def apply_weights(weights, shifts, x):
     stored shift s, and W[p + s, p] = W[p, p + s] = weights[d, p + s], so
     row i takes ``weights[d, i] * x[i - s]`` from diagonal -s (for i >= s)
     and ``weights[d, i + s] * x[i + s]`` from diagonal +s (for i + s < n).
-    The lower diagonals come first, in descending shift, one call of
-    scipy's compiled DIA kernel each on the rows they reach; then all
-    upper diagonals in one call, which reads the flat store with stride n.
-    So each row's terms are added in ascending column order: the product
+
+    The compiled kernel (``raster_kernel``) takes the rows in blocks of
+    ``raster_kernel.ROW_BLOCK``, whose slice of y stays in cache while the
+    lower diagonals, in descending shift, and then the upper ones, in
+    ascending shift, stream through it.  Where that kernel cannot be
+    built, one call of scipy's DIA kernel per lower diagonal and one for
+    all upper diagonals add the same terms in the same order.  Either way
+    each row's terms are added in ascending column order, so the product
     is bit-identical to the sorted CSR one of the same dtype.  It runs on
     the calling thread.
+
+    Raises ValueError unless ``weights`` is a C-contiguous (shifts, n)
+    float32 or float64 store, ``shifts`` its intp shifts, strictly
+    ascending in [1, n), and x holds n entries.
     """
+    if weights.ndim != 2 or not weights.flags.c_contiguous:
+        raise ValueError("the weight store must be a C-contiguous 2-D array")
+    if weights.dtype not in (np.float32, np.float64):
+        raise ValueError(f"the weight store is {weights.dtype}, not float32 or float64")
+    n = weights.shape[1]
+    shifts = np.asarray(shifts)
+    if shifts.dtype != np.intp or shifts.shape != weights.shape[:1]:
+        raise ValueError(f"expected {weights.shape[0]} intp shifts, one per store row, "
+                         f"got {shifts.size} of {shifts.dtype}")
+    if shifts.size and (shifts[0] < 1 or shifts[-1] >= n or np.any(shifts[1:] <= shifts[:-1])):
+        raise ValueError(f"the shifts must ascend strictly within [1, {n})")
     x = np.ascontiguousarray(x, dtype=weights.dtype)
-    n = x.size
+    if x.shape != (n,):
+        raise ValueError(f"x has {x.size} entries in shape {x.shape}, "
+                         f"the store's raster has n = {n}")
+    kernels = raster_kernel.load()
+    if kernels is not None:
+        y = np.empty(n, dtype=weights.dtype)
+        kernels[weights.dtype](weights.ctypes.data, shifts.ctypes.data, shifts.size, n,
+                               raster_kernel.ROW_BLOCK, x.ctypes.data, y.ctypes.data)
+        return y
     y = np.zeros(n, dtype=weights.dtype)
     for d in range(shifts.size - 1, -1, -1):
         s = int(shifts[d])
@@ -319,6 +349,8 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
     the k + 1 Lanczos basis rows the solve wrote, and ``graph_dtype`` and
     ``basis_dtype`` their precisions; ``constraints_mb`` gives the MiB
     held by the sparse C and its projector (``CrqProblem.constraints_nbytes``).
+    ``raster_kernel`` names the kernel that applied W: ``compiled``, or
+    ``scipy_dia`` where the compiled one could not be built.
     """
     t0 = time.perf_counter()
     if opts is None:
@@ -351,4 +383,5 @@ def segment(image, labels, delta=0.1, r=5, opts=None):
         "basis_mb": (sol.k + 1) * graph.n * row_dtype.itemsize / 2**20,
         "basis_dtype": row_dtype.name,
         "constraints_mb": problem.constraints_nbytes / 2**20,
+        "raster_kernel": raster_kernel.kernel_name(),
     }

@@ -7,8 +7,32 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import crqopt
-from crqopt import CrqProblem
+from crqopt import CrqProblem, raster_kernel
 from oracles import exact_qep_residual
+
+
+@pytest.fixture(autouse=True, scope="session")
+def kernel_cache(tmp_path_factory):
+    """The compiled raster kernel is built into a cache folder of the test
+    session, so the tests neither read nor fill the user's cache; the
+    subprocesses that tests start inherit it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
+@pytest.fixture
+def compiled():
+    """Raster products on the compiled kernel; skipped where it cannot be
+    built (the kernel warns so)."""
+    if raster_kernel.load() is None:
+        pytest.skip("the compiled raster kernel could not be built here")
+
+
+@pytest.fixture
+def scipy_dia(monkeypatch):
+    """Raster products on scipy's DIA fallback, as where no kernel can be built."""
+    monkeypatch.setattr(raster_kernel, "load", lambda: None)
 
 
 @pytest.fixture

@@ -232,6 +232,24 @@ def test_segment_cli_reports_graph_memory(tmp_path):
     assert 0.0 < float(stats["constraints_mb"]) * 2**20 < 3 * 64 * 8
 
 
+@pytest.mark.parametrize("path", ["compiled", "scipy_dia"])
+def test_segment_cli_reports_the_raster_kernel(request, tmp_path, path):
+    """stats.txt names the kernel that applied W, so a run on the
+    fallback shows as one."""
+    request.getfixturevalue(path)
+    img = np.zeros((8, 8))
+    img[:, 4:] = 200
+    img_path = tmp_path / "img.pgm"
+    cio.write_pgm(img_path, img, maxval=255)
+    labels_path = tmp_path / "labels.txt"
+    write_labels(labels_path, [(4, 1)], [(4, 6)])
+    out = tmp_path / "seg"
+    code = main(["segment", "--image", str(img_path), "--labels", str(labels_path),
+                 "--r", "2", "--out", str(out), "--maxit", "60"])
+    assert code == EXIT_OK
+    assert cio.read_keyvalues(out / "stats.txt")["raster_kernel"] == path
+
+
 def test_segment_cli_not_converged_exit_code_writes_the_maps(tmp_path, capsys):
     img = np.zeros((8, 8))
     img[:, 4:] = 200

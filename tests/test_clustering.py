@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import crqopt
-from crqopt import clustering
+from crqopt import clustering, raster_kernel
 from crqopt.clustering import (LabelSet, NormalizedLaplacianOperator, apply_weights,
                                build_graph, default_segment_options, encode_constraints, ncut_value,
                                segment, to_crqopt)
@@ -105,15 +105,45 @@ def _assert_products_match_sorted_csr(graph):
     assert np.array_equal(graph.degrees, W(np.ones(graph.n)))
 
 
-@pytest.mark.parametrize("shape", [(3, 20), (20, 3), (13, 17), (1, 9)])
+ORACLE_SHAPES = [(3, 20), (20, 3), (13, 17), (1, 9)]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
 @pytest.mark.parametrize("r", [1.5, 2, 3.7, 6])
 @pytest.mark.parametrize("constant", [False, True])
-def test_graph_products_bitwise_equal_sorted_csr(shape, r, constant):
+def test_graph_products_bitwise_equal_sorted_csr(compiled, shape, r, constant):
     _assert_products_match_sorted_csr(build_graph(_oracle_image(shape, constant), 0.2, r))
 
 
-def test_raster_graph_products_bitwise_equal_sorted_csr():
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+@pytest.mark.parametrize("r", [1.5, 2, 3.7, 6])
+@pytest.mark.parametrize("constant", [False, True])
+def test_dia_fallback_products_bitwise_equal_sorted_csr(scipy_dia, shape, r, constant):
+    _assert_products_match_sorted_csr(build_graph(_oracle_image(shape, constant), 0.2, r))
+
+
+def test_raster_graph_products_bitwise_equal_sorted_csr(compiled):
     _assert_products_match_sorted_csr(build_graph(_two_region_raster(128), 0.1, 5))
+
+
+def test_dia_fallback_raster_products_bitwise_equal_sorted_csr(scipy_dia):
+    _assert_products_match_sorted_csr(build_graph(_two_region_raster(128), 0.1, 5))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("block", [1, 3, 7, 64])
+@pytest.mark.parametrize("shape", [(1, 9), (3, 20), (37, 41)])
+def test_compiled_blocks_of_any_size_match_sorted_csr(compiled, monkeypatch, dtype, block, shape):
+    """Blocks that a shift jumps over (at r = 6 the rasters 1x9, 3x20 and
+    37x41 reach 5, 45 and 210 rows back) and a last block cut short (37 x
+    41 = 1517 rows is no multiple of any block here, nor of the default
+    1024) sum each row as sorted CSR does."""
+    monkeypatch.setattr(raster_kernel, "ROW_BLOCK", block)
+    graph = build_graph(_oracle_image(shape, False), 0.2, 6, dtype=dtype)
+    x = np.random.default_rng(block).standard_normal(graph.n).astype(dtype)
+    assert np.array_equal(apply_weights(graph.weights, graph.shifts, x), graph_matrix(graph) @ x)
+    assert np.array_equal(graph.degrees, apply_weights(graph.weights, graph.shifts,
+                                                       np.ones(graph.n)))
 
 
 def _any_x(data, n, dtype):
@@ -123,14 +153,66 @@ def _any_x(data, n, dtype):
     return data.draw(arrays(dtype, n, elements=st.floats(-1e3, 1e3, width=width)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(shape=st.sampled_from([(3, 20), (20, 3), (13, 17), (1, 9), (9, 9)]),
-       r=st.sampled_from([1.5, 2, 3.7, 6]), data=st.data())
-def test_any_row_split_assembles_the_sorted_csr_product(shape, r, data):
-    """Every row of W @ x, for any x, is the sorted CSR row bit for bit."""
-    graph = build_graph(_oracle_image(shape, False), 0.2, r)
-    x = _any_x(data, graph.n, np.float64)
-    assert np.array_equal(apply_weights(graph.weights, graph.shifts, x), graph_matrix(graph) @ x)
+def _assert_any_row_split_matches(shape, r, data, dtype):
+    """Every row of W @ x, for any x of the store's dtype, is the sorted
+    CSR row of that dtype bit for bit."""
+    graph = build_graph(_oracle_image(shape, False), 0.2, r, dtype=dtype)
+    x = _any_x(data, graph.n, dtype)
+    csr = graph_matrix(graph)
+    assert csr.dtype == dtype
+    assert np.array_equal(apply_weights(graph.weights, graph.shifts, x), csr @ x)
+
+
+# the path fixtures hold for every example alike
+ROW_SPLIT = dict(max_examples=60, deadline=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+ROW_SPLIT_SHAPES = st.sampled_from([(3, 20), (20, 3), (13, 17), (1, 9), (9, 9)])
+
+
+@settings(**ROW_SPLIT)
+@given(shape=ROW_SPLIT_SHAPES, r=st.sampled_from([1.5, 2, 3.7, 6]), data=st.data())
+def test_any_row_split_assembles_the_sorted_csr_product(compiled, shape, r, data):
+    _assert_any_row_split_matches(shape, r, data, np.float64)
+
+
+@settings(**ROW_SPLIT)
+@given(shape=ROW_SPLIT_SHAPES, r=st.sampled_from([1.5, 2, 3.7, 6]), data=st.data())
+def test_dia_fallback_row_split_assembles_the_sorted_csr_product(scipy_dia, shape, r, data):
+    _assert_any_row_split_matches(shape, r, data, np.float64)
+
+
+@pytest.mark.parametrize("path", ["compiled", "scipy_dia"])
+@pytest.mark.parametrize("length", [17, 27])
+def test_apply_weights_rejects_an_x_of_another_length(request, path, length):
+    """n comes from the store, not from x: on a 4x5 raster an x of 17
+    entries once came back as a 17-vector, and one of 27 was read with
+    stride 27 past the end of the 80-entry store."""
+    request.getfixturevalue(path)
+    graph = build_graph(_oracle_image((4, 5), False), 0.2, 2)
+    with pytest.raises(ValueError, match=rf"x has {length} entries .* n = 20"):
+        apply_weights(graph.weights, graph.shifts, np.ones(length))
+
+
+# (store, shifts, n) -> a (store, shifts) pair that the kernel must not read
+STORE_EDITS = {
+    "strided store": lambda w, s, n: (w[:, ::2], s),
+    "flat store": lambda w, s, n: (w.reshape(-1), s),
+    "float16 store": lambda w, s, n: (w.astype(np.float16), s),
+    "int32 shifts": lambda w, s, n: (w, s.astype(np.int32)),
+    "a shift short": lambda w, s, n: (w, s[:-1]),
+    "descending shifts": lambda w, s, n: (w, s[::-1].copy()),
+    "repeated shift": lambda w, s, n: (w, np.sort(np.append(s[1:], s[1]))),
+    "zero shift": lambda w, s, n: (w, s - s[0]),
+    "shift past n": lambda w, s, n: (w, s + n - s[-1]),
+}
+
+
+@pytest.mark.parametrize("edit", list(STORE_EDITS))
+def test_apply_weights_rejects_a_store_the_kernel_cannot_read(edit):
+    graph = build_graph(_oracle_image((4, 5), False), 0.2, 2)
+    weights, shifts = STORE_EDITS[edit](graph.weights, graph.shifts, graph.n)
+    with pytest.raises(ValueError):
+        apply_weights(weights, shifts, np.ones(graph.n))
 
 
 def test_the_product_starts_no_thread(monkeypatch):
@@ -438,17 +520,17 @@ U32 = float(np.finfo(np.float32).eps)
 FLOOR32 = crqopt.driver.tol_floor(U32)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(shape=st.sampled_from([(3, 20), (20, 3), (13, 17), (1, 9), (9, 9)]),
-       r=st.sampled_from([1.5, 2, 3.7, 6]), data=st.data())
-def test_any_row_split_assembles_the_float32_sorted_csr_product(shape, r, data):
-    """On a float32 store, every row of W @ x, for any float32 x, is the
-    float32 sorted CSR row bit for bit."""
-    graph = build_graph(_oracle_image(shape, False), 0.2, r, dtype=np.float32)
-    x = _any_x(data, graph.n, np.float32)
-    csr = graph_matrix(graph)
-    assert csr.dtype == np.float32
-    assert np.array_equal(apply_weights(graph.weights, graph.shifts, x), csr @ x)
+@settings(**ROW_SPLIT)
+@given(shape=ROW_SPLIT_SHAPES, r=st.sampled_from([1.5, 2, 3.7, 6]), data=st.data())
+def test_any_row_split_assembles_the_float32_sorted_csr_product(compiled, shape, r, data):
+    _assert_any_row_split_matches(shape, r, data, np.float32)
+
+
+@settings(**ROW_SPLIT)
+@given(shape=ROW_SPLIT_SHAPES, r=st.sampled_from([1.5, 2, 3.7, 6]), data=st.data())
+def test_dia_fallback_row_split_assembles_the_float32_sorted_csr_product(scipy_dia, shape, r,
+                                                                          data):
+    _assert_any_row_split_matches(shape, r, data, np.float32)
 
 
 @pytest.mark.parametrize("shape", [(3, 20), (13, 17), (1, 9), (128, 128)])
@@ -591,6 +673,18 @@ def test_segment_stores_float32_where_the_solve_can_certify_it(tol, detect_hard,
     assert stats["basis_dtype"] == dtype
     assert stats["basis_mb"] == (stats["steps"] + 1) * img.size * np.dtype(dtype).itemsize / 2**20
     assert np.array_equal(mask, img < 0.5)
+
+
+def test_segment_names_its_raster_kernel_and_both_give_the_same_bits(compiled, monkeypatch):
+    img = _two_region_raster(32)
+    labels = LabelSet.from_pixels(img.shape, [(16, 4)], [(16, 28)])
+    runs = [segment(img, labels, r=3)]
+    monkeypatch.setattr(raster_kernel, "load", lambda: None)
+    runs.append(segment(img, labels, r=3))
+    (mask, heat, stats), (dia_mask, dia_heat, dia_stats) = runs
+    assert (stats["raster_kernel"], dia_stats["raster_kernel"]) == ("compiled", "scipy_dia")
+    assert np.array_equal(mask, dia_mask) and heat.tobytes() == dia_heat.tobytes()
+    assert (stats["steps"], stats["ncut"]) == (dia_stats["steps"], dia_stats["ncut"])
 
 
 def test_float32_build_never_holds_a_float64_store():
