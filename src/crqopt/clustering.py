@@ -23,9 +23,9 @@ uses for its scales on these problems.
 The store holds float64 or float32 weights.  A float32 store halves the
 graph and the bytes each A-apply streams, at a rounding of float32
 eps = 1.19e-7 per apply.  ``segment`` derives the precision from what
-its solve must certify (``store_dtype``): float32 when ``opts.tol`` is
-at or above the float32 floor of ``driver.tol_floor`` (1.19e-6) and no
-hard-case detection runs, else float64.  Either way the degrees and the
+its solve must certify (``store_dtype``): float32 where the driver can
+certify ``opts`` at that rounding (``driver.can_certify``), else
+float64.  Either way the degrees and the
 cut are summed in float64, and the Laplacian scales in float64.  The
 Lanczos basis of a float32 operator is stored in float32 as well
 (``lanczos.basis_dtype``), which halves the solve's largest array.
@@ -48,7 +48,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import dia_matvec
 
 from . import raster_kernel
-from .driver import QEPMIN, SolveOptions, solve, tol_floor
+from .driver import QEPMIN, SolveOptions, can_certify, solve
 from .errors import EmptySideError, IsolatedPixelError, NotConvergedError
 from .lanczos import basis_dtype
 from .operators import SymmetricOperator
@@ -305,9 +305,12 @@ def ncut_value(graph, mask):
     """Normalized cut of the bipartition given by a boolean mask.
 
     The cut sums, in float64, the stored weight of every pair (q - s, q)
-    whose ends lie on opposite sides, one shift row at a time.
+    whose ends lie on opposite sides, one shift row at a time.  Raises
+    ``ValueError`` unless the mask holds one entry per pixel.
     """
     mask = np.asarray(mask, dtype=bool).reshape(-1)
+    if mask.size != graph.n:
+        raise ValueError(f"the mask has {mask.size} entries, the graph has n = {graph.n} pixels")
     if mask.all() or not mask.any():
         return float("inf")
     cut = 0.0
@@ -327,12 +330,10 @@ def default_segment_options():
 
 
 def store_dtype(opts):
-    """The weight store a solve with ``opts`` can use: float32 when its
-    tol is at or above the float32 floor (``driver.tol_floor``) and it
-    runs no hard-case detection, else float64."""
-    if opts.tol >= tol_floor(float(np.finfo(np.float32).eps)) and not opts.detect_hard:
-        return np.float32
-    return np.float64
+    """The weight store a solve with ``opts`` can use: float32 where the
+    driver can certify what ``opts`` asks at float32's unit roundoff
+    (``driver.can_certify``), else float64."""
+    return np.float32 if can_certify(opts, float(np.finfo(np.float32).eps)) else np.float64
 
 
 def segment(image, labels, delta=0.1, r=5, opts=None):

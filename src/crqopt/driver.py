@@ -16,8 +16,9 @@ random-start bound of detection (``_kw_steps``).
 The loop stops when ``delta`` drops below the tolerance, on breakdown
 (which certifies nothing), or at the iteration cap.  An operator that
 rounds coarser than float64 cannot certify a tolerance below its
-``tol_floor``, and ``solve`` refuses one.  The minimizer is
-recovered as v = n0 + Q_k x (``_iterate``), and the one exact residual
+``tol_floor``, and ``solve`` refuses options that ask for one
+(``can_certify``).  The minimizer is recovered from n0 + Q_k x projected
+and rescaled to the sphere (``_iterate``), and the one exact residual
 ||P(Av) - mu (v - n0)|| is taken at the v the solve returns.  An answer
 whose last ``delta`` missed its tolerance is raised on ``NotConvergedError``.
 
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, lapack
 
-from .errors import EigFailureError, InfeasibleError, NotConvergedError
+from .errors import InfeasibleError, NotConvergedError
 from .lanczos import LanczosState, bottom_ritz_pair, lanczos_pair_step, lanczos_step
 from .problem import INFEASIBLE, INTERIOR, UNIQUE_POINT, b0_zero_threshold, classify
 # benchmarks/tracing.py wraps driver.solve_reduced_qep by name, so the
@@ -127,6 +128,20 @@ def tol_floor(unit_roundoff):
     """The lowest tol ``solve`` accepts on an operator with this unit
     roundoff: 0 at float64 eps, else ``TOL_FLOOR`` times it."""
     return 0.0 if unit_roundoff <= _EPS else TOL_FLOOR * unit_roundoff
+
+
+def can_certify(opts, unit_roundoff):
+    """Whether ``solve`` can certify what ``opts`` asks on an operator with
+    this unit roundoff: ``opts.tol``, and ``EIG_TOL`` when
+    ``opts.detect_hard`` is set, each at or above ``tol_floor``.
+
+    ``solve`` refuses options where it cannot, and
+    ``clustering.store_dtype`` stores float32 where it can.  A b0 = 0
+    instance needs ``EIG_TOL`` as well; that depends on the instance, and
+    ``resolve_b0_zero`` refuses it.
+    """
+    needed = min(opts.tol, EIG_TOL) if opts.detect_hard else opts.tol
+    return needed >= tol_floor(unit_roundoff)
 
 
 def _refuse_below_floor(problem, tol, what):
@@ -179,10 +194,8 @@ class KrylovRecord:
     ||b0|| ... beta_{K+1} and the basis, in the store's dtype.  ``method``,
     ``norm_a``, ``gamma`` and ``n0An0`` are the scalars of the route's
     bound and of the objective identity.  ``iterate(x)`` forms the
-    iterate of a step-k check as the solve forms v (``_iterate``):
-    n0 + Q_k x on float64 rows, so it repeats the v of an easy solve,
-    which stops at K, bit for bit, and that sum projected and rescaled to
-    the sphere on float32 rows.
+    iterate of a step-k check as the solve forms v (``_iterate``), so it
+    repeats the v of an easy solve, which stops at K, bit for bit.
     """
 
     run: LanczosState
@@ -455,15 +468,12 @@ class DetectionRun:
 
         Returns the last Ritz pair and the certificate, None when
         ``EIG_MAXIT`` ran out or the run broke down first.
-        Raises ``EigFailureError`` when the run yields no finite Ritz value.
         """
         state = self.state
         interlacing = False
         while True:
             if state.k:
                 ritz = self.ritz = bottom_ritz_pair(state, EIG_TOL, self.norm_scale)
-                if not np.isfinite(ritz.theta):
-                    break
                 interlacing = interlacing or ritz.theta <= threshold
                 if ritz.converged:
                     return ritz, INTERLACING if interlacing else CONVERGED
@@ -472,7 +482,6 @@ class DetectionRun:
                 if state.broke_down or state.k == state.maxit:
                     return ritz, INTERLACING if interlacing else None
             lanczos_step(state)
-        raise EigFailureError("projected eigensolve produced no finite Ritz value")
 
 
 def resolve_b0_zero(problem, feas, rng=None):
@@ -567,21 +576,18 @@ def _pad(state, ritz, feas):
 
 
 def _iterate(run, x, n0, gamma):
-    """The iterate v = n0 + Q_k x of a check's reduced solution x, with
-    ||x|| = gamma, from the rows of the solve's ``LanczosState`` ``run``,
-    during the solve or, replayed after it, from its ``KrylovRecord``.
+    """The iterate of a check's reduced solution x, with ||x|| = gamma,
+    from the rows of the solve's ``LanczosState`` ``run``, during the
+    solve or, replayed after it, from its ``KrylovRecord``.
 
-    On a float64 store that is the plain sum, bit for bit.  A store that
-    rounds coarser than float64 (float32, see ``lanczos.basis_dtype``)
-    holds rows orthonormal only to about its u, so Q_k x is off the
-    sphere ||Q_k x|| = gamma and off null(C') by as much.  There the
+    The rows are orthonormal only to about their own rounding (float32
+    rows on a float32 operator, see ``lanczos.basis_dtype``), so the plain
+    sum n0 + Q_k x lies off the sphere and off null(C') by as much.  The
     iterate is y = P(Q_k x) scaled to gamma, v = n0 + gamma y / ||y||, so
-    C'v = b and ||v|| = 1 hold to float64 rounding.
+    C'v = b and ||v|| = 1 hold to float64 rounding whatever the rows'
+    dtype, for one P-apply.
     """
-    y = run.basis_product(x, x.size)
-    if run.dtype == np.float64:
-        return n0 + y
-    y = run.P.apply_P(y)
+    y = run.P.apply_P(run.basis_product(x, x.size))
     return n0 + gamma / np.linalg.norm(y) * y
 
 
@@ -596,14 +602,15 @@ def solve(problem, opts=None):
 
     An operator that rounds coarser than float64 (``unit_roundoff`` above
     float64 eps, as a float32 raster store) cannot certify a residual
-    below its own rounding: ``ValueError``, naming the floor, refuses an
-    ``opts.tol`` below ``tol_floor``, and ``detect_hard`` or a b0 = 0
-    instance where ``EIG_TOL`` lies below it (as it does for float32).
+    below its own rounding: ``ValueError``, naming the floor, refuses
+    options it cannot certify (``can_certify``), and a b0 = 0 instance
+    where ``EIG_TOL`` lies below the floor (as it does for float32).
     """
     if opts is None:
         opts = SolveOptions()
-    _refuse_below_floor(problem, opts.tol, f"tol {opts.tol:.3g} is")
-    if opts.detect_hard:
+    if not can_certify(opts, problem.A.unit_roundoff):
+        # opts.tol lies below the floor, or else detection's EIG_TOL does
+        _refuse_below_floor(problem, opts.tol, f"tol {opts.tol:.3g} is")
         _refuse_below_floor(problem, EIG_TOL, f"hard-case detection needs EIG_TOL = {EIG_TOL:g},")
     feas = classify(problem)
     if feas.tag == INFEASIBLE:

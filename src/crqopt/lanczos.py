@@ -51,6 +51,7 @@ loop that forms such pairs of P A P is the driver's ``DetectionRun``,
 which settles both the b0 = 0 instance and hard-case detection.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,9 +280,14 @@ def _recur(state, w, q_k):
 def _finish(state, w, a_k):
     """The rest of a step once w holds the projected recurrence residual:
     the omega update, a Gram-Schmidt pass where it is due, the breakdown
-    test and q_{k+1} = w / beta_{k+1}."""
+    test and q_{k+1} = w / beta_{k+1}.  Raises ``ValueError``, naming the
+    step, where alpha_k or beta_{k+1} is not finite: an apply of A that
+    returned a value that is not finite, caught where it enters."""
     k = state.k + 1
     b_next = float(np.linalg.norm(w))
+    if not (math.isfinite(a_k) and math.isfinite(b_next)):
+        raise ValueError(f"Lanczos step {k}: alpha_k = {a_k}, beta_(k+1) = {b_next}; "
+                         f"the apply of A returned a value that is not finite")
     state._alpha[k - 1] = a_k
     # a Gram-Schmidt pass only shrinks w, so at or below the breakdown
     # threshold the step breaks down either way

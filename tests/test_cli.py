@@ -339,6 +339,18 @@ def test_segment_cli_rejects_no_detect_hard(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_bench_reads_the_spec_that_gen_writes(tmp_path):
+    # bench --spec reads gen's instance.spec, seed included, and writes
+    # the CSVs that the same bench given by flags writes
+    spec = _gen(tmp_path, seed=5) / "instance.spec"
+    solver = ["--tol", "1e-13", "--maxit", "36"]
+    assert main(["bench", "--spec", str(spec), *solver, "--out", str(tmp_path / "spec")]) == EXIT_OK
+    assert main(["bench", "--n", "40", "--m", "4", "--alpha", "1", "--beta", "20", "--zeta", "0.9",
+                 "--seed", "5", *solver, "--out", str(tmp_path / "flags")]) == EXIT_OK
+    for name in ("bench_seed5.csv", "history_seed5.csv"):
+        assert (tmp_path / "spec" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+
 def test_bench_parallel_seeds(tmp_path):
     # one call runs every seed of --seeds, one after another
     out = tmp_path / "batch"

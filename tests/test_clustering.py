@@ -358,6 +358,17 @@ def test_two_block_segmentation_exact_and_ncut_optimal():
     assert stats["ncut"] <= min(candidates) + 1e-12
 
 
+@pytest.mark.parametrize("mask", [[True], [True, False], [True] * 10, [True, False] * 32 + [True]],
+                         ids=["1", "2", "10", "65"])
+def test_ncut_value_rejects_a_mask_of_another_size(mask):
+    # neither inf (an all-true mask of 10) nor numpy's broadcast error
+    # (2 or 65 entries): the error names both sizes
+    graph = build_graph(two_block_image(8), 0.1, 2)
+    with pytest.raises(ValueError, match=rf"the mask has {len(mask)} entries, "
+                                         r"the graph has n = 64 pixels"):
+        ncut_value(graph, np.array(mask))
+
+
 def test_labeled_pixels_respected_on_constant_image():
     img = np.full((8, 8), 3.0)
     labels = LabelSet.from_pixels(img.shape, [(1, 1)], [(6, 6)])
@@ -673,6 +684,28 @@ def test_segment_stores_float32_where_the_solve_can_certify_it(tol, detect_hard,
     assert stats["basis_dtype"] == dtype
     assert stats["basis_mb"] == (stats["steps"] + 1) * img.size * np.dtype(dtype).itemsize / 2**20
     assert np.array_equal(mask, img < 0.5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tol=st.one_of(st.sampled_from([0.0, float(np.nextafter(FLOOR32, 0.0)), FLOOR32]),
+                     st.floats(-12.0, -2.0).map(lambda e: 10.0**e)),
+       detect_hard=st.booleans(), method=st.sampled_from([crqopt.LGOPT, crqopt.QEPMIN]))
+def test_the_store_is_float32_exactly_where_solve_accepts_the_options_on_it(
+        tol, detect_hard, method):
+    # segment's store and solve's refusal follow one rule, the driver's
+    img = two_block_image(8)
+    labels = LabelSet.from_pixels(img.shape, [(4, 1)], [(4, 6)])
+    problem = to_crqopt(build_graph(img, 0.1, 2, dtype=np.float32), labels)
+    opts = crqopt.SolveOptions(method=method, tol=tol, detect_hard=detect_hard)
+    try:
+        crqopt.solve(problem, opts)
+        accepted = True
+    except NotConvergedError:
+        accepted = True
+    except ValueError as err:
+        assert "below the floor" in str(err)
+        accepted = False
+    assert (clustering.store_dtype(opts) == np.float32) == accepted
 
 
 def test_segment_names_its_raster_kernel_and_both_give_the_same_bits(compiled, monkeypatch):

@@ -415,6 +415,36 @@ def _count_a_applies(prob, opts):
     return sol, counter
 
 
+class _TurnsNaN(_CountingOperator):
+    """Returns NaN from its call ``clean`` + 1 on."""
+
+    def __init__(self, op, clean):
+        super().__init__(op)
+        self.clean = clean
+
+    def matvec(self, x):
+        y = super().matvec(x)
+        return y if self.calls <= self.clean else np.full_like(y, np.nan)
+
+    def matmat(self, X):
+        Y = super().matmat(X)
+        return Y if self.calls <= self.clean else np.full_like(Y, np.nan)
+
+
+@pytest.mark.parametrize("step", [1, 10])
+def test_an_a_apply_that_turns_nan_is_caught_at_its_lanczos_step(step):
+    # the NaN is caught at the step it enters, not later as a Newton
+    # iteration that does not settle or as a failed dstebz.  With the norm
+    # given, classify makes the first call and each paired step one more,
+    # so the call after ``step`` clean ones is step's
+    spec = crqopt.InstanceSpec(n=200, m=10, alpha=1.0, beta=100.0, zeta=0.9, rng_seed=1)
+    prob, _ = crqopt.generate(spec)
+    op = _TurnsNaN(prob.A, clean=step)
+    op.norm_bound = prob.norm_a
+    with pytest.raises(ValueError, match=rf"^Lanczos step {step}: alpha_k = nan, "):
+        solve(CrqProblem(op, prob.C, prob.b), SolveOptions())
+
+
 def test_detection_on_worst_case_certifies_easy_early():
     # the detection run steps beside every main-loop step, in the main
     # loop's A-apply calls, and certifies at the loop's stop: it costs
@@ -445,9 +475,10 @@ def test_qepmin_checks_apply_no_a():
 
 def test_lanczos_steps_project_once(monkeypatch):
     # one projected column per Lanczos step of the main loop and of
-    # detection, one more per Gram-Schmidt pass, and 3 fixed: b0 in
-    # classify, the random detection start and the residual at the
-    # returned v.  A paired step projects its two columns as one block
+    # detection, one more per Gram-Schmidt pass, and 4 fixed: b0 in
+    # classify, the random detection start, the iterate Q_k x and the
+    # residual at the returned v.  A paired step projects its two columns
+    # as one block
     calls = []
     apply_P = crqopt.ProjectedOperator.apply_P
 
@@ -463,7 +494,7 @@ def test_lanczos_steps_project_once(monkeypatch):
     steps = sol.k + sol.detection.steps
     passes = sol.reorth_steps + sol.detection.reorth_steps
     columns = sum(shape[1] if len(shape) == 2 else 1 for shape in calls)
-    assert columns == steps + passes + 3
+    assert columns == steps + passes + 4
     assert set(calls) <= {(prob.n,), (prob.n, 2)}
     assert calls.count((prob.n, 2)) == sol.detection.paired_steps > 0
 
@@ -715,8 +746,7 @@ def test_lockstep_detection_leaves_the_main_run_alone(kind, seed, nm, m):
     alone = _solution(prob, replace(opts, detect_hard=False))
     assert paired.k == alone.k
     tol = max(1e-12, np.finfo(float).eps * prob.norm_a / (red.theta[0] - alone.mu))
-    iterates = [sol.krylov.n0 + sol.krylov.run.basis() @ sol.history[-1].x
-                for sol in (paired, alone)]
+    iterates = [sol.krylov.iterate(sol.history[-1].x) for sol in (paired, alone)]
     assert np.linalg.norm(iterates[0] - iterates[1]) <= tol
     assert paired.case == crqopt.EASY
     assert np.linalg.norm(paired.v - alone.v) <= tol
@@ -725,14 +755,14 @@ def test_lockstep_detection_leaves_the_main_run_alone(kind, seed, nm, m):
 @pytest.mark.parametrize("method", [crqopt.LGOPT, crqopt.QEPMIN])
 @pytest.mark.parametrize("seed", [3, 7])
 def test_the_returned_basis_repeats_v_bit_for_bit(seed, method):
-    # a float64 operator keeps float64 rows, and v = n0 + Q_k x is the
-    # plain product, which the returned basis repeats
+    # a float64 operator keeps float64 rows, and the returned basis
+    # repeats v, Q_k x projected and rescaled to the sphere, bit for bit
     spec = crqopt.InstanceSpec(n=400, m=40, alpha=1.0, beta=1000.0, zeta=0.9, rng_seed=seed)
     prob, _ = crqopt.generate(spec)
     sol = solve(prob, SolveOptions(method=method, maxit=prob.n, return_basis=True))
     assert sol.case == crqopt.EASY
     assert sol.krylov.run.dtype == np.float64
-    assert np.array_equal(sol.v, sol.krylov.n0 + sol.krylov.run.basis() @ sol.history[-1].x)
+    assert np.array_equal(sol.v, sol.krylov.iterate(sol.history[-1].x))
 
 
 def test_sigma_below_the_spectrum_refuses_the_random_start_bound():

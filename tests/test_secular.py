@@ -14,7 +14,7 @@ from crqopt import (classify, make_spec, secular_value, smallest_root, solve_plg
 from crqopt.errors import MaxIterError, NoRootError
 from crqopt.instances import chebyshev_extreme_nodes
 from crqopt.lanczos import run, tridiagonal_dense
-from crqopt.secular import EASY_TAG, TINY_LEADING_WEIGHT
+from crqopt.secular import EASY_TAG, HARD_EXACT_TAG, TINY_LEADING_WEIGHT
 
 
 def test_single_pole():
@@ -191,6 +191,24 @@ def test_nearly_degenerate_takes_the_hard_step():
     # the factorization at t = 0
     assert red.tag == EASY_TAG
     assert red.iterations >= 2
+
+
+def test_the_exact_boundary_matches_the_oracle():
+    # a 1e-12 coupling off the first row leaves the bottom eigenvector a
+    # weight below TINY_LEADING_WEIGHT on e_1, and gamma lies 5e-13 above
+    # the norm of the minimum-norm stationary point: both the reduced
+    # solve and the oracle stop on the sphere at theta_1, without padding
+    a, b, beta1 = np.array([1.0, 0.0]), np.array([1e-12]), 1.0
+    theta, Y = sla.eigh_tridiagonal(a, b)
+    assert abs(Y[0, 0]) < TINY_LEADING_WEIGHT
+    xi = beta1 * Y[0, :]
+    gamma = abs(xi[1]) / (theta[1] - theta[0]) * (1.0 + 5e-13)
+    red = solve_rlgopt(a, b, beta1, gamma)
+    lam, y_hat, tag = solve_plgopt_spectral(theta, xi, gamma)
+    assert red.tag == tag == HARD_EXACT_TAG
+    assert lam == theta[0] and red.mu == pytest.approx(theta[0], abs=1e-15)
+    assert np.linalg.norm(red.x - Y @ y_hat) <= 1e-12
+    _assert_matches_the_spectral_oracle(red, a, b, beta1, gamma)
 
 
 def test_smallest_root_stays_off_the_pole():
